@@ -265,21 +265,41 @@ def children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def free_var_table(root: Expr) -> dict[int, tuple[str, ...]]:
+    """Sorted free-variable names of every node under `root`, by ``id(node)``.
+
+    One iterative post-order pass visits each distinct node once, so shared
+    subtrees cost nothing extra and deep trees need no Python stack.
+    """
+    table: dict[int, tuple[str, ...]] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in table:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in children(node))
+            continue
+        if isinstance(node, Var):
+            names = {node.name}
+        elif isinstance(node, For):
+            names = set(table[id(node.body)]) - {node.var, node.acc}
+            if node.init is not None:
+                names.update(table[id(node.init)])
+        elif isinstance(node, (Sum, Prod, Hadamard)):
+            names = set(table[id(node.body)]) - {node.var}
+        else:
+            names = set()
+            for c in children(node):
+                names.update(table[id(c)])
+        table[id(node)] = tuple(sorted(names))
+    return table
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     """Free variable names of `e`; loop binders are excluded inside bodies."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, For):
-        out = free_vars(e.body) - {e.var, e.acc}
-        if e.init is not None:
-            out |= free_vars(e.init)
-        return out
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        return free_vars(e.body) - {e.var}
-    out = frozenset()
-    for c in children(e):
-        out |= free_vars(c)
-    return out
+    return frozenset(free_var_table(e)[id(e)])
 
 
 def bound_names(e: Expr) -> frozenset[str]:

@@ -15,6 +15,9 @@ and is rejected.  Constants other than 0 and 1 are synthesised when needed
 division); negative or infinite constants that survive folding are
 rejected.
 
+Subexpressions are memoised as in the evaluator: flat identity keys over
+free variables from one linear pass, ``Var`` leaves unmemoised.
+
 The result is pruned: every remaining gate is reachable from an output.
 """
 
@@ -118,21 +121,14 @@ def _frac_matrix(rows, cols, fn):
 
 
 class _Compiler:
-    def __init__(self, schema, dims, builder):
+    def __init__(self, schema, dims, builder, fv):
         self.types = dict(schema.vars) if schema is not None else {}
         self.dims = dict(dims)
         self.dims[UNIT] = 1
         self.b = builder
         self.cache = {}
-        self.fv = {}
+        self.fv = fv
         self.canon = {}
-
-    def free(self, node):
-        got = self.fv.get(id(node))
-        if got is None:
-            got = ast.free_vars(node)
-            self.fv[id(node)] = got
-        return got
 
     def dim(self, sym, what):
         try:
@@ -194,9 +190,13 @@ class _Compiler:
                        tuple(self.b.smul(s, x) for x in a.entries))
 
     def compile(self, e, env):
-        fv = self.free(e)
-        key = (id(e), tuple((name, env[name]) for name in sorted(fv)
-                            if name in env))
+        if e.__class__ is Var:
+            try:
+                return env[e.name]
+            except KeyError:
+                raise UnassignedSymbol(
+                    f"no value bound to variable '{e.name}'") from None
+        key = (id(e), *map(env.get, self.fv[id(e)]))
         got = self.cache.get(key)
         if got is None:
             got = self._compile(e, env)
@@ -204,13 +204,6 @@ class _Compiler:
         return got
 
     def _compile(self, e, env):
-        if isinstance(e, Var):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise UnassignedSymbol(
-                    f"no value bound to variable '{e.name}'") from None
-
         if isinstance(e, Const):
             if isinstance(e.value, float) and (e.value != e.value
                                                or e.value in (float("inf"),
@@ -337,9 +330,9 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     outputs are labelled with the 1-based positions of the result matrix.
     """
     builder = _Builder()
-    comp = _Compiler(schema, dims, builder)
-    env = {name: comp.input_matrix(name)
-           for name in sorted(ast.free_vars(e))}
+    fv = ast.free_var_table(e)
+    comp = _Compiler(schema, dims, builder, fv)
+    env = {name: comp.input_matrix(name) for name in fv[id(e)]}
     result = comp.compile(e, env)
     outputs = []
     for i in range(result.rows):

@@ -48,10 +48,6 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
     outputs: list[tuple[tuple[int, int], int]] = field(default_factory=list)
 
-    @property
-    def input_index(self) -> dict[tuple[str, int, int], int]:
-        return {g.ref: i for i, g in enumerate(self.gates) if g.kind == INPUT}
-
     def validate(self):
         for i, g in enumerate(self.gates):
             for c in g.children:

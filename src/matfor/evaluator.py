@@ -10,7 +10,10 @@ evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 Evaluation is pure, so results of a subexpression are memoised per call,
 keyed by node identity and the values currently bound to the node's free
 variables.  Builders share subtrees by reference, which turns deeply nested
-library expressions into DAGs and keeps evaluation polynomial.
+library expressions into DAGs and keeps evaluation polynomial.  A memo key
+is the flat tuple ``(id(node), value, ...)`` over the node's free variables,
+listed once for the whole DAG by one linear pass (``ast.free_var_table``);
+``Var`` leaves are read straight from the environment, unmemoised.
 
 ``iteration_order`` replaces the ascending visit order of every loop with a
 caller-supplied permutation; over exact semirings a pure ``sum`` expression
@@ -37,7 +40,7 @@ mat_equal = matrix.mat_equal
 
 
 class _Ctx:
-    def __init__(self, inst, sr, registry, schema, order, default_sym):
+    def __init__(self, inst, sr, registry, schema, order, default_sym, fv):
         self.inst = inst
         self.sr = sr
         self.registry = registry
@@ -45,15 +48,8 @@ class _Ctx:
         self.order = order
         self.default_sym = default_sym
         self.cache = {}
-        self.fv = {}
+        self.fv = fv
         self.canon = {}
-
-    def free(self, node):
-        got = self.fv.get(id(node))
-        if got is None:
-            got = ast.free_vars(node)
-            self.fv[id(node)] = got
-        return got
 
     def basis(self, i, n):
         key = (i, n)
@@ -118,14 +114,18 @@ def evaluate(e: ast.Expr,
     iterators (the CLI uses this when an instance declares a single symbol).
     """
     ctx = _Ctx(inst, sr, registry or DEFAULT_REGISTRY, schema,
-               iteration_order, default_sym)
+               iteration_order, default_sym, ast.free_var_table(e))
     return _eval(e, dict(inst.mats), ctx)
 
 
 def _eval(e, env, ctx):
-    fv = ctx.free(e)
-    key = (id(e), tuple((name, env[name]) for name in sorted(fv)
-                        if name in env))
+    if e.__class__ is Var:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(
+                f"no value bound to variable '{e.name}'") from None
+    key = (id(e), *map(env.get, ctx.fv[id(e)]))
     got = ctx.cache.get(key)
     if got is not None:
         return got
@@ -136,13 +136,6 @@ def _eval(e, env, ctx):
 
 def _eval_raw(e, env, ctx):
     sr = ctx.sr
-
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(
-                f"no value bound to variable '{e.name}'") from None
 
     if isinstance(e, MatMul):
         return mat_mul(_eval(e.left, env, ctx), _eval(e.right, env, ctx), sr)

@@ -39,11 +39,6 @@ class Instance:
     def dim(self, sym: str) -> int:
         return self.dims[sym]
 
-    def with_mat(self, name, mat):
-        out = Instance(dict(self.dims), dict(self.mats))
-        out.mats[name] = mat
-        return out
-
 
 @dataclass
 class LoadedInstance:

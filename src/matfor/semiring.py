@@ -18,6 +18,7 @@ only asserted over the exact semirings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -116,20 +117,16 @@ def _tropical_literal(v):
     return v
 
 
-REAL = Semiring("real", 0.0, 1.0,
-                lambda a, b: a + b, lambda a, b: a * b,
+REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
                 _parse_real, _fmt_real, _real_literal)
 
-NAT = Semiring("nat", 0, 1,
-               lambda a, b: a + b, lambda a, b: a * b,
+NAT = Semiring("nat", 0, 1, operator.add, operator.mul,
                _parse_nat, str, _nat_literal)
 
-BOOL = Semiring("bool", 0, 1,
-                lambda a, b: a | b, lambda a, b: a & b,
+BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_,
                 _parse_bool, str, _bool_literal)
 
-TROPICAL = Semiring("tropical", math.inf, 0.0,
-                    min, lambda a, b: a + b,
+TROPICAL = Semiring("tropical", math.inf, 0.0, min, operator.add,
                     _parse_tropical, _fmt_tropical, _tropical_literal)
 
 SEMIRINGS = {sr.name: sr for sr in (REAL, NAT, BOOL, TROPICAL)}

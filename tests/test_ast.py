@@ -1,7 +1,9 @@
 import pytest
 
-from matfor.ast import (Add, Const, For, MatMul, MatrixType, Schema, Sum,
-                        Transpose, Var, bound_names, free_vars, substitute)
+from matfor import stdlib
+from matfor.ast import (Add, Const, For, Hadamard, MatMul, MatrixType, Prod,
+                        Schema, Sum, Transpose, Var, bound_names, children,
+                        free_var_table, free_vars, substitute)
 from matfor.errors import DuplicateVariable
 
 
@@ -21,6 +23,52 @@ def test_sugar_binds_iterator():
 def test_init_is_outside_the_binding():
     e = For("v", "X", Var("X"), init=Var("v"))
     assert free_vars(e) == {"v"}
+
+
+def _reference_free_vars(e, memo):
+    """Free variables by the recursive definition, memoised per node."""
+    got = memo.get(id(e))
+    if got is not None:
+        return got
+    if isinstance(e, Var):
+        got = frozenset((e.name,))
+    elif isinstance(e, For):
+        got = _reference_free_vars(e.body, memo) - {e.var, e.acc}
+        if e.init is not None:
+            got |= _reference_free_vars(e.init, memo)
+    elif isinstance(e, (Sum, Prod, Hadamard)):
+        got = _reference_free_vars(e.body, memo) - {e.var}
+    else:
+        got = frozenset()
+        for c in children(e):
+            got |= _reference_free_vars(c, memo)
+    memo[id(e)] = got
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(stdlib.all_named()))
+def test_free_var_table_matches_the_recursive_definition(name):
+    root = stdlib.all_named()[name].expr
+    table = free_var_table(root)
+    memo = {}
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(children(node))
+        assert table[id(node)] == tuple(sorted(
+            _reference_free_vars(node, memo)))
+    assert len(table) == len(seen)
+
+
+def test_free_vars_of_a_deep_chain():
+    e = Var("V")
+    for i in range(5000):
+        e = Add(e, Var(f"W{i % 3}"))
+    assert free_vars(e) == {"V", "W0", "W1", "W2"}
 
 
 def test_bound_names():

@@ -169,6 +169,16 @@ def test_exit_codes(files, capsys):
     assert run(capsys, "stdlib", "no_such_name")[0] == 1
 
 
+def test_deep_nesting_is_a_clean_error(files, capsys):
+    schema = files("s.schema", "var V : alpha x alpha\n")
+    expr = "(" * 300 + "V" + ")" * 300
+    code, out, err = run(capsys, "check", "--schema", schema, "-e", expr)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_errors_go_to_stderr_not_stdout(files, capsys):
     inst = files("ones3.inst", ONES3)
     code, out, err = run(capsys, "eval", "-e", "div([1], [0])",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from matfor.ast import Schema
+from matfor.ast import Add, Schema, Var, free_vars
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MissingDimension, UnknownFunction)
@@ -174,3 +174,22 @@ def test_default_symbol_fallback():
     out = evaluate(parse_expr("sum v . v"), Instance({"alpha": 2}, {}), REAL,
                    schema=Schema(), default_sym="alpha")
     assert out.tolists() == [[1.0], [1.0]]
+
+
+def test_shared_dag_evaluates_each_node_once():
+    e = Var("V")
+    for _ in range(30):
+        e = Add(e, e)
+    assert free_vars(e) == {"V"}
+    v = from_rows([[1, 2], [3, 4]])
+    out = evaluate(e, Instance({"alpha": 2}, {"V": v}), NAT)
+    assert out.tolists() == [[x << 30 for x in row] for row in v.tolists()]
+
+
+def test_long_sum_of_distinct_leaves():
+    e = Var("V")
+    for _ in range(399):
+        e = Add(e, Var("V"))
+    v = from_rows([[1, 2], [3, 4]])
+    out = evaluate(e, Instance({"alpha": 2}, {"V": v}), NAT)
+    assert out.tolists() == [[400 * x for x in row] for row in v.tolists()]
