@@ -265,41 +265,69 @@ def children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def free_var_table(root: Expr) -> dict[int, tuple[str, ...]]:
-    """Sorted free-variable names of every node under `root`, by ``id(node)``.
+def _own_fields(e: Expr) -> tuple:
+    """The non-child fields that tell a node apart from others of its class."""
+    if isinstance(e, Var):
+        return (e.name,)
+    if isinstance(e, Const):
+        return (type(e.value), repr(e.value))
+    if isinstance(e, For):
+        return (e.var, e.acc, e.var_sym, e.acc_type, e.init is None)
+    if isinstance(e, (Sum, Prod, Hadamard)):
+        return (e.var, e.var_sym)
+    if isinstance(e, Apply):
+        return (e.func,)
+    if isinstance(e, OrderPrim):
+        return (e.kind, e.sym)
+    return ()
 
-    One iterative post-order pass visits each distinct node once, so shared
-    subtrees cost nothing extra and deep trees need no Python stack.
+
+def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
+    """Value number and sorted free variables of every node under `root`.
+
+    The table is keyed by ``id(node)``.  One iterative post-order pass visits
+    each distinct node once, so shared subtrees cost nothing extra and deep
+    trees need no Python stack.  Two nodes get the same value number exactly
+    when they are structurally equal: same class, same non-child fields and
+    children with the same numbers.  Spans take no part.  A ``Const`` is told
+    apart by the type and ``repr`` of its value, so ``1``, ``1.0`` and
+    ``True`` get different numbers, and so do ``0.0`` and ``-0.0``.
     """
-    table: dict[int, tuple[str, ...]] = {}
+    table: dict[int, tuple[int, tuple[str, ...]]] = {}
+    numbers: dict[tuple, int] = {}
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in table:
             continue
+        kids = children(node)
         if not expanded:
             stack.append((node, True))
-            stack.extend((c, False) for c in children(node))
+            stack.extend((c, False) for c in kids)
             continue
+        entries = [table[id(c)] for c in kids]
+        signature = (node.__class__, *_own_fields(node),
+                     *[num for num, _ in entries])
+        number = numbers.setdefault(signature, len(numbers))
         if isinstance(node, Var):
             names = {node.name}
         elif isinstance(node, For):
-            names = set(table[id(node.body)]) - {node.var, node.acc}
+            names = set(table[id(node.body)][1]) - {node.var, node.acc}
             if node.init is not None:
-                names.update(table[id(node.init)])
+                names.update(table[id(node.init)][1])
         elif isinstance(node, (Sum, Prod, Hadamard)):
-            names = set(table[id(node.body)]) - {node.var}
+            names = set(table[id(node.body)][1]) - {node.var}
         else:
             names = set()
-            for c in children(node):
-                names.update(table[id(c)])
-        table[id(node)] = tuple(sorted(names))
+            for _, fv in entries:
+                names.update(fv)
+        table[id(node)] = (number, tuple(sorted(names)))
     return table
 
 
 def free_vars(e: Expr) -> frozenset[str]:
     """Free variable names of `e`; loop binders are excluded inside bodies."""
-    return frozenset(free_var_table(e)[id(e)])
+    return frozenset(node_table(e)[id(e)][1])
 
 
 def bound_names(e: Expr) -> frozenset[str]:
@@ -353,7 +381,9 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 
 def walk(e: Expr):
-    """Yield every node of the tree, preorder."""
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """Yield every node of the tree, preorder, without recursing."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))

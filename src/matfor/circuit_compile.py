@@ -15,8 +15,9 @@ and is rejected.  Constants other than 0 and 1 are synthesised when needed
 division); negative or infinite constants that survive folding are
 rejected.
 
-Subexpressions are memoised as in the evaluator: flat identity keys over
-free variables from one linear pass, ``Var`` leaves unmemoised.
+Subexpressions are memoised as in the evaluator: flat keys of the node's
+value number (equal for structurally equal nodes) and the values of its
+free variables, both from one linear pass; ``Var`` leaves unmemoised.
 
 The result is pruned: every remaining gate is reachable from an output.
 """
@@ -121,13 +122,13 @@ def _frac_matrix(rows, cols, fn):
 
 
 class _Compiler:
-    def __init__(self, schema, dims, builder, fv):
+    def __init__(self, schema, dims, builder, nodes):
         self.types = dict(schema.vars) if schema is not None else {}
         self.dims = dict(dims)
         self.dims[UNIT] = 1
         self.b = builder
         self.cache = {}
-        self.fv = fv
+        self.nodes = nodes
         self.canon = {}
 
     def dim(self, sym, what):
@@ -196,7 +197,8 @@ class _Compiler:
             except KeyError:
                 raise UnassignedSymbol(
                     f"no value bound to variable '{e.name}'") from None
-        key = (id(e), *map(env.get, self.fv[id(e)]))
+        number, fv = self.nodes[id(e)]
+        key = (number, *map(env.get, fv))
         got = self.cache.get(key)
         if got is None:
             got = self._compile(e, env)
@@ -330,9 +332,9 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     outputs are labelled with the 1-based positions of the result matrix.
     """
     builder = _Builder()
-    fv = ast.free_var_table(e)
-    comp = _Compiler(schema, dims, builder, fv)
-    env = {name: comp.input_matrix(name) for name in fv[id(e)]}
+    nodes = ast.node_table(e)
+    comp = _Compiler(schema, dims, builder, nodes)
+    env = {name: comp.input_matrix(name) for name in nodes[id(e)][1]}
     result = comp.compile(e, env)
     outputs = []
     for i in range(result.rows):

@@ -8,12 +8,14 @@ evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 ``hprod`` with the entrywise product.
 
 Evaluation is pure, so results of a subexpression are memoised per call,
-keyed by node identity and the values currently bound to the node's free
+keyed by the node's structure and the values currently bound to its free
 variables.  Builders share subtrees by reference, which turns deeply nested
 library expressions into DAGs and keeps evaluation polynomial.  A memo key
-is the flat tuple ``(id(node), value, ...)`` over the node's free variables,
-listed once for the whole DAG by one linear pass (``ast.free_var_table``);
-``Var`` leaves are read straight from the environment, unmemoised.
+is the flat tuple ``(number, value, ...)``: ``number`` is the node's value
+number, equal for structurally equal nodes, so two equal but distinct
+subtrees are evaluated once; the values are those of the node's free
+variables.  One linear pass (``ast.node_table``) gives both for the whole
+DAG.  ``Var`` leaves are read straight from the environment, unmemoised.
 
 ``iteration_order`` replaces the ascending visit order of every loop with a
 caller-supplied permutation; over exact semirings a pure ``sum`` expression
@@ -40,7 +42,8 @@ mat_equal = matrix.mat_equal
 
 
 class _Ctx:
-    def __init__(self, inst, sr, registry, schema, order, default_sym, fv):
+    def __init__(self, inst, sr, registry, schema, order, default_sym,
+                 nodes):
         self.inst = inst
         self.sr = sr
         self.registry = registry
@@ -48,7 +51,7 @@ class _Ctx:
         self.order = order
         self.default_sym = default_sym
         self.cache = {}
-        self.fv = fv
+        self.nodes = nodes
         self.canon = {}
 
     def basis(self, i, n):
@@ -114,7 +117,7 @@ def evaluate(e: ast.Expr,
     iterators (the CLI uses this when an instance declares a single symbol).
     """
     ctx = _Ctx(inst, sr, registry or DEFAULT_REGISTRY, schema,
-               iteration_order, default_sym, ast.free_var_table(e))
+               iteration_order, default_sym, ast.node_table(e))
     return _eval(e, dict(inst.mats), ctx)
 
 
@@ -125,7 +128,8 @@ def _eval(e, env, ctx):
         except KeyError:
             raise EvalError(
                 f"no value bound to variable '{e.name}'") from None
-    key = (id(e), *map(env.get, ctx.fv[id(e)]))
+    number, fv = ctx.nodes[id(e)]
+    key = (number, *map(env.get, fv))
     got = ctx.cache.get(key)
     if got is not None:
         return got

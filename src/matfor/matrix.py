@@ -3,11 +3,26 @@
 Storage is a row-major tuple; matrices are immutable after construction and
 safe to share.  Indexing in code is 0-based; the 1-based convention of the
 surface language appears only in file formats and `canonical_vector`.
+
+`mat_mul` computes every entry as the left fold of ``plus`` from `zero` over
+the terms ``times(a[i][t], b[t][j])`` in ascending ``t``.  It leaves out each
+term with a `zero` factor when `a` has more than one row (a single row cannot
+pay for the column lists it builds), the inner dimension is above one, an
+operand holds a `zero`, and ``times(zero, y) == zero`` for every entry ``y``
+of both operands.  The result is bit-identical: a left-out term equals
+`zero`, and adding it to the accumulator changes nothing.  Over the reals the
+accumulator starts at +0.0, so it is never -0.0, and adding +0.0 or -0.0 to
+it leaves it as it was; over min-plus ``min(acc, inf)`` is ``acc``; over bool
+``x | 0`` and over the naturals ``x + 0`` are ``x``.  The check fails where
+``times(zero, y)`` is nan (``y`` = ±inf or nan over the reals, -inf or nan
+over min-plus), and then every term stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 from typing import Any
 
 from .errors import IndexOutOfRange, ShapeMismatch
@@ -80,9 +95,7 @@ def canonical_vector(i: int, n: int, sr: Semiring) -> KMatrix:
 def mat_add(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
     if a.shape != b.shape:
         raise ShapeMismatch(f"cannot add {a.shape} and {b.shape}")
-    plus = sr.plus
-    return KMatrix(a.rows, a.cols,
-                   tuple(plus(x, y) for x, y in zip(a.entries, b.entries)))
+    return KMatrix(a.rows, a.cols, tuple(map(sr.plus, a.entries, b.entries)))
 
 
 def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
@@ -92,6 +105,21 @@ def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
     n, m, k = a.rows, b.cols, a.cols
     ae, be = a.entries, b.entries
     out = []
+    if (n > 1 and k > 1 and (zero in ae or zero in be)
+            and all(map(eq, map(times, repeat(zero), ae + be), repeat(zero)))):
+        # each column of b as its (t, entry) pairs without a zero entry
+        cols = [[(t, y) for t, y in enumerate(be[j::m]) if y != zero]
+                for j in range(m)]
+        for i in range(n):
+            arow = ae[i * k:(i + 1) * k]
+            for col in cols:
+                acc = zero
+                for t, y in col:
+                    x = arow[t]
+                    if x != zero:
+                        acc = plus(acc, times(x, y))
+                out.append(acc)
+        return KMatrix(n, m, tuple(out))
     for i in range(n):
         arow = ae[i * k:(i + 1) * k]
         for j in range(m):
@@ -109,8 +137,7 @@ def mat_transpose(a: KMatrix) -> KMatrix:
 
 
 def mat_scale(s, a: KMatrix, sr: Semiring) -> KMatrix:
-    times = sr.times
-    return KMatrix(a.rows, a.cols, tuple(times(s, x) for x in a.entries))
+    return KMatrix(a.rows, a.cols, tuple(map(sr.times, repeat(s), a.entries)))
 
 
 def mat_map(fn, mats: list[KMatrix]) -> KMatrix:

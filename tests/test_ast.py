@@ -3,7 +3,7 @@ import pytest
 from matfor import stdlib
 from matfor.ast import (Add, Const, For, Hadamard, MatMul, MatrixType, Prod,
                         Schema, Sum, Transpose, Var, bound_names, children,
-                        free_var_table, free_vars, substitute)
+                        free_vars, node_table, substitute, walk)
 from matfor.errors import DuplicateVariable
 
 
@@ -49,7 +49,7 @@ def _reference_free_vars(e, memo):
 @pytest.mark.parametrize("name", sorted(stdlib.all_named()))
 def test_free_var_table_matches_the_recursive_definition(name):
     root = stdlib.all_named()[name].expr
-    table = free_var_table(root)
+    table = node_table(root)
     memo = {}
     seen = set()
     stack = [root]
@@ -59,7 +59,7 @@ def test_free_var_table_matches_the_recursive_definition(name):
             continue
         seen.add(id(node))
         stack.extend(children(node))
-        assert table[id(node)] == tuple(sorted(
+        assert table[id(node)][1] == tuple(sorted(
             _reference_free_vars(node, memo)))
     assert len(table) == len(seen)
 
@@ -69,6 +69,50 @@ def test_free_vars_of_a_deep_chain():
     for i in range(5000):
         e = Add(e, Var(f"W{i % 3}"))
     assert free_vars(e) == {"V", "W0", "W1", "W2"}
+
+
+def test_value_numbers_follow_structure_not_identity():
+    from matfor.parser import parse_expr
+    left, right = parse_expr("V * V"), MatMul(Var("V"), Var("V"))
+    e = Add(left, right)
+    table = node_table(e)
+    assert left is not right
+    assert table[id(left)] == table[id(right)] == (table[id(left)][0], ("V",))
+    assert table[id(e)][0] != table[id(left)][0]
+
+
+def test_value_numbers_keep_apart_what_evaluates_differently():
+    body = Add(Var("X"), Var("v"))
+    t = MatrixType("a", "a")
+    pairs = [
+        (Const(1), Const(1.0)),
+        (Const(1), Const(True)),
+        (Const(0.0), Const(-0.0)),
+        (For("v", "X", body, init=Var("v")), For("v", "X", body)),
+        (For("v", "X", body, acc_type=t), For("v", "X", body)),
+        (Sum("v", body), Prod("v", body)),
+        (Prod("v", body), Hadamard("v", body)),
+        (Sum("v", body, var_sym="a"), Sum("v", body, var_sym="b")),
+        (Sum("v", body), Sum("w", body)),
+    ]
+    for x, y in pairs:
+        table = node_table(Add(x, y))
+        assert table[id(x)][0] != table[id(y)][0], (x, y)
+
+
+def test_walk_is_preorder():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    e = Add(MatMul(a, b), Transpose(c))
+    assert list(walk(e)) == [e, e.left, a, b, e.right, c]
+    loop = For("v", "X", a, init=b)
+    assert list(walk(loop)) == [loop, b, a]
+
+
+def test_walk_of_a_deep_chain():
+    e = Var("V")
+    for _ in range(4999):
+        e = Add(e, Var("V"))
+    assert sum(1 for _ in walk(e)) == 9999
 
 
 def test_bound_names():

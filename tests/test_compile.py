@@ -1,13 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from matfor.ast import OrderKind, OrderPrim, substitute
+from matfor import stdlib
+from matfor.ast import (Expr, OrderKind, OrderPrim, node_table, substitute,
+                        walk)
 from matfor.circuit_compile import compile_expr, degree_growth
 from matfor.circuits import INPUT, dump_circuit, eval_circuit, stats
-from matfor.errors import (UnassignedSymbol, UnsupportedConstant,
-                           UnsupportedFunction)
+from matfor.errors import (MatforError, UnassignedSymbol,
+                           UnsupportedConstant, UnsupportedFunction)
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import KMatrix
@@ -163,3 +166,30 @@ def test_dumps_of_compiled_circuits_reload(lib):
     item = lib["power_sum"]
     c = compile_expr(item.expr, item.schema, {"alpha": 3})
     assert dump_circuit(load_circuit(dump_circuit(c))) == dump_circuit(c)
+
+
+def _unshared(e):
+    """A copy of `e` that repeats every shared subtree instead of sharing it."""
+    fields = {}
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, Expr):
+            v = _unshared(v)
+        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
+            v = tuple(_unshared(x) for x in v)
+        fields[f.name] = v
+    return type(e)(**fields)
+
+
+@pytest.mark.parametrize("name", sorted(stdlib.all_named()))
+def test_sharing_does_not_change_the_compiled_circuit(name):
+    item = stdlib.all_named()[name]
+    try:
+        shared = compile_expr(item.expr, item.schema, {stdlib.ALPHA: 3})
+    except MatforError:
+        return
+    copy = _unshared(item.expr)
+    assert len(node_table(copy)) == sum(1 for _ in walk(copy))
+    unshared = compile_expr(copy, item.schema, {stdlib.ALPHA: 3})
+    assert unshared.gates == shared.gates
+    assert unshared.outputs == shared.outputs

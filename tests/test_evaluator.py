@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from matfor.ast import Add, Schema, Var, free_vars
+from matfor import evaluator
+from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
+                        Schema, Sum, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MissingDimension, UnknownFunction)
@@ -193,3 +195,40 @@ def test_long_sum_of_distinct_leaves():
     v = from_rows([[1, 2], [3, 4]])
     out = evaluate(e, Instance({"alpha": 2}, {"V": v}), NAT)
     assert out.tolists() == [[400 * x for x in row] for row in v.tolists()]
+
+
+def test_equal_but_distinct_subtrees_are_evaluated_once(monkeypatch):
+    calls = []
+
+    def spy(a, b, sr):
+        calls.append((a, b))
+        return evaluator.matrix.mat_mul(a, b, sr)
+
+    monkeypatch.setattr(evaluator, "mat_mul", spy)
+    e = Add(MatMul(Var("V"), Var("V")), MatMul(Var("V"), Var("V")))
+    v = from_rows([[1, 2], [3, 4]])
+    out = evaluate(e, Instance({"alpha": 2}, {"V": v}), NAT)
+    assert out.tolists() == [[14, 20], [30, 44]]
+    assert len(calls) == 1
+
+
+def test_structurally_different_nodes_are_not_merged():
+    inst = Instance({"a": 2, "b": 3}, {"V": from_rows([[3.0]])})
+    with pytest.raises(EvalError):
+        evaluate(Add(Const(1), Const(1.0)), inst, NAT)
+
+    out = evaluate(ScalarMul(Const(0.0), ScalarMul(Const(-0.0), Var("V"))),
+                   inst, REAL)
+    assert repr(out.get(0, 0)) == "-0.0"
+
+    scalar = MatrixType("1", "1")
+    body = Add(Var("X"), Var("V"))
+    e = Add(For("v", "X", body, init=Var("V"), var_sym="a"),
+            For("v", "X", body, var_sym="a", acc_type=scalar))
+    assert evaluate(e, inst, REAL).get(0, 0) == 9.0 + 6.0
+
+    e = Add(Sum("v", Var("V"), var_sym="a"), Prod("v", Var("V"), var_sym="a"))
+    assert evaluate(e, inst, REAL).get(0, 0) == 6.0 + 9.0
+
+    e = Add(Sum("v", Var("V"), var_sym="a"), Sum("v", Var("V"), var_sym="b"))
+    assert evaluate(e, inst, REAL).get(0, 0) == 6.0 + 9.0
