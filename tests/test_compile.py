@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from matfor import stdlib
 from matfor.ast import (Expr, OrderKind, OrderPrim, node_table, substitute,
                         walk)
 from matfor.circuit_compile import compile_expr, degree_growth
-from matfor.circuits import INPUT, dump_circuit, eval_circuit, stats
+from matfor.cli import main
+from matfor.circuits import DIV, INPUT, dump_circuit, eval_circuit, stats
 from matfor.errors import (MatforError, UnassignedSymbol,
                            UnsupportedConstant, UnsupportedFunction)
 from matfor.evaluator import evaluate
@@ -193,3 +195,105 @@ def test_sharing_does_not_change_the_compiled_circuit(name):
     unshared = compile_expr(copy, item.schema, {stdlib.ALPHA: 3})
     assert unshared.gates == shared.gates
     assert unshared.outputs == shared.outputs
+
+
+# What compiling each `stdlib.all_named()` program at n = 1..4 gives: the
+# sha256 of the four `dump_circuit` texts, each followed by a NUL byte, or
+# the class of the first error and the n that raised it.
+CIRCUIT_DIGESTS = {
+    "charpoly_coeffs": "UnsupportedConstant at n=1",
+    "determinant": "UnsupportedConstant at n=1",
+    "diag_embed": "d46df188471aca3697928ec2d7676c1ac1de30b011554ce82bfb617a725a796a",
+    "diagonal_inverse": "6e9ac49314b17963e10edc7ed9575fa697424432dda96eed6e2c2ba3f29fa62e",
+    "diagonal_part": "7625da94740076775d3f21b3ad7e533545d0ea3ce6948e06f19fe886e8858ee2",
+    "elimination_step": "UnsupportedConstant at n=1",
+    "four_clique": "fb362d629e5e618ef76fd0562d84d8c562160d06586a9888d039faecbe109072",
+    "four_clique_order": "fb362d629e5e618ef76fd0562d84d8c562160d06586a9888d039faecbe109072",
+    "identity": "ab5740130899e4ab65ace28b20f66cfcac6f0141c5dbf380a39bf67aff64c3bf",
+    "index_diagonal": "0c2c149573ee23bc9526d4b906fb10f448a47baa234c31885a065497e3d502ce",
+    "index_le": "321c4001c37a3fc36435fbe34d4b9ae040c904f278d51fe2ebc0646c100a1e00",
+    "index_lt": "60c64b2f1e24384efe7f7b6367778d9dc29a1d0abd8971268eb61872306552c3",
+    "inverse": "UnsupportedConstant at n=1",
+    "inverse_power": "a3d386e6392fd1e4285d518e1c790b57efa3cd330323c61460f899028faff01a",
+    "is_first": "2497ae13303ea70cc1993ea86e715d19709186c775fde0153a25b3cecd580c7a",
+    "is_last": "7501946d3a0e85fb5fe676274d0bf282199f8413dfd1593697066a4362f43ec0",
+    "last_basis": "f7be5591a46540dd8f10c3229b9a2959f02ce5d637248e8ec041152430fb22eb",
+    "lower_tri_inverse": "UnsupportedConstant at n=1",
+    "lu_lower": "UnsupportedConstant at n=1",
+    "lu_upper": "UnsupportedConstant at n=1",
+    "matrix_power": "5d7f9d4eb20a6bd1fdf87e87b740f69ba7191432c69d21ab5364d63f87a3ecbb",
+    "newton_matrix": "3c6054002be2e9ce63660392b1a418021054d2bb889a859adfa707d91d9e6b87",
+    "ones_vec": "ed3d0cb2b7b92131d5d195f7234b6f7e98ff47bf0c9a2b3a95bcc96dafdc97ea",
+    "pivot_column": "2ec7b6bb3b339b53329f75c50fd90c3d62ccba5ffa438ff08d070835fde1d5fc",
+    "plu_transform": "UnsupportedFunction at n=1",
+    "plu_upper": "UnsupportedFunction at n=1",
+    "power_sum": "e3e1f4ab1d00ce565b413f3a7e05780702cfdf0e4fd18fa2c36364daa14b5efc",
+    "power_trace": "d0a8ff2e89bafd2524956e6d710e5f1902afc98944abda3e5e43afb64f00c6e3",
+    "repeated_squaring": "e579d324972babc790501c80c7d4710ecf92b376658b04b68bf03adc5646b62c",
+    "scaled_power_trace": "9022b6c59615770a7bdc8aaa5aca00de0214e30c4bb3bcf18dd0b51905aa19e6",
+    "shift_by_index": "d892122826ffce4dee9d14bd26691837a7a9e2207eadc3ac45e9dcce3f8e39dc",
+    "shift_vector": "d6884baff5c842c9c3af3b84222263136bbfe76814e83fea7608585e6f2504ed",
+    "trace_vector": "8794de556adae9483834aadb90750ff959361f4b1b0666e21ef3250bc62c9e48",
+    "transitive_closure": "UnsupportedFunction at n=1",
+    "upper_tri_inverse": "UnsupportedConstant at n=1",
+}
+
+
+def _compile_outcome(item):
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        try:
+            c = compile_expr(item.expr, item.schema, {stdlib.ALPHA: n})
+        except MatforError as exc:
+            return f"{type(exc).__name__} at n={n}"
+        digest.update(dump_circuit(c).encode() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_DIGESTS))
+def test_compiled_circuits_stay_gate_for_gate_identical(name):
+    item = stdlib.all_named()[name]
+    assert _compile_outcome(item) == CIRCUIT_DIGESTS[name]
+
+
+COMPILE_ERRORS = [
+    # undeclared iterator
+    ("sum v . v", "var V : alpha x alpha", {"alpha": 2}, UnassignedSymbol),
+    # iterator whose size symbol has no dimension
+    ("sum v . v", "var v : beta x 1", {"alpha": 2}, UnassignedSymbol),
+    # accumulator with no type and no initialiser
+    ("for v, X . X + v", "var v : alpha x 1", {"alpha": 2},
+     UnassignedSymbol),
+    ("foo(V)", "var V : alpha x alpha", {"alpha": 2}, UnsupportedFunction),
+    ("[inf] .* V", "var V : alpha x alpha", {"alpha": 2},
+     UnsupportedConstant),
+    ("[-inf] .* V", "var V : alpha x alpha", {"alpha": 2},
+     UnsupportedConstant),
+    ("[-1] .* V", "var V : alpha x alpha", {"alpha": 2},
+     UnsupportedConstant),
+]
+
+
+@pytest.mark.parametrize("src,schema,dims,error", COMPILE_ERRORS)
+def test_compile_error_classes(src, schema, dims, error):
+    with pytest.raises(error):
+        compile_expr(parse_expr(src), parse_schema(schema), dims)
+
+
+@pytest.mark.parametrize("src,schema,dims,error", COMPILE_ERRORS)
+def test_compile_circuit_command_exits_2(tmp_path, capsys, src, schema, dims,
+                                         error):
+    path = tmp_path / "s.schema"
+    path.write_text(schema + "\n")
+    argv = ["compile-circuit", "-e", src, "--schema", str(path)]
+    argv += [f"--dim={sym}={n}" for sym, n in dims.items()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_division_by_a_folded_zero_compiles_to_a_gate():
+    s = parse_schema("var V : 1 x 1")
+    c = compile_expr(parse_expr("div(V, [0] .* V)"), s, {})
+    assert [g.kind for g in c.gates].count(DIV) == 1
