@@ -74,9 +74,7 @@ def _load_schema(path):
 def _binder_names(e):
     names = []
     for node in walk(e):
-        if isinstance(node, For):
-            names.append((node.var, node.var_sym))
-        elif isinstance(node, (Sum, Prod, Hadamard)):
+        if isinstance(node, (For, Sum, Prod, Hadamard)):
             names.append((node.var, node.var_sym))
     return names
 

@@ -17,6 +17,11 @@ subtrees are evaluated once; the values are those of the node's free
 variables.  One linear pass (``ast.node_table``) gives both for the whole
 DAG.  ``Var`` leaves are read straight from the environment, unmemoised.
 
+Nothing here depends on the carrier beyond the semiring's operations and
+constants and the registry's functions: ``circuit_compile`` builds a circuit
+by running `evaluate` over a semiring whose carrier values are constants or
+gate references.
+
 ``iteration_order`` replaces the ascending visit order of every loop with a
 caller-supplied permutation; over exact semirings a pure ``sum`` expression
 must produce the same result for every order.
@@ -42,14 +47,12 @@ mat_equal = matrix.mat_equal
 
 
 class _Ctx:
-    def __init__(self, inst, sr, registry, schema, order, default_sym,
-                 nodes):
+    def __init__(self, inst, sr, registry, schema, order, nodes):
         self.inst = inst
         self.sr = sr
         self.registry = registry
         self.types = dict(schema.vars) if schema is not None else {}
         self.order = order
-        self.default_sym = default_sym
         self.cache = {}
         self.nodes = nodes
         self.canon = {}
@@ -78,8 +81,6 @@ class _Ctx:
         t = self.types.get(node.var)
         if t is not None:
             return t.rows
-        if self.default_sym is not None:
-            return self.default_sym
         raise MissingDimension(
             f"cannot resolve the size symbol of loop iterator '{node.var}'; "
             f"declare it in the schema")
@@ -108,16 +109,14 @@ def evaluate(e: ast.Expr,
              sr: Semiring,
              registry: Optional[FuncRegistry] = None,
              schema: Optional[ast.Schema] = None,
-             iteration_order: Optional[Callable[[int], Sequence[int]]] = None,
-             default_sym: Optional[str] = None) -> KMatrix:
+             iteration_order: Optional[Callable[[int], Sequence[int]]] = None
+             ) -> KMatrix:
     """Evaluate a (well-typed) expression on an instance.
 
-    `schema` supplies types for loop binders that carry no inline annotation;
-    `default_sym` optionally names a fallback size symbol for undeclared
-    iterators (the CLI uses this when an instance declares a single symbol).
+    `schema` supplies types for loop binders that carry no inline annotation.
     """
     ctx = _Ctx(inst, sr, registry or DEFAULT_REGISTRY, schema,
-               iteration_order, default_sym, ast.node_table(e))
+               iteration_order, ast.node_table(e))
     return _eval(e, dict(inst.mats), ctx)
 
 

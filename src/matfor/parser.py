@@ -226,7 +226,11 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         p.peek().span) from None
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.span, {"end"})

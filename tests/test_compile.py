@@ -9,8 +9,8 @@ from matfor import stdlib
 from matfor.ast import (Expr, OrderKind, OrderPrim, node_table, substitute,
                         walk)
 from matfor.circuit_compile import compile_expr, degree_growth
-from matfor.cli import main
 from matfor.circuits import DIV, INPUT, dump_circuit, eval_circuit, stats
+from matfor.cli import main
 from matfor.errors import (MatforError, UnassignedSymbol,
                            UnsupportedConstant, UnsupportedFunction)
 from matfor.evaluator import evaluate
@@ -35,6 +35,12 @@ def test_variable_compiles_to_the_identity_wiring():
     assert sum(1 for g in c.gates if g.kind == INPUT) == 9
     assert len(c.outputs) == 9
     assert stats(c).degree == 1
+
+
+def test_the_unit_symbol_always_has_dimension_one():
+    s = parse_schema("var v : alpha x 1")
+    c = compile_expr(parse_expr("v"), s, {"alpha": 2, "1": 5})
+    assert sorted(c.outputs) == [((1, 1), 0), ((2, 1), 1)]
 
 
 def test_squaring_loop_degree_doubles():

@@ -5,7 +5,7 @@ import pytest
 
 from matfor import evaluator
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
-                        Schema, Sum, Var, free_vars)
+                        Sum, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MissingDimension, UnknownFunction)
@@ -170,12 +170,6 @@ def test_evaluation_is_deterministic():
     b = ev("sum v . (v^T * V * v)", "var v : a x 1\nvar V : a x a",
            {"a": 2}, V=m)
     assert a.entries == b.entries
-
-
-def test_default_symbol_fallback():
-    out = evaluate(parse_expr("sum v . v"), Instance({"alpha": 2}, {}), REAL,
-                   schema=Schema(), default_sym="alpha")
-    assert out.tolists() == [[1.0], [1.0]]
 
 
 def test_shared_dag_evaluates_each_node_once():

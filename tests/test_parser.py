@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,16 @@ def test_syntax_errors_have_spans(bad):
     with pytest.raises(ParseError) as err:
         parse_expr(bad)
     assert err.value.span is not None or bad == ""
+
+
+def test_deep_nesting_is_a_parse_error_with_a_position():
+    depth = sys.getrecursionlimit()
+    with pytest.raises(ParseError) as err:
+        parse_expr("(" * depth + "V" + ")" * depth)
+    assert "nested too deeply" in str(err.value)
+    span = err.value.span
+    assert span.line == 1 and 1 <= span.column <= depth
+    assert str(err.value).startswith(f"1:{span.column}: ")
 
 
 def test_error_reports_expected_tokens():
