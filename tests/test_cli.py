@@ -195,3 +195,44 @@ def test_eval_over_tropical_prints_inf(files, capsys):
     code, out, _ = run(capsys, "eval", "-e", "D * D", "--instance", inst)
     assert code == 0
     assert out == "2 x 2\n0 3\ninf 0\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # FormatError
+    (("eval", "-e", "V", "--instance", "{bad.inst}"), 2, "bad dimension"),
+    # RelalgError
+    (("from-ra", "-q", "{q.ra}", "--relschema", "{r.rel}"), 2,
+     "unknown relation 'S'"),
+    # NotInSumFragment
+    (("to-ra", "-e", "prod v . V", "--schema", "{s.schema}"), 2, "additive"),
+    # UnsupportedFunction
+    (("to-ra", "-e", "gtz(V)", "--schema", "{s.schema}"), 2,
+     "no relational counterpart"),
+    # CircuitError
+    (("compile-circuit", "-e", "u^T * v", "--schema", "{uv.schema}"), 2,
+     "no dimension assigned"),
+    # DivisionByZero, an EvalError
+    (("circuit-eval", "--circuit", "{div.circuit}", "--inputs", "{uv0.inst}"),
+     3, "division by zero at gate g2"),
+], ids=["format", "relalg", "sum_fragment", "unsupported_function",
+        "circuit", "division_by_zero"])
+def test_exit_code_per_error_family(files, capsys, argv, code, message):
+    paths = {
+        "bad.inst": files("bad.inst", "semiring real\nsize alpha x\n"),
+        "r.rel": files("r.rel", "semiring nat\nrelation R a b\n1 2 : 3\n"),
+        "q.ra": files("q.ra", "project[a](rel S)"),
+        "s.schema": files("s.schema",
+                          "var V : alpha x alpha\nvar v : alpha x 1\n"),
+        "uv.schema": files("uv.schema",
+                           "var u : alpha x 1\nvar v : alpha x 1\n"),
+        "div.circuit": files("div.circuit",
+                             "g0 = input u[1,1]\ng1 = input v[1,1]\n"
+                             "g2 = div g0 g1\noutput[1,1] = g2\n"),
+        "uv0.inst": files("uv0.inst",
+                          "semiring real\nsize alpha 1\nmatrix u alpha 1\n1\n"
+                          "matrix v alpha 1\n0\n"),
+    }
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err
