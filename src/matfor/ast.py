@@ -57,10 +57,6 @@ class MatrixType:
     def is_scalar(self):
         return self.rows == UNIT and self.cols == UNIT
 
-    @property
-    def is_column(self):
-        return self.cols == UNIT
-
     def __str__(self):
         return f"{self.rows} x {self.cols}"
 
@@ -238,10 +234,6 @@ class OrderKind(Enum):
 class OrderPrim(Expr):
     kind: OrderKind
     sym: str
-
-
-SUGAR_NODES = (Sum, Prod, Hadamard, Ones, Diag)
-LOOP_NODES = (For, Sum, Prod, Hadamard)
 
 
 def children(e: Expr) -> tuple[Expr, ...]:

@@ -36,6 +36,7 @@ from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
+from .functions import pointwise
 from .instance import Instance
 from .matrix import KMatrix
 from .relalg import (Join, KRelation, Project, RAExpr, Rel, Rename, Select,
@@ -204,12 +205,12 @@ class _Phi:
             return Project(out_sig, Join(q1, q2)), out_sig
 
         if isinstance(e, Apply):
-            kind, arity = _pointwise_kind(e.func)
-            if kind is None:
+            p = pointwise(e.func)
+            if p is None:
                 raise UnsupportedFunction(
                     f"function '{e.func}' has no relational counterpart")
             parts = [self.translate(a, types, env, itersyms) for a in e.args]
-            if kind == "hprod":
+            if p[0] == "hprod":
                 q, sig = parts[0]
                 for q2, s2 in parts[1:]:
                     q, sig = Join(q, q2), sig | s2
@@ -241,13 +242,6 @@ class _Phi:
 
         raise NotInSumFragment(
             f"{type(e).__name__} nodes have no relational counterpart")
-
-
-def _pointwise_kind(name):
-    for prefix in ("hprod", "hsum"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return prefix, int(name[len(prefix):])
-    return None, None
 
 
 def phi_translate(e: Expr, schema: Schema) -> RAExpr:

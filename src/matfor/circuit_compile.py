@@ -11,11 +11,13 @@ eliminates the multiply-by-zero avalanche the basis vectors would otherwise
 cause.  Constant folding never changes output values.
 
 Only the polynomial surface compiles: core operators plus `div` and the
-pointwise product/sum families.  `gtz` has no sum/product/division circuit
-and is rejected.  Constants other than 0 and 1 are synthesised when needed
-(positive integers as fan-in-k sums of ones, positive rationals as a
-division); negative or infinite constants that survive folding are
-rejected.
+pointwise product/sum families.  `div` is the gate semiring's ``div``
+field, which folds constants and otherwise builds a division gate.  The
+semiring leaves ``gtz`` unset, as it has no sum/product/division circuit,
+so `evaluate` rejects it.  Constants other than 0 and 1 are synthesised
+when needed (positive integers as fan-in-k sums of ones, positive
+rationals as a division); negative or infinite constants that survive
+folding are rejected.
 
 The result is pruned: every remaining gate is reachable from an output.
 """
@@ -31,7 +33,6 @@ from .errors import (FunctionUnavailableForSemiring, MissingDimension,
                      UnassignedSymbol, UnknownFunction, UnsupportedConstant,
                      UnsupportedFunction)
 from .evaluator import evaluate
-from .functions import FuncRegistry, FuncSpec
 from .instance import Instance
 from .matrix import KMatrix
 from .semiring import Semiring
@@ -149,16 +150,14 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     """
     b = _Builder()
     sr = Semiring("circuit", Fraction(0), Fraction(1), b.sadd, b.smul,
-                  Fraction, str, _literal)
-    registry = FuncRegistry(
-        {"div": FuncSpec("div", 2, None, lambda _, x, y: b.sdiv(x, y))})
+                  Fraction, str, _literal, div=b.sdiv)
     inst = Instance({**dims, ast.UNIT: 1})
     # inputs get their gates before evaluation, in sorted name order, so
     # their numbers do not depend on which input the evaluation reaches first
     for name in sorted(ast.free_vars(e)):
         inst.mats[name] = _input_matrix(name, schema, inst.dims, b)
     try:
-        result = evaluate(e, inst, sr, registry=registry, schema=schema)
+        result = evaluate(e, inst, sr, schema=schema)
     except MissingDimension as exc:
         raise UnassignedSymbol(str(exc)) from None
     except (UnknownFunction, FunctionUnavailableForSemiring) as exc:

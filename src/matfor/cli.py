@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Results go to stdout; diagnostics and prose to stderr.  Exit codes: 0 on
-success, 1 for usage problems (bad flags, missing files), 2 for parse or
-type errors, 3 for evaluation errors.
+success, 1 for usage problems (bad flags, missing files), 3 for evaluation
+errors (`EvalError`), 2 for every other error: parse, type, file format,
+translation and circuit errors.
 
 Commands::
 
@@ -34,10 +35,7 @@ from .ast import For, Hadamard, MatrixType, Prod, Schema, Sum, UNIT, walk
 from .bridge import phi_translate, psi_translate
 from .circuit_compile import compile_expr
 from .circuits import dump_circuit, eval_circuit, load_circuit, stats
-from .errors import (CircuitError, EvalError, MatforError, ParseError,
-                     RelalgError, TypeCheckError, UnsupportedFunction,
-                     NotInSumFragment, DuplicateVariable, FormatError,
-                     ShapeError)
+from .errors import EvalError, MatforError
 from .evaluator import evaluate
 from .fragments import classify
 from .instance import load_instance
@@ -349,11 +347,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _info(f"error: {exc}")
         return 1
-    except (ParseError, TypeCheckError, DuplicateVariable, FormatError,
-            ShapeError, RelalgError, NotInSumFragment, UnsupportedFunction,
-            CircuitError) as exc:
-        _info(f"error: {exc}")
-        return 2
     except EvalError as exc:
         _info(f"error: {exc}")
         return 3

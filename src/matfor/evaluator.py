@@ -17,8 +17,8 @@ subtrees are evaluated once; the values are those of the node's free
 variables.  One linear pass (``ast.node_table``) gives both for the whole
 DAG.  ``Var`` leaves are read straight from the environment, unmemoised.
 
-Nothing here depends on the carrier beyond the semiring's operations and
-constants and the registry's functions: ``circuit_compile`` builds a circuit
+Nothing here depends on the carrier beyond the semiring's operations,
+constants and pointwise functions: ``circuit_compile`` builds a circuit
 by running `evaluate` over a semiring whose carrier values are constants or
 gate references.
 
@@ -37,7 +37,7 @@ from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, Ones,
                   Var)
 from .errors import (EvalError, FormatError, MatforError, MissingDimension,
                      ShapeMismatch)
-from .functions import DEFAULT_REGISTRY, FuncRegistry
+from .functions import resolve
 from .instance import Instance
 from .matrix import KMatrix, mat_add, mat_map, mat_mul, mat_scale, mat_transpose
 from .semiring import Semiring
@@ -47,10 +47,9 @@ mat_equal = matrix.mat_equal
 
 
 class _Ctx:
-    def __init__(self, inst, sr, registry, schema, order, nodes):
+    def __init__(self, inst, sr, schema, order, nodes):
         self.inst = inst
         self.sr = sr
-        self.registry = registry
         self.types = dict(schema.vars) if schema is not None else {}
         self.order = order
         self.cache = {}
@@ -107,7 +106,6 @@ class _Ctx:
 def evaluate(e: ast.Expr,
              inst: Instance,
              sr: Semiring,
-             registry: Optional[FuncRegistry] = None,
              schema: Optional[ast.Schema] = None,
              iteration_order: Optional[Callable[[int], Sequence[int]]] = None
              ) -> KMatrix:
@@ -115,8 +113,7 @@ def evaluate(e: ast.Expr,
 
     `schema` supplies types for loop binders that carry no inline annotation.
     """
-    ctx = _Ctx(inst, sr, registry or DEFAULT_REGISTRY, schema,
-               iteration_order, ast.node_table(e))
+    ctx = _Ctx(inst, sr, schema, iteration_order, ast.node_table(e))
     return _eval(e, dict(inst.mats), ctx)
 
 
@@ -164,13 +161,12 @@ def _eval_raw(e, env, ctx):
                 f"literal not in the {sr.name} carrier: {exc}") from None
 
     if isinstance(e, Apply):
-        spec = ctx.registry.resolve(e.func, sr)
-        if spec.arity != len(e.args):
+        arity, impl = resolve(e.func, sr)
+        if arity != len(e.args):
             raise EvalError(
-                f"function '{e.func}' expects {spec.arity} arguments, "
+                f"function '{e.func}' expects {arity} arguments, "
                 f"got {len(e.args)}")
-        vals = [_eval(a, env, ctx) for a in e.args]
-        return mat_map(lambda *xs: spec.impl(sr, *xs), vals)
+        return mat_map(impl, [_eval(a, env, ctx) for a in e.args])
 
     if isinstance(e, For):
         n = ctx.dim(ctx.iter_sym(e), f"iterator '{e.var}'")

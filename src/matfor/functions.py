@@ -1,102 +1,65 @@
-"""Registry of pointwise scalar functions.
+"""Pointwise scalar functions and how their names resolve over a semiring.
 
 Built-ins:
 
-* ``div``  - binary division, real semiring only; raises DivisionByZero.
-* ``gtz``  - strictly-positive indicator, real semiring only.
+* ``div``  - binary division, over a semiring that defines ``div`` (``real``
+  and the gate-building semiring of ``circuit_compile``).
+* ``gtz``  - strictly-positive indicator, over a semiring that defines
+  ``gtz`` (``real``).
 * ``hprodN`` / ``hsumN`` for every N >= 1 - N-fold semiring product / sum,
   available over every semiring.  These give pointwise (Hadamard-style)
   combination of equally shaped matrices; ``hprod2`` is the binary
   pointwise product used by the Hadamard quantifier's desugaring.
 
 Unknown names parse fine and only fail here at evaluation time, which keeps
-the parser independent of the registry.
+the parser independent of the set of functions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
 
-from .errors import (DivisionByZero, FunctionUnavailableForSemiring,
-                     UnknownFunction)
+from .errors import FunctionUnavailableForSemiring, UnknownFunction
 
-_POINTWISE = re.compile(r"^(hprod|hsum)([1-9][0-9]*)$")
+_POINTWISE = re.compile(r"(hprod|hsum)([1-9][0-9]*)")
 
-
-@dataclass(frozen=True)
-class FuncSpec:
-    name: str
-    arity: int
-    #: semiring names this function is defined over; None = every semiring
-    semirings: Optional[frozenset[str]]
-    #: impl(semiring, *args) -> carrier value
-    impl: Callable
+#: arity of each function that is a field of `Semiring`
+_FIXED = {"div": 2, "gtz": 1}
 
 
-def _div(sr, x, y):
-    try:
-        return x / y
-    except ZeroDivisionError:
-        raise DivisionByZero(f"division by zero: {x!r} / {y!r}") from None
-
-
-def _gtz(sr, x):
-    return 1.0 if x > 0 else 0.0
-
-
-def _hprod(sr, *xs):
-    return reduce(sr.times, xs, sr.one)
-
-
-def _hsum(sr, *xs):
-    return reduce(sr.plus, xs, sr.zero)
-
-
-_FIXED = {
-    "div": FuncSpec("div", 2, frozenset({"real"}), _div),
-    "gtz": FuncSpec("gtz", 1, frozenset({"real"}), _gtz),
-}
-
-
-class FuncRegistry:
-    """Resolves function names to specs; extendable with custom entries."""
-
-    def __init__(self, extra=None):
-        self._extra = dict(extra or {})
-
-    def lookup(self, name: str) -> FuncSpec:
-        if name in self._extra:
-            return self._extra[name]
-        if name in _FIXED:
-            return _FIXED[name]
-        m = _POINTWISE.match(name)
-        if m:
-            k = int(m.group(2))
-            impl = _hprod if m.group(1) == "hprod" else _hsum
-            return FuncSpec(name, k, None, impl)
-        raise UnknownFunction(f"unknown function '{name}'")
-
-    def resolve(self, name: str, semiring) -> FuncSpec:
-        spec = self.lookup(name)
-        if spec.semirings is not None and semiring.name not in spec.semirings:
-            raise FunctionUnavailableForSemiring(
-                f"function '{name}' is not available over the "
-                f"{semiring.name} semiring")
-        return spec
-
-    def register(self, spec: FuncSpec):
-        self._extra[spec.name] = spec
-
-
-DEFAULT_REGISTRY = FuncRegistry()
+def pointwise(name: str) -> Optional[tuple[str, int]]:
+    """``("hprod", N)`` or ``("hsum", N)`` for a pointwise family name,
+    None for any other name."""
+    m = _POINTWISE.fullmatch(name)
+    return (m.group(1), int(m.group(2))) if m else None
 
 
 def builtin_arity(name: str) -> Optional[int]:
     """Arity of a built-in name, or None when the name is not built in."""
-    try:
-        return DEFAULT_REGISTRY.lookup(name).arity
-    except UnknownFunction:
-        return None
+    if name in _FIXED:
+        return _FIXED[name]
+    p = pointwise(name)
+    return p[1] if p else None
+
+
+def resolve(name: str, sr) -> tuple[int, Callable]:
+    """Arity and implementation of function `name` over semiring `sr`.
+
+    The implementation takes and returns carrier values.
+    """
+    p = pointwise(name)
+    if p is not None:
+        kind, arity = p
+        op, unit = ((sr.times, sr.one) if kind == "hprod"
+                    else (sr.plus, sr.zero))
+        return arity, lambda *xs: reduce(op, xs, unit)
+    if name not in _FIXED:
+        raise UnknownFunction(f"unknown function '{name}'")
+    impl = getattr(sr, name)
+    if impl is None:
+        raise FunctionUnavailableForSemiring(
+            f"function '{name}' is not available over the "
+            f"{sr.name} semiring")
+    return _FIXED[name], impl

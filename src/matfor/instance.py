@@ -36,9 +36,6 @@ class Instance:
     def __post_init__(self):
         self.dims.setdefault(UNIT, 1)
 
-    def dim(self, sym: str) -> int:
-        return self.dims[sym]
-
 
 @dataclass
 class LoadedInstance:

@@ -16,8 +16,8 @@ Expression grammar, loosest binding last::
 
 All binary operators associate to the left.  `literal` is a decimal number
 with optional sign, fraction and exponent, or `inf`.  Function names are
-plain identifiers; they are resolved against the registry at evaluation
-time, not here.
+plain identifiers; `functions.resolve` looks them up at evaluation time,
+not here.
 
 Schemas are line based: ``var NAME : SYM x SYM`` where SYM is an identifier
 or `1`; `#` starts a comment.  The letter `x` is the dimension separator and

@@ -2,6 +2,8 @@
 
 A semiring bundles carrier operations (plus, times), the two constants, a
 parser/printer for carrier values in text formats, and an equality test.
+It may also define the pointwise functions ``div`` and ``gtz``; a semiring
+that leaves one as None rejects it (see ``functions.resolve``).
 The provided instances:
 
 * ``real``     - double precision floats.
@@ -20,9 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
-from .errors import FormatError, MatforError
+from .errors import DivisionByZero, FormatError, MatforError
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class Semiring:
     parse: Callable[[str], Any]
     fmt: Callable[[Any], str]
     from_literal: Callable[[Any], Any]
+    div: Optional[Callable[[Any, Any], Any]] = None
+    gtz: Optional[Callable[[Any], Any]] = None
 
     def eq(self, a, b, tol=0.0):
         if self.name == "real" and tol > 0.0:
@@ -94,6 +98,17 @@ def _fmt_tropical(v):
     return "inf" if math.isinf(v) else "%.17g" % v
 
 
+def _div_real(x, y):
+    try:
+        return x / y
+    except ZeroDivisionError:
+        raise DivisionByZero(f"division by zero: {x!r} / {y!r}") from None
+
+
+def _gtz_real(x):
+    return 1.0 if x > 0 else 0.0
+
+
 def _real_literal(v):
     return float(v)
 
@@ -118,7 +133,7 @@ def _tropical_literal(v):
 
 
 REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
-                _parse_real, _fmt_real, _real_literal)
+                _parse_real, _fmt_real, _real_literal, _div_real, _gtz_real)
 
 NAT = Semiring("nat", 0, 1, operator.add, operator.mul,
                _parse_nat, str, _nat_literal)

@@ -1,10 +1,9 @@
 """Library of named expressions: the programs the language exists for.
 
 Every entry is a `NamedExpr`: an expression over a schema template with a
-single size symbol ``alpha``, the set of pointwise functions it needs, and
-the input variables an instance must provide.  Subexpressions used several
-times are shared by object reference, which the evaluator's memoisation
-turns into DAG-cost evaluation.
+single size symbol ``alpha`` and the input variables an instance must
+provide.  Subexpressions used several times are shared by object reference,
+which the evaluator's memoisation turns into DAG-cost evaluation.
 
 Groups:
 
@@ -33,7 +32,7 @@ A^{-1} = -(1/c_n) * (A^(n-1) + sum_{i=1..n-1} c_i A^(n-1-i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (Add, Apply, Const, Expr, For, MatMul, MatrixType, Ones,
                   OrderKind, OrderPrim, Prod, Schema, ScalarMul, Sum,
@@ -50,7 +49,6 @@ class NamedExpr:
     name: str
     expr: Expr
     schema: Schema
-    required_functions: frozenset[str] = field(default_factory=frozenset)
     inputs: tuple[str, ...] = ()
     description: str = ""
 
@@ -354,7 +352,7 @@ def build_graph_queries() -> list[NamedExpr]:
     out.append(NamedExpr(
         "transitive_closure",
         Apply("gtz", (Prod("t", Add(eid, Var("V"))),)),
-        b.schema(), required_functions=frozenset({"gtz"}), inputs=("V",),
+        b.schema(), inputs=("V",),
         description="reflexive-transitive closure indicator: nonzero "
                     "entries of (I + A)^n"))
 
@@ -378,8 +376,7 @@ def build_lu_suite() -> list[NamedExpr]:
     eid = _identity(b)
     out.append(NamedExpr(
         "elimination_step", _elim_step(b, Var("V"), Var("y"), eid),
-        b.schema(), required_functions=frozenset({"div"}),
-        inputs=("V", "y"),
+        b.schema(), inputs=("V", "y"),
         description="Gaussian elimination step for the pivot column"))
 
     b = _Decls({"V": _SQ})
@@ -389,8 +386,7 @@ def build_lu_suite() -> list[NamedExpr]:
     loop = For("y", "F", _mm(_elim_step(b, _mm(f, Var("V")), y, eid), f),
                init=eid)
     out.append(NamedExpr(
-        "lu_upper", MatMul(loop, Var("V")), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        "lu_upper", MatMul(loop, Var("V")), b.schema(), inputs=("V",),
         description="upper-triangular factor by column-wise elimination"))
 
     b = _Decls({"V": _SQ})
@@ -404,7 +400,7 @@ def build_lu_suite() -> list[NamedExpr]:
     out.append(NamedExpr(
         "lu_lower",
         Add(eid, Sum("y", MatMul(_neg(multipliers), Transpose(y)))),
-        b.schema(), required_functions=frozenset({"div"}), inputs=("V",),
+        b.schema(), inputs=("V",),
         description="unit lower-triangular factor with L * U = A"))
 
     return out
@@ -448,14 +444,12 @@ def build_plu_suite() -> list[NamedExpr]:
                            Transpose(y)))
     transform = For("y", "F", _mm(step, swap, f), init=eid)
 
-    funcs = frozenset({"div", "gtz"})
     return [
-        NamedExpr("plu_transform", transform, b.schema(),
-                  required_functions=funcs, inputs=("V",),
+        NamedExpr("plu_transform", transform, b.schema(), inputs=("V",),
                   description="row-pivoted elimination transform M with "
                               "M * A upper triangular"),
         NamedExpr("plu_upper", MatMul(transform, Var("V")), b.schema(),
-                  required_functions=funcs, inputs=("V",),
+                  inputs=("V",),
                   description="upper-triangular image M * A of the pivoted "
                               "elimination"),
     ]
@@ -489,8 +483,7 @@ def build_csanky_suite() -> list[NamedExpr]:
         "scaled_power_trace",
         Apply("div", (_power_trace(b, Var("V"), Var("v"), eid),
                       Sum("u", _le(u, Var("v"), eid)))),
-        b.schema(), required_functions=frozenset({"div"}),
-        inputs=("V", "v"),
+        b.schema(), inputs=("V", "v"),
         description="tr(A^k) / k for v = b_k"))
 
     b = _Decls({"V": _SQ})
@@ -508,21 +501,21 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     out.append(NamedExpr(
         "diagonal_inverse", _diag_inverse(b, Var("V")), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        inputs=("V",),
         description="diagonal matrix of reciprocal diagonal entries"))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
         "upper_tri_inverse", _upper_inv(b, Var("V"), eid), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        inputs=("V",),
         description="inverse of an invertible upper-triangular matrix"))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
         "lower_tri_inverse", _lower_inv(b, Var("V"), eid), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        inputs=("V",),
         description="inverse of an invertible lower-triangular matrix"))
 
     b = _Decls({})
@@ -569,8 +562,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
-        "charpoly_coeffs", charpoly(b, eid), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        "charpoly_coeffs", charpoly(b, eid), b.schema(), inputs=("V",),
         description="coefficients (c_1, ..., c_n) of the characteristic "
                     "polynomial x^n + c_1 x^(n-1) + ... + c_n"))
 
@@ -598,7 +590,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     out.append(NamedExpr(
         "determinant",
         _mm(Transpose(ScalarMul(sign, charpoly(b, eid))), _emax()),
-        b.schema(), required_functions=frozenset({"div"}), inputs=("V",),
+        b.schema(), inputs=("V",),
         description="determinant via (-1)^n times the last characteristic "
                     "coefficient"))
 
@@ -620,8 +612,7 @@ def build_csanky_suite() -> list[NamedExpr]:
         Apply("div", (_mm(Transpose(coeffs), h), last_coeff)),
         inv_power(b, Var("V"), h, eid)))
     out.append(NamedExpr(
-        "inverse", Add(eid, _neg(Add(head, tail))), b.schema(),
-        required_functions=frozenset({"div"}), inputs=("V",),
+        "inverse", Add(eid, _neg(Add(head, tail))), b.schema(), inputs=("V",),
         description="matrix inverse via Cayley-Hamilton and the "
                     "characteristic coefficients"))
 

@@ -140,3 +140,10 @@ def test_non_additive_loops_are_rejected():
 def test_unsupported_functions_are_rejected():
     with pytest.raises(UnsupportedFunction):
         phi_translate(parse_expr("gtz(V)"), SCHEMA)
+
+
+@pytest.mark.parametrize("src", ["hprod0(V)", "hsum01(V, V)"])
+def test_names_outside_the_pointwise_families_are_rejected(src):
+    # the evaluator rejects these names, so the translation must too
+    with pytest.raises(UnsupportedFunction):
+        phi_translate(parse_expr(src), SCHEMA)

@@ -139,6 +139,16 @@ def test_to_ra_rejects_non_additive(files, capsys):
     assert "additive" in err
 
 
+@pytest.mark.parametrize("expr", ["hprod0(V)", "hsum01(V, V)"])
+def test_to_ra_rejects_names_eval_does_not_know(files, capsys, expr):
+    schema = files("s.schema", "var V : alpha x alpha\n")
+    inst = files("v.inst", DIAG23)
+    code, out, err = run(capsys, "to-ra", "-e", expr, "--schema", schema)
+    assert (code, out) == (2, "")
+    assert "no relational counterpart" in err
+    assert run(capsys, "eval", "-e", expr, "--instance", inst)[0] == 3
+
+
 def test_circuit_pipeline(files, capsys):
     schema = files("s.schema", "var u : alpha x 1\nvar v : alpha x 1\n")
     code, dump, _ = run(capsys, "compile-circuit", "-e", "u^T * v",
