@@ -8,7 +8,9 @@ and intern every gate they build.  `evaluate` supplies everything else
 (loops, quantifiers, order primitives, the memo), so loops unroll to
 sequential stages with the canonical vectors folded to constants, which
 eliminates the multiply-by-zero avalanche the basis vectors would otherwise
-cause.  Constant folding never changes output values.
+cause.  Constant folding never changes output values.  The compiler also
+inherits the evaluator's rule of memoising only nodes whose entry can be
+read again; gates are interned, so the circuit is the same either way.
 
 Only the polynomial surface compiles: core operators plus `div` and the
 pointwise product/sum families.  `div` is the gate semiring's ``div``

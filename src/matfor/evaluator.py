@@ -7,15 +7,28 @@ dimension assigned to the iterator's size symbol.  The quantifier sugar is
 evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 ``hprod`` with the entrywise product.
 
-Evaluation is pure, so results of a subexpression are memoised per call,
-keyed by the node's structure and the values currently bound to its free
-variables.  Builders share subtrees by reference, which turns deeply nested
-library expressions into DAGs and keeps evaluation polynomial.  A memo key
-is the flat tuple ``(number, value, ...)``: ``number`` is the node's value
-number, equal for structurally equal nodes, so two equal but distinct
-subtrees are evaluated once; the values are those of the node's free
-variables.  One linear pass (``ast.node_table``) gives both for the whole
-DAG.  ``Var`` leaves are read straight from the environment, unmemoised.
+Evaluation is pure, so results of a subexpression can be memoised per
+call, keyed by the node's structure and the values currently bound to its
+free variables.  Builders share subtrees by reference, which turns deeply
+nested library expressions into DAGs and keeps evaluation polynomial.  A
+memo key is the flat tuple ``(number, value, ...)``: ``number`` is the
+node's value number, equal for structurally equal nodes, so two equal but
+distinct subtrees are evaluated once; the values are those of the node's
+free variables.  One linear pass (``ast.node_table``) gives both for the
+whole DAG.  ``Var`` leaves are read straight from the environment.
+
+A node is memoised only where a second read of its entry is possible: its
+value number is reached by more than one parent edge, or some loop
+enclosing it binds none of its free variables (for ``for`` neither the
+iterator nor the accumulator, for the quantifiers the iterator), so its key
+recurs across that loop's iterations.  Any other node is evaluated afresh
+each time its parent is: its key changes with every iteration of the loops
+around it, so its entry would be written and not read again, and in a deep
+loop nest such entries grow with the iteration count.  One more linear pass
+(`_memo_numbers`) finds the memoised numbers.  Which nodes are memoised
+changes only how often a node is computed, never what it computes:
+evaluation is deterministic, so every result is bit-identical to memoising
+every node.
 
 Nothing here depends on the carrier beyond the semiring's operations,
 constants and pointwise functions: ``circuit_compile`` builds a circuit
@@ -46,14 +59,60 @@ canonical_vector = matrix.canonical_vector
 mat_equal = matrix.mat_equal
 
 
+def _memo_numbers(root, nodes):
+    """Value numbers of the nodes under `root` whose memo entry can be read.
+
+    `nodes` is ``ast.node_table(root)``.  A number qualifies when it is
+    reached by more than one parent edge (``Add(e, e)`` counts twice), or
+    when some loop enclosing it on some path binds none of its free
+    variables.  Edges are counted once per parent value number, so equal
+    but distinct subtrees count as one.  One pass collects a node per value
+    number in post-order; a second walks them parents first, so every edge
+    into a node is counted, and the binder sets of every loop enclosing it
+    collected, before the node itself is decided.  A ``For`` encloses its
+    body, not its initialiser.
+    """
+    order, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif nodes[id(node)][0] not in seen:
+            seen.add(nodes[id(node)][0])
+            stack.append((node, True))
+            stack.extend((c, False) for c in ast.children(node))
+
+    memo, edges, enclosing, none = set(), {}, {}, frozenset()
+    for node in reversed(order):
+        number, fv = nodes[id(node)]
+        outer = enclosing.get(number, none)
+        if edges.get(number, 0) > 1 or any(b.isdisjoint(fv) for b in outer):
+            memo.add(number)
+        if isinstance(node, For):
+            body = outer | {frozenset((node.var, node.acc))}
+        elif isinstance(node, (Sum, Prod, Hadamard)):
+            body = outer | {frozenset((node.var,))}
+        else:
+            body = outer
+        kids = ast.children(node)
+        for slot, c in enumerate(kids):
+            num = nodes[id(c)][0]
+            edges[num] = edges.get(num, 0) + 1
+            enclosing[num] = enclosing.get(num, none) | (
+                body if slot == len(kids) - 1 else outer)
+    return memo
+
+
 class _Ctx:
-    def __init__(self, inst, sr, schema, order, nodes):
+    def __init__(self, inst, sr, schema, order, nodes, memo):
         self.inst = inst
         self.sr = sr
         self.types = dict(schema.vars) if schema is not None else {}
         self.order = order
         self.cache = {}
         self.nodes = nodes
+        self.memo = memo
         self.canon = {}
 
     def basis(self, i, n):
@@ -113,7 +172,9 @@ def evaluate(e: ast.Expr,
 
     `schema` supplies types for loop binders that carry no inline annotation.
     """
-    ctx = _Ctx(inst, sr, schema, iteration_order, ast.node_table(e))
+    nodes = ast.node_table(e)
+    ctx = _Ctx(inst, sr, schema, iteration_order, nodes,
+               _memo_numbers(e, nodes))
     return _eval(e, dict(inst.mats), ctx)
 
 
@@ -125,6 +186,8 @@ def _eval(e, env, ctx):
             raise EvalError(
                 f"no value bound to variable '{e.name}'") from None
     number, fv = ctx.nodes[id(e)]
+    if number not in ctx.memo:
+        return _eval_raw(e, env, ctx)
     key = (number, *map(env.get, fv))
     got = ctx.cache.get(key)
     if got is not None:

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from matfor import evaluator
+import oracles
+from matfor import evaluator, stdlib
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
                         Sum, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
-                           MissingDimension, UnknownFunction)
+                           MatforError, MissingDimension, UnknownFunction)
 from matfor.evaluator import canonical_vector, evaluate, mat_equal
 from matfor.instance import Instance
 from matfor.matrix import from_rows
@@ -226,3 +227,116 @@ def test_structurally_different_nodes_are_not_merged():
 
     e = Add(Sum("v", Var("V"), var_sym="a"), Sum("v", Var("V"), var_sym="b"))
     assert evaluate(e, inst, REAL).get(0, 0) == 6.0 + 9.0
+
+
+def _record_contexts(monkeypatch):
+    """Keep every `_Ctx` that `evaluate` builds, to look at its memo."""
+    made = []
+
+    class Recording(evaluator._Ctx):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evaluator, "_Ctx", Recording)
+    return made
+
+
+def _memo_free_vars(ctx):
+    """Free variables of the node behind each memo entry."""
+    fv_of = dict(ctx.nodes.values())
+    return [set(fv_of[key[0]]) for key in ctx.cache]
+
+
+def test_clique_memo_keeps_no_entry_per_iteration_tuple(monkeypatch, lib):
+    rng = random.Random(5)
+    n = 10
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                adj[i][j] = adj[j][i] = 1
+    made = _record_contexts(monkeypatch)
+    item = lib["four_clique_order"]
+    out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
+                   NAT, schema=item.schema)
+    assert out.get(0, 0) == oracles.ordered_four_cliques(adj)
+    (ctx,) = made
+    entries = _memo_free_vars(ctx)
+    assert not [fv for fv in entries if {"u", "v", "w", "x"} <= fv]
+    assert len(entries) < 5000
+
+
+def _spy_mat_mul(monkeypatch):
+    calls = []
+
+    def spy(a, b, sr):
+        calls.append((a, b))
+        return evaluator.matrix.mat_mul(a, b, sr)
+
+    monkeypatch.setattr(evaluator, "mat_mul", spy)
+    return calls
+
+
+def test_loop_invariant_node_is_computed_once(monkeypatch):
+    calls = _spy_mat_mul(monkeypatch)
+    made = _record_contexts(monkeypatch)
+    v = from_rows([[(i + j) % 3 for j in range(5)] for i in range(5)])
+    out = ev("sum v . (V * V) * v", "var v : alpha x 1\nvar V : alpha x alpha",
+             {"alpha": 5}, NAT, V=v)
+    square = evaluator.matrix.mat_mul(v, v, NAT)
+    assert out.tolists() == [[sum(row)] for row in square.tolists()]
+    assert [(a, b) for a, b in calls if a is v and b is v] == [(v, v)]
+    assert len(calls) == 1 + 5
+    assert _memo_free_vars(made[0]) == [{"V"}]
+
+
+def test_node_bound_by_its_only_loop_gets_no_memo_entry(monkeypatch):
+    calls = _spy_mat_mul(monkeypatch)
+    made = _record_contexts(monkeypatch)
+    out = ev("sum v . v * v^T", "var v : alpha x 1", {"alpha": 3}, NAT)
+    assert out.tolists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert len(calls) == 3
+    assert made[0].cache == {}
+
+
+_INPUT_VALUES = {
+    REAL: (0.0, -0.0, 1.0, 2.5, -1.5, 0.25),
+    NAT: (0, 1, 2, 3),
+    BOOL: (0, 1),
+    TROPICAL: (math.inf, 0.0, 1.0, 2.0, 3.5),
+}
+
+
+def _random_input(rng, sr, rows, cols):
+    values = _INPUT_VALUES[sr]
+    return from_rows([[rng.choice(values) for _ in range(cols)]
+                      for _ in range(rows)])
+
+
+def _outcome(item, inst, sr):
+    try:
+        out = evaluate(item.expr, inst, sr, schema=item.schema)
+    except MatforError as exc:
+        return type(exc)
+    return out.shape, [repr(x) for x in out.entries]
+
+
+@pytest.mark.parametrize("name", sorted(stdlib.all_named()))
+def test_memo_rule_matches_memoising_every_node(monkeypatch, lib, name):
+    item = lib[name]
+    rng = random.Random(name)
+    for n in range(1, 5):
+        for sr in _INPUT_VALUES:
+            mats = {}
+            for vn in item.inputs:
+                t = item.schema[vn]
+                mats[vn] = _random_input(rng, sr, n if t.rows != "1" else 1,
+                                         n if t.cols != "1" else 1)
+            inst = Instance({"alpha": n}, mats)
+            with monkeypatch.context() as m:
+                m.setattr(evaluator, "_memo_numbers",
+                          lambda root, nodes: {num for num, _ in
+                                               nodes.values()})
+                everything = _outcome(item, inst, sr)
+            assert _outcome(item, inst, sr) == everything, (n, sr.name)
