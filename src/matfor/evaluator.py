@@ -83,10 +83,10 @@ def _memo_numbers(root, nodes):
             stack.append((node, True))
             stack.extend((c, False) for c in ast.children(node))
 
-    memo, edges, enclosing, none = set(), {}, {}, frozenset()
+    memo, edges, enclosing, empty = set(), {}, {}, frozenset()
     for node in reversed(order):
         number, fv = nodes[id(node)]
-        outer = enclosing.get(number, none)
+        outer = enclosing.get(number, empty)
         if edges.get(number, 0) > 1 or any(b.isdisjoint(fv) for b in outer):
             memo.add(number)
         if isinstance(node, For):
@@ -99,7 +99,7 @@ def _memo_numbers(root, nodes):
         for slot, c in enumerate(kids):
             num = nodes[id(c)][0]
             edges[num] = edges.get(num, 0) + 1
-            enclosing[num] = enclosing.get(num, none) | (
+            enclosing[num] = enclosing.get(num, empty) | (
                 body if slot == len(kids) - 1 else outer)
     return memo
 
