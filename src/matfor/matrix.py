@@ -16,6 +16,12 @@ it leaves it as it was; over min-plus ``min(acc, inf)`` is ``acc``; over bool
 ``x | 0`` and over the naturals ``x + 0`` are ``x``.  The check fails where
 ``times(zero, y)`` is nan (``y`` = ±inf or nan over the reals, -inf or nan
 over min-plus), and then every term stays.
+
+A ``1 x 1`` by ``1 x 1`` product is returned as ``plus(zero, times(x, y))``
+without the loops: that is the one term of the fold, in the same order, so
+it is bit-identical too (over the reals ``0.0 + -0.0`` is still ``0.0``).
+Interpreted scalar programs such as the 4-clique count make mostly such
+products.
 """
 
 from __future__ import annotations
@@ -104,6 +110,8 @@ def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
     plus, times, zero = sr.plus, sr.times, sr.zero
     n, m, k = a.rows, b.cols, a.cols
     ae, be = a.entries, b.entries
+    if n == m == k == 1:
+        return KMatrix(1, 1, (plus(zero, times(ae[0], be[0])),))
     out = []
     if (n > 1 and k > 1 and (zero in ae or zero in be)
             and all(map(eq, map(times, repeat(zero), ae + be), repeat(zero)))):

@@ -298,7 +298,11 @@ def _clique_body(edge):
     """Nested 4-loop summing products of edge entries over distinct tuples.
 
     `edge(s, t)` must produce a scalar that is one iff the canonical vectors
-    s and t are distinct (the pairwise-distinctness mask).
+    s and t are distinct (the pairwise-distinctness mask).  The twelve
+    scalar factors form one left-deep product ordered by binding depth: the
+    factors over (u, v), then those that add w, then those that add x.  So
+    the (u, v, w) prefix is a subexpression free of x, which the evaluator's
+    memo computes once per iteration of the w loop, not of the x loop.
     """
     u, v, w, x = Var("u"), Var("v"), Var("w"), Var("x")
     vv = Var("V")
@@ -306,10 +310,10 @@ def _clique_body(edge):
     def pair(a, bb):
         return _mm(Transpose(a), vv, bb)
 
-    g = _mm(edge(u, v), edge(u, w), edge(u, x),
-            edge(v, w), edge(v, x), edge(w, x))
-    body = _mm(pair(u, v), pair(u, w), pair(u, x),
-               pair(v, w), pair(v, x), pair(w, x), g)
+    body = _mm(pair(u, v), edge(u, v),
+               pair(u, w), pair(v, w), edge(u, w), edge(v, w),
+               pair(u, x), pair(v, x), pair(w, x),
+               edge(u, x), edge(v, x), edge(w, x))
     inner = For("x", "X4", Add(Var("X4"), body))
     inner = For("w", "X3", Add(Var("X3"), inner))
     inner = For("v", "X2", Add(Var("X2"), inner))

@@ -1,12 +1,15 @@
 import math
 import random
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from matfor import evaluator, stdlib
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
-                        Sum, Var, free_vars)
+                        Sum, Transpose, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MatforError, MissingDimension, UnknownFunction)
@@ -267,6 +270,24 @@ def test_clique_memo_keeps_no_entry_per_iteration_tuple(monkeypatch, lib):
     assert len(entries) < 5000
 
 
+def test_clique_memo_keeps_one_entry_per_prefix_tuple(monkeypatch, lib):
+    rng = random.Random(5)
+    n = 10
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                adj[i][j] = adj[j][i] = 1
+    made = _record_contexts(monkeypatch)
+    item = lib["four_clique_order"]
+    out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
+                   NAT, schema=item.schema)
+    assert out.get(0, 0) == oracles.ordered_four_cliques(adj)
+    prefixes = [fv for fv in _memo_free_vars(made[0])
+                if {"u", "v", "w"} <= fv and "x" not in fv]
+    assert len(prefixes) == n ** 3
+
+
 def _spy_mat_mul(monkeypatch):
     calls = []
 
@@ -289,6 +310,31 @@ def test_loop_invariant_node_is_computed_once(monkeypatch):
     assert [(a, b) for a, b in calls if a is v and b is v] == [(v, v)]
     assert len(calls) == 1 + 5
     assert _memo_free_vars(made[0]) == [{"V"}]
+
+
+def test_only_the_outermost_invariant_node_gets_a_memo_entry(monkeypatch):
+    calls = _spy_mat_mul(monkeypatch)
+    made = _record_contexts(monkeypatch)
+    v = from_rows([[(i * j + 1) % 4 for j in range(5)] for i in range(5)])
+    out = ev("sum v . ((V * V) * V) * v",
+             "var v : alpha x 1\nvar V : alpha x alpha", {"alpha": 5}, NAT,
+             V=v)
+    cube = evaluator.matrix.mat_mul(evaluator.matrix.mat_mul(v, v, NAT), v,
+                                    NAT)
+    assert out.tolists() == [[sum(row)] for row in cube.tolists()]
+    assert [(a, b) for a, b in calls if a is v and b is v] == [(v, v)]
+    assert len(calls) == 2 + 5
+    (entry,) = made[0].cache.values()
+    assert entry.entries == cube.entries
+
+
+@pytest.mark.parametrize("text", ["for v, X . V * V", "sum v . V * V"])
+def test_loop_body_invariant_is_computed_once(monkeypatch, text):
+    calls = _spy_mat_mul(monkeypatch)
+    v = from_rows([[(i + 2 * j) % 3 for j in range(5)] for i in range(5)])
+    ev(text, "var v : alpha x 1\nvar X : alpha x alpha\n"
+       "var V : alpha x alpha", {"alpha": 5}, NAT, V=v)
+    assert len(calls) == 1
 
 
 def test_node_bound_by_its_only_loop_gets_no_memo_entry(monkeypatch):
@@ -340,3 +386,70 @@ def test_memo_rule_matches_memoising_every_node(monkeypatch, lib, name):
                                                nodes.values()})
                 everything = _outcome(item, inst, sr)
             assert _outcome(item, inst, sr) == everything, (n, sr.name)
+
+
+_SCALAR = MatrixType("1", "1")
+
+
+@st.composite
+def _loop_nests(draw):
+    """A 2-3-deep nest of ``for`` and ``sum`` loops over scalar bodies.
+
+    Each body is a left-deep product of factors ``a^T V b`` over binders in
+    scope, drawn from a shared pool so that subtrees repeat by reference;
+    a level may leave out its own binder, and a ``for`` may start from an
+    initialiser built from the factors of the loops around it.
+    """
+    depth = draw(st.integers(2, 3))
+    binders = [f"v{level}" for level in range(depth)]
+    pool = {}
+
+    def factor(scope):
+        a, b = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
+        if (a, b) not in pool or draw(st.booleans()):
+            pool[a, b] = MatMul(MatMul(Transpose(Var(a)), Var("V")), Var(b))
+        return pool[a, b]
+
+    def chain(scope):
+        out = factor(scope)
+        for _ in range(draw(st.integers(0, 3))):
+            out = MatMul(out, factor(scope))
+        return out
+
+    inner = None
+    for level in reversed(range(depth)):
+        scope = draw(st.lists(st.sampled_from(binders[:level + 1]),
+                              min_size=1, unique=True))
+        body = chain(scope)
+        if inner is not None:
+            body = draw(st.sampled_from([
+                MatMul(body, inner), MatMul(inner, body), Add(body, inner),
+                Add(inner, inner)]))
+        var = binders[level]
+        if draw(st.booleans()):
+            body = Sum(var, body, var_sym="alpha")
+        else:
+            acc = f"X{level}"
+            init = chain(binders[:level]) if level and draw(
+                st.booleans()) else None
+            step = draw(st.sampled_from([Add, MatMul, None]))
+            if step is not None:
+                body = step(Var(acc), body)
+            body = For(var, acc, body, init, var_sym="alpha",
+                       acc_type=_SCALAR)
+        inner = body
+    return inner
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_loop_nests(), st.integers(1, 3), st.sampled_from([NAT, REAL]),
+       st.randoms(use_true_random=False))
+def test_memo_rule_matches_memoising_every_node_on_loop_nests(e, n, sr, rng):
+    inst = Instance({"alpha": n}, {"V": _random_input(rng, sr, n, n)})
+    with mock.patch.object(evaluator, "_memo_numbers",
+                           lambda root, nodes: {num for num, _ in
+                                                nodes.values()}):
+        everything = evaluate(e, inst, sr)
+    out = evaluate(e, inst, sr)
+    assert [repr(x) for x in out.entries] == \
+        [repr(x) for x in everything.entries]

@@ -84,6 +84,19 @@ def test_mat_mul_identity_basis_and_outer_products_match_the_reference():
             _reprs(_reference_mat_mul(a, b, REAL))
 
 
+def test_one_by_one_products_keep_the_fold_from_zero():
+    neg = mat_mul(from_rows([[-0.0]]), from_rows([[1.0]]), REAL)
+    assert repr(neg.get(0, 0)) == "0.0"
+    assert math.isnan(
+        mat_mul(from_rows([[0.0]]), from_rows([[INF]]), REAL).get(0, 0))
+    for sr in (REAL, NAT, BOOL, TROPICAL):
+        for x in SPECIAL[sr.name]:
+            for y in SPECIAL[sr.name]:
+                a, b = from_rows([[x]]), from_rows([[y]])
+                assert _reprs(mat_mul(a, b, sr)) == \
+                    _reprs(_reference_mat_mul(a, b, sr)), (sr.name, x, y)
+
+
 def test_a_zero_times_inf_term_is_kept():
     a = from_rows([[0.0, 1.0], [1.0, 0.0]])
     b = from_rows([[INF, 1.0], [1.0, 2.0]])
