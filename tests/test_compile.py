@@ -213,8 +213,8 @@ CIRCUIT_DIGESTS = {
     "diagonal_inverse": "6e9ac49314b17963e10edc7ed9575fa697424432dda96eed6e2c2ba3f29fa62e",
     "diagonal_part": "7625da94740076775d3f21b3ad7e533545d0ea3ce6948e06f19fe886e8858ee2",
     "elimination_step": "UnsupportedConstant at n=1",
-    "four_clique": "fb362d629e5e618ef76fd0562d84d8c562160d06586a9888d039faecbe109072",
-    "four_clique_order": "fb362d629e5e618ef76fd0562d84d8c562160d06586a9888d039faecbe109072",
+    "four_clique": "169158f01c5f7e0eb98e753157eb4ecb68de1ef2872c695268a34ef91624df74",
+    "four_clique_order": "169158f01c5f7e0eb98e753157eb4ecb68de1ef2872c695268a34ef91624df74",
     "identity": "ab5740130899e4ab65ace28b20f66cfcac6f0141c5dbf380a39bf67aff64c3bf",
     "index_diagonal": "0c2c149573ee23bc9526d4b906fb10f448a47baa234c31885a065497e3d502ce",
     "index_le": "321c4001c37a3fc36435fbe34d4b9ae040c904f278d51fe2ebc0646c100a1e00",
@@ -260,6 +260,15 @@ def _compile_outcome(item):
 def test_compiled_circuits_stay_gate_for_gate_identical(name):
     item = stdlib.all_named()[name]
     assert _compile_outcome(item) == CIRCUIT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["four_clique", "four_clique_order"])
+@pytest.mark.parametrize("n,gates,depth", [(4, 155, 11), (5, 619, 15),
+                                           (7, 3821, 23)])
+def test_clique_circuit_size_depth_and_degree(name, n, gates, depth):
+    item = stdlib.all_named()[name]
+    got = stats(compile_expr(item.expr, item.schema, {stdlib.ALPHA: n}))
+    assert (got.n_gates, got.depth, got.degree) == (gates, depth, 6)
 
 
 COMPILE_ERRORS = [
