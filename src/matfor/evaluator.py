@@ -24,12 +24,12 @@ iterator nor the accumulator, for the quantifiers the iterator), so its key
 recurs across that loop's iterations.  Any other node is evaluated afresh
 each time its parent is: its key changes with every iteration of the loops
 around it, so its entry would be written and not read again, and in a deep
-loop nest such entries grow with the iteration count.  Nor does a node whose
-only parent edge is not a loop's body or initialiser and leads to a parent
-with the same free variables that runs once per key (the root, a memoised
-node, or another such node): it is evaluated only when that parent is, under
-the same key, so a left-deep product keeps one entry for its longest
-loop-invariant prefix, not one per prefix.  One more linear pass
+loop nest such entries grow with the iteration count.  Nor is a node
+memoised that runs once per key anyway: its one parent edge is not a loop's
+body or initialiser and leads to a parent with the same free variables that
+is the root, memoised, or runs once per key itself, so the node runs only when
+that parent does, under the same key.  A left-deep product thus keeps one
+entry for its longest loop-invariant prefix.  One more linear pass
 (`_memo_numbers`) finds the memoised numbers.  Which nodes are memoised
 changes only how often a node is computed, never what it computes:
 evaluation is deterministic, so every result is bit-identical to memoising
@@ -70,16 +70,13 @@ def _memo_numbers(root, nodes):
     `nodes` is ``ast.node_table(root)``.  A number qualifies when it is
     reached by more than one parent edge (``Add(e, e)`` counts twice), or
     when some loop enclosing it on some path binds none of its free
-    variables, unless the node runs once per key anyway.  A node runs once
-    per key when it is the root, or is memoised, or has a single parent
-    edge that is not a loop's body or initialiser edge (a body runs once
-    per iteration) into a parent that runs once per key and has the same
-    free variables: such a node is evaluated exactly when that parent is,
-    under the same key, so its entry could never be read again.  Edges are
+    variables, unless it runs once per key: it has one parent edge, not a
+    loop's body or initialiser, into a parent with the same free variables
+    that is the root, memoised, or itself runs once per key.  Edges are
     counted once per parent value number, so equal but distinct subtrees
-    count as one.  One pass collects a node per value number in
-    post-order; a second walks them parents first, so every edge into a
-    node is counted, its parent decided, and the binder sets of every loop
+    count as one.  One pass collects a node per value number in post-order;
+    a second walks them parents first, so every edge into a node is
+    counted, its parents decided, and the binder sets of every loop
     enclosing it collected, before the node itself is decided.  A ``For``
     encloses its body, not its initialiser.
     """
@@ -95,9 +92,7 @@ def _memo_numbers(root, nodes):
             stack.extend((c, False) for c in ast.children(node))
 
     memo, edges, enclosing, empty = set(), {}, {}, frozenset()
-    once = {nodes[id(root)][0]}
-    # whether a node's last parent edge leaves it running once per key
-    inherits = {}
+    once, inherits = {nodes[id(root)][0]}, {}
     for node in reversed(order):
         number, fv = nodes[id(node)]
         outer = enclosing.get(number, empty)

@@ -17,11 +17,9 @@ it leaves it as it was; over min-plus ``min(acc, inf)`` is ``acc``; over bool
 ``times(zero, y)`` is nan (``y`` = ±inf or nan over the reals, -inf or nan
 over min-plus), and then every term stays.
 
-A ``1 x 1`` by ``1 x 1`` product is returned as ``plus(zero, times(x, y))``
-without the loops: that is the one term of the fold, in the same order, so
-it is bit-identical too (over the reals ``0.0 + -0.0`` is still ``0.0``).
-Interpreted scalar programs such as the 4-clique count make mostly such
-products.
+A ``1 x 1`` by ``1 x 1`` product is ``plus(zero, times(x, y))`` without the
+loops, the loop's own operations in its order, so it is bit-identical too
+(over the reals ``0.0 + -0.0`` is still ``0.0``).
 """
 
 from __future__ import annotations

@@ -298,11 +298,10 @@ def _clique_body(edge):
     """Nested 4-loop summing products of edge entries over distinct tuples.
 
     `edge(s, t)` must produce a scalar that is one iff the canonical vectors
-    s and t are distinct (the pairwise-distinctness mask).  The twelve
-    scalar factors form one left-deep product ordered by binding depth: the
-    factors over (u, v), then those that add w, then those that add x.  So
-    the (u, v, w) prefix is a subexpression free of x, which the evaluator's
-    memo computes once per iteration of the w loop, not of the x loop.
+    s and t are distinct (the pairwise-distinctness mask).  The factors are
+    ordered by binding depth, those over (u, v), then w, then x, so that
+    the evaluator's memo computes each prefix once per iteration of the
+    loop that binds its last variable, not once per innermost iteration.
     """
     u, v, w, x = Var("u"), Var("v"), Var("w"), Var("x")
     vv = Var("V")
