@@ -2,15 +2,23 @@
 
 Given a dimension assignment for every size symbol, an expression unrolls
 into one circuit.  The compiler is the evaluator run over a gate-building
-semiring: its carrier is a compile-time rational constant (a `Fraction`) or
-a reference to a built gate, and its `plus`/`times` fold constants exactly
-and intern every gate they build.  `evaluate` supplies everything else
-(loops, quantifiers, order primitives, the memo), so loops unroll to
-sequential stages with the canonical vectors folded to constants, which
-eliminates the multiply-by-zero avalanche the basis vectors would otherwise
-cause.  Constant folding never changes output values.  The compiler also
-inherits the evaluator's rule of memoising only nodes whose entry can be
-read again; gates are interned, so the circuit is the same either way.
+semiring: its carrier is a compile-time rational constant or a reference
+to a built gate (`_Ref`), and its `plus`/`times` fold constants exactly and
+intern every gate they build.  A constant is an int; only a non-integral
+literal or a division of two constants brings in a `Fraction`, so the
+canonical vectors' 0/1 entries and their sums stay ints.  The operations
+tell a gate from a constant by ``x.__class__ is _Ref``, not by an
+``isinstance`` test or by comparing: comparing a `Fraction` against a gate
+reference goes through the `numbers` ABC checks, and on the compiler's hot
+path (`mat_mul`'s ``zero in ...`` and ``x != zero``) that cost dominated.
+
+`evaluate` supplies everything else (loops, quantifiers, order primitives,
+the memo), so loops unroll to sequential stages with the canonical vectors
+folded to constants, which eliminates the multiply-by-zero avalanche the
+basis vectors would otherwise cause.  Constant folding never changes output
+values.  The compiler also inherits the evaluator's rule of memoising only
+nodes whose entry can be read again; gates are interned, so the circuit is
+the same either way.
 
 Only the polynomial surface compiles: core operators plus `div` and the
 pointwise product/sum families.  `div` is the gate semiring's ``div``
@@ -53,20 +61,15 @@ class _Ref:
 
 class _Builder:
     def __init__(self):
-        self.gates: list[Gate] = []
-        self.interned: dict = {}
+        # gate -> its index; insertion order is gate order
+        self.interned: dict[Gate, int] = {}
 
     def gate(self, kind, children=(), ref=None):
-        key = (kind, tuple(children), ref)
-        idx = self.interned.get(key)
-        if idx is None:
-            idx = len(self.gates)
-            self.gates.append(Gate(kind, tuple(children), ref))
-            self.interned[key] = idx
-        return idx
+        return self.interned.setdefault(Gate(kind, children, ref),
+                                        len(self.interned))
 
     def materialize(self, v) -> int:
-        if isinstance(v, _Ref):
+        if v.__class__ is _Ref:
             return v.idx
         if v == 0:
             return self.gate(ZERO)
@@ -82,38 +85,41 @@ class _Builder:
                     f"refusing to synthesise the constant {n} as a sum of "
                     f"ones")
             return self.gate(SUM, (self.gate(ONE),) * n)
-        num = self.materialize(Fraction(v.numerator))
-        den = self.materialize(Fraction(v.denominator))
+        num = self.materialize(v.numerator)
+        den = self.materialize(v.denominator)
         return self.gate(DIV, (num, den))
 
     # scalar operations with constant folding ----------------------------
 
     def sadd(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
+        if a_const and b_const:
             return a + b
-        if isinstance(a, Fraction) and a == 0:
+        if a_const and a == 0:
             return b
-        if isinstance(b, Fraction) and b == 0:
+        if b_const and b == 0:
             return a
         return _Ref(self.gate(SUM, (self.materialize(a),
                                     self.materialize(b))))
 
     def smul(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
+        if a_const and b_const:
             return a * b
-        for x, y in ((a, b), (b, a)):
-            if isinstance(x, Fraction):
-                if x == 0:
-                    return Fraction(0)
-                if x == 1:
-                    return y
+        if a_const or b_const:
+            x, y = (a, b) if a_const else (b, a)
+            if x == 0:
+                return 0
+            if x == 1:
+                return y
         return _Ref(self.gate(PROD, (self.materialize(a),
                                      self.materialize(b))))
 
     def sdiv(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction) and b != 0:
-            return a / b
-        if isinstance(b, Fraction) and b == 1:
+        b_const = b.__class__ is not _Ref
+        if b_const and a.__class__ is not _Ref and b != 0:
+            return Fraction(a) / b
+        if b_const and b == 1:
             return a
         return _Ref(self.gate(DIV, (self.materialize(a),
                                     self.materialize(b))))
@@ -121,10 +127,11 @@ class _Builder:
 
 def _literal(v):
     try:
-        return Fraction(v)
+        f = Fraction(v)
     except (OverflowError, ValueError):
         raise UnsupportedConstant(
             f"literal {v!r} cannot appear in a circuit") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 def _input_matrix(name, schema, dims, b):
@@ -151,8 +158,8 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     outputs are labelled with the 1-based positions of the result matrix.
     """
     b = _Builder()
-    sr = Semiring("circuit", Fraction(0), Fraction(1), b.sadd, b.smul,
-                  Fraction, str, _literal, div=b.sdiv)
+    sr = Semiring("circuit", 0, 1, b.sadd, b.smul, Fraction, str, _literal,
+                  div=b.sdiv)
     inst = Instance({**dims, ast.UNIT: 1})
     # inputs get their gates before evaluation, in sorted name order, so
     # their numbers do not depend on which input the evaluation reaches first
@@ -166,7 +173,7 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
         raise UnsupportedFunction(str(exc)) from None
     outputs = [((i + 1, j + 1), b.materialize(result.get(i, j)))
                for i in range(result.rows) for j in range(result.cols)]
-    return prune(Circuit(b.gates, outputs))
+    return prune(Circuit(list(b.interned), outputs))
 
 
 def degree_growth(e: ast.Expr, schema: ast.Schema, symbol: str,

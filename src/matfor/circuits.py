@@ -3,8 +3,9 @@
 A circuit is a DAG of gates in topological order (children always precede
 parents).  Gates: inputs labelled by a matrix-entry coordinate, the
 constants 0 and 1, unbounded fan-in sum and product gates, and a binary
-division gate.  Outputs are gate references labelled with (row, col)
-positions of the result matrix.
+division gate.  A `Gate` is a named tuple, so gates compare and hash by
+value and a builder can intern them directly.  Outputs are gate references
+labelled with (row, col) positions of the result matrix.
 
 Degree is inductive: input and constant gates count 1, a sum gate takes the
 maximum over its children, a product gate the sum, and a division gate the
@@ -30,14 +31,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DivisionByZero, FormatError, MissingInput
 
 INPUT, ZERO, ONE, SUM, PROD, DIV = "input", "const0", "const1", "sum", "prod", "div"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str
     children: tuple[int, ...] = ()
     ref: tuple[str, int, int] | None = None  # (matrix name, row, col), 1-based

@@ -1,8 +1,11 @@
 """Dense matrices over a semiring carrier, plus the canonical vectors.
 
-Storage is a row-major tuple; matrices are immutable after construction and
-safe to share.  Indexing in code is 0-based; the 1-based convention of the
-surface language appears only in file formats and `canonical_vector`.
+Storage is a row-major tuple.  `KMatrix` is a slotted class that is
+immutable by convention: no code reassigns its fields after construction, so
+matrices are safe to share.  Equality and hashing are by identity, never by
+entries; the evaluator's memo keys rely on that.  Indexing in code is
+0-based; the 1-based convention of the surface language appears only in file
+formats and `canonical_vector`.
 
 `mat_mul` computes every entry as the left fold of ``plus`` from `zero` over
 the terms ``times(a[i][t], b[t][j])`` in ascending ``t``.  It leaves out each
@@ -24,7 +27,6 @@ loops, the loop's own operations in its order, so it is bit-identical too
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
 from typing import Any
@@ -33,17 +35,17 @@ from .errors import IndexOutOfRange, ShapeMismatch
 from .semiring import Semiring
 
 
-@dataclass(frozen=True, eq=False)
 class KMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Any, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[Any, ...]):
+        if len(entries) != rows * cols:
             raise ShapeMismatch(
-                f"{self.rows} x {self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}")
+                f"{rows} x {cols} matrix needs {rows * cols} entries, "
+                f"got {len(entries)}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @property
     def shape(self):

@@ -105,3 +105,14 @@ def test_validate_checks_topological_order():
     c = Circuit([Gate(SUM, (0,))], [((1, 1), 0)])
     with pytest.raises(FormatError):
         c.validate()
+
+
+def test_gates_compare_and_hash_by_value():
+    a = Gate(SUM, (0, 1))
+    b = Gate(SUM, (0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a != Gate(PROD, (0, 1)) and a != Gate(SUM, (1, 0))
+    assert len({a, b, Gate(INPUT, ref=("x", 1, 1)),
+                Gate(INPUT, ref=("x", 1, 1))}) == 2
+    assert (Gate(ONE).children, Gate(ONE).ref) == ((), None)
+    assert Gate(INPUT, ref=("x", 2, 3)).ref == ("x", 2, 3)

@@ -9,7 +9,8 @@ from matfor import stdlib
 from matfor.ast import (Expr, OrderKind, OrderPrim, node_table, substitute,
                         walk)
 from matfor.circuit_compile import compile_expr, degree_growth
-from matfor.circuits import DIV, INPUT, dump_circuit, eval_circuit, stats
+from matfor.circuits import (DIV, INPUT, dump_circuit, eval_circuit,
+                             load_circuit, stats)
 from matfor.cli import main
 from matfor.errors import (MatforError, UnassignedSymbol,
                            UnsupportedConstant, UnsupportedFunction)
@@ -170,7 +171,6 @@ def test_interpreter_circuit_agreement(lib, name, pin):
 
 
 def test_dumps_of_compiled_circuits_reload(lib):
-    from matfor.circuits import load_circuit
     item = lib["power_sum"]
     c = compile_expr(item.expr, item.schema, {"alpha": 3})
     assert dump_circuit(load_circuit(dump_circuit(c))) == dump_circuit(c)
@@ -312,3 +312,45 @@ def test_division_by_a_folded_zero_compiles_to_a_gate():
     s = parse_schema("var V : 1 x 1")
     c = compile_expr(parse_expr("div(V, [0] .* V)"), s, {})
     assert [g.kind for g in c.gates].count(DIV) == 1
+
+
+# Constant folding is exact in the rationals: these constants are all 1 (or
+# 0) in Q, so the multiplier folds away before any gate is built, which a
+# float carrier would not guarantee.
+@pytest.mark.parametrize("src,dump", [
+    ("(div([1], [3]) .* [3]) .* x", "g0 = input x[1,1]\noutput[1,1] = g0"),
+    ("(div([2], [4]) + [0.5]) .* x", "g0 = input x[1,1]\noutput[1,1] = g0"),
+    ("([0.25] .* [4]) .* x", "g0 = input x[1,1]\noutput[1,1] = g0"),
+    ("((div([1], [10]) + div([2], [10])) .* [10] + [-3]) .* x",
+     "g0 = const0\noutput[1,1] = g0"),
+    # a non-integral constant is a division of const1 by a sum of ones
+    ("[0.5] .* x",
+     "g0 = input x[1,1]\ng1 = const1\ng2 = sum g1 g1\ng3 = div g1 g2\n"
+     "g4 = prod g3 g0\noutput[1,1] = g4"),
+    ("div([1], [3]) .* x",
+     "g0 = input x[1,1]\ng1 = const1\ng2 = sum g1 g1 g1\ng3 = div g1 g2\n"
+     "g4 = prod g3 g0\noutput[1,1] = g4"),
+])
+def test_constants_fold_exactly(src, dump):
+    s = parse_schema("var x : 1 x 1")
+    assert dump_circuit(compile_expr(parse_expr(src), s, {})) == dump
+
+
+def test_an_integral_float_literal_compiles_like_the_integer():
+    s = parse_schema("var x : 1 x 1")
+    want = dump_circuit(compile_expr(parse_expr("[2] .* x"), s, {}))
+    assert want == ("g0 = input x[1,1]\ng1 = const1\ng2 = sum g1 g1\n"
+                    "g3 = prod g2 g0\noutput[1,1] = g3")
+    assert dump_circuit(compile_expr(parse_expr("[2.0] .* x"), s, {})) == want
+
+
+@pytest.mark.parametrize("name", sorted(stdlib.all_named()))
+def test_dumps_of_stdlib_circuits_reload_gate_for_gate(name):
+    item = stdlib.all_named()[name]
+    try:
+        c = compile_expr(item.expr, item.schema, {stdlib.ALPHA: 3})
+    except MatforError:
+        return
+    back = load_circuit(dump_circuit(c))
+    assert back.gates == c.gates
+    assert back.outputs == c.outputs

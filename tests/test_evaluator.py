@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from unittest import mock
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from conftest import dominant_real
 from matfor import evaluator, stdlib
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
                         Sum, Transpose, Var, free_vars)
@@ -453,3 +455,39 @@ def test_memo_rule_matches_memoising_every_node_on_loop_nests(e, n, sr, rng):
     out = evaluate(e, inst, sr)
     assert [repr(x) for x in out.entries] == \
         [repr(x) for x in everything.entries]
+
+
+# The sha256 of the entry `repr`s of `determinant`, `inverse` and
+# `charpoly_coeffs` over REAL, in that order, on one `dominant_real` sample
+# at n = 6 per seed.  A kernel or carrier change must leave every bit alone,
+# so these are compared exactly, not within a float tolerance.
+REAL_OUTPUT_DIGESTS = {
+    61: "c5358b2e15daa48c39fb12d142e9a9c111acf88ad06a9d043d5ed655e23d4cd2",
+    62: "90f90330be306be4002b26fad24d5a2320359936196d52ce21bec02b97554b59",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REAL_OUTPUT_DIGESTS))
+def test_real_linear_algebra_outputs_stay_bit_identical(lib, seed):
+    a = dominant_real(random.Random(seed), 6)
+    digest = hashlib.sha256()
+    for name in ("determinant", "inverse", "charpoly_coeffs"):
+        item = lib[name]
+        out = evaluate(item.expr, Instance({"alpha": 6}, {"V": a}), REAL,
+                       schema=item.schema)
+        digest.update(repr(out.entries).encode())
+    assert digest.hexdigest() == REAL_OUTPUT_DIGESTS[seed]
+
+
+def test_clique_count_stays_pinned(lib):
+    rng = random.Random(8)
+    n = 8
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                adj[i][j] = adj[j][i] = 1
+    item = lib["four_clique_order"]
+    out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
+                   NAT, schema=item.schema)
+    assert out.entries == (312,)

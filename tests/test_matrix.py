@@ -1,8 +1,10 @@
 import math
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from matfor.errors import ShapeMismatch
 from matfor.matrix import (KMatrix, canonical_vector, from_rows, identity,
                            mat_add, mat_mul, mat_scale)
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL
@@ -121,3 +123,22 @@ def test_mat_add_and_mat_scale_keep_operand_order():
     assert _reprs(mat_scale(-0.0, a, REAL)) == _reprs(
         from_rows([[0.0, -0.0], [NAN, -0.0]]))
     assert mat_scale(2, from_rows([[3, 0]]), NAT).entries == (6, 0)
+
+
+def test_kmatrix_checks_its_entry_count():
+    with pytest.raises(ShapeMismatch) as exc:
+        KMatrix(2, 3, (1, 2, 3, 4, 5))
+    assert str(exc.value) == "2 x 3 matrix needs 6 entries, got 5"
+
+
+def test_kmatrix_is_slotted_and_compares_by_identity():
+    a = KMatrix(1, 2, (1, 2))
+    b = KMatrix(1, 2, (1, 2))
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # memo keys hold matrices; they must never hash or compare entries
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    assert hash(a) == object.__hash__(a)
+    assert (a.rows, a.cols, a.entries, a.shape) == (1, 2, (1, 2), (1, 2))
