@@ -25,14 +25,22 @@ collapses the active domain to {d_1 < ... < d_n}, assigns every relation a
 square/vector/scalar variable over one symbol, and `psi_translate` produces
 an additive-fragment expression whose (i, j) entry equals the query's value
 at (d_i, d_j).  Intermediate signatures of any arity are handled by keeping
-one canonical-vector variable per attribute and summing out projected ones.
+one canonical-vector variable per attribute.  A subquery translates to a
+list of 1x1 factors whose product is its value, and a projection sums each
+dropped attribute's iterator over only the factors that mention it, leaving
+the others outside the sum (variable elimination).  By distributivity this
+equals summing the whole product in any commutative semiring, so ``nat``,
+``bool`` and integer-valued ``tropical`` results are exact; over ``real``
+the regrouped products may round differently.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, substitute)
+                  Schema, Sum, Transpose, UNIT, Var, free_vars, substitute)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
@@ -320,6 +328,11 @@ def mat_encode(relschema: dict[str, frozenset[str]],
     return schema, Instance({MAT_SYM: n}, mats)
 
 
+def product(factors: list[Expr]) -> Expr:
+    """Left-deep matrix product of a non-empty list of factors."""
+    return reduce(MatMul, factors)
+
+
 class _Psi:
     def __init__(self, relschema):
         self.relschema = relschema
@@ -330,53 +343,62 @@ class _Psi:
         return f"_t{self.counter}"
 
     def translate(self, q):
-        """Returns (scalar expression, attr -> free iterator-variable name)."""
+        """Returns (1x1 factors, attr -> free iterator-variable name).
+
+        The query's value is the product of the factors.  A projection sums
+        each dropped attribute's iterator over only the factors that
+        mention it and leaves the others outside the sum.
+        """
         if isinstance(q, Rel):
             attrs = sorted(self.relschema[q.name])
             v = Var(mat_var(q.name))
             if len(attrs) == 2:
                 a, b = self.fresh(), self.fresh()
-                return (MatMul(MatMul(Transpose(Var(a)), v), Var(b)),
+                return ([MatMul(MatMul(Transpose(Var(a)), v), Var(b))],
                         {attrs[0]: a, attrs[1]: b})
             if len(attrs) == 1:
                 a = self.fresh()
-                return MatMul(Transpose(Var(a)), v), {attrs[0]: a}
-            return v, {}
+                return [MatMul(Transpose(Var(a)), v)], {attrs[0]: a}
+            return [v], {}
 
         if isinstance(q, Union):
-            le, lv = self.translate(q.left)
-            re_, rv = self.translate(q.right)
-            re_ = self.unify(re_, rv, lv)
-            return Add(le, re_), lv
+            lf, lv = self.translate(q.left)
+            rf, rv = self.translate(q.right)
+            return [Add(product(lf), self.unify(product(rf), rv, lv))], lv
 
         if isinstance(q, Join):
-            le, lv = self.translate(q.left)
-            re_, rv = self.translate(q.right)
+            lf, lv = self.translate(q.left)
+            rf, rv = self.translate(q.right)
             shared = {a: lv[a] for a in lv.keys() & rv.keys()}
-            re_ = self.unify(re_, rv, shared)
             merged = dict(lv)
             for a, name in rv.items():
                 if a not in merged:
                     merged[a] = name
-            return MatMul(le, re_), merged
+            return lf + [self.unify(f, rv, shared) for f in rf], merged
 
         if isinstance(q, Project):
-            be, bv = self.translate(q.arg)
+            factors, bv = self.translate(q.arg)
             out = dict(bv)
             for attr in sorted(bv.keys() - q.attrs):
-                be = Sum(out.pop(attr), be, var_sym=MAT_SYM)
-            return be, out
+                t = out.pop(attr)
+                uses = [t in free_vars(f) for f in factors]
+                inside = [f for f, u in zip(factors, uses) if u]
+                first = uses.index(True)
+                factors = (factors[:first]
+                           + [Sum(t, product(inside), var_sym=MAT_SYM)]
+                           + [f for f, u in zip(factors[first:], uses[first:])
+                              if not u])
+            return factors, out
 
         if isinstance(q, Select):
-            be, bv = self.translate(q.arg)
+            factors, bv = self.translate(q.arg)
             order = sorted(q.attrs)
-            for a, b in zip(order, order[1:]):
-                be = MatMul(be, MatMul(Transpose(Var(bv[a])), Var(bv[b])))
-            return be, bv
+            return (factors + [MatMul(Transpose(Var(bv[a])), Var(bv[b]))
+                               for a, b in zip(order, order[1:])], bv)
 
         if isinstance(q, Rename):
-            be, bv = self.translate(q.arg)
-            return be, {new: bv[old] for new, old in q.mapping}
+            factors, bv = self.translate(q.arg)
+            return factors, {new: bv[old] for new, old in q.mapping}
 
         raise TypeError(f"not a relational expression: {q!r}")
 
@@ -400,8 +422,8 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
     if len(sig) > 2:
         raise OutputArityTooLarge(
             f"query signature {sorted(sig)} has arity {len(sig)} > 2")
-    tr = _Psi(relschema)
-    scalar_e, attr_vars = tr.translate(q)
+    factors, attr_vars = _Psi(relschema).translate(q)
+    scalar_e = product(factors)
     order = sorted(sig)
     if len(order) == 2:
         va, vb = attr_vars[order[0]], attr_vars[order[1]]

@@ -331,7 +331,10 @@ class _RAParser:
 
 def parse_ra(text: str) -> RAExpr:
     p = _RAParser(text)
-    q = p.expr()
+    try:
+        q = p.expr()
+    except RecursionError:
+        raise p.error("relational expression nested too deeply") from None
     p.ws()
     if p.pos != len(p.text):
         raise p.error("trailing input")

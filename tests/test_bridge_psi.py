@@ -1,20 +1,29 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from matfor import relalg
-from matfor.bridge import (active_domain, mat_encode, mat_schema,
+from matfor import evaluator, relalg
+from matfor.ast import (UNIT, MatMul, MatrixType, Sum, bound_names,
+                        free_vars, walk)
+from matfor.bridge import (MAT_SYM, active_domain, mat_encode, mat_schema,
                            psi_translate)
 from matfor.errors import (EmptyActiveDomain, OutputArityTooLarge,
                            SchemaNotBinary)
 from matfor.evaluator import evaluate
 from matfor.fragments import Fragment, classify
+from matfor.printer import pretty
 from matfor.relalg import KRelation, eval_ra, make_tuple, parse_ra
-from matfor.semiring import BOOL, NAT
+from matfor.semiring import BOOL, NAT, REAL, TROPICAL
+from matfor.typecheck import type_in_env
 
 BINARY = {"R": frozenset({"a", "b"}), "S": frozenset({"b", "c"}),
           "T": frozenset({"a"}), "Z": frozenset()}
+
+# four attributes alive in the middle, as in the clique query
+FOUR_ATTRS = ("project[a, d](join(join(rel R, rename[c->a, d->b](rel R)), "
+              "rename[b->a, c->b](rel R)))")
 
 QUERIES = [
     "rel R",
@@ -27,10 +36,13 @@ QUERIES = [
     "rename[c->a, d->b](rel R)",
     "project[a, c](join(rel R, rel S))",
     "join(rel T, rel R)",
-    # four attributes alive in the middle, as in the clique query
-    "project[a, d](join(join(rel R, rename[c->a, d->b](rel R)), "
-    "rename[b->a, c->b](rel R)))",
+    FOUR_ATTRS,
 ]
+
+# annotations drawn per semiring, zero included
+DRAWS = {"nat": (0, 0, 1, 2), "bool": (0, 1),
+         "tropical": (math.inf, math.inf, 0.0, 1.0, 2.0),
+         "real": (0.0, 0.0, 0.1, 0.7, 1.3)}
 
 
 def test_encoding_follows_the_active_domain_order():
@@ -76,8 +88,8 @@ def rand_rels(rng, relschema, sr, maxdom=5):
         order = sorted(attrs)
         items = []
         for point in itertools.product(dom, repeat=len(order)):
-            v = rng.choice([0, 0, 1, 2]) if sr is NAT else rng.choice([0, 1])
-            if v:
+            v = rng.choice(DRAWS[sr.name])
+            if v != sr.zero:
                 items.append((make_tuple(dict(zip(order, point))), v))
         rels[name] = KRelation.build(frozenset(order), items, sr)
     if not active_domain(rels):
@@ -90,31 +102,92 @@ def rand_rels(rng, relschema, sr, maxdom=5):
     return rels
 
 
+def value_pairs(q, e, rels, sr):
+    """(psi value, relational value) at every point of the output."""
+    sig = sorted(relalg.signature_of(q, BINARY))
+    want = eval_ra(q, rels, sr)
+    _, inst = mat_encode(BINARY, rels, sr)
+    val = evaluate(e, inst, sr, schema=mat_schema(BINARY))
+    dom = active_domain(rels)
+    rows = range(len(dom)) if sig else [0]
+    cols = range(len(dom)) if len(sig) == 2 else [0]
+    for i in rows:
+        for j in cols:
+            point = make_tuple(dict(zip(sig, (dom[i], dom[j]))))
+            yield (i, j), val.get(i, j), want.value(point, sr)
+
+
 @pytest.mark.parametrize("qtext", QUERIES)
 def test_translation_contract(qtext):
-    rng = random.Random(hash(qtext) & 0xFFFFFF)
+    rng = random.Random(qtext)
     q = parse_ra(qtext)
-    sig = sorted(relalg.signature_of(q, BINARY))
     e = psi_translate(q, BINARY)
     assert classify(e) <= Fragment.SUM
-    schema = mat_schema(BINARY)
-    for _ in range(10):
-        sr = rng.choice([NAT, BOOL])
+    for trial in range(12):
+        sr = (NAT, BOOL, TROPICAL)[trial % 3]
         rels = rand_rels(rng, BINARY, sr)
-        want = eval_ra(q, rels, sr)
-        _, inst = mat_encode(BINARY, rels, sr)
-        dom = active_domain(rels)
-        val = evaluate(e, inst, sr, schema=schema)
-        n = len(dom)
-        if len(sig) == 2:
-            for i in range(n):
-                for j in range(n):
-                    point = make_tuple({sig[0]: dom[i], sig[1]: dom[j]})
-                    assert val.get(i, j) == want.value(point, sr), \
-                        (qtext, sr.name, i, j)
-        elif len(sig) == 1:
-            for i in range(n):
-                point = make_tuple({sig[0]: dom[i]})
-                assert val.get(i, 0) == want.value(point, sr)
-        else:
-            assert val.get(0, 0) == want.value((), sr)
+        for at, got, want in value_pairs(q, e, rels, sr):
+            assert got == want, (qtext, sr.name, at)
+
+
+@pytest.mark.parametrize("qtext", [
+    "project[a, c](join(rel R, rel S))", "join(rel T, rel R)", FOUR_ATTRS])
+def test_real_values_agree_with_relational_evaluation(qtext):
+    # summing over fewer factors reorders float products, so REAL results
+    # are compared within a tolerance rather than bit for bit
+    rng = random.Random(qtext)
+    q = parse_ra(qtext)
+    e = psi_translate(q, BINARY)
+    for _ in range(6):
+        rels = rand_rels(rng, BINARY, REAL, maxdom=7)
+        for at, got, want in value_pairs(q, e, rels, REAL):
+            assert abs(got - want) <= 1e-9, (qtext, at)
+
+
+def scalar_factors(e, types):
+    """The 1x1 factors of a left-deep product of 1x1 factors."""
+    if (isinstance(e, MatMul)
+            and type_in_env(e.left, types).is_scalar
+            and type_in_env(e.right, types).is_scalar):
+        return scalar_factors(e.left, types) + [e.right]
+    return [e]
+
+
+@pytest.mark.parametrize("qtext", QUERIES)
+def test_projection_sums_only_the_factors_that_mention_the_iterator(qtext):
+    e = psi_translate(parse_ra(qtext), BINARY)
+    types = dict(mat_schema(BINARY).vars)
+    types.update({t: MatrixType(MAT_SYM, UNIT) for t in bound_names(e)})
+    for node in walk(e):
+        if isinstance(node, Sum):
+            for f in scalar_factors(node.body, types):
+                assert node.var in free_vars(f), (qtext, node.var, pretty(f))
+
+
+def test_four_attribute_query_shape():
+    e = psi_translate(parse_ra(FOUR_ATTRS), BINARY)
+    assert pretty(e) == (
+        "sum _t1 . sum _t4 . (sum _t3 . (sum _t2 . _t1^T * V_R * _t2"
+        " * (_t2^T * V_R * _t3)) * (_t3^T * V_R * _t4)) .* _t1 * _t4^T")
+
+
+def test_four_attribute_query_mat_mul_calls(monkeypatch):
+    # with the projection's sum around the whole join the same evaluation
+    # made 42,084 mat_mul calls
+    n = 12
+    r = [(make_tuple({"a": i, "b": j}), (i + j) % 3)
+         for i in range(1, n + 1) for j in range(1, n + 1)]
+    rels = {name: KRelation(attrs, {}) for name, attrs in BINARY.items()}
+    rels["R"] = KRelation.build(BINARY["R"], r, NAT)
+    _, inst = mat_encode(BINARY, rels, NAT)
+    assert inst.dims["alpha"] == n
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return mat_mul(*args)
+
+    mat_mul = evaluator.mat_mul
+    monkeypatch.setattr(evaluator, "mat_mul", counted)
+    evaluate(psi_translate(parse_ra(FOUR_ATTRS), BINARY), inst, NAT)
+    assert len(calls) == 4068 < 42084 / 10

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from matfor.cli import main
@@ -187,6 +189,19 @@ def test_deep_nesting_is_a_clean_error(files, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_ra_query_is_a_clean_error(files, capsys):
+    rels = files("r.rel", "semiring nat\nrelation R a b\n1 2 : 3\n")
+    depth = sys.getrecursionlimit()
+    query = files("deep.ra",
+                  "union(" * depth + "rel R" + ", rel R)" * depth)
+    code, out, err = run(capsys, "from-ra", "-q", query, "--relschema", rels)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "relational expression nested too deeply" in err
 
 
 def test_errors_go_to_stderr_not_stdout(files, capsys):

@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from matfor.errors import (FormatError, SignatureViolation, UnknownRelation)
+from matfor.errors import (FormatError, ParseError, SignatureViolation,
+                           UnknownRelation)
 from matfor.relalg import (Join, KRelation, Project, Rel, Rename, Select,
                            Union, eval_ra, format_ra, format_relations,
                            make_tuple, parse_ra, parse_relations,
@@ -151,6 +153,15 @@ def test_ra_parse_errors():
     for bad in ("", "rel", "union(rel R)", "project[a(rel R)", "frob(rel R)"):
         with pytest.raises(Exception):
             parse_ra(bad)
+
+
+def test_deep_ra_nesting_is_a_parse_error():
+    depth = sys.getrecursionlimit()
+    text = "union(" * depth + "rel R" + ", rel R)" * depth
+    with pytest.raises(ParseError) as err:
+        parse_ra(text)
+    assert "relational expression nested too deeply" in str(err.value)
+    assert str(err.value).startswith("at offset ")
 
 
 def test_relation_file_round_trip():
