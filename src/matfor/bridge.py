@@ -40,7 +40,7 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, free_vars, substitute)
+                  Schema, Sum, Transpose, UNIT, Var, substitute)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
@@ -328,9 +328,10 @@ def mat_encode(relschema: dict[str, frozenset[str]],
     return schema, Instance({MAT_SYM: n}, mats)
 
 
-def product(factors: list[Expr]) -> Expr:
-    """Left-deep matrix product of a non-empty list of factors."""
-    return reduce(MatMul, factors)
+def product(factors: list[tuple[Expr, frozenset[str]]]) -> Expr:
+    """Left-deep matrix product of a non-empty list of factors, each an
+    expression paired with the iterator names free in it."""
+    return reduce(MatMul, [e for e, _ in factors])
 
 
 class _Psi:
@@ -343,49 +344,58 @@ class _Psi:
         return f"_t{self.counter}"
 
     def translate(self, q):
-        """Returns (1x1 factors, attr -> free iterator-variable name).
+        """Returns (factors, attr -> free iterator-variable name).
 
-        The query's value is the product of the factors.  A projection sums
-        each dropped attribute's iterator over only the factors that
-        mention it and leaves the others outside the sum.
+        Each factor is a 1x1 expression paired with the iterator names free
+        in it; the query's value is the product of the factors.
+        A projection sums each dropped attribute's iterator over only the
+        factors that mention it and leaves the others outside the sum.
+        The iterators free in all the factors together are exactly the
+        values of the attribute map.
         """
         if isinstance(q, Rel):
             attrs = sorted(self.relschema[q.name])
             v = Var(mat_var(q.name))
             if len(attrs) == 2:
                 a, b = self.fresh(), self.fresh()
-                return ([MatMul(MatMul(Transpose(Var(a)), v), Var(b))],
+                return ([(MatMul(MatMul(Transpose(Var(a)), v), Var(b)),
+                          frozenset((a, b)))],
                         {attrs[0]: a, attrs[1]: b})
             if len(attrs) == 1:
                 a = self.fresh()
-                return [MatMul(Transpose(Var(a)), v)], {attrs[0]: a}
-            return [v], {}
+                return ([(MatMul(Transpose(Var(a)), v), frozenset((a,)))],
+                        {attrs[0]: a})
+            return [(v, frozenset())], {}
 
         if isinstance(q, Union):
             lf, lv = self.translate(q.left)
             rf, rv = self.translate(q.right)
-            return [Add(product(lf), self.unify(product(rf), rv, lv))], lv
+            right = renamed(product(rf), renaming(rv, lv))
+            return [(Add(product(lf), right), frozenset(lv.values()))], lv
 
         if isinstance(q, Join):
             lf, lv = self.translate(q.left)
             rf, rv = self.translate(q.right)
-            shared = {a: lv[a] for a in lv.keys() & rv.keys()}
+            ren = renaming(rv, lv)
             merged = dict(lv)
             for a, name in rv.items():
                 if a not in merged:
                     merged[a] = name
-            return lf + [self.unify(f, rv, shared) for f in rf], merged
+            return lf + [(renamed(e, ren),
+                          frozenset(ren.get(t, t) for t in ts))
+                         for e, ts in rf], merged
 
         if isinstance(q, Project):
             factors, bv = self.translate(q.arg)
             out = dict(bv)
             for attr in sorted(bv.keys() - q.attrs):
                 t = out.pop(attr)
-                uses = [t in free_vars(f) for f in factors]
+                uses = [t in ts for _, ts in factors]
                 inside = [f for f, u in zip(factors, uses) if u]
                 first = uses.index(True)
-                factors = (factors[:first]
-                           + [Sum(t, product(inside), var_sym=MAT_SYM)]
+                summed = (Sum(t, product(inside), var_sym=MAT_SYM),
+                          frozenset().union(*[ts for _, ts in inside]) - {t})
+                factors = (factors[:first] + [summed]
                            + [f for f, u in zip(factors[first:], uses[first:])
                               if not u])
             return factors, out
@@ -393,7 +403,8 @@ class _Psi:
         if isinstance(q, Select):
             factors, bv = self.translate(q.arg)
             order = sorted(q.attrs)
-            return (factors + [MatMul(Transpose(Var(bv[a])), Var(bv[b]))
+            return (factors + [(MatMul(Transpose(Var(bv[a])), Var(bv[b])),
+                                frozenset((bv[a], bv[b])))
                                for a, b in zip(order, order[1:])], bv)
 
         if isinstance(q, Rename):
@@ -402,12 +413,16 @@ class _Psi:
 
         raise TypeError(f"not a relational expression: {q!r}")
 
-    def unify(self, e, evars, target):
-        mapping = {}
-        for attr, name in target.items():
-            if attr in evars and evars[attr] != name:
-                mapping[evars[attr]] = Var(name)
-        return substitute(e, mapping) if mapping else e
+
+def renaming(evars, target):
+    """Iterator renaming that makes `evars` agree with `target` on the
+    attributes both name."""
+    return {evars[a]: target[a] for a in evars.keys() & target.keys()
+            if evars[a] != target[a]}
+
+
+def renamed(e, ren):
+    return substitute(e, {old: Var(new) for old, new in ren.items()})
 
 
 def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:

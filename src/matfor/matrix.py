@@ -8,17 +8,34 @@ entries; the evaluator's memo keys rely on that.  Indexing in code is
 formats and `canonical_vector`.
 
 `mat_mul` computes every entry as the left fold of ``plus`` from `zero` over
-the terms ``times(a[i][t], b[t][j])`` in ascending ``t``.  It leaves out each
-term with a `zero` factor when `a` has more than one row (a single row cannot
-pay for the column lists it builds), the inner dimension is above one, an
-operand holds a `zero`, and ``times(zero, y) == zero`` for every entry ``y``
-of both operands.  The result is bit-identical: a left-out term equals
-`zero`, and adding it to the accumulator changes nothing.  Over the reals the
-accumulator starts at +0.0, so it is never -0.0, and adding +0.0 or -0.0 to
-it leaves it as it was; over min-plus ``min(acc, inf)`` is ``acc``; over bool
-``x | 0`` and over the naturals ``x + 0`` are ``x``.  The check fails where
-``times(zero, y)`` is nan (``y`` = ±inf or nan over the reals, -inf or nan
-over min-plus), and then every term stays.
+the terms ``times(a[i][t], b[t][j])`` in ascending ``t``, and computes the
+entries in row-major order: for each entry it makes that entry's ``times``
+and ``plus`` calls, alternating, before any call for the next entry.  The
+circuit compiler interns gates in call order, so its circuits depend on this
+order as much as on the results.  Besides the ``1 x 1`` product below, there
+are three paths:
+
+* inner dimension one (``a`` is a column, ``b`` a row): each row of the
+  result is ``map(plus, repeat(zero), map(times, repeat(a_i), b))``;
+* the zero-term path below, which leaves some terms out and makes the
+  calls it keeps in the same order;
+* otherwise each entry is ``reduce(plus, map(times, row, column), zero)``
+  over a row of ``a`` and a column of ``b`` sliced once per call.
+
+The first and the last make exactly the calls of the plain triple loop, in
+its order, but step through the terms with C-level iterators.
+
+The zero-term path leaves out each term with a `zero` factor when `a` has
+more than one row (a single row cannot pay for the column lists it builds),
+the inner dimension is above one, an operand holds a `zero`, and
+``times(zero, y) == zero`` for every entry ``y`` of both operands.  The
+result is bit-identical: a left-out term equals `zero`, and adding it to the
+accumulator changes nothing.  Over the reals the accumulator starts at +0.0,
+so it is never -0.0, and adding +0.0 or -0.0 to it leaves it as it was; over
+min-plus ``min(acc, inf)`` is ``acc``; over bool ``x | 0`` and over the
+naturals ``x + 0`` are ``x``.  The check fails where ``times(zero, y)`` is
+nan (``y`` = ±inf or nan over the reals, -inf or nan over min-plus), and
+then every term stays.
 
 A ``1 x 1`` by ``1 x 1`` product is ``plus(zero, times(x, y))`` without the
 loops, the loop's own operations in its order, so it is bit-identical too
@@ -27,7 +44,8 @@ loops, the loop's own operations in its order, so it is bit-identical too
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import reduce
+from itertools import chain, repeat
 from operator import eq
 from typing import Any
 
@@ -112,6 +130,11 @@ def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
     ae, be = a.entries, b.entries
     if n == m == k == 1:
         return KMatrix(1, 1, (plus(zero, times(ae[0], be[0])),))
+    if k == 1:
+        out = []
+        for x in ae:
+            out.extend(map(plus, repeat(zero), map(times, repeat(x), be)))
+        return KMatrix(n, m, tuple(out))
     out = []
     if (n > 1 and k > 1 and (zero in ae or zero in be)
             and all(map(eq, map(times, repeat(zero), ae + be), repeat(zero)))):
@@ -128,20 +151,18 @@ def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
                         acc = plus(acc, times(x, y))
                 out.append(acc)
         return KMatrix(n, m, tuple(out))
+    cols = [be[j::m] for j in range(m)] if m > 1 else [be]
     for i in range(n):
         arow = ae[i * k:(i + 1) * k]
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                acc = plus(acc, times(arow[t], be[t * m + j]))
-            out.append(acc)
+        for col in cols:
+            out.append(reduce(plus, map(times, arow, col), zero))
     return KMatrix(n, m, tuple(out))
 
 
 def mat_transpose(a: KMatrix) -> KMatrix:
-    return KMatrix(a.cols, a.rows,
-                   tuple(a.entries[i * a.cols + j]
-                         for j in range(a.cols) for i in range(a.rows)))
+    ae, cols = a.entries, a.cols
+    return KMatrix(cols, a.rows, tuple(
+        chain.from_iterable(ae[j::cols] for j in range(cols))))
 
 
 def mat_scale(s, a: KMatrix, sr: Semiring) -> KMatrix:
@@ -149,13 +170,14 @@ def mat_scale(s, a: KMatrix, sr: Semiring) -> KMatrix:
 
 
 def mat_map(fn, mats: list[KMatrix]) -> KMatrix:
-    """Apply an entrywise function across equally shaped matrices."""
+    """Apply an entrywise function across equally shaped matrices, calling
+    it once per entry in row-major order."""
     first = mats[0]
     for m in mats[1:]:
         if m.shape != first.shape:
             raise ShapeMismatch("pointwise application needs equal shapes")
-    cols = zip(*(m.entries for m in mats))
-    return KMatrix(first.rows, first.cols, tuple(fn(*vals) for vals in cols))
+    return KMatrix(first.rows, first.cols,
+                   tuple(map(fn, *[m.entries for m in mats])))
 
 
 def mat_equal(a: KMatrix, b: KMatrix, sr: Semiring, tol: float = 0.0) -> bool:

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from matfor import evaluator, relalg
+from matfor import ast, evaluator, relalg
 from matfor.ast import (UNIT, MatMul, MatrixType, Sum, bound_names,
                         free_vars, walk)
 from matfor.bridge import (MAT_SYM, active_domain, mat_encode, mat_schema,
@@ -38,6 +39,11 @@ QUERIES = [
     "join(rel T, rel R)",
     FOUR_ATTRS,
 ]
+
+# sha256 of `pretty` of every QUERIES translation, one per line (QUERIES
+# holds every query of the benchmark's psi corpus)
+QUERIES_PRETTY_SHA256 = (
+    "67aa09fceceb8468ccf5d770afc79036e794090eebe4dc29fa47ed5b1722f7f4")
 
 # annotations drawn per semiring, zero included
 DRAWS = {"nat": (0, 0, 1, 2), "bool": (0, 1),
@@ -191,3 +197,26 @@ def test_four_attribute_query_mat_mul_calls(monkeypatch):
     monkeypatch.setattr(evaluator, "mat_mul", counted)
     evaluate(psi_translate(parse_ra(FOUR_ATTRS), BINARY), inst, NAT)
     assert len(calls) == 4068 < 42084 / 10
+
+
+def test_translations_print_as_pinned():
+    text = "\n".join(pretty(psi_translate(parse_ra(q), BINARY))
+                     for q in QUERIES)
+    assert hashlib.sha256(text.encode()).hexdigest() == QUERIES_PRETTY_SHA256
+
+
+def test_translation_makes_no_free_variable_pass(monkeypatch):
+    # each factor carries its free iterators, so a projection reads them
+    # instead of walking its factors once per dropped attribute
+    calls = []
+    node_table = ast.node_table
+
+    def counted(root):
+        calls.append(root)
+        return node_table(root)
+
+    monkeypatch.setattr(ast, "node_table", counted)
+    nested = "project[](" * 6 + FOUR_ATTRS + ")" * 6
+    for qtext in QUERIES + [nested]:
+        psi_translate(parse_ra(qtext), BINARY)
+    assert calls == []

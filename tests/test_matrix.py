@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 
 from matfor.errors import ShapeMismatch
 from matfor.matrix import (KMatrix, canonical_vector, from_rows, identity,
-                           mat_add, mat_mul, mat_scale)
-from matfor.semiring import BOOL, NAT, REAL, TROPICAL
+                           mat_add, mat_map, mat_mul, mat_scale,
+                           mat_transpose)
+from matfor.semiring import BOOL, NAT, REAL, TROPICAL, Semiring
 
 INF, NAN = math.inf, math.nan
 
@@ -113,6 +116,114 @@ def test_signed_zero_and_underflow_keep_the_reference_sign():
     out = mat_mul(a, b, REAL)
     assert _reprs(out) == _reprs(_reference_mat_mul(a, b, REAL))
     assert [repr(x) for x in out.entries] == ["0.0"] * 4
+
+
+def _recording(log):
+    """Integers under + and *, logging every call with its operands."""
+    def plus(x, y):
+        log.append(("plus", x, y))
+        return x + y
+
+    def times(x, y):
+        log.append(("times", x, y))
+        return x * y
+
+    return Semiring("recording", 0, 1, plus, times, int, str, int)
+
+
+def _call_logs(a, b):
+    got, want = [], []
+    mat_mul(a, b, _recording(got))
+    _reference_mat_mul(a, b, _recording(want))
+    return got, want
+
+
+# inner dimension 1 (with and without zeros), zero-free operands of every
+# shape up to 4, and the shapes the benchmark multiplies
+CALL_ORDER_SHAPES = (
+    list(itertools.product(range(1, 5), repeat=3))
+    + [(12, 1, 12), (14, 1, 14), (14, 1, 1), (1, 1, 14), (1, 14, 1),
+       (1, 12, 12), (14, 14, 1), (14, 14, 14)])
+
+
+@pytest.mark.parametrize("n, k, m", CALL_ORDER_SHAPES)
+def test_mat_mul_makes_the_reference_calls_in_its_order(n, k, m):
+    # circuit_compile interns gates in call order, so the pinned circuit
+    # digests hold only while this order does
+    rng = random.Random(f"{n}x{k}x{m}")
+    draws = [(1, 20), (0, 20)] if k == 1 else [(1, 20)]
+    for low, high in draws:
+        a = KMatrix(n, k, tuple(rng.randint(low, high) for _ in range(n * k)))
+        b = KMatrix(k, m, tuple(rng.randint(low, high) for _ in range(k * m)))
+        got, want = _call_logs(a, b)
+        assert got == want
+
+
+# values for the bit-identity checks at benchmark sizes: signed zeros,
+# infinities, nan, products that underflow, and (for min-plus) the zero inf
+BIG_VALUES = {
+    "real": [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, INF, -INF, NAN, 1e-200,
+             -1e-200, 1e200],
+    "tropical": [INF, 0.0, -0.0, 1.5, -3.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("sr", [REAL, TROPICAL], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("inner", ["rank_one", "dense"])
+def test_mat_mul_matches_the_reference_at_benchmark_sizes(sr, n, inner):
+    rng = random.Random(f"{sr.name}/{n}/{inner}")
+    k = 1 if inner == "rank_one" else n
+    values = BIG_VALUES[sr.name]
+    nonzero = [v for v in values if v != sr.zero]
+    finite = [v for v in nonzero if math.isfinite(v)]
+    # every value, no zero (the fold runs every term), and finite with
+    # zeros (the zero-term rule applies)
+    for pool in (values, nonzero, finite + [sr.zero]):
+        for _ in range(3):
+            a = KMatrix(n, k, tuple(rng.choice(pool) for _ in range(n * k)))
+            b = KMatrix(k, n, tuple(rng.choice(pool) for _ in range(k * n)))
+            assert _reprs(mat_mul(a, b, sr)) == \
+                _reprs(_reference_mat_mul(a, b, sr))
+
+
+def test_mat_map_calls_fn_in_entry_order_and_raises_the_first_error():
+    a = from_rows([[1, 2, 3], [4, 5, 6]])
+    b = from_rows([[10, 20, 30], [40, 50, 60]])
+    calls = []
+
+    def fn(x, y):
+        calls.append((x, y))
+        return x - y
+
+    out = mat_map(fn, [a, b])
+    assert (out.shape, out.entries) == ((2, 3), (-9, -18, -27, -36, -45, -54))
+    assert calls == list(zip(a.entries, b.entries))
+    assert mat_map(abs, [from_rows([[-1], [2]])]).entries == (1, 2)
+
+    def failing(x):
+        calls.append(x)
+        if x % 2 == 0:
+            raise ValueError(x)
+        return x
+
+    calls.clear()
+    with pytest.raises(ValueError) as exc:
+        mat_map(failing, [a])
+    assert exc.value.args == (2,)
+    assert calls == [1, 2]
+    with pytest.raises(ShapeMismatch):
+        mat_map(fn, [a, from_rows([[1, 2], [3, 4], [5, 6]])])
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (3, 4),
+                                        (14, 14)])
+def test_mat_transpose_swaps_rows_and_columns(rows, cols):
+    a = KMatrix(rows, cols, tuple(range(rows * cols)))
+    t = mat_transpose(a)
+    assert t.shape == (cols, rows)
+    assert t.tolists() == [list(c) for c in zip(*a.tolists())]
+    assert mat_transpose(t).entries == a.entries
 
 
 def test_mat_add_and_mat_scale_keep_operand_order():
