@@ -430,7 +430,11 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
     expression over `mat_schema(relschema)`.
 
     Loop binders carry inline type annotations, so the returned expression
-    evaluates with just that schema.
+    evaluates with just that schema.  A binary query's output loop is
+    ``sum va . (outer) .* (va * (sum vb . (inner) .* vb^T))``: the factors
+    that mention ``vb`` are summed over ``vb`` into a row once per ``va``,
+    which is O(n^3) semiring work for the n x n result where summing the
+    whole product times ``va * vb^T`` over both would be O(n^4).
     """
     check_binary(relschema)
     sig = relalg.signature_of(q, relschema)
@@ -438,13 +442,18 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
         raise OutputArityTooLarge(
             f"query signature {sorted(sig)} has arity {len(sig)} > 2")
     factors, attr_vars = _Psi(relschema).translate(q)
-    scalar_e = product(factors)
     order = sorted(sig)
     if len(order) == 2:
         va, vb = attr_vars[order[0]], attr_vars[order[1]]
-        body = ScalarMul(scalar_e, MatMul(Var(va), Transpose(Var(vb))))
-        return Sum(va, Sum(vb, body, var_sym=MAT_SYM), var_sym=MAT_SYM)
+        inner = [f for f in factors if vb in f[1]]
+        outer = [f for f in factors if vb not in f[1]]
+        row = Sum(vb, ScalarMul(product(inner), Transpose(Var(vb))),
+                  var_sym=MAT_SYM)
+        body = MatMul(Var(va), row)
+        if outer:
+            body = ScalarMul(product(outer), body)
+        return Sum(va, body, var_sym=MAT_SYM)
     if len(order) == 1:
         va = attr_vars[order[0]]
-        return Sum(va, ScalarMul(scalar_e, Var(va)), var_sym=MAT_SYM)
-    return scalar_e
+        return Sum(va, ScalarMul(product(factors), Var(va)), var_sym=MAT_SYM)
+    return product(factors)
