@@ -7,6 +7,36 @@ dimension assigned to the iterator's size symbol.  The quantifier sugar is
 evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 ``hprod`` with the entrywise product.
 
+Evaluation is staged.  `evaluate` first builds one closure per DAG node,
+then runs the root closure once.  The build is an explicit-stack depth-first
+pass, so it never recurses, and it passes each node the shapes of the
+variables in scope: instance matrices, iterators (n x 1, n from the
+dimensions) and accumulators (the initialiser's shape, else the loop's
+annotation or the schema).  One closure serves every occurrence of a node
+with the same value number and the same shapes of its free variables; a
+node shared under binders of different sizes gets one closure per size.
+
+A node whose shape is 1 x 1 when it is built returns a bare carrier value,
+not a `KMatrix`, and a 1 x 1 variable is bound bare; with dimension one even
+the canonical vectors are bare.  Such a node runs the kernel's own scalar
+operations in the kernel's order, ``plus(zero, times(a, b))`` for a product,
+``plus(a, b)`` for a sum, ``times(s, x)`` for a scalar product and
+``impl(*args)`` for a function, so every result, and every circuit
+``circuit_compile`` builds through this module, is bit-identical to running
+the kernels on 1 x 1 matrices.  Every other node calls the kernels through
+this module's globals (`mat_mul`, `mat_add`, ...), wrapping a bare operand
+and unwrapping a 1 x 1 result.  A node whose shape is unknown (an
+accumulator that changes shape, an ill-shaped operation) is carried as a
+`KMatrix`, so the kernels raise what they raise on it.  Errors keep their
+order: a missing dimension, literal or function is raised when its node
+runs, not when it is built, and an error in a loop body collects the loop's
+context.  `evaluate` returns a `KMatrix`.
+
+A left-deep spine of ``+`` (or of ``*``) is one closure that folds its
+operands from left to right, in the order the binary nodes would run, so a
+long sum or product needs no stack per term.  A spine stops at a memoised
+node.
+
 Evaluation is pure, so results of a subexpression can be memoised per
 call, keyed by the node's structure and the values currently bound to its
 free variables.  Builders share subtrees by reference, which turns deeply
@@ -15,7 +45,10 @@ memo key is the flat tuple ``(number, value, ...)``: ``number`` is the
 node's value number, equal for structurally equal nodes, so two equal but
 distinct subtrees are evaluated once; the values are those of the node's
 free variables.  One linear pass (``ast.node_table``) gives both for the
-whole DAG.  ``Var`` leaves are read straight from the environment.
+whole DAG.  ``Var`` leaves are read straight from the environment.  A
+`KMatrix` compares by identity, a bare value by value; equal bare values
+must give equal bits, so a float enters the key with the sign of its zero
+and any other bare value with its class (`_scalar_key`).  A nan key misses.
 
 A node is memoised only where a second read of its entry is possible: its
 value number is reached by more than one parent edge, or some loop
@@ -47,6 +80,8 @@ must produce the same result for every order.
 
 from __future__ import annotations
 
+from math import copysign
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import ast, matrix
@@ -62,6 +97,9 @@ from .semiring import Semiring
 
 canonical_vector = matrix.canonical_vector
 mat_equal = matrix.mat_equal
+
+#: the shape of a node or variable carried as a bare carrier value
+_SC = (1, 1)
 
 
 def _memo_numbers(root, nodes):
@@ -118,6 +156,61 @@ def _memo_numbers(root, nodes):
     return memo
 
 
+def _scalar_key(x):
+    """The memo-key form of a bare value: equal keys mean equal bits."""
+    if x.__class__ is float:
+        return (x, copysign(1.0, x))
+    return (x.__class__, x)
+
+
+def _failing(exc):
+    """A node that raises `exc` when it runs."""
+    def run(env):
+        raise exc
+    return run, None
+
+
+def _lifted(f, shape):
+    """The closure `f` of a node of `shape`, returning a `KMatrix`."""
+    if shape != _SC:
+        return f
+    return lambda env: KMatrix(1, 1, (f(env),))
+
+
+def _memoised(cache, raw, number, fv, scope):
+    bare = [scope.get(name) == _SC for name in fv]
+    if len(fv) > 1 and not any(bare) and all(name in scope for name in fv):
+        get = itemgetter(*fv)
+    else:
+        parts = list(zip(fv, bare))
+
+        def get(env):
+            return tuple([_scalar_key(env.get(name)) if b else env.get(name)
+                          for name, b in parts])
+
+    def run(env):
+        key = (number,) + get(env)
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = raw(env)
+        return got
+    return run
+
+
+def _kernel_step(cls, sr, left, right, out):
+    """One step of a ``+`` or ``*`` spine through the kernel."""
+    lift_a, lift_b, unwrap = left == _SC, right == _SC, out == _SC
+
+    def op(a, b):
+        if lift_a:
+            a = KMatrix(1, 1, (a,))
+        if lift_b:
+            b = KMatrix(1, 1, (b,))
+        r = mat_add(a, b, sr) if cls is Add else mat_mul(a, b, sr)
+        return r.entries[0] if unwrap else r
+    return op
+
+
 class _Ctx:
     def __init__(self, inst, sr, schema, order, nodes, memo):
         self.inst = inst
@@ -136,6 +229,12 @@ class _Ctx:
             got = canonical_vector(i, n, self.sr)
             self.canon[key] = got
         return got
+
+    def bases(self, n):
+        """The canonical vectors b_1 .. b_n as carried: bare when n = 1."""
+        if n == 1:
+            return [self.sr.one]
+        return [self.basis(i, n) for i in range(1, n + 1)]
 
     def dim(self, sym, what):
         if sym == UNIT:
@@ -175,6 +274,276 @@ class _Ctx:
                 f"iteration_order({n}) is not a permutation of 1..{n}")
         return seq
 
+    def build(self, root, shapes):
+        """The closure and shape of `root`, given the shapes of the names in
+        scope.  Each node's builder is a generator that yields a child and
+        its scope and is sent back the child's closure and shape."""
+        done = {}
+        frames = [(self._node(root, shapes), root, shapes, None)]
+        reply = None
+        while True:
+            gen, node, scope, key = frames[-1]
+            try:
+                child, child_scope = gen.send(reply)
+            except StopIteration as stop:
+                frames.pop()
+                run, shape = stop.value
+                number, fv = self.nodes[id(node)]
+                if number in self.memo and node.__class__ is not Var:
+                    run = _memoised(self.cache, run, number, fv, scope)
+                reply = run, shape
+                if not frames:
+                    return reply
+                done[key] = reply
+                continue
+            number, fv = self.nodes[id(child)]
+            key = (number, *map(child_scope.get, fv))
+            reply = done.get(key)
+            if reply is None:
+                frames.append((self._node(child, child_scope), child,
+                               child_scope, key))
+
+    def _node(self, e, shapes):
+        sr = self.sr
+        plus, times, zero = sr.plus, sr.times, sr.zero
+        cls = e.__class__
+
+        if cls is Var:
+            name = e.name
+
+            def run(env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise EvalError(
+                        f"no value bound to variable '{name}'") from None
+            return run, shapes.get(name)
+
+        if cls is MatMul or cls is Add:
+            operands, left = [e.right], e.left
+            while (left.__class__ is cls
+                   and self.nodes[id(left)][0] not in self.memo):
+                operands.append(left.right)
+                left = left.left
+            operands.append(left)
+            fs, ss = [], []
+            for c in reversed(operands):
+                f, s = yield c, shapes
+                fs.append(f)
+                ss.append(s)
+            return self._spine(cls, fs, ss)
+
+        if cls is ScalarMul:
+            fs, ss = yield e.scalar, shapes
+            fa, sa = yield e.arg, shapes
+            if ss == _SC and sa == _SC:
+                return (lambda env: times(fs(env), fa(env))), _SC
+            if ss == _SC:
+                return (lambda env: mat_scale(fs(env), fa(env), sr)), sa
+            fa = _lifted(fa, sa)
+
+            def run(env):
+                s = fs(env)
+                if s.shape != (1, 1):
+                    raise ShapeMismatch(
+                        f"scalar product needs a 1 x 1 left operand, "
+                        f"got {s.shape}")
+                return mat_scale(s.entries[0], fa(env), sr)
+            return run, None
+
+        if cls is Transpose:
+            f, s = yield e.arg, shapes
+            if s == _SC:
+                return f, s
+            return (lambda env: mat_transpose(f(env))), s and (s[1], s[0])
+
+        if cls is Const:
+            try:
+                value = sr.from_literal(e.value)
+            except FormatError as exc:
+                return _failing(EvalError(
+                    f"literal not in the {sr.name} carrier: {exc}"))
+            except MatforError as exc:
+                return _failing(exc)
+            return (lambda env: value), _SC
+
+        if cls is Apply:
+            try:
+                arity, impl = resolve(e.func, sr)
+            except EvalError as exc:
+                return _failing(exc)
+            if arity != len(e.args):
+                return _failing(EvalError(
+                    f"function '{e.func}' expects {arity} arguments, "
+                    f"got {len(e.args)}"))
+            fs, ss = [], []
+            for a in e.args:
+                f, s = yield a, shapes
+                fs.append(f)
+                ss.append(s)
+            if all(s == _SC for s in ss):
+                return (lambda env: impl(*[f(env) for f in fs])), _SC
+            shape = ss[0] if all(s == ss[0] for s in ss) else None
+            fs = [_lifted(f, s) for f, s in zip(fs, ss)]
+            return (lambda env: mat_map(impl, [f(env) for f in fs])), shape
+
+        if cls is For:
+            try:
+                n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
+                s0 = None if e.init is not None else self.acc_shape(e)
+            except MissingDimension as exc:
+                return _failing(exc)
+            if e.init is not None:
+                start, s0 = yield e.init, shapes
+            else:
+                first = zero if s0 == _SC else matrix.zeros(*s0, sr)
+                start = lambda env: first  # noqa: E731
+            scope = {**shapes, e.var: (n, 1), e.acc: s0}
+            body, s1 = yield e.body, scope
+            if s0 is not None and s1 != s0:
+                # the accumulator changes shape: carry it as a KMatrix
+                start, s0 = _lifted(start, s0), None
+                body, s1 = yield e.body, {**scope, e.acc: None}
+            if s0 is None:
+                body = _lifted(body, s1)
+            return self._loop(e, n, start, body), s0
+
+        if cls is Sum or cls is Prod or cls is Hadamard:
+            try:
+                n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
+            except MissingDimension as exc:
+                return _failing(exc)
+            body, s = yield e.body, {**shapes, e.var: (n, 1)}
+            if cls is Sum:
+                fold = plus if s == _SC else (lambda a, b: mat_add(a, b, sr))
+            elif cls is Prod:
+                fold = ((lambda a, b: plus(zero, times(a, b))) if s == _SC
+                        else (lambda a, b: mat_mul(a, b, sr)))
+            else:
+                fold = times if s == _SC else (
+                    lambda a, b: mat_map(times, [a, b]))
+            return self._loop(e, n, None, body, fold), s
+
+        if cls is Ones:
+            f, s = yield e.arg, shapes
+            one = sr.one
+            if s is None:
+                def run(env):
+                    val = f(env)
+                    return KMatrix(val.rows, 1, (one,) * val.rows)
+                return run, None
+            out = one if s[0] == 1 else KMatrix(s[0], 1, (one,) * s[0])
+
+            def run(env):
+                f(env)
+                return out
+            return run, (s[0], 1)
+
+        if cls is Diag:
+            f, s = yield e.arg, shapes
+            if s == _SC:
+                return f, s
+
+            def run(env):
+                val = f(env)
+                if val.cols != 1:
+                    raise ShapeMismatch(
+                        f"diag needs a column vector, got {val.shape}")
+                n = val.rows
+                ent = [zero] * (n * n)
+                for i in range(n):
+                    ent[i * n + i] = val.entries[i]
+                return KMatrix(n, n, tuple(ent))
+            return run, (s[0], s[0]) if s is not None and s[1] == 1 else None
+
+        if cls is OrderPrim:
+            try:
+                n = self.dim(e.sym, f"order primitive {e.kind.value}")
+            except MissingDimension as exc:
+                return _failing(exc)
+            if e.kind is OrderKind.EMIN or e.kind is OrderKind.EMAX:
+                out = self.basis(1 if e.kind is OrderKind.EMIN else n, n)
+                out = out.entries[0] if n == 1 else out
+                return (lambda env: out), (n, 1)
+            ent = [zero] * (n * n)
+            if e.kind is OrderKind.SLESS:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        ent[i * n + j] = sr.one
+            else:  # NSHIFT: maps b_j to b_{j+1}, kills b_n
+                for j in range(n - 1):
+                    ent[(j + 1) * n + j] = sr.one
+            out = ent[0] if n == 1 else KMatrix(n, n, tuple(ent))
+            return (lambda env: out), (n, n)
+
+        return _failing(MatforError(f"cannot evaluate node {cls.__name__}"))
+
+    def _spine(self, cls, fs, ss):
+        """Fold the operands of a left-deep ``+`` or ``*`` spine."""
+        sr = self.sr
+        plus, times, zero = sr.plus, sr.times, sr.zero
+        first, rest = fs[0], fs[1:]
+        ops, shape = [], ss[0]
+        for s in ss[1:]:
+            if shape == s == _SC:
+                ops.append(plus if cls is Add else None)
+                continue
+            if shape is None or s is None:
+                out = None
+            elif cls is Add:
+                out = shape if shape == s else None
+            else:
+                out = (shape[0], s[1]) if shape[1] == s[0] else None
+            ops.append(_kernel_step(cls, sr, shape, s, out))
+            shape = out
+        if all(op is None for op in ops):
+            # a product of 1 x 1 factors
+            if len(rest) == 1:
+                (g,) = rest
+                return (lambda env: plus(zero, times(first(env), g(env)))), _SC
+
+            def run(env):
+                acc = first(env)
+                for g in rest:
+                    acc = plus(zero, times(acc, g(env)))
+                return acc
+            return run, _SC
+        steps = [(op or (lambda a, b: plus(zero, times(a, b))), g)
+                 for op, g in zip(ops, rest)]
+        if len(steps) == 1:
+            ((op, g),) = steps
+            return (lambda env: op(first(env), g(env))), shape
+
+        def run(env):
+            acc = first(env)
+            for op, g in steps:
+                acc = op(acc, g(env))
+            return acc
+        return run, shape
+
+    def _loop(self, e, n, start, body, fold=None):
+        """A ``for`` loop (`start` is its initial accumulator) or, with
+        `fold`, a quantifier."""
+        bases, indices, var = self.bases(n), self.indices, e.var
+        acc_name = e.acc if start is not None else None
+
+        def run(env):
+            acc = start(env) if start is not None else None
+            inner = dict(env)
+            for step, i in enumerate(indices(n), start=1):
+                inner[var] = bases[i - 1]
+                if acc_name is not None:
+                    inner[acc_name] = acc
+                try:
+                    val = body(inner)
+                except EvalError as exc:
+                    exc.add_context(
+                        f"loop over '{var}', iteration {step} of {n}")
+                    raise
+                acc = val if fold is None or step == 1 else fold(acc, val)
+            return acc
+        return run
+
 
 def evaluate(e: ast.Expr,
              inst: Instance,
@@ -189,131 +558,7 @@ def evaluate(e: ast.Expr,
     nodes = ast.node_table(e)
     ctx = _Ctx(inst, sr, schema, iteration_order, nodes,
                _memo_numbers(e, nodes))
-    return _eval(e, dict(inst.mats), ctx)
-
-
-def _eval(e, env, ctx):
-    if e.__class__ is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(
-                f"no value bound to variable '{e.name}'") from None
-    number, fv = ctx.nodes[id(e)]
-    if number not in ctx.memo:
-        return _eval_raw(e, env, ctx)
-    key = (number, *map(env.get, fv))
-    got = ctx.cache.get(key)
-    if got is not None:
-        return got
-    out = _eval_raw(e, env, ctx)
-    ctx.cache[key] = out
-    return out
-
-
-def _eval_raw(e, env, ctx):
-    sr = ctx.sr
-
-    if isinstance(e, MatMul):
-        return mat_mul(_eval(e.left, env, ctx), _eval(e.right, env, ctx), sr)
-
-    if isinstance(e, Add):
-        return mat_add(_eval(e.left, env, ctx), _eval(e.right, env, ctx), sr)
-
-    if isinstance(e, ScalarMul):
-        s = _eval(e.scalar, env, ctx)
-        if s.shape != (1, 1):
-            raise ShapeMismatch(
-                f"scalar product needs a 1 x 1 left operand, got {s.shape}")
-        return mat_scale(s.entries[0], _eval(e.arg, env, ctx), sr)
-
-    if isinstance(e, Transpose):
-        return mat_transpose(_eval(e.arg, env, ctx))
-
-    if isinstance(e, Const):
-        try:
-            return matrix.scalar(sr.from_literal(e.value))
-        except FormatError as exc:
-            raise EvalError(
-                f"literal not in the {sr.name} carrier: {exc}") from None
-
-    if isinstance(e, Apply):
-        arity, impl = resolve(e.func, sr)
-        if arity != len(e.args):
-            raise EvalError(
-                f"function '{e.func}' expects {arity} arguments, "
-                f"got {len(e.args)}")
-        return mat_map(impl, [_eval(a, env, ctx) for a in e.args])
-
-    if isinstance(e, For):
-        n = ctx.dim(ctx.iter_sym(e), f"iterator '{e.var}'")
-        if e.init is not None:
-            acc = _eval(e.init, env, ctx)
-        else:
-            acc = matrix.zeros(*ctx.acc_shape(e), sr)
-        inner = dict(env)
-        for step, i in enumerate(ctx.indices(n), start=1):
-            inner[e.var] = ctx.basis(i, n)
-            inner[e.acc] = acc
-            try:
-                acc = _eval(e.body, inner, ctx)
-            except EvalError as exc:
-                exc.add_context(
-                    f"loop over '{e.var}', iteration {step} of {n}")
-                raise
-        return acc
-
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        n = ctx.dim(ctx.iter_sym(e), f"iterator '{e.var}'")
-        inner = dict(env)
-        acc = None
-        for step, i in enumerate(ctx.indices(n), start=1):
-            inner[e.var] = ctx.basis(i, n)
-            try:
-                val = _eval(e.body, inner, ctx)
-            except EvalError as exc:
-                exc.add_context(
-                    f"loop over '{e.var}', iteration {step} of {n}")
-                raise
-            if acc is None:
-                acc = val
-            elif isinstance(e, Sum):
-                acc = mat_add(acc, val, sr)
-            elif isinstance(e, Prod):
-                acc = mat_mul(acc, val, sr)
-            else:
-                acc = mat_map(sr.times, [acc, val])
-        return acc
-
-    if isinstance(e, Ones):
-        val = _eval(e.arg, env, ctx)
-        return KMatrix(val.rows, 1, (sr.one,) * val.rows)
-
-    if isinstance(e, Diag):
-        val = _eval(e.arg, env, ctx)
-        if val.cols != 1:
-            raise ShapeMismatch(
-                f"diag needs a column vector, got {val.shape}")
-        n = val.rows
-        ent = [sr.zero] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = val.entries[i]
-        return KMatrix(n, n, tuple(ent))
-
-    if isinstance(e, OrderPrim):
-        n = ctx.dim(e.sym, f"order primitive {e.kind.value}")
-        if e.kind is OrderKind.EMIN:
-            return ctx.basis(1, n)
-        if e.kind is OrderKind.EMAX:
-            return ctx.basis(n, n)
-        ent = [sr.zero] * (n * n)
-        if e.kind is OrderKind.SLESS:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ent[i * n + j] = sr.one
-        else:  # NSHIFT: maps b_j to b_{j+1}, kills b_n
-            for j in range(n - 1):
-                ent[(j + 1) * n + j] = sr.one
-        return KMatrix(n, n, tuple(ent))
-
-    raise MatforError(f"cannot evaluate node {type(e).__name__}")
+    run, shape = ctx.build(e, {name: m.shape for name, m in inst.mats.items()})
+    out = run({name: m.entries[0] if m.shape == _SC else m
+               for name, m in inst.mats.items()})
+    return matrix.scalar(out) if shape == _SC else out

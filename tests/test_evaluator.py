@@ -339,6 +339,61 @@ def test_loop_body_invariant_is_computed_once(monkeypatch, text):
     assert len(calls) == 1
 
 
+def test_one_by_one_values_stay_scalars(monkeypatch, lib):
+    # the 4-clique body is a product of 1 x 1 factors; carried as 1 x 1
+    # matrices it made 64,100 mat_mul calls with two 1 x 1 operands
+    rng = random.Random(5)
+    n = 10
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                adj[i][j] = adj[j][i] = 1
+    calls = _spy_mat_mul(monkeypatch)
+    item = lib["four_clique_order"]
+    out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
+                   NAT, schema=item.schema)
+    assert out.get(0, 0) == oracles.ordered_four_cliques(adj)
+    assert calls
+    assert not [1 for a, b in calls if a.shape == b.shape == (1, 1)]
+
+
+@pytest.mark.parametrize("sr,c,want", [(REAL, 1.0, "-0.0"),
+                                       (TROPICAL, -0.0, "0.0")])
+def test_memo_keys_tell_the_sign_of_zero_apart(monkeypatch, sr, c, want):
+    # `X .* c` is invariant in `sum u`, so it is memoised by the value of
+    # the 1 x 1 accumulator X, which is -0.0 in the first loop and 0.0 in
+    # the second; 0.0 == -0.0, so a key comparing floats by value alone
+    # would hand the second loop the first one's entry
+    def loop(init):
+        body = Sum("u", ScalarMul(Var("X"), Const(c)), var_sym="a")
+        return For("v", "X", body, init=Var(init), var_sym="a")
+
+    e = ScalarMul(loop("N"), loop("P"))
+    inst = Instance({"a": 2}, {"N": from_rows([[-0.0]]),
+                               "P": from_rows([[0.0]])})
+    made = _record_contexts(monkeypatch)
+    out = evaluate(e, inst, sr)
+    assert made[0].cache
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_memo_numbers",
+                  lambda root, nodes: {num for num, _ in nodes.values()})
+        everything = evaluate(e, inst, sr)
+    assert [repr(x) for x in out.entries] == \
+        [repr(x) for x in everything.entries] == [want]
+
+
+@pytest.mark.parametrize("op,want", [(Add, [[5000, 5000], [0, 5000]]),
+                                     (MatMul, [[1, 5000], [0, 1]])])
+def test_long_left_deep_spine_evaluates(op, want):
+    e = Var("V")
+    for _ in range(4999):
+        e = op(e, Var("V"))
+    v = from_rows([[1, 1], [0, 1]])
+    out = evaluate(e, Instance({"alpha": 2}, {"V": v}), NAT)
+    assert out.tolists() == want
+
+
 def test_node_bound_by_its_only_loop_gets_no_memo_entry(monkeypatch):
     calls = _spy_mat_mul(monkeypatch)
     made = _record_contexts(monkeypatch)
