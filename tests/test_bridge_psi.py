@@ -196,7 +196,7 @@ def test_four_attribute_query_mat_mul_calls(monkeypatch):
     mat_mul = evaluator.mat_mul
     monkeypatch.setattr(evaluator, "mat_mul", counted)
     evaluate(psi_translate(parse_ra(FOUR_ATTRS), BINARY), inst, NAT)
-    assert len(calls) == 3936 < 42084 / 10
+    assert len(calls) == 480 < 42084 / 10
 
 
 def test_translations_print_as_pinned():
