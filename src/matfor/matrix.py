@@ -12,8 +12,7 @@ the terms ``times(a[i][t], b[t][j])`` in ascending ``t``, and computes the
 entries in row-major order: for each entry it makes that entry's ``times``
 and ``plus`` calls, alternating, before any call for the next entry.  The
 circuit compiler interns gates in call order, so its circuits depend on this
-order as much as on the results.  Besides the ``1 x 1`` product below, there
-are three paths:
+order as much as on the results.  There are three paths:
 
 * inner dimension one (``a`` is a column, ``b`` a row): each row of the
   result is ``map(plus, repeat(zero), map(times, repeat(a_i), b))``;
@@ -36,10 +35,6 @@ min-plus ``min(acc, inf)`` is ``acc``; over bool ``x | 0`` and over the
 naturals ``x + 0`` are ``x``.  The check fails where ``times(zero, y)`` is
 nan (``y`` = ±inf or nan over the reals, -inf or nan over min-plus), and
 then every term stays.
-
-A ``1 x 1`` by ``1 x 1`` product is ``plus(zero, times(x, y))`` without the
-loops, the loop's own operations in its order, so it is bit-identical too
-(over the reals ``0.0 + -0.0`` is still ``0.0``).
 """
 
 from __future__ import annotations
@@ -128,8 +123,6 @@ def mat_mul(a: KMatrix, b: KMatrix, sr: Semiring) -> KMatrix:
     plus, times, zero = sr.plus, sr.times, sr.zero
     n, m, k = a.rows, b.cols, a.cols
     ae, be = a.entries, b.entries
-    if n == m == k == 1:
-        return KMatrix(1, 1, (plus(zero, times(ae[0], be[0])),))
     if k == 1:
         out = []
         for x in ae:
