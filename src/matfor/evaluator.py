@@ -7,35 +7,26 @@ dimension assigned to the iterator's size symbol.  The quantifier sugar is
 evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 ``hprod`` with the entrywise product.
 
-Evaluation is staged.  `evaluate` first builds one closure per DAG node,
-then runs the root closure once.  The build is an explicit-stack depth-first
-pass, so it never recurses, and it passes each node the shapes of the
-variables in scope: instance matrices, iterators (n x 1, n from the
-dimensions) and accumulators (the initialiser's shape, else the loop's
-annotation or the schema).  One closure serves every occurrence of a node
-with the same value number and the same shapes of its free variables; a
-node shared under binders of different sizes gets one closure per size.
+Evaluation is staged: `evaluate` builds one closure per DAG node, then runs
+the root's.  The build walks the DAG with an explicit stack, so it never
+recurses, and hands each node the shapes of the names in scope: instance
+matrices, iterators (n x 1) and accumulators (from the initialiser, the
+annotation or the schema).  A closure serves every occurrence of a value
+number under the same free-variable shapes; a node shared under binders of
+different sizes gets one per size.  A left-deep ``+`` or ``*`` spine, up to
+a memoised node, is one closure that folds its operands from left to
+right, so its length costs no stack.
 
-A node whose shape is 1 x 1 when it is built returns a bare carrier value,
-not a `KMatrix`, and a 1 x 1 variable is bound bare; with dimension one even
-the canonical vectors are bare.  Such a node runs the kernel's own scalar
-operations in the kernel's order, ``plus(zero, times(a, b))`` for a product,
-``plus(a, b)`` for a sum, ``times(s, x)`` for a scalar product and
-``impl(*args)`` for a function, so every result, and every circuit
-``circuit_compile`` builds through this module, is bit-identical to running
-the kernels on 1 x 1 matrices.  Every other node calls the kernels through
-this module's globals (`mat_mul`, `mat_add`, ...), wrapping a bare operand
-and unwrapping a 1 x 1 result.  A node whose shape is unknown (an
-accumulator that changes shape, an ill-shaped operation) is carried as a
-`KMatrix`, so the kernels raise what they raise on it.  Errors keep their
-order: a missing dimension, literal or function is raised when its node
-runs, not when it is built, and an error in a loop body collects the loop's
-context.  `evaluate` returns a `KMatrix`.
-
-A left-deep spine of ``+`` (or of ``*``) is one closure that folds its
-operands from left to right, in the order the binary nodes would run, so a
-long sum or product needs no stack per term.  A spine stops at a memoised
-node.
+A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
+bare carrier value, not a `KMatrix`; with dimension one even the canonical
+vectors are.  Its operations are the kernel's own on 1 x 1 matrices, in the
+kernel's order (``plus(zero, times(a, b))``, ``plus(a, b)``, ``times(s,
+x)``, ``impl(*args)``), so results and compiled circuits are bit-identical
+to the kernels'.  Other nodes call the kernels through this module's
+globals (`mat_mul`, `mat_add`, ...).  A value whose shape the build cannot
+tell (an accumulator that changes shape) stays a `KMatrix`.  An error met
+while building a node (a missing dimension, literal or function) is raised
+when the node runs, so errors keep their order and loop context.
 
 Evaluation is pure, so results of a subexpression can be memoised per
 call, keyed by the node's structure and the values currently bound to its
@@ -46,9 +37,9 @@ node's value number, equal for structurally equal nodes, so two equal but
 distinct subtrees are evaluated once; the values are those of the node's
 free variables.  One linear pass (``ast.node_table``) gives both for the
 whole DAG.  ``Var`` leaves are read straight from the environment.  A
-`KMatrix` compares by identity, a bare value by value; equal bare values
-must give equal bits, so a float enters the key with the sign of its zero
-and any other bare value with its class (`_scalar_key`).  A nan key misses.
+`KMatrix` in a key compares by identity, a bare value by value, so a bare
+float enters the key with the sign of its zero (``-0.0`` must not answer
+for ``0.0``) and any other bare value with its class (`_scalar_key`).
 
 A node is memoised only where a second read of its entry is possible: its
 value number is reached by more than one parent edge, or some loop
@@ -163,18 +154,17 @@ def _scalar_key(x):
     return (x.__class__, x)
 
 
-def _failing(exc):
-    """A node that raises `exc` when it runs."""
-    def run(env):
-        raise exc
-    return run, None
-
-
 def _lifted(f, shape):
     """The closure `f` of a node of `shape`, returning a `KMatrix`."""
     if shape != _SC:
         return f
     return lambda env: KMatrix(1, 1, (f(env),))
+
+
+def _raising(exc):
+    def run(env):
+        raise exc
+    return run
 
 
 def _memoised(cache, raw, number, fv, scope):
@@ -197,8 +187,23 @@ def _memoised(cache, raw, number, fv, scope):
     return run
 
 
-def _kernel_step(cls, sr, left, right, out):
-    """One step of a ``+`` or ``*`` spine through the kernel."""
+def _step(cls, sr, left, right):
+    """The operation that combines carried values of shapes `left` and
+    `right` by `cls` (`Add`, `MatMul` or entrywise `Hadamard`), and the
+    shape of its result."""
+    plus, times, zero = sr.plus, sr.times, sr.zero
+    if left == right == _SC:
+        if cls is MatMul:
+            return (lambda a, b: plus(zero, times(a, b))), _SC
+        return (plus if cls is Add else times), _SC
+    if cls is Hadamard:
+        return (lambda a, b: mat_map(times, [a, b])), left
+    if left is None or right is None:
+        out = None
+    elif cls is Add:
+        out = left if left == right else None
+    else:
+        out = (left[0], right[1]) if left[1] == right[0] else None
     lift_a, lift_b, unwrap = left == _SC, right == _SC, out == _SC
 
     def op(a, b):
@@ -208,7 +213,7 @@ def _kernel_step(cls, sr, left, right, out):
             b = KMatrix(1, 1, (b,))
         r = mat_add(a, b, sr) if cls is Add else mat_mul(a, b, sr)
         return r.entries[0] if unwrap else r
-    return op
+    return op, out
 
 
 class _Ctx:
@@ -222,19 +227,13 @@ class _Ctx:
         self.memo = memo
         self.canon = {}
 
-    def basis(self, i, n):
-        key = (i, n)
-        got = self.canon.get(key)
-        if got is None:
-            got = canonical_vector(i, n, self.sr)
-            self.canon[key] = got
-        return got
-
     def bases(self, n):
         """The canonical vectors b_1 .. b_n as carried: bare when n = 1."""
-        if n == 1:
-            return [self.sr.one]
-        return [self.basis(i, n) for i in range(1, n + 1)]
+        got = self.canon.get(n)
+        if got is None:
+            got = self.canon[n] = [self.sr.one] if n == 1 else [
+                canonical_vector(i, n, self.sr) for i in range(1, n + 1)]
+        return got
 
     def dim(self, sym, what):
         if sym == UNIT:
@@ -277,7 +276,8 @@ class _Ctx:
     def build(self, root, shapes):
         """The closure and shape of `root`, given the shapes of the names in
         scope.  Each node's builder is a generator that yields a child and
-        its scope and is sent back the child's closure and shape."""
+        its scope and is sent back the child's closure and shape; an error
+        it raises is raised again when its node runs."""
         done = {}
         frames = [(self._node(root, shapes), root, shapes, None)]
         reply = None
@@ -286,26 +286,27 @@ class _Ctx:
             try:
                 child, child_scope = gen.send(reply)
             except StopIteration as stop:
-                frames.pop()
                 run, shape = stop.value
-                number, fv = self.nodes[id(node)]
-                if number in self.memo and node.__class__ is not Var:
-                    run = _memoised(self.cache, run, number, fv, scope)
-                reply = run, shape
-                if not frames:
-                    return reply
-                done[key] = reply
+            except MatforError as exc:
+                run, shape = _raising(exc), None
+            else:
+                number, fv = self.nodes[id(child)]
+                key = (number, *map(child_scope.get, fv))
+                reply = done.get(key)
+                if reply is None:
+                    frames.append((self._node(child, child_scope), child,
+                                   child_scope, key))
                 continue
-            number, fv = self.nodes[id(child)]
-            key = (number, *map(child_scope.get, fv))
-            reply = done.get(key)
-            if reply is None:
-                frames.append((self._node(child, child_scope), child,
-                               child_scope, key))
+            frames.pop()
+            number, fv = self.nodes[id(node)]
+            if number in self.memo and node.__class__ is not Var:
+                run = _memoised(self.cache, run, number, fv, scope)
+            reply = done[key] = run, shape
+            if not frames:
+                return reply
 
     def _node(self, e, shapes):
         sr = self.sr
-        plus, times, zero = sr.plus, sr.times, sr.zero
         cls = e.__class__
 
         if cls is Var:
@@ -320,23 +321,31 @@ class _Ctx:
             return run, shapes.get(name)
 
         if cls is MatMul or cls is Add:
+            # a left-deep spine up to a memoised node folds in one closure
             operands, left = [e.right], e.left
             while (left.__class__ is cls
                    and self.nodes[id(left)][0] not in self.memo):
                 operands.append(left.right)
                 left = left.left
-            operands.append(left)
-            fs, ss = [], []
+            first, shape = yield left, shapes
+            steps = []
             for c in reversed(operands):
                 f, s = yield c, shapes
-                fs.append(f)
-                ss.append(s)
-            return self._spine(cls, fs, ss)
+                op, shape = _step(cls, sr, shape, s)
+                steps.append((op, f))
+
+            def run(env):
+                acc = first(env)
+                for op, f in steps:
+                    acc = op(acc, f(env))
+                return acc
+            return run, shape
 
         if cls is ScalarMul:
             fs, ss = yield e.scalar, shapes
             fa, sa = yield e.arg, shapes
             if ss == _SC and sa == _SC:
+                times = sr.times
                 return (lambda env: times(fs(env), fa(env))), _SC
             if ss == _SC:
                 return (lambda env: mat_scale(fs(env), fa(env), sr)), sa
@@ -361,21 +370,16 @@ class _Ctx:
             try:
                 value = sr.from_literal(e.value)
             except FormatError as exc:
-                return _failing(EvalError(
-                    f"literal not in the {sr.name} carrier: {exc}"))
-            except MatforError as exc:
-                return _failing(exc)
+                raise EvalError(
+                    f"literal not in the {sr.name} carrier: {exc}") from None
             return (lambda env: value), _SC
 
         if cls is Apply:
-            try:
-                arity, impl = resolve(e.func, sr)
-            except EvalError as exc:
-                return _failing(exc)
+            arity, impl = resolve(e.func, sr)
             if arity != len(e.args):
-                return _failing(EvalError(
+                raise EvalError(
                     f"function '{e.func}' expects {arity} arguments, "
-                    f"got {len(e.args)}"))
+                    f"got {len(e.args)}")
             fs, ss = [], []
             for a in e.args:
                 f, s = yield a, shapes
@@ -388,16 +392,15 @@ class _Ctx:
             return (lambda env: mat_map(impl, [f(env) for f in fs])), shape
 
         if cls is For:
-            try:
-                n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
-                s0 = None if e.init is not None else self.acc_shape(e)
-            except MissingDimension as exc:
-                return _failing(exc)
+            n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
             if e.init is not None:
                 start, s0 = yield e.init, shapes
             else:
-                first = zero if s0 == _SC else matrix.zeros(*s0, sr)
-                start = lambda env: first  # noqa: E731
+                s0 = self.acc_shape(e)
+                zero = sr.zero if s0 == _SC else matrix.zeros(*s0, sr)
+
+                def start(env):
+                    return zero
             scope = {**shapes, e.var: (n, 1), e.acc: s0}
             body, s1 = yield e.body, scope
             if s0 is not None and s1 != s0:
@@ -409,35 +412,22 @@ class _Ctx:
             return self._loop(e, n, start, body), s0
 
         if cls is Sum or cls is Prod or cls is Hadamard:
-            try:
-                n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
-            except MissingDimension as exc:
-                return _failing(exc)
+            n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
             body, s = yield e.body, {**shapes, e.var: (n, 1)}
-            if cls is Sum:
-                fold = plus if s == _SC else (lambda a, b: mat_add(a, b, sr))
-            elif cls is Prod:
-                fold = ((lambda a, b: plus(zero, times(a, b))) if s == _SC
-                        else (lambda a, b: mat_mul(a, b, sr)))
-            else:
-                fold = times if s == _SC else (
-                    lambda a, b: mat_map(times, [a, b]))
+            fold, _ = _step({Sum: Add, Prod: MatMul}.get(cls, Hadamard), sr,
+                            s, s)
             return self._loop(e, n, None, body, fold), s
 
         if cls is Ones:
             f, s = yield e.arg, shapes
-            one = sr.one
-            if s is None:
-                def run(env):
-                    val = f(env)
-                    return KMatrix(val.rows, 1, (one,) * val.rows)
-                return run, None
-            out = one if s[0] == 1 else KMatrix(s[0], 1, (one,) * s[0])
+            f, shape = _lifted(f, s), s and (s[0], 1)
 
             def run(env):
-                f(env)
-                return out
-            return run, (s[0], 1)
+                rows = f(env).rows
+                if shape == _SC:
+                    return sr.one
+                return KMatrix(rows, 1, (sr.one,) * rows)
+            return run, shape
 
         if cls is Diag:
             f, s = yield e.arg, shapes
@@ -450,22 +440,18 @@ class _Ctx:
                     raise ShapeMismatch(
                         f"diag needs a column vector, got {val.shape}")
                 n = val.rows
-                ent = [zero] * (n * n)
+                ent = [sr.zero] * (n * n)
                 for i in range(n):
                     ent[i * n + i] = val.entries[i]
                 return KMatrix(n, n, tuple(ent))
             return run, (s[0], s[0]) if s is not None and s[1] == 1 else None
 
         if cls is OrderPrim:
-            try:
-                n = self.dim(e.sym, f"order primitive {e.kind.value}")
-            except MissingDimension as exc:
-                return _failing(exc)
+            n = self.dim(e.sym, f"order primitive {e.kind.value}")
             if e.kind is OrderKind.EMIN or e.kind is OrderKind.EMAX:
-                out = self.basis(1 if e.kind is OrderKind.EMIN else n, n)
-                out = out.entries[0] if n == 1 else out
+                out = self.bases(n)[0 if e.kind is OrderKind.EMIN else -1]
                 return (lambda env: out), (n, 1)
-            ent = [zero] * (n * n)
+            ent = [sr.zero] * (n * n)
             if e.kind is OrderKind.SLESS:
                 for i in range(n):
                     for j in range(i + 1, n):
@@ -476,50 +462,7 @@ class _Ctx:
             out = ent[0] if n == 1 else KMatrix(n, n, tuple(ent))
             return (lambda env: out), (n, n)
 
-        return _failing(MatforError(f"cannot evaluate node {cls.__name__}"))
-
-    def _spine(self, cls, fs, ss):
-        """Fold the operands of a left-deep ``+`` or ``*`` spine."""
-        sr = self.sr
-        plus, times, zero = sr.plus, sr.times, sr.zero
-        first, rest = fs[0], fs[1:]
-        ops, shape = [], ss[0]
-        for s in ss[1:]:
-            if shape == s == _SC:
-                ops.append(plus if cls is Add else None)
-                continue
-            if shape is None or s is None:
-                out = None
-            elif cls is Add:
-                out = shape if shape == s else None
-            else:
-                out = (shape[0], s[1]) if shape[1] == s[0] else None
-            ops.append(_kernel_step(cls, sr, shape, s, out))
-            shape = out
-        if all(op is None for op in ops):
-            # a product of 1 x 1 factors
-            if len(rest) == 1:
-                (g,) = rest
-                return (lambda env: plus(zero, times(first(env), g(env)))), _SC
-
-            def run(env):
-                acc = first(env)
-                for g in rest:
-                    acc = plus(zero, times(acc, g(env)))
-                return acc
-            return run, _SC
-        steps = [(op or (lambda a, b: plus(zero, times(a, b))), g)
-                 for op, g in zip(ops, rest)]
-        if len(steps) == 1:
-            ((op, g),) = steps
-            return (lambda env: op(first(env), g(env))), shape
-
-        def run(env):
-            acc = first(env)
-            for op, g in steps:
-                acc = op(acc, g(env))
-            return acc
-        return run, shape
+        raise MatforError(f"cannot evaluate node {cls.__name__}")
 
     def _loop(self, e, n, start, body, fold=None):
         """A ``for`` loop (`start` is its initial accumulator) or, with
