@@ -168,6 +168,8 @@ def _raising(exc):
 
 
 def _memoised(cache, raw, number, fv, scope):
+    """`raw` behind a memo entry keyed by `number` and the values of the
+    free variables `fv`, whose shapes `scope` gives."""
     bare = [scope.get(name) == _SC for name in fv]
     if len(fv) > 1 and not any(bare) and all(name in scope for name in fv):
         get = itemgetter(*fv)
