@@ -18,6 +18,13 @@ binders (desugaring, translations) annotate them inline via ``var_sym`` /
 prefer the annotation when present.  Annotations, like source spans, are
 internal metadata - but unlike spans they affect typing, so they take part
 in structural equality.
+
+Every pass defined by structural recursion (typing, desugaring, printing,
+substitution, the relational translations, the evaluator's build) runs on
+`drive`: the pass is a generator that yields each child where the recursive
+version would call itself and is sent back the child's result, and `drive`
+keeps the pending nodes on a list.  So no pass needs Python stack in
+proportion to the depth of its input; a deep ``V + ... + V`` costs heap.
 """
 
 from __future__ import annotations
@@ -337,39 +344,67 @@ def bound_names(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
+def drive(root, env, rule):
+    """The result of the pass `rule` at `root`, computed without recursion.
+
+    `rule(node, env)` is a generator.  Where a recursive pass would call
+    itself on a child, it yields ``(child, child_env)`` and is sent the
+    child's result; it returns its own node's result.  Pending nodes wait
+    on a list, so the depth of the tree costs heap, not Python stack.
+    """
+    stack = [rule(root, env)]
+    reply = None
+    while True:
+        try:
+            child, child_env = stack[-1].send(reply)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            reply = stop.value
+        else:
+            stack.append(rule(child, child_env))
+            reply = None
+
+
+def rebuilt(e, env, body_env):
+    """For a `drive` rule: `e` rebuilt, spans aside, from the results of its
+    children, a loop's body visited under `body_env` and every other child
+    under `env`.  A leaf is returned as it is."""
+    kids = list(children(e))
+    body = len(kids) - 1 if isinstance(e, (For, Sum, Prod, Hadamard)) else -1
+    for i, c in enumerate(kids):
+        kids[i] = yield c, body_env if i == body else env
+    cls = e.__class__
+    if cls is For:
+        init = kids[0] if e.init is not None else None
+        return For(e.var, e.acc, kids[-1], init, e.var_sym, e.acc_type)
+    if cls is Sum or cls is Prod or cls is Hadamard:
+        return cls(e.var, kids[0], e.var_sym)
+    if cls is Apply:
+        return Apply(e.func, tuple(kids))
+    return cls(*kids) if kids else e
+
+
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """Replace free occurrences of variables by expressions.
 
     The caller must ensure no replacement gets captured by a binder in `e`
     (all internal binder-generating passes use globally fresh names).
     """
+    return drive(e, mapping, _substitute)
+
+
+def _substitute(e, mapping):
     if not mapping:
         return e
-    if isinstance(e, Var):
+    if e.__class__ is Var:
         return mapping.get(e.name, e)
-    if isinstance(e, For):
-        inner = {k: v for k, v in mapping.items() if k not in (e.var, e.acc)}
-        init = substitute(e.init, mapping) if e.init is not None else None
-        return For(e.var, e.acc, substitute(e.body, inner), init,
-                   e.var_sym, e.acc_type)
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        inner = {k: v for k, v in mapping.items() if k != e.var}
-        return type(e)(e.var, substitute(e.body, inner), e.var_sym)
-    if isinstance(e, Transpose):
-        return Transpose(substitute(e.arg, mapping))
-    if isinstance(e, Ones):
-        return Ones(substitute(e.arg, mapping))
-    if isinstance(e, Diag):
-        return Diag(substitute(e.arg, mapping))
-    if isinstance(e, MatMul):
-        return MatMul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Add):
-        return Add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, ScalarMul):
-        return ScalarMul(substitute(e.scalar, mapping), substitute(e.arg, mapping))
-    if isinstance(e, Apply):
-        return Apply(e.func, tuple(substitute(a, mapping) for a in e.args))
-    return e
+    inner = mapping
+    if isinstance(e, (For, Sum, Prod, Hadamard)):
+        bound = (e.var, e.acc) if e.__class__ is For else (e.var,)
+        inner = {k: v for k, v in mapping.items() if k not in bound}
+    return (yield from rebuilt(e, mapping, inner))
 
 
 def walk(e: Expr):

@@ -40,7 +40,7 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, substitute)
+                  Schema, Sum, Transpose, UNIT, Var, drive, substitute)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
@@ -51,7 +51,7 @@ from .relalg import (Join, KRelation, Project, RAExpr, Rel, Rename, Select,
                      Union, make_tuple)
 from .semiring import Semiring
 from .sugar import desugar
-from .typecheck import type_in_env
+from .typecheck import iterator_type, type_in_env
 
 MAT_SYM = "alpha"
 
@@ -159,13 +159,14 @@ class _Phi:
             sig = sig | {attr}
         return q, sig
 
-    def translate(self, e, types, env, itersyms):
-        """Returns (relational expr, signature).
+    def translate(self, e, scope):
+        """A `drive` rule returning (relational expr, signature).
 
-        `env` maps bound iterator names to attributes, `itersyms` attributes
-        back to their size symbols.
+        `scope` is ``(types, env, itersyms)``: `types` gives the type of
+        every name in scope, `env` maps bound iterator names to attributes,
+        `itersyms` attributes back to their size symbols.
         """
-        t = type_in_env(e, types)
+        types, env, itersyms = scope
 
         if isinstance(e, Var):
             if e.name in env:
@@ -176,11 +177,11 @@ class _Phi:
                            Join(self.dom_join(ra, sym),
                                 self.dom_join(attr, sym)))
                 return q, frozenset({ra, attr})
-            return Rel(rel_name(e.name)), type_attrs(t)
+            return Rel(rel_name(e.name)), type_attrs(types[e.name])
 
         if isinstance(e, Transpose):
             at = type_in_env(e.arg, types)
-            q, sig = self.translate(e.arg, types, env, itersyms)
+            q, sig = yield e.arg, scope
             changes = {}
             if at.rows != UNIT:
                 changes[col_attr(at.rows)] = row_attr(at.rows)
@@ -189,21 +190,21 @@ class _Phi:
             return self.rename_keeping(q, sig, changes)
 
         if isinstance(e, Add):
-            q1, s1 = self.translate(e.left, types, env, itersyms)
-            q2, s2 = self.translate(e.right, types, env, itersyms)
+            q1, s1 = yield e.left, scope
+            q2, s2 = yield e.right, scope
             q1, s1 = self.pad(q1, s1, s2 - s1, itersyms)
             q2, s2 = self.pad(q2, s2, s1 - s2, itersyms)
             return Union(q1, q2), s1
 
         if isinstance(e, ScalarMul):
-            q1, s1 = self.translate(e.scalar, types, env, itersyms)
-            q2, s2 = self.translate(e.arg, types, env, itersyms)
+            q1, s1 = yield e.scalar, scope
+            q2, s2 = yield e.arg, scope
             return Join(q1, q2), s1 | s2
 
         if isinstance(e, MatMul):
             lt = type_in_env(e.left, types)
-            q1, s1 = self.translate(e.left, types, env, itersyms)
-            q2, s2 = self.translate(e.right, types, env, itersyms)
+            q1, s1 = yield e.left, scope
+            q2, s2 = yield e.right, scope
             if lt.cols == UNIT:
                 return Join(q1, q2), s1 | s2
             mid = self.fresh("mid")
@@ -217,7 +218,9 @@ class _Phi:
             if p is None:
                 raise UnsupportedFunction(
                     f"function '{e.func}' has no relational counterpart")
-            parts = [self.translate(a, types, env, itersyms) for a in e.args]
+            parts = []
+            for a in e.args:
+                parts.append((yield a, scope))
             if p[0] == "hprod":
                 q, sig = parts[0]
                 for q2, s2 in parts[1:]:
@@ -235,7 +238,7 @@ class _Phi:
                 raise NotInSumFragment(
                     "only additive loops can be translated")
             body = e.body.right if e.body.left == Var(e.acc) else e.body.left
-            sym = e.var_sym if e.var_sym is not None else types[e.var].rows
+            sym = iterator_type(e, types).rows
             attr = self.fresh("it")
             inner_types = dict(types)
             inner_types[e.var] = MatrixType(sym, UNIT)
@@ -243,7 +246,7 @@ class _Phi:
             inner_env[e.var] = attr
             inner_syms = dict(itersyms)
             inner_syms[attr] = sym
-            q, sig = self.translate(body, inner_types, inner_env, inner_syms)
+            q, sig = yield body, (inner_types, inner_env, inner_syms)
             q, sig = self.pad(q, sig, {attr} - sig, inner_syms)
             out_sig = sig - {attr}
             return Project(out_sig, q), out_sig
@@ -256,7 +259,9 @@ def phi_translate(e: Expr, schema: Schema) -> RAExpr:
     """Translate an additive-fragment expression over `schema` to relational
     algebra over its encoding."""
     core = desugar(e, schema)
-    q, _ = _Phi(schema).translate(core, dict(schema.vars), {}, {})
+    types = dict(schema.vars)
+    type_in_env(core, types)
+    q, _ = drive(core, (types, {}, {}), _Phi(schema).translate)
     return q
 
 
@@ -343,8 +348,9 @@ class _Psi:
         self.counter += 1
         return f"_t{self.counter}"
 
-    def translate(self, q):
-        """Returns (factors, attr -> free iterator-variable name).
+    def translate(self, q, _):
+        """A `drive` rule returning (factors, attr -> free iterator-variable
+        name).
 
         Each factor is a 1x1 expression paired with the iterator names free
         in it; the query's value is the product of the factors.
@@ -368,14 +374,14 @@ class _Psi:
             return [(v, frozenset())], {}
 
         if isinstance(q, Union):
-            lf, lv = self.translate(q.left)
-            rf, rv = self.translate(q.right)
+            lf, lv = yield q.left, None
+            rf, rv = yield q.right, None
             right = renamed(product(rf), renaming(rv, lv))
             return [(Add(product(lf), right), frozenset(lv.values()))], lv
 
         if isinstance(q, Join):
-            lf, lv = self.translate(q.left)
-            rf, rv = self.translate(q.right)
+            lf, lv = yield q.left, None
+            rf, rv = yield q.right, None
             ren = renaming(rv, lv)
             merged = dict(lv)
             for a, name in rv.items():
@@ -386,7 +392,7 @@ class _Psi:
                          for e, ts in rf], merged
 
         if isinstance(q, Project):
-            factors, bv = self.translate(q.arg)
+            factors, bv = yield q.arg, None
             out = dict(bv)
             for attr in sorted(bv.keys() - q.attrs):
                 t = out.pop(attr)
@@ -401,14 +407,14 @@ class _Psi:
             return factors, out
 
         if isinstance(q, Select):
-            factors, bv = self.translate(q.arg)
+            factors, bv = yield q.arg, None
             order = sorted(q.attrs)
             return (factors + [(MatMul(Transpose(Var(bv[a])), Var(bv[b])),
                                 frozenset((bv[a], bv[b])))
                                for a, b in zip(order, order[1:])], bv)
 
         if isinstance(q, Rename):
-            factors, bv = self.translate(q.arg)
+            factors, bv = yield q.arg, None
             return factors, {new: bv[old] for new, old in q.mapping}
 
         raise TypeError(f"not a relational expression: {q!r}")
@@ -441,7 +447,7 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
     if len(sig) > 2:
         raise OutputArityTooLarge(
             f"query signature {sorted(sig)} has arity {len(sig)} > 2")
-    factors, attr_vars = _Psi(relschema).translate(q)
+    factors, attr_vars = drive(q, None, _Psi(relschema).translate)
     order = sorted(sig)
     if len(order) == 2:
         va, vb = attr_vars[order[0]], attr_vars[order[1]]

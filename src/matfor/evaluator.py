@@ -8,10 +8,10 @@ evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 ``hprod`` with the entrywise product.
 
 Evaluation is staged: `evaluate` builds one closure per DAG node, then runs
-the root's.  The build walks the DAG with an explicit stack, so it never
-recurses, and hands each node the shapes of the names in scope: instance
-matrices, iterators (n x 1) and accumulators (from the initialiser, the
-annotation or the schema).  A closure serves every occurrence of a value
+the root's.  The build runs on `ast.drive`, so it never recurses, and it
+hands each node the shapes of the names in scope: instance matrices,
+iterators (n x 1) and accumulators (from the initialiser, the annotation
+or the schema).  A closure serves every occurrence of a value
 number under the same free-variable shapes; a node shared under binders of
 different sizes gets one per size.  A left-deep ``+`` or ``*`` spine, up to
 a memoised node, is one closure that folds its operands from left to
@@ -277,35 +277,25 @@ class _Ctx:
 
     def build(self, root, shapes):
         """The closure and shape of `root`, given the shapes of the names in
-        scope.  Each node's builder is a generator that yields a child and
-        its scope and is sent back the child's closure and shape; an error
-        it raises is raised again when its node runs."""
+        scope.  `_node` runs once per value number and free-variable
+        shapes, behind the memo where `_memo_numbers` puts it; an error it
+        raises is raised again when its node runs."""
         done = {}
-        frames = [(self._node(root, shapes), root, shapes, None)]
-        reply = None
-        while True:
-            gen, node, scope, key = frames[-1]
-            try:
-                child, child_scope = gen.send(reply)
-            except StopIteration as stop:
-                run, shape = stop.value
-            except MatforError as exc:
-                run, shape = _raising(exc), None
-            else:
-                number, fv = self.nodes[id(child)]
-                key = (number, *map(child_scope.get, fv))
-                reply = done.get(key)
-                if reply is None:
-                    frames.append((self._node(child, child_scope), child,
-                                   child_scope, key))
-                continue
-            frames.pop()
+
+        def cached(node, scope):
             number, fv = self.nodes[id(node)]
-            if number in self.memo and node.__class__ is not Var:
-                run = _memoised(self.cache, run, number, fv, scope)
-            reply = done[key] = run, shape
-            if not frames:
-                return reply
+            key = (number, *map(scope.get, fv))
+            got = done.get(key)
+            if got is None:
+                try:
+                    run, shape = yield from self._node(node, scope)
+                except MatforError as exc:
+                    run, shape = _raising(exc), None
+                if number in self.memo and node.__class__ is not Var:
+                    run = _memoised(self.cache, run, number, fv, scope)
+                got = done[key] = run, shape
+            return got
+        return ast.drive(root, shapes, cached)
 
     def _node(self, e, shapes):
         sr = self.sr

@@ -35,6 +35,11 @@ class Instance:
 
     def __post_init__(self):
         self.dims.setdefault(UNIT, 1)
+        for sym, n in self.dims.items():
+            if n < 1:
+                raise ShapeError(
+                    f"size symbol '{sym}' has dimension {n}; dimensions "
+                    f"must be >= 1")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul, Ones,
-                  OrderPrim, Prod, ScalarMul, Sum, Transpose, Var)
+                  OrderPrim, Prod, ScalarMul, Sum, Transpose, Var, drive)
 
 _BINDER, _ADD, _SCAL, _MUL, _POST, _ATOM = range(6)
 
@@ -25,7 +25,7 @@ def _literal(value) -> str:
 
 
 def pretty(e: Expr) -> str:
-    return _pp(e, _BINDER)
+    return drive(e, _BINDER, _pp)
 
 
 def _pp(e, min_level):
@@ -36,30 +36,33 @@ def _pp(e, min_level):
     if isinstance(e, OrderPrim):
         return f"{e.kind.value}[{e.sym}]"
     if isinstance(e, Apply):
-        return f"{e.func}({', '.join(_pp(a, _BINDER) for a in e.args)})"
+        args = []
+        for a in e.args:
+            args.append((yield a, _BINDER))
+        return f"{e.func}({', '.join(args)})"
     if isinstance(e, Ones):
-        return f"ones({_pp(e.arg, _BINDER)})"
+        return f"ones({(yield e.arg, _BINDER)})"
     if isinstance(e, Diag):
-        return f"diag({_pp(e.arg, _BINDER)})"
+        return f"diag({(yield e.arg, _BINDER)})"
     if isinstance(e, Transpose):
-        return _wrap(f"{_pp(e.arg, _POST)}^T", _POST, min_level)
+        return _wrap(f"{(yield e.arg, _POST)}^T", _POST, min_level)
     if isinstance(e, MatMul):
-        s = f"{_pp(e.left, _MUL)} * {_pp(e.right, _MUL + 1)}"
+        s = f"{(yield e.left, _MUL)} * {(yield e.right, _MUL + 1)}"
         return _wrap(s, _MUL, min_level)
     if isinstance(e, ScalarMul):
-        s = f"{_pp(e.scalar, _SCAL)} .* {_pp(e.arg, _SCAL + 1)}"
+        s = f"{(yield e.scalar, _SCAL)} .* {(yield e.arg, _SCAL + 1)}"
         return _wrap(s, _SCAL, min_level)
     if isinstance(e, Add):
-        s = f"{_pp(e.left, _ADD)} + {_pp(e.right, _ADD + 1)}"
+        s = f"{(yield e.left, _ADD)} + {(yield e.right, _ADD + 1)}"
         return _wrap(s, _ADD, min_level)
     if isinstance(e, For):
         head = f"for {e.var}, {e.acc}"
         if e.init is not None:
-            head += f" = {_pp(e.init, _ADD)}"
-        return _wrap(f"{head} . {_pp(e.body, _BINDER)}", _BINDER, min_level)
+            head += f" = {(yield e.init, _ADD)}"
+        return _wrap(f"{head} . {(yield e.body, _BINDER)}", _BINDER, min_level)
     if isinstance(e, (Sum, Prod, Hadamard)):
         kw = {Sum: "sum", Prod: "prod", Hadamard: "hprod"}[type(e)]
-        return _wrap(f"{kw} {e.var} . {_pp(e.body, _BINDER)}",
+        return _wrap(f"{kw} {e.var} . {(yield e.body, _BINDER)}",
                      _BINDER, min_level)
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .ast import drive
 from .errors import (FormatError, ParseError, SignatureViolation,
                      UnknownRelation)
 from .semiring import REAL, Semiring, by_name
@@ -138,26 +139,30 @@ class Join(RAExpr):
 
 def signature_of(q: RAExpr, relschema: dict[str, frozenset[str]]) -> frozenset[str]:
     """Signature of the expression, validating the arity rules on the way."""
+    return drive(q, relschema, _signature)
+
+
+def _signature(q, relschema):
     if isinstance(q, Rel):
         if q.name not in relschema:
             raise UnknownRelation(f"unknown relation '{q.name}'")
         return frozenset(relschema[q.name])
     if isinstance(q, Union):
-        ls = signature_of(q.left, relschema)
-        rs = signature_of(q.right, relschema)
+        ls = yield q.left, relschema
+        rs = yield q.right, relschema
         if ls != rs:
             raise SignatureViolation(
                 f"union operands must share a signature: "
                 f"{sorted(ls)} vs {sorted(rs)}")
         return ls
     if isinstance(q, (Project, Select)):
-        s = signature_of(q.arg, relschema)
+        s = yield q.arg, relschema
         if not q.attrs <= s:
             raise SignatureViolation(
                 f"attributes {sorted(q.attrs - s)} not in operand signature")
         return q.attrs if isinstance(q, Project) else s
     if isinstance(q, Rename):
-        s = signature_of(q.arg, relschema)
+        s = yield q.arg, relschema
         mapping = dict(q.mapping)
         old = set(mapping.values())
         if len(old) != len(mapping) or old != set(s):
@@ -165,8 +170,7 @@ def signature_of(q: RAExpr, relschema: dict[str, frozenset[str]]) -> frozenset[s
                 "rename must be a bijection onto the operand signature")
         return frozenset(mapping)
     if isinstance(q, Join):
-        return (signature_of(q.left, relschema)
-                | signature_of(q.right, relschema))
+        return (yield q.left, relschema) | (yield q.right, relschema)
     raise TypeError(f"not a relational expression: {q!r}")
 
 
@@ -174,7 +178,7 @@ def eval_ra(q: RAExpr, inst: dict[str, KRelation], sr: Semiring) -> KRelation:
     """Evaluate over an instance; output support never stores zero."""
     relschema = {name: rel.signature for name, rel in inst.items()}
     signature_of(q, relschema)
-    return _eval(q, inst, sr)
+    return drive(q, None, lambda node, _: _eval(node, inst, sr))
 
 
 def _eval(q, inst, sr):
@@ -182,19 +186,19 @@ def _eval(q, inst, sr):
         return inst[q.name]
 
     if isinstance(q, Union):
-        left = _eval(q.left, inst, sr)
-        right = _eval(q.right, inst, sr)
+        left = yield q.left, None
+        right = yield q.right, None
         items = list(left.support.items()) + list(right.support.items())
         return KRelation.build(left.signature, items, sr)
 
     if isinstance(q, Project):
-        rel = _eval(q.arg, inst, sr)
+        rel = yield q.arg, None
         items = [(tuple_restrict(t, q.attrs), v)
                  for t, v in rel.support.items()]
         return KRelation.build(q.attrs, items, sr)
 
     if isinstance(q, Select):
-        rel = _eval(q.arg, inst, sr)
+        rel = yield q.arg, None
         items = []
         for t, v in rel.support.items():
             picked = {val for a, val in t if a in q.attrs}
@@ -203,7 +207,7 @@ def _eval(q, inst, sr):
         return KRelation.build(rel.signature, items, sr)
 
     if isinstance(q, Rename):
-        rel = _eval(q.arg, inst, sr)
+        rel = yield q.arg, None
         mapping = dict(q.mapping)
         items = []
         for t, v in rel.support.items():
@@ -213,8 +217,8 @@ def _eval(q, inst, sr):
         return KRelation.build(frozenset(mapping), items, sr)
 
     if isinstance(q, Join):
-        left = _eval(q.left, inst, sr)
-        right = _eval(q.right, inst, sr)
+        left = yield q.left, None
+        right = yield q.right, None
         shared = left.signature & right.signature
         buckets: dict[Tuple_, list] = {}
         for t, v in right.support.items():
@@ -342,19 +346,22 @@ def parse_ra(text: str) -> RAExpr:
 
 
 def format_ra(q: RAExpr) -> str:
+    return drive(q, None, _format)
+
+
+def _format(q, _):
     if isinstance(q, Rel):
         return f"rel {q.name}"
     if isinstance(q, Union):
-        return f"union({format_ra(q.left)}, {format_ra(q.right)})"
+        return f"union({(yield q.left, None)}, {(yield q.right, None)})"
     if isinstance(q, Join):
-        return f"join({format_ra(q.left)}, {format_ra(q.right)})"
-    if isinstance(q, Project):
-        return f"project[{', '.join(sorted(q.attrs))}]({format_ra(q.arg)})"
-    if isinstance(q, Select):
-        return f"select[{', '.join(sorted(q.attrs))}]({format_ra(q.arg)})"
+        return f"join({(yield q.left, None)}, {(yield q.right, None)})"
+    if isinstance(q, (Project, Select)):
+        op = "project" if isinstance(q, Project) else "select"
+        return f"{op}[{', '.join(sorted(q.attrs))}]({(yield q.arg, None)})"
     if isinstance(q, Rename):
         pairs = ", ".join(f"{new}->{old}" for new, old in q.mapping)
-        return f"rename[{pairs}]({format_ra(q.arg)})"
+        return f"rename[{pairs}]({(yield q.arg, None)})"
     raise TypeError(f"not a relational expression: {q!r}")
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from . import ast
 from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
-                  Ones, OrderPrim, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
-from .errors import UnboundVariable
-from .typecheck import type_in_env
+                  Ones, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
+from .errors import ArityMismatch
+from .typecheck import binder_types, type_in_env
 
 
 class _Fresh:
@@ -42,14 +42,6 @@ class _Fresh:
             if cand not in self.taken:
                 self.taken.add(cand)
                 return cand
-
-
-def _binder_type(node, env):
-    if node.var_sym is not None:
-        return MatrixType(node.var_sym, UNIT)
-    if node.var in env:
-        return env[node.var]
-    raise UnboundVariable(node.var)
 
 
 def _ones_col(sym, fresh):
@@ -83,45 +75,14 @@ def allones_template(t, fresh):
 def desugar(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
     """Lower all sugar nodes; the result contains only core constructs."""
     fresh = _Fresh(e, schema)
-    return _desugar(e, dict(schema.vars), fresh)
+    return ast.drive(e, dict(schema.vars),
+                     lambda node, env: _desugar(node, env, fresh))
 
 
 def _desugar(e, env, fresh):
-    if isinstance(e, (Var, Const, OrderPrim)):
-        return e
-
-    if isinstance(e, Transpose):
-        return Transpose(_desugar(e.arg, env, fresh))
-    if isinstance(e, MatMul):
-        return MatMul(_desugar(e.left, env, fresh), _desugar(e.right, env, fresh))
-    if isinstance(e, Add):
-        return Add(_desugar(e.left, env, fresh), _desugar(e.right, env, fresh))
-    if isinstance(e, ScalarMul):
-        return ScalarMul(_desugar(e.scalar, env, fresh),
-                         _desugar(e.arg, env, fresh))
-    if isinstance(e, Apply):
-        return Apply(e.func, tuple(_desugar(a, env, fresh) for a in e.args))
-
-    if isinstance(e, For):
-        vt = _binder_type(e, env)
-        if e.acc_type is not None:
-            acc_t = e.acc_type
-        elif e.acc in env:
-            acc_t = env[e.acc]
-        else:
-            raise UnboundVariable(e.acc)
-        init = _desugar(e.init, env, fresh) if e.init is not None else None
-        inner = dict(env)
-        inner[e.var] = vt
-        inner[e.acc] = acc_t
-        return For(e.var, e.acc, _desugar(e.body, inner, fresh), init,
-                   e.var_sym, e.acc_type)
-
     if isinstance(e, (Sum, Prod, Hadamard)):
-        vt = _binder_type(e, env)
-        inner = dict(env)
-        inner[e.var] = vt
-        body = _desugar(e.body, inner, fresh)
+        inner = binder_types(e, env)
+        body = yield e.body, inner
         body_t = type_in_env(body, inner)
         acc = fresh.name("acc")
         if isinstance(e, Sum):
@@ -140,7 +101,7 @@ def _desugar(e, env, fresh):
         return _ones_col(t.rows, fresh)
 
     if isinstance(e, Diag):
-        arg = _desugar(e.arg, env, fresh)
+        arg = yield e.arg, env
         t = type_in_env(e.arg, env)
         if t.rows == UNIT:
             return arg
@@ -149,56 +110,28 @@ def _desugar(e, env, fresh):
                                      MatMul(Var(v), Transpose(Var(v)))))
         return For(v, x, body, var_sym=t.rows, acc_type=MatrixType(t.rows, t.rows))
 
-    raise TypeError(f"not an expression node: {e!r}")
+    inner = binder_types(e, env) if isinstance(e, For) else env
+    return (yield from ast.rebuilt(e, env, inner))
 
 
 def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
     """Rewrite non-scalar pointwise applications to the double-sum form."""
     fresh = _Fresh(e, schema)
-    return _reduce(e, dict(schema.vars), fresh)
+    return ast.drive(e, dict(schema.vars),
+                     lambda node, env: _reduce(node, env, fresh))
 
 
 def _reduce(e, env, fresh):
-    if isinstance(e, (Var, Const, OrderPrim)):
-        return e
-    if isinstance(e, Transpose):
-        return Transpose(_reduce(e.arg, env, fresh))
-    if isinstance(e, Ones):
-        return Ones(_reduce(e.arg, env, fresh))
-    if isinstance(e, Diag):
-        return Diag(_reduce(e.arg, env, fresh))
-    if isinstance(e, MatMul):
-        return MatMul(_reduce(e.left, env, fresh), _reduce(e.right, env, fresh))
-    if isinstance(e, Add):
-        return Add(_reduce(e.left, env, fresh), _reduce(e.right, env, fresh))
-    if isinstance(e, ScalarMul):
-        return ScalarMul(_reduce(e.scalar, env, fresh), _reduce(e.arg, env, fresh))
-
-    if isinstance(e, For):
-        vt = _binder_type(e, env)
-        acc_t = e.acc_type if e.acc_type is not None else env.get(e.acc)
-        if acc_t is None:
-            raise UnboundVariable(e.acc)
-        init = _reduce(e.init, env, fresh) if e.init is not None else None
-        inner = dict(env)
-        inner[e.var] = vt
-        inner[e.acc] = acc_t
-        return For(e.var, e.acc, _reduce(e.body, inner, fresh), init,
-                   e.var_sym, e.acc_type)
-
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        inner = dict(env)
-        inner[e.var] = _binder_type(e, env)
-        return type(e)(e.var, _reduce(e.body, inner, fresh), e.var_sym)
-
-    if isinstance(e, Apply):
-        args = tuple(_reduce(a, env, fresh) for a in e.args)
-        t = type_in_env(e.args[0], env)
-        if t.is_scalar:
-            return Apply(e.func, args)
-        return _scalarised_apply(e.func, args, t, fresh)
-
-    raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(e, Apply) and not e.args:
+        raise ArityMismatch(f"function '{e.func}' applied to no arguments")
+    loop = isinstance(e, (For, Sum, Prod, Hadamard))
+    out = yield from ast.rebuilt(e, env, binder_types(e, env) if loop else env)
+    if not isinstance(e, Apply):
+        return out
+    t = type_in_env(e.args[0], env)
+    if t.is_scalar:
+        return out
+    return _scalarised_apply(e.func, out.args, t, fresh)
 
 
 def _scalarised_apply(func, args, t, fresh):

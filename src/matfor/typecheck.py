@@ -19,25 +19,46 @@ from .functions import builtin_arity
 
 def typecheck(e: ast.Expr, schema: ast.Schema) -> MatrixType:
     """Return the unique type of `e`, or raise a TypeCheckError subclass."""
-    return _check(e, dict(schema.vars))
+    return ast.drive(e, dict(schema.vars), _check)
 
 
 def type_in_env(e: ast.Expr, env: dict[str, MatrixType]) -> MatrixType:
     """Type of `e` under an explicit variable-type environment."""
-    return _check(e, env)
+    return ast.drive(e, env, _check)
 
 
-def _iterator_type(e, name, env):
-    if getattr(e, "var_sym", None) is not None:
-        t = MatrixType(e.var_sym, UNIT)
-    elif name in env:
-        t = env[name]
-    else:
-        raise UnboundVariable(name)
+def iterator_type(loop, env) -> MatrixType:
+    """Type of the iterator of a loop or quantifier: from its ``var_sym``
+    annotation if it has one, else from `env`."""
+    if loop.var_sym is not None:
+        return MatrixType(loop.var_sym, UNIT)
+    if loop.var in env:
+        return env[loop.var]
+    raise UnboundVariable(loop.var)
+
+
+def binder_types(loop, env) -> dict[str, MatrixType]:
+    """The environment of the body of a loop or quantifier: `env` with its
+    iterator and, for a ``for`` loop, its accumulator bound to their types.
+    Each type comes from the loop's annotation if it has one, else from
+    `env`; the iterator is looked up first."""
+    inner = {**env, loop.var: iterator_type(loop, env)}
+    if isinstance(loop, For):
+        if loop.acc_type is not None:
+            inner[loop.acc] = loop.acc_type
+        elif loop.acc in env:
+            inner[loop.acc] = env[loop.acc]
+        else:
+            raise UnboundVariable(loop.acc)
+    return inner
+
+
+def _vector_iterator_type(loop, env):
+    t = iterator_type(loop, env)
     if t.cols != UNIT or t.rows == UNIT:
         raise IteratorNotVector(
-            f"loop iterator '{name}' must have type (gamma, 1) with gamma != 1, "
-            f"got {t}")
+            f"loop iterator '{loop.var}' must have type (gamma, 1) with "
+            f"gamma != 1, got {t}")
     return t
 
 
@@ -51,11 +72,11 @@ def _check(e, env):
         return ast.SCALAR
 
     if isinstance(e, Transpose):
-        return _check(e.arg, env).transposed()
+        return (yield e.arg, env).transposed()
 
     if isinstance(e, MatMul):
-        lt = _check(e.left, env)
-        rt = _check(e.right, env)
+        lt = yield e.left, env
+        rt = yield e.right, env
         if lt.cols != rt.rows:
             raise TypeMismatch(
                 f"matrix product needs matching inner symbols: {lt} vs {rt}",
@@ -63,19 +84,19 @@ def _check(e, env):
         return MatrixType(lt.rows, rt.cols)
 
     if isinstance(e, Add):
-        lt = _check(e.left, env)
-        rt = _check(e.right, env)
+        lt = yield e.left, env
+        rt = yield e.right, env
         if lt != rt:
             raise TypeMismatch(f"addition needs equal types: {lt} vs {rt}",
                                lt, rt)
         return lt
 
     if isinstance(e, ScalarMul):
-        st = _check(e.scalar, env)
+        st = yield e.scalar, env
         if not st.is_scalar:
             raise TypeMismatch(
                 f"scalar product needs a (1, 1) left operand, got {st}", st)
-        return _check(e.arg, env)
+        return (yield e.arg, env)
 
     if isinstance(e, Apply):
         if not e.args:
@@ -85,9 +106,9 @@ def _check(e, env):
             raise ArityMismatch(
                 f"function '{e.func}' expects {arity} arguments, "
                 f"got {len(e.args)}")
-        t0 = _check(e.args[0], env)
+        t0 = yield e.args[0], env
         for a in e.args[1:]:
-            t = _check(a, env)
+            t = yield a, env
             if t != t0:
                 raise TypeMismatch(
                     f"pointwise application needs one common argument type: "
@@ -95,23 +116,16 @@ def _check(e, env):
         return t0
 
     if isinstance(e, For):
-        _iterator_type(e, e.var, env)
-        if e.acc_type is not None:
-            acc_t = e.acc_type
-        elif e.acc in env:
-            acc_t = env[e.acc]
-        else:
-            raise UnboundVariable(e.acc)
+        _vector_iterator_type(e, env)
+        inner = binder_types(e, env)
+        acc_t = inner[e.acc]
         if e.init is not None:
-            it = _check(e.init, env)
+            it = yield e.init, env
             if it != acc_t:
                 raise TypeMismatch(
                     f"loop initialiser type {it} differs from accumulator "
                     f"type {acc_t}", it, acc_t)
-        inner = dict(env)
-        inner[e.var] = _iterator_type(e, e.var, env)
-        inner[e.acc] = acc_t
-        bt = _check(e.body, inner)
+        bt = yield e.body, inner
         if bt != acc_t:
             raise TypeMismatch(
                 f"loop body type {bt} differs from accumulator type {acc_t}",
@@ -119,21 +133,18 @@ def _check(e, env):
         return acc_t
 
     if isinstance(e, (Sum, Prod, Hadamard)):
-        vt = _iterator_type(e, e.var, env)
-        inner = dict(env)
-        inner[e.var] = vt
-        bt = _check(e.body, inner)
+        bt = yield e.body, {**env, e.var: _vector_iterator_type(e, env)}
         if isinstance(e, Prod) and bt.rows != bt.cols:
             raise TypeMismatch(
                 f"prod quantifier needs a square or scalar body, got {bt}", bt)
         return bt
 
     if isinstance(e, Ones):
-        t = _check(e.arg, env)
+        t = yield e.arg, env
         return MatrixType(t.rows, UNIT)
 
     if isinstance(e, Diag):
-        t = _check(e.arg, env)
+        t = yield e.arg, env
         if t.cols != UNIT:
             raise TypeMismatch(
                 f"diag needs a column vector argument, got {t}", t)

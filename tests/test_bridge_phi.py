@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matfor.ast import MatrixType, Schema
+from matfor.ast import Add, For, MatrixType, Schema, Var
 from matfor.bridge import (col_attr, phi_translate, rel_encode, row_attr)
 from matfor.errors import NotInSumFragment, UnsupportedFunction
 from matfor.evaluator import evaluate
@@ -147,3 +147,23 @@ def test_names_outside_the_pointwise_families_are_rejected(src):
     # the evaluator rejects these names, so the translation must too
     with pytest.raises(UnsupportedFunction):
         phi_translate(parse_expr(src), SCHEMA)
+
+
+
+
+def test_an_accumulator_typed_by_the_enclosing_loop_translates():
+    # the inner loop's accumulator X is typed by the outer loop's
+    # annotation; the value is alpha * alpha copies of V
+    t = MatrixType("alpha", "beta")
+    inner = For("u", "X", Add(Var("X"), Var("V")))
+    e = For("u", "X", Add(Var("X"), inner), acc_type=t)
+    assert typecheck(e, SCHEMA) == t
+    inst = rand_instance(random.Random(5), SCHEMA, NAT)
+    _, rels = rel_encode(SCHEMA, inst, NAT)
+    out = eval_ra(phi_translate(e, SCHEMA), rels, NAT)
+    n, v = inst.dims["alpha"], inst.mats["V"]
+    for i in range(v.rows):
+        for j in range(v.cols):
+            point = make_tuple({row_attr("alpha"): i + 1,
+                                col_attr("beta"): j + 1})
+            assert out.value(point, NAT) == n * n * v.get(i, j)

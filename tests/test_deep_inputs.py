@@ -1,0 +1,93 @@
+"""Deep expressions through every pass that walks a tree.
+
+A 5,000-term ``V + ... + V`` nests 5,000 deep either way round, well past
+Python's default recursion limit, so each pass must keep its pending nodes
+off the Python stack.
+"""
+
+import pytest
+
+from matfor.ast import Add, MatrixType, Schema, Var, substitute
+from matfor.bridge import (phi_translate, psi_translate, rel_encode,
+                           rel_schema_of)
+from matfor.cli import main
+from matfor.instance import Instance
+from matfor.matrix import from_rows
+from matfor.printer import pretty
+from matfor.relalg import eval_ra, format_ra, make_tuple
+from matfor.semiring import NAT
+from matfor.sugar import desugar, reduce_apply_to_scalars
+from matfor.typecheck import typecheck
+
+TERMS = 5000
+SCHEMA = Schema({"V": MatrixType("alpha", "beta"),
+                 "W": MatrixType("alpha", "beta")})
+TEXT = " + ".join(["V"] * TERMS)
+
+
+def _sum(left_deep):
+    e = Var("V")
+    for _ in range(TERMS - 1):
+        e = Add(e, Var("V")) if left_deep else Add(Var("V"), e)
+    return e
+
+
+# the printed forms, with the parentheses a right-deep sum needs
+PRINTED = {True: TEXT,
+           False: "V + (" * (TERMS - 2) + "V + V" + ")" * (TERMS - 2)}
+
+
+@pytest.fixture(scope="module", params=[True, False],
+                ids=["left-deep", "right-deep"])
+def deep(request):
+    return _sum(request.param), PRINTED[request.param]
+
+
+def test_pretty(deep):
+    e, text = deep
+    assert pretty(e) == text
+
+
+def test_typecheck(deep):
+    assert typecheck(deep[0], SCHEMA) == MatrixType("alpha", "beta")
+
+
+@pytest.mark.parametrize("lower", [desugar, reduce_apply_to_scalars])
+def test_lowering_passes_leave_a_core_sum_alone(deep, lower):
+    e, text = deep
+    assert pretty(lower(e, SCHEMA)) == text
+
+
+def test_substitute(deep):
+    e, text = deep
+    assert pretty(substitute(e, {"V": Var("W")})) == text.replace("V", "W")
+
+
+def test_phi_translation_formats_and_evaluates(deep):
+    q = phi_translate(deep[0], SCHEMA)
+    assert format_ra(q).count("rel R_V") == TERMS
+    inst = Instance({"alpha": 2, "beta": 2},
+                    {"V": from_rows([[1, 0], [2, 3]]),
+                     "W": from_rows([[0, 0], [0, 0]])})
+    _, rels = rel_encode(SCHEMA, inst, NAT)
+    out = eval_ra(q, rels, NAT)
+    assert out.support == {
+        make_tuple({"row_alpha": i + 1, "col_beta": j + 1}): TERMS * v
+        for i, row in enumerate([[1, 0], [2, 3]])
+        for j, v in enumerate(row) if v}
+
+
+def test_psi_translates_the_left_deep_union():
+    q = phi_translate(_sum(True), SCHEMA)
+    e = psi_translate(q, rel_schema_of(SCHEMA))
+    assert pretty(e).count("V_R_V") == TERMS
+
+
+@pytest.mark.parametrize("command", ["check", "to-ra"])
+def test_cli_accepts_a_long_sum(tmp_path, capsys, command):
+    schema = tmp_path / "s.schema"
+    schema.write_text("var V : alpha x beta\n")
+    assert main([command, "-e", TEXT, "--schema", str(schema)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == 1

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from matfor.errors import FormatError
-from matfor.instance import parse_instance
+from matfor.ast import MatrixType, Schema, Sum, UNIT, Var
+from matfor.circuit_compile import compile_expr
+from matfor.errors import FormatError, ShapeError
+from matfor.instance import Instance, parse_instance
 from matfor.matrix import format_matrix, from_rows
 from matfor.semiring import NAT, REAL, TROPICAL
 
@@ -83,3 +85,12 @@ def test_matrix_output_format():
     assert lines[2].startswith("2 0.3333333333333333")
     assert format_matrix(from_rows([[math.inf]]), TROPICAL) == "1 x 1\ninf"
     assert format_matrix(from_rows([[3]]), NAT) == "1 x 1\n3"
+
+
+def test_instance_rejects_a_dimension_below_one():
+    # an empty loop has no first body value to fold from
+    s = Schema({"s": MatrixType(UNIT, UNIT)})
+    with pytest.raises(ShapeError, match="'a' has dimension 0"):
+        Instance({"a": 0}, {"s": from_rows([[1]])})
+    with pytest.raises(ShapeError, match="'a' has dimension 0"):
+        compile_expr(Sum("v", Var("s"), var_sym="a"), s, {"a": 0})

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from matfor.ast import (Add, Apply, For, Hadamard, MatrixType, Ones, Prod,
-                        Sum, Var, walk)
+                        Schema, Sum, Var, walk)
+from matfor.errors import ArityMismatch
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import KMatrix, mat_equal
@@ -95,6 +96,15 @@ def test_reduce_apply_leaves_scalars_alone():
     s = parse_schema("var s : 1 x 1")
     e = parse_expr("gtz(s)")
     assert reduce_apply_to_scalars(e, s) == e
+
+
+def test_reduce_apply_rejects_a_nullary_application():
+    e = Apply("f", ())
+    with pytest.raises(ArityMismatch) as reduced:
+        reduce_apply_to_scalars(e, Schema())
+    with pytest.raises(ArityMismatch) as checked:
+        typecheck(e, Schema())
+    assert str(reduced.value) == str(checked.value)
 
 
 def test_reduce_apply_rewrites_matrix_application():
