@@ -164,7 +164,9 @@ class _Phi:
 
         `scope` is ``(types, env, itersyms)``: `types` gives the type of
         every name in scope, `env` maps bound iterator names to attributes,
-        `itersyms` attributes back to their size symbols.
+        `itersyms` attributes back to their size symbols.  The ``row_`` and
+        ``col_`` attributes of a signature are the non-unit symbols of its
+        node's type, so transposes and products read them from there.
         """
         types, env, itersyms = scope
 
@@ -180,14 +182,10 @@ class _Phi:
             return Rel(rel_name(e.name)), type_attrs(types[e.name])
 
         if isinstance(e, Transpose):
-            at = type_in_env(e.arg, types)
             q, sig = yield e.arg, scope
-            changes = {}
-            if at.rows != UNIT:
-                changes[col_attr(at.rows)] = row_attr(at.rows)
-            if at.cols != UNIT:
-                changes[row_attr(at.cols)] = col_attr(at.cols)
-            return self.rename_keeping(q, sig, changes)
+            swap = {"row_": "col_", "col_": "row_"}
+            return self.rename_keeping(q, sig, {
+                swap[a[:4]] + a[4:]: a for a in sig if a[:4] in swap})
 
         if isinstance(e, Add):
             q1, s1 = yield e.left, scope
@@ -202,14 +200,14 @@ class _Phi:
             return Join(q1, q2), s1 | s2
 
         if isinstance(e, MatMul):
-            lt = type_in_env(e.left, types)
             q1, s1 = yield e.left, scope
             q2, s2 = yield e.right, scope
-            if lt.cols == UNIT:
+            inner = [a[4:] for a in s1 if a.startswith("col_")]
+            if not inner:
                 return Join(q1, q2), s1 | s2
             mid = self.fresh("mid")
-            q1, s1 = self.rename_keeping(q1, s1, {mid: col_attr(lt.cols)})
-            q2, s2 = self.rename_keeping(q2, s2, {mid: row_attr(lt.cols)})
+            q1, s1 = self.rename_keeping(q1, s1, {mid: col_attr(*inner)})
+            q2, s2 = self.rename_keeping(q2, s2, {mid: row_attr(*inner)})
             out_sig = (s1 | s2) - {mid}
             return Project(out_sig, Join(q1, q2)), out_sig
 

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DivisionByZero, FormatError, MissingInput
+from .errors import DivisionByZero, EvalError, FormatError, MissingInput
 
 INPUT, ZERO, ONE, SUM, PROD, DIV = "input", "const0", "const1", "sum", "prod", "div"
 
@@ -57,9 +57,14 @@ class Circuit:
                         f"gate g{i} references g{c}, which does not precede it")
             if g.kind == DIV and len(g.children) != 2:
                 raise FormatError(f"gate g{i}: div needs exactly 2 children")
-        for _, idx in self.outputs:
+            if g.kind in (SUM, PROD) and not g.children:
+                raise FormatError(f"gate g{i}: {g.kind} needs a child")
+        for (r, col), idx in self.outputs:
             if not 0 <= idx < len(self.gates):
                 raise FormatError(f"output references missing gate g{idx}")
+            if r < 1 or col < 1:
+                raise FormatError(
+                    f"output position [{r},{col}] is not 1-based")
 
 
 @dataclass(frozen=True)
@@ -77,34 +82,35 @@ def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object]):
     """Bottom-up evaluation; `inputs` maps (name, row, col) to numbers."""
     vals = [None] * len(c.gates)
     for i, g in enumerate(c.gates):
-        if g.kind == INPUT:
-            try:
+        try:
+            if g.kind == INPUT:
                 vals[i] = inputs[g.ref]
-            except KeyError:
-                name, r, col = g.ref
-                raise MissingInput(
-                    f"no value for input {name}[{r},{col}]") from None
-        elif g.kind == ZERO:
-            vals[i] = 0
-        elif g.kind == ONE:
-            vals[i] = 1
-        elif g.kind == SUM:
-            acc = 0
-            for ch in g.children:
-                acc = acc + vals[ch]
-            vals[i] = acc
-        elif g.kind == PROD:
-            acc = 1
-            for ch in g.children:
-                acc = acc * vals[ch]
-            vals[i] = acc
-        else:
-            num, den = vals[g.children[0]], vals[g.children[1]]
-            try:
-                vals[i] = num / den
-            except ZeroDivisionError:
-                raise DivisionByZero(
-                    f"division by zero at gate g{i}") from None
+            elif g.kind == ZERO:
+                vals[i] = 0
+            elif g.kind == ONE:
+                vals[i] = 1
+            elif g.kind == SUM:
+                acc = 0
+                for ch in g.children:
+                    acc = acc + vals[ch]
+                vals[i] = acc
+            elif g.kind == PROD:
+                acc = 1
+                for ch in g.children:
+                    acc = acc * vals[ch]
+                vals[i] = acc
+            else:
+                vals[i] = vals[g.children[0]] / vals[g.children[1]]
+        except KeyError:
+            name, r, col = g.ref
+            raise MissingInput(
+                f"no value for input {name}[{r},{col}]") from None
+        except ZeroDivisionError:
+            raise DivisionByZero(f"division by zero at gate g{i}") from None
+        except OverflowError:
+            # an int too large for a float met a float or a division
+            raise EvalError(
+                f"value at gate g{i} is out of float range") from None
     return {pos: vals[idx] for pos, idx in c.outputs}
 
 

@@ -205,6 +205,11 @@ def _cmd_circuit_eval(args):
             for j in range(mat.cols):
                 inputs[(name, i + 1, j + 1)] = mat.get(i, j)
     out = eval_circuit(c, inputs)
+    try:
+        # exact ints can outgrow the real carrier the output is printed in
+        out = {pos: float(v) for pos, v in out.items()}
+    except OverflowError:
+        raise EvalError("a circuit output is out of float range") from None
     rows = max((r for r, _ in out), default=0)
     cols = max((cc for _, cc in out), default=0)
     if len(out) == rows * cols:

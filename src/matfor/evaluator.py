@@ -11,11 +11,15 @@ Evaluation is staged: `evaluate` builds one closure per DAG node, then runs
 the root's.  The build runs on `ast.drive`, so it never recurses, and it
 hands each node the shapes of the names in scope: instance matrices,
 iterators (n x 1) and accumulators (from the initialiser, the annotation
-or the schema).  A closure serves every occurrence of a value
-number under the same free-variable shapes; a node shared under binders of
-different sizes gets one per size.  A left-deep ``+`` or ``*`` spine, up to
-a memoised node, is one closure that folds its operands from left to
-right, so its length costs no stack.
+or the schema).  The build gives every node a concrete shape or raises:
+an unbound name, operands whose shapes do not fit (the kernels' own
+`ShapeMismatch`), a loop body whose shape differs from its accumulator's,
+or a missing dimension, literal or function is an error before any kernel
+runs, and carries no loop context.  A closure serves every occurrence of a
+value number under the same free-variable shapes; a node shared under
+binders of different sizes gets one per size.  A left-deep ``+`` or ``*``
+spine, up to a memoised node, is one closure that folds its operands from
+left to right, so its length costs no stack.
 
 A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
 bare carrier value, not a `KMatrix`; with dimension one even the canonical
@@ -23,10 +27,7 @@ vectors are.  Its operations are the kernel's own on 1 x 1 matrices, in the
 kernel's order (``plus(zero, times(a, b))``, ``plus(a, b)``, ``times(s,
 x)``, ``impl(*args)``), so results and compiled circuits are bit-identical
 to the kernels'.  Other nodes call the kernels through this module's
-globals (`mat_mul`, `mat_add`, ...).  A value whose shape the build cannot
-tell (an accumulator that changes shape) stays a `KMatrix`.  An error met
-while building a node (a missing dimension, literal or function) is raised
-when the node runs, so errors keep their order and loop context.
+globals (`mat_mul`, `mat_add`, ...).
 
 Evaluation is pure, so results of a subexpression can be memoised per
 call, keyed by the node's structure and the values currently bound to its
@@ -154,30 +155,17 @@ def _scalar_key(x):
     return (x.__class__, x)
 
 
-def _lifted(f, shape):
-    """The closure `f` of a node of `shape`, returning a `KMatrix`."""
-    if shape != _SC:
-        return f
-    return lambda env: KMatrix(1, 1, (f(env),))
-
-
-def _raising(exc):
-    def run(env):
-        raise exc
-    return run
-
-
 def _memoised(cache, raw, number, fv, scope):
     """`raw` behind a memo entry keyed by `number` and the values of the
     free variables `fv`, whose shapes `scope` gives."""
-    bare = [scope.get(name) == _SC for name in fv]
-    if len(fv) > 1 and not any(bare) and all(name in scope for name in fv):
+    bare = [scope[name] == _SC for name in fv]
+    if len(fv) > 1 and not any(bare):
         get = itemgetter(*fv)
     else:
         parts = list(zip(fv, bare))
 
         def get(env):
-            return tuple([_scalar_key(env.get(name)) if b else env.get(name)
+            return tuple([_scalar_key(env[name]) if b else env[name]
                           for name, b in parts])
 
     def run(env):
@@ -192,20 +180,22 @@ def _memoised(cache, raw, number, fv, scope):
 def _step(cls, sr, left, right):
     """The operation that combines carried values of shapes `left` and
     `right` by `cls` (`Add`, `MatMul` or entrywise `Hadamard`), and the
-    shape of its result."""
+    shape of its result; `ShapeMismatch` if the shapes do not fit."""
     plus, times, zero = sr.plus, sr.times, sr.zero
+    if cls is MatMul:
+        if left[1] != right[0]:
+            raise ShapeMismatch(f"cannot multiply {left} by {right}")
+        out = (left[0], right[1])
+    elif left != right:
+        raise ShapeMismatch(f"cannot add {left} and {right}")
+    else:
+        out = left
     if left == right == _SC:
         if cls is MatMul:
             return (lambda a, b: plus(zero, times(a, b))), _SC
         return (plus if cls is Add else times), _SC
     if cls is Hadamard:
-        return (lambda a, b: mat_map(times, [a, b])), left
-    if left is None or right is None:
-        out = None
-    elif cls is Add:
-        out = left if left == right else None
-    else:
-        out = (left[0], right[1]) if left[1] == right[0] else None
+        return (lambda a, b: mat_map(times, [a, b])), out
     lift_a, lift_b, unwrap = left == _SC, right == _SC, out == _SC
 
     def op(a, b):
@@ -276,10 +266,12 @@ class _Ctx:
         return seq
 
     def build(self, root, shapes):
-        """The closure and shape of `root`, given the shapes of the names in
-        scope.  `_node` runs once per value number and free-variable
-        shapes, behind the memo where `_memo_numbers` puts it; an error it
-        raises is raised again when its node runs."""
+        """The closure and concrete shape of `root`, given the shapes of the
+        names in scope.  `_node` runs once per value number and
+        free-variable shapes, behind the memo where `_memo_numbers` puts
+        it.  A node that cannot be given a shape (an unbound name, operands
+        that do not fit, a missing dimension, literal or function) raises
+        here, before any closure runs."""
         done = {}
 
         def cached(node, scope):
@@ -287,10 +279,7 @@ class _Ctx:
             key = (number, *map(scope.get, fv))
             got = done.get(key)
             if got is None:
-                try:
-                    run, shape = yield from self._node(node, scope)
-                except MatforError as exc:
-                    run, shape = _raising(exc), None
+                run, shape = yield from self._node(node, scope)
                 if number in self.memo and node.__class__ is not Var:
                     run = _memoised(self.cache, run, number, fv, scope)
                 got = done[key] = run, shape
@@ -302,15 +291,9 @@ class _Ctx:
         cls = e.__class__
 
         if cls is Var:
-            name = e.name
-
-            def run(env):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise EvalError(
-                        f"no value bound to variable '{name}'") from None
-            return run, shapes.get(name)
+            if e.name not in shapes:
+                raise EvalError(f"no value bound to variable '{e.name}'")
+            return itemgetter(e.name), shapes[e.name]
 
         if cls is MatMul or cls is Add:
             # a left-deep spine up to a memoised node folds in one closure
@@ -336,27 +319,19 @@ class _Ctx:
         if cls is ScalarMul:
             fs, ss = yield e.scalar, shapes
             fa, sa = yield e.arg, shapes
-            if ss == _SC and sa == _SC:
+            if ss != _SC:
+                raise ShapeMismatch(
+                    f"scalar product needs a 1 x 1 left operand, got {ss}")
+            if sa == _SC:
                 times = sr.times
                 return (lambda env: times(fs(env), fa(env))), _SC
-            if ss == _SC:
-                return (lambda env: mat_scale(fs(env), fa(env), sr)), sa
-            fa = _lifted(fa, sa)
-
-            def run(env):
-                s = fs(env)
-                if s.shape != (1, 1):
-                    raise ShapeMismatch(
-                        f"scalar product needs a 1 x 1 left operand, "
-                        f"got {s.shape}")
-                return mat_scale(s.entries[0], fa(env), sr)
-            return run, None
+            return (lambda env: mat_scale(fs(env), fa(env), sr)), sa
 
         if cls is Transpose:
             f, s = yield e.arg, shapes
             if s == _SC:
                 return f, s
-            return (lambda env: mat_transpose(f(env))), s and (s[1], s[0])
+            return (lambda env: mat_transpose(f(env))), (s[1], s[0])
 
         if cls is Const:
             try:
@@ -377,11 +352,11 @@ class _Ctx:
                 f, s = yield a, shapes
                 fs.append(f)
                 ss.append(s)
+            if any(s != ss[0] for s in ss):
+                raise ShapeMismatch("pointwise application needs equal shapes")
             if all(s == _SC for s in ss):
                 return (lambda env: impl(*[f(env) for f in fs])), _SC
-            shape = ss[0] if all(s == ss[0] for s in ss) else None
-            fs = [_lifted(f, s) for f, s in zip(fs, ss)]
-            return (lambda env: mat_map(impl, [f(env) for f in fs])), shape
+            return (lambda env: mat_map(impl, [f(env) for f in fs])), ss[0]
 
         if cls is For:
             n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
@@ -393,14 +368,11 @@ class _Ctx:
 
                 def start(env):
                     return zero
-            scope = {**shapes, e.var: (n, 1), e.acc: s0}
-            body, s1 = yield e.body, scope
-            if s0 is not None and s1 != s0:
-                # the accumulator changes shape: carry it as a KMatrix
-                start, s0 = _lifted(start, s0), None
-                body, s1 = yield e.body, {**scope, e.acc: None}
-            if s0 is None:
-                body = _lifted(body, s1)
+            body, s1 = yield e.body, {**shapes, e.var: (n, 1), e.acc: s0}
+            if s1 != s0:
+                raise ShapeMismatch(
+                    f"loop body has shape {s1}, its accumulator "
+                    f"'{e.acc}' {s0}")
             return self._loop(e, n, start, body), s0
 
         if cls is Sum or cls is Prod or cls is Hadamard:
@@ -412,31 +384,30 @@ class _Ctx:
 
         if cls is Ones:
             f, s = yield e.arg, shapes
-            f, shape = _lifted(f, s), s and (s[0], 1)
+            rows = s[0]
 
             def run(env):
-                rows = f(env).rows
-                if shape == _SC:
+                f(env)
+                if rows == 1:
                     return sr.one
                 return KMatrix(rows, 1, (sr.one,) * rows)
-            return run, shape
+            return run, (rows, 1)
 
         if cls is Diag:
             f, s = yield e.arg, shapes
+            if s[1] != 1:
+                raise ShapeMismatch(f"diag needs a column vector, got {s}")
             if s == _SC:
                 return f, s
+            n = s[0]
 
             def run(env):
                 val = f(env)
-                if val.cols != 1:
-                    raise ShapeMismatch(
-                        f"diag needs a column vector, got {val.shape}")
-                n = val.rows
                 ent = [sr.zero] * (n * n)
                 for i in range(n):
                     ent[i * n + i] = val.entries[i]
                 return KMatrix(n, n, tuple(ent))
-            return run, (s[0], s[0]) if s is not None and s[1] == 1 else None
+            return run, (n, n)
 
         if cls is OrderPrim:
             n = self.dim(e.sym, f"order primitive {e.kind.value}")

@@ -388,6 +388,9 @@ def parse_relations(text: str):
         if parts[0] == "semiring":
             if len(parts) != 2:
                 raise FormatError("expected: semiring NAME", lineno)
+            if current_name is not None:
+                raise FormatError(
+                    "a 'semiring' line must precede relation blocks", lineno)
             sr = by_name(parts[1])
         elif parts[0] == "relation":
             flush()

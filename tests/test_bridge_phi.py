@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matfor import bridge
 from matfor.ast import Add, For, MatrixType, Schema, Var
 from matfor.bridge import (col_attr, phi_translate, rel_encode, row_attr)
 from matfor.errors import NotInSumFragment, UnsupportedFunction
@@ -167,3 +168,16 @@ def test_an_accumulator_typed_by_the_enclosing_loop_translates():
             point = make_tuple({row_attr("alpha"): i + 1,
                                 col_attr("beta"): j + 1})
             assert out.value(point, NAT) == n * n * v.get(i, j)
+
+
+def test_phi_types_the_core_once(monkeypatch):
+    calls = []
+    real = bridge.type_in_env
+
+    def spy(e, types):
+        calls.append(e)
+        return real(e, types)
+    monkeypatch.setattr(bridge, "type_in_env", spy)
+    phi_translate(parse_expr("(V * M * Q)^T + (Q^T * V * M)^T"),
+                  SCHEMA)
+    assert len(calls) == 1

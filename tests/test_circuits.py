@@ -5,7 +5,7 @@ import pytest
 from matfor.circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
                              dump_circuit, eval_circuit, load_circuit, prune,
                              stats)
-from matfor.errors import DivisionByZero, FormatError, MissingInput
+from matfor.errors import DivisionByZero, EvalError, FormatError, MissingInput
 
 
 def dot_circuit():
@@ -116,3 +116,30 @@ def test_gates_compare_and_hash_by_value():
                 Gate(INPUT, ref=("x", 1, 1))}) == 2
     assert (Gate(ONE).children, Gate(ONE).ref) == ((), None)
     assert Gate(INPUT, ref=("x", 2, 3)).ref == ("x", 2, 3)
+
+
+@pytest.mark.parametrize("kind", [SUM, PROD])
+def test_loader_rejects_a_gate_without_children(kind):
+    with pytest.raises(FormatError, match=f"{kind} needs a child"):
+        load_circuit(f"g0 = {kind}\noutput[1,1] = g0")
+
+
+def test_loader_rejects_an_output_position_below_one():
+    with pytest.raises(FormatError, match="not 1-based"):
+        load_circuit("g0 = const1\noutput[1,2] = g0\noutput[0,0] = g0")
+
+
+def test_division_beyond_the_float_range_is_an_eval_error():
+    # V[1,1] = 2 squared eleven times is 2 ** 2048
+    lines = ["g0 = input V[1,1]"]
+    lines += [f"g{i} = prod g{i - 1} g{i - 1}" for i in range(1, 12)]
+    c = load_circuit("\n".join(lines + ["g12 = div g11 g0",
+                                        "output[1,1] = g12"]))
+    with pytest.raises(EvalError, match="gate g12 is out of float range"):
+        eval_circuit(c, {("V", 1, 1): 2})
+    # an int that large cannot meet a float either
+    c = load_circuit("\n".join(lines + ["g12 = input W[1,1]",
+                                        "g13 = sum g11 g12",
+                                        "output[1,1] = g13"]))
+    with pytest.raises(EvalError, match="gate g13 is out of float range"):
+        eval_circuit(c, {("V", 1, 1): 2, ("W", 1, 1): 0.5})

@@ -261,3 +261,29 @@ def test_exit_code_per_error_family(files, capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["circuit-stats", "circuit-eval"])
+def test_a_gate_without_children_is_a_format_error(files, capsys, command):
+    argv = [command, "--circuit", files("e.circuit", "g0 = sum\n"
+                                                     "output[1,1] = g0\n")]
+    if command == "circuit-eval":
+        argv += ["--inputs", files("one.inst", "semiring real\n")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "sum needs a child" in err
+
+
+def test_circuit_output_beyond_the_float_range_is_an_eval_error(files,
+                                                                 capsys):
+    # V[1,1] = 2 squared eleven times is 2 ** 2048
+    lines = ["g0 = input V[1,1]"]
+    lines += [f"g{i} = prod g{i - 1} g{i - 1}" for i in range(1, 12)]
+    circ = files("big.circuit", "\n".join(lines + ["output[1,1] = g11"]))
+    inst = files("two.inst",
+                 "semiring nat\nsize alpha 1\nmatrix V alpha alpha\n2\n")
+    code, out, err = run(capsys, "circuit-eval", "--circuit", circ,
+                         "--inputs", inst)
+    assert (code, out) == (3, "")
+    assert "out of float range" in err

@@ -7,7 +7,7 @@ off the Python stack.
 
 import pytest
 
-from matfor.ast import Add, MatrixType, Schema, Var, substitute
+from matfor.ast import Add, MatMul, MatrixType, Schema, Var, substitute
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
 from matfor.cli import main
@@ -75,6 +75,22 @@ def test_phi_translation_formats_and_evaluates(deep):
         make_tuple({"row_alpha": i + 1, "col_beta": j + 1}): TERMS * v
         for i, row in enumerate([[1, 0], [2, 3]])
         for j, v in enumerate(row) if v}
+
+
+def test_phi_translates_a_long_left_deep_product():
+    # a square V: every factor's inner attribute comes from its left operand
+    e = Var("V")
+    for _ in range(TERMS - 1):
+        e = MatMul(e, Var("V"))
+    schema = Schema({"V": MatrixType("alpha", "alpha")})
+    q = phi_translate(e, schema)
+    inst = Instance({"alpha": 2}, {"V": from_rows([[1, 1], [0, 1]])})
+    _, rels = rel_encode(schema, inst, NAT)
+    # the k-th power of [[1, 1], [0, 1]] is [[1, k], [0, 1]]
+    assert eval_ra(q, rels, NAT).support == {
+        make_tuple({"row_alpha": 1, "col_alpha": 1}): 1,
+        make_tuple({"row_alpha": 1, "col_alpha": 2}): TERMS,
+        make_tuple({"row_alpha": 2, "col_alpha": 2}): 1}
 
 
 def test_psi_translates_the_left_deep_union():

@@ -14,7 +14,8 @@ from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
                         Sum, Transpose, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
-                           MatforError, MissingDimension, UnknownFunction)
+                           MatforError, MissingDimension, ShapeMismatch,
+                           UnknownFunction)
 from matfor.evaluator import canonical_vector, evaluate, mat_equal
 from matfor.instance import Instance
 from matfor.matrix import from_rows
@@ -546,3 +547,70 @@ def test_clique_count_stays_pinned(lib):
     out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
                    NAT, schema=item.schema)
     assert out.entries == (312,)
+
+
+# Static errors: the build gives every node a shape or raises, so ill-shaped
+# input fails before any kernel runs.
+BUILD_SCHEMA = """
+var V : alpha x alpha
+var W : alpha x beta
+var u : alpha x 1
+var v : alpha x 1
+var X : alpha x 1
+"""
+
+
+def _build_inputs():
+    return {"V": from_rows([[1.0, 2.0], [3.0, 4.0]]),
+            "W": from_rows([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]),
+            "u": from_rows([[1.0], [2.0]])}
+
+
+@pytest.mark.parametrize("text", [
+    "V * V + W",                  # mismatched +
+    "V * V * W^T",                # mismatched *
+    "(V * u) .* V",               # a scalar that is not 1 x 1
+    "hprod2(V * V, W)",           # pointwise arguments of unequal shapes
+    "diag(V * V)",                # diag of a matrix
+    "for v, X = V * u . X^T",     # a body that changes its accumulator
+])
+def test_shape_errors_raise_before_any_kernel_call(monkeypatch, text):
+    calls = []
+    for name in ("mat_mul", "mat_add", "mat_scale", "mat_map"):
+        real = getattr(evaluator, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(evaluator, name, spy)
+    with pytest.raises(ShapeMismatch):
+        ev(text, BUILD_SCHEMA, {"alpha": 2, "beta": 3}, **_build_inputs())
+    assert calls == []
+
+
+def test_accumulator_that_changes_shape_is_rejected():
+    with pytest.raises(ShapeMismatch):
+        ev("for v, X = W . X^T", "var v : alpha x 1\nvar W : alpha x 1",
+           {"alpha": 2}, W=from_rows([[1.0], [2.0]]))
+
+
+def test_prod_body_that_is_not_square_is_rejected_at_dimension_one():
+    with pytest.raises(ShapeMismatch):
+        ev("prod v . W", "var v : alpha x 1\nvar W : alpha x beta",
+           {"alpha": 1, "beta": 2}, W=from_rows([[1.0, 2.0]]))
+
+
+def test_static_error_comes_before_a_run_time_error():
+    with pytest.raises(UnknownFunction):
+        ev("div([1], [0]) + frob([1])", "", {})
+
+
+def test_static_error_inside_a_loop_has_no_loop_context():
+    with pytest.raises(UnknownFunction) as err:
+        ev("sum v . frob(v^T * v)", "var v : alpha x 1", {"alpha": 2})
+    assert "loop over" not in str(err.value)
+
+
+def test_unbound_variable_raises_before_any_closure_runs():
+    with pytest.raises(EvalError, match="no value bound to variable 'Z'"):
+        ev("div([1], [0]) + Z", "var Z : 1 x 1", {})

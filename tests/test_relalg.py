@@ -189,3 +189,9 @@ def test_relation_file_errors():
         parse_relations("semiring nat\nrelation R a\n1 : -4\n")
     with pytest.raises(FormatError):
         parse_relations("relation R a\n0 : 1\n")
+
+
+def test_semiring_line_after_a_relation_is_rejected():
+    # the annotations above it were parsed in the default real carrier
+    with pytest.raises(FormatError, match="must precede relation blocks"):
+        parse_relations("relation R a\n1 : 0\n1 : 0\nsemiring bool\n")
