@@ -6,6 +6,10 @@ acceptance tests, the psi translations of the psi test queries, well-typed
 input gives one line: the printed result, or the class and message of the
 first error raised.  The sha256 of a pass's lines pins its results, fresh
 names and first errors together.
+
+psi runs over queries of its own: the psi test queries with random, mostly
+ill-signed, ones, and separately a seeded set of well-signed queries, every
+one of which translates.
 """
 
 import hashlib
@@ -133,6 +137,54 @@ def _queries():
             + [_random_query(rng, rng.randrange(1, 5)) for _ in range(400)])
 
 
+_RENAMED = ("a", "b", "c", "d", "e")
+
+
+def _renamed(rng, q, sig, news):
+    """`q` renamed by a bijection from ``sorted(sig)`` onto `news`."""
+    news = rng.sample(sorted(news), len(news))
+    return Rename(tuple(zip(news, sorted(sig))), q), frozenset(news)
+
+
+def _signed_query(rng, depth):
+    """A well-signed query over `BINARY` and its signature."""
+    if depth == 0 or rng.random() < 0.2:
+        name = rng.choice(sorted(BINARY))
+        return Rel(name), BINARY[name]
+    q, sig = _signed_query(rng, depth - 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        q2, sig2 = _signed_query(rng, depth - 1)
+        if len(sig2) < len(sig):
+            q2, sig2 = q, sig
+        keep = sorted(sig2)[:len(sig)]
+        if len(keep) < len(sig2):
+            q2 = Project(frozenset(keep), q2)
+        q2, _ = _renamed(rng, q2, keep, sig)
+        return Union(q, q2), sig
+    if kind == 1:
+        q2, sig2 = _signed_query(rng, depth - 1)
+        return Join(q, q2), sig | sig2
+    some = frozenset(a for a in sorted(sig) if rng.random() < 0.5)
+    if kind == 2:
+        return Project(some, q), some
+    if kind == 3:
+        return Select(some, q), sig
+    news = rng.sample(_RENAMED, len(sig))
+    return _renamed(rng, q, sig, news)
+
+
+def _signed_queries():
+    """Well-signed queries whose root projects to at most two attributes."""
+    rng = random.Random(4545)
+    out = []
+    for _ in range(1500):
+        q, sig = _signed_query(rng, rng.randrange(1, 7))
+        attrs = rng.sample(sorted(sig), rng.randint(0, min(2, len(sig))))
+        out.append(Project(frozenset(attrs), q))
+    return out
+
+
 def _line(run, *args):
     try:
         return run(*args)
@@ -166,6 +218,8 @@ PINS = {
         "fe0c573f693af3fab2dde1b1fc18332a9e3c89e95eca3a86f5f8843ccd8bc4bf"),
     "psi": (
         "fa8bc3835a5471644d23166a979c467273255e8695816b2cedb841b23a151e2a"),
+    "psi_signed": (
+        "b2aa2b742b7d666233861bf5426323ca710bc90bdd5ecc57a2b2a8e089b40985"),
 }
 
 
@@ -189,3 +243,10 @@ def test_psi_output_is_pinned():
     lines = [_line(lambda q: pretty(psi_translate(q, BINARY)), q)
              for q in _queries()]
     assert _digest(lines) == PINS["psi"]
+
+
+def test_psi_output_over_well_signed_queries_is_pinned():
+    lines = [_line(lambda q: f"{format_ra(q)} => "
+                   f"{pretty(psi_translate(q, BINARY))}", q)
+             for q in _signed_queries()]
+    assert _digest(lines) == PINS["psi_signed"]
