@@ -25,7 +25,10 @@ collapses the active domain to {d_1 < ... < d_n}, assigns every relation a
 square/vector/scalar variable over one symbol, and `psi_translate` produces
 an additive-fragment expression whose (i, j) entry equals the query's value
 at (d_i, d_j).  Intermediate signatures of any arity are handled by keeping
-one canonical-vector variable per attribute.  A subquery translates to a
+one canonical-vector variable per attribute.  Its name sits in a scope
+cell that the first relation to reach the attribute fills, and both
+operands of a union or join read the same cells, so the left operand's name
+wins and no translated subtree is ever renamed.  A subquery translates to a
 list of 1x1 factors whose product is its value, and a projection sums each
 dropped attribute's iterator over only the factors that mention it, leaving
 the others outside the sum (variable elimination).  By distributivity this
@@ -40,7 +43,7 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, drive, substitute)
+                  Schema, Sum, Transpose, UNIT, Var, drive)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
@@ -346,87 +349,76 @@ class _Psi:
         self.counter += 1
         return f"_t{self.counter}"
 
-    def translate(self, q, _):
-        """A `drive` rule returning (factors, attr -> free iterator-variable
-        name).
+    def translate(self, q, scope):
+        """A `drive` rule returning the query's factors.
 
         Each factor is a 1x1 expression paired with the iterator names free
-        in it; the query's value is the product of the factors.
-        A projection sums each dropped attribute's iterator over only the
-        factors that mention it and leaves the others outside the sum.
-        The iterators free in all the factors together are exactly the
-        values of the attribute map.
+        in it; the query's value is the product of the factors.  `scope`
+        maps each attribute to its cell, a one-item list that holds the
+        attribute's iterator name once a relation has named it.  The
+        operands of a union or join share their parent's scope, and the
+        left one is visited first, so its name wins for a shared attribute.
+        A projection gives its operand the parent's cells for the kept
+        attributes, then sums each dropped attribute's iterator over only
+        the factors that mention it and leaves the others outside the sum.
         """
         if isinstance(q, Rel):
-            attrs = sorted(self.relschema[q.name])
+            names = []
+            for attr in sorted(self.relschema[q.name]):
+                cell = scope.setdefault(attr, [None])
+                name = self.fresh()
+                if cell[0] is None:
+                    cell[0] = name
+                names.append(cell[0])
             v = Var(mat_var(q.name))
-            if len(attrs) == 2:
-                a, b = self.fresh(), self.fresh()
-                return ([(MatMul(MatMul(Transpose(Var(a)), v), Var(b)),
-                          frozenset((a, b)))],
-                        {attrs[0]: a, attrs[1]: b})
-            if len(attrs) == 1:
-                a = self.fresh()
-                return ([(MatMul(Transpose(Var(a)), v), frozenset((a,)))],
-                        {attrs[0]: a})
-            return [(v, frozenset())], {}
+            if len(names) == 2:
+                a, b = names
+                v = MatMul(MatMul(Transpose(Var(a)), v), Var(b))
+            elif names:
+                v = MatMul(Transpose(Var(names[0])), v)
+            return [(v, frozenset(names))]
 
         if isinstance(q, Union):
-            lf, lv = yield q.left, None
-            rf, rv = yield q.right, None
-            right = renamed(product(rf), renaming(rv, lv))
-            return [(Add(product(lf), right), frozenset(lv.values()))], lv
+            left = yield q.left, scope
+            right = yield q.right, scope
+            return [(Add(product(left), product(right)), free(left))]
 
         if isinstance(q, Join):
-            lf, lv = yield q.left, None
-            rf, rv = yield q.right, None
-            ren = renaming(rv, lv)
-            merged = dict(lv)
-            for a, name in rv.items():
-                if a not in merged:
-                    merged[a] = name
-            return lf + [(renamed(e, ren),
-                          frozenset(ren.get(t, t) for t in ts))
-                         for e, ts in rf], merged
+            left = yield q.left, scope
+            return left + (yield q.right, scope)
 
         if isinstance(q, Project):
-            factors, bv = yield q.arg, None
-            out = dict(bv)
-            for attr in sorted(bv.keys() - q.attrs):
-                t = out.pop(attr)
+            inner = {a: scope.setdefault(a, [None]) for a in q.attrs}
+            factors = yield q.arg, inner
+            for attr in sorted(inner.keys() - q.attrs):
+                t = inner[attr][0]
                 uses = [t in ts for _, ts in factors]
                 inside = [f for f, u in zip(factors, uses) if u]
                 first = uses.index(True)
                 summed = (Sum(t, product(inside), var_sym=MAT_SYM),
-                          frozenset().union(*[ts for _, ts in inside]) - {t})
+                          free(inside) - {t})
                 factors = (factors[:first] + [summed]
                            + [f for f, u in zip(factors[first:], uses[first:])
                               if not u])
-            return factors, out
+            return factors
 
         if isinstance(q, Select):
-            factors, bv = yield q.arg, None
-            order = sorted(q.attrs)
-            return (factors + [(MatMul(Transpose(Var(bv[a])), Var(bv[b])),
-                                frozenset((bv[a], bv[b])))
-                               for a, b in zip(order, order[1:])], bv)
+            factors = yield q.arg, scope
+            names = [scope[a][0] for a in sorted(q.attrs)]
+            return factors + [(MatMul(Transpose(Var(a)), Var(b)),
+                               frozenset((a, b)))
+                              for a, b in zip(names, names[1:])]
 
         if isinstance(q, Rename):
-            factors, bv = yield q.arg, None
-            return factors, {new: bv[old] for new, old in q.mapping}
+            return (yield q.arg, {old: scope.setdefault(new, [None])
+                                  for new, old in q.mapping})
 
         raise TypeError(f"not a relational expression: {q!r}")
 
 
-def renaming(evars, target):
-    """Iterator renaming that makes `evars` agree with `target` on the
-    attributes both name."""
-    return {evars[a]: target[a] for a in evars.keys() & target.keys()
-            if evars[a] != target[a]}
-
-
-def renamed(e, ren):
-    return substitute(e, {old: Var(new) for old, new in ren.items()})
+def free(factors) -> frozenset[str]:
+    """The iterator names free in any of `factors`."""
+    return frozenset().union(*[ts for _, ts in factors])
 
 
 def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
@@ -445,10 +437,11 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
     if len(sig) > 2:
         raise OutputArityTooLarge(
             f"query signature {sorted(sig)} has arity {len(sig)} > 2")
-    factors, attr_vars = drive(q, None, _Psi(relschema).translate)
+    scope = {}
+    factors = drive(q, scope, _Psi(relschema).translate)
     order = sorted(sig)
     if len(order) == 2:
-        va, vb = attr_vars[order[0]], attr_vars[order[1]]
+        va, vb = scope[order[0]][0], scope[order[1]][0]
         inner = [f for f in factors if vb in f[1]]
         outer = [f for f in factors if vb not in f[1]]
         row = Sum(vb, ScalarMul(product(inner), Transpose(Var(vb))),
@@ -458,6 +451,6 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
             body = ScalarMul(product(outer), body)
         return Sum(va, body, var_sym=MAT_SYM)
     if len(order) == 1:
-        va = attr_vars[order[0]]
+        va = scope[order[0]][0]
         return Sum(va, ScalarMul(product(factors), Var(va)), var_sym=MAT_SYM)
     return product(factors)

@@ -19,7 +19,8 @@ runs, and carries no loop context.  A closure serves every occurrence of a
 value number under the same free-variable shapes; a node shared under
 binders of different sizes gets one per size.  A left-deep ``+`` or ``*``
 spine, up to a memoised node, is one closure that folds its operands from
-left to right, so its length costs no stack.
+left to right, so its length costs no stack.  Other nodes still nest their
+closures, and a nest too deep for Python's stack raises `EvalError`.
 
 A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
 bare carrier value, not a `KMatrix`; with dimension one even the canonical
@@ -465,6 +466,9 @@ def evaluate(e: ast.Expr,
     ctx = _Ctx(inst, sr, schema, iteration_order, nodes,
                _memo_numbers(e, nodes))
     run, shape = ctx.build(e, {name: m.shape for name, m in inst.mats.items()})
-    out = run({name: m.entries[0] if m.shape == _SC else m
-               for name, m in inst.mats.items()})
+    try:
+        out = run({name: m.entries[0] if m.shape == _SC else m
+                   for name, m in inst.mats.items()})
+    except RecursionError:
+        raise EvalError("expression nested too deeply to evaluate") from None
     return matrix.scalar(out) if shape == _SC else out

@@ -346,23 +346,33 @@ def parse_ra(text: str) -> RAExpr:
 
 
 def format_ra(q: RAExpr) -> str:
-    return drive(q, None, _format)
+    out: list[str] = []
+    drive(q, out, _format)
+    return "".join(out)
 
 
-def _format(q, _):
+def _format(q, out):
+    """A `drive` rule that appends the text of `q` to `out`."""
     if isinstance(q, Rel):
-        return f"rel {q.name}"
-    if isinstance(q, Union):
-        return f"union({(yield q.left, None)}, {(yield q.right, None)})"
-    if isinstance(q, Join):
-        return f"join({(yield q.left, None)}, {(yield q.right, None)})"
-    if isinstance(q, (Project, Select)):
+        out.append(f"rel {q.name}")
+    elif isinstance(q, (Union, Join)):
+        out.append("union(" if isinstance(q, Union) else "join(")
+        yield q.left, out
+        out.append(", ")
+        yield q.right, out
+        out.append(")")
+    elif isinstance(q, (Project, Select)):
         op = "project" if isinstance(q, Project) else "select"
-        return f"{op}[{', '.join(sorted(q.attrs))}]({(yield q.arg, None)})"
-    if isinstance(q, Rename):
+        out.append(f"{op}[{', '.join(sorted(q.attrs))}](")
+        yield q.arg, out
+        out.append(")")
+    elif isinstance(q, Rename):
         pairs = ", ".join(f"{new}->{old}" for new, old in q.mapping)
-        return f"rename[{pairs}]({(yield q.arg, None)})"
-    raise TypeError(f"not a relational expression: {q!r}")
+        out.append(f"rename[{pairs}](")
+        yield q.arg, out
+        out.append(")")
+    else:
+        raise TypeError(f"not a relational expression: {q!r}")
 
 
 def parse_relations(text: str):

@@ -77,6 +77,25 @@ def _parse_nat(text):
     return v
 
 
+# Python refuses `str` of an int past its int-string limit, which is never
+# set below 640 digits, so a nat is printed in chunks of fewer digits.
+_NAT_CHUNK_DIGITS = 600
+_NAT_CHUNK = 10 ** _NAT_CHUNK_DIGITS
+
+
+def _fmt_nat(v):
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    chunks = []
+    while v >= _NAT_CHUNK:
+        v, r = divmod(v, _NAT_CHUNK)
+        chunks.append(str(r).zfill(_NAT_CHUNK_DIGITS))
+    chunks.append(str(v))
+    return "".join(reversed(chunks))
+
+
 def _parse_bool(text):
     if text == "0":
         return 0
@@ -136,7 +155,7 @@ REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
                 _parse_real, _fmt_real, _real_literal, _div_real, _gtz_real)
 
 NAT = Semiring("nat", 0, 1, operator.add, operator.mul,
-               _parse_nat, str, _nat_literal)
+               _parse_nat, _fmt_nat, _nat_literal)
 
 BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_,
                 _parse_bool, str, _bool_literal)

@@ -287,3 +287,18 @@ def test_circuit_output_beyond_the_float_range_is_an_eval_error(files,
                          "--inputs", inst)
     assert (code, out) == (3, "")
     assert "out of float range" in err
+
+
+def test_eval_prints_a_nat_past_the_int_string_limit(files, capsys):
+    # 2 squared 2 ** 4 times is 2 ** 65536, 19,729 digits
+    inst = files("two.inst", "semiring nat\nsize alpha 2\n")
+    schema = files("s.schema", "".join(f"var {x} : 1 x 1\n" for x in "XYZW"))
+    code, out, err = run(
+        capsys, "eval", "-e",
+        "for a, X = [2] . for b, Y = X . for c, Z = Y . for d, W = Z . W * W",
+        "--instance", inst, "--schema", schema)
+    assert (code, err) == (0, "")
+    header, digits = out.splitlines()
+    assert header == "1 x 1"
+    assert len(digits) == 19729
+    assert digits[-20:] == str(pow(2, 65536, 10 ** 20)).zfill(20)

@@ -2,7 +2,7 @@
 
 A 5,000-term ``V + ... + V`` nests 5,000 deep either way round, well past
 Python's default recursion limit, so each pass must keep its pending nodes
-off the Python stack.
+off the Python stack.  Queries nested 5,000 deep do the same for psi.
 """
 
 import pytest
@@ -10,11 +10,15 @@ import pytest
 from matfor.ast import Add, MatMul, MatrixType, Schema, Var, substitute
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
+from matfor.circuit_compile import compile_expr
 from matfor.cli import main
+from matfor.errors import EvalError
+from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.printer import pretty
-from matfor.relalg import eval_ra, format_ra, make_tuple
+from matfor.relalg import (Join, Project, Rel, Rename, eval_ra, format_ra,
+                           make_tuple)
 from matfor.semiring import NAT
 from matfor.sugar import desugar, reduce_apply_to_scalars
 from matfor.typecheck import typecheck
@@ -77,13 +81,19 @@ def test_phi_translation_formats_and_evaluates(deep):
         for j, v in enumerate(row) if v}
 
 
-def test_phi_translates_a_long_left_deep_product():
+@pytest.fixture(scope="module")
+def long_product():
+    """phi of a left-deep ``V * ... * V``, and its schema."""
     # a square V: every factor's inner attribute comes from its left operand
     e = Var("V")
     for _ in range(TERMS - 1):
         e = MatMul(e, Var("V"))
     schema = Schema({"V": MatrixType("alpha", "alpha")})
-    q = phi_translate(e, schema)
+    return phi_translate(e, schema), schema
+
+
+def test_phi_translates_a_long_left_deep_product(long_product):
+    q, schema = long_product
     inst = Instance({"alpha": 2}, {"V": from_rows([[1, 1], [0, 1]])})
     _, rels = rel_encode(schema, inst, NAT)
     # the k-th power of [[1, 1], [0, 1]] is [[1, k], [0, 1]]
@@ -93,10 +103,44 @@ def test_phi_translates_a_long_left_deep_product():
         make_tuple({"row_alpha": 2, "col_alpha": 2}): 1}
 
 
-def test_psi_translates_the_left_deep_union():
-    q = phi_translate(_sum(True), SCHEMA)
+def test_format_ra_prints_a_long_product(long_product):
+    assert format_ra(long_product[0]).count("rel R_V") == TERMS
+
+
+def test_psi_translates_the_union(deep):
+    q = phi_translate(deep[0], SCHEMA)
     e = psi_translate(q, rel_schema_of(SCHEMA))
     assert pretty(e).count("V_R_V") == TERMS
+
+
+def _nest(wrap, q, times):
+    for _ in range(times):
+        q = wrap(q)
+    return q
+
+
+@pytest.mark.parametrize("q, leaf, count", [
+    (_nest(lambda q: Join(Rel("T"), q), Rel("T"), TERMS - 1), "V_T", TERMS),
+    (_nest(lambda q: Project({"a"}, q), Rel("R"), TERMS), "V_R", 1),
+    (_nest(lambda q: Rename((("a", "b"), ("b", "a")), q), Rel("R"), TERMS),
+     "V_R", 1),
+], ids=["right-deep-join", "project", "rename"])
+def test_psi_translates_a_deep_query(q, leaf, count):
+    e = psi_translate(q, {"R": frozenset({"a", "b"}),
+                          "T": frozenset({"a"})})
+    assert pretty(e).count(leaf) == count
+
+
+@pytest.mark.parametrize("run", [
+    lambda e: evaluate(e, Instance({"alpha": 2, "beta": 2},
+                                   {"V": from_rows([[1, 0], [2, 3]])}),
+                       NAT),
+    lambda e: compile_expr(e, SCHEMA, {"alpha": 2, "beta": 2}),
+], ids=["evaluate", "compile_expr"])
+def test_right_deep_sum_too_deep_to_evaluate_is_an_eval_error(run):
+    # a right-deep sum's closures still nest once per term
+    with pytest.raises(EvalError, match="nested too deeply to evaluate"):
+        run(_sum(False))
 
 
 @pytest.mark.parametrize("command", ["check", "to-ra"])

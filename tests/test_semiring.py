@@ -66,6 +66,11 @@ def test_parsing_and_printing():
     assert BOOL.parse("1") == 1
 
 
+def test_nat_prints_past_the_int_string_limit():
+    # the inner 600-digit chunks are all zero and must keep their zeros
+    assert NAT.fmt(10 ** 5000 + 7) == "1" + "0" * 4999 + "7"
+
+
 @pytest.mark.parametrize("sr,text", [
     (NAT, "-1"), (NAT, "1.5"), (BOOL, "2"), (TROPICAL, "-inf"),
     (REAL, "nan"), (REAL, "zebra"),
