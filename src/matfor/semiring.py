@@ -84,10 +84,6 @@ _NAT_CHUNK = 10 ** _NAT_CHUNK_DIGITS
 
 
 def _fmt_nat(v):
-    try:
-        return str(v)
-    except ValueError:
-        pass
     chunks = []
     while v >= _NAT_CHUNK:
         v, r = divmod(v, _NAT_CHUNK)
