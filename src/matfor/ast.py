@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DuplicateVariable
 
@@ -39,8 +39,7 @@ from .errors import DuplicateVariable
 UNIT = "1"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start: int
     end: int
     line: int
@@ -264,6 +263,16 @@ def children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def binders(e: Expr) -> tuple[str, ...]:
+    """The names a node binds in its last child, its body: a ``for`` loop's
+    iterator and accumulator, a quantifier's iterator, none elsewhere."""
+    if e.__class__ is For:
+        return (e.var, e.acc)
+    if isinstance(e, (Sum, Prod, Hadamard)):
+        return (e.var,)
+    return ()
+
+
 def _own_fields(e: Expr) -> tuple:
     """The non-child fields that tell a node apart from others of its class."""
     if isinstance(e, Var):
@@ -310,16 +319,12 @@ def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
         number = numbers.setdefault(signature, len(numbers))
         if isinstance(node, Var):
             names = {node.name}
-        elif isinstance(node, For):
-            names = set(table[id(node.body)][1]) - {node.var, node.acc}
-            if node.init is not None:
-                names.update(table[id(node.init)][1])
-        elif isinstance(node, (Sum, Prod, Hadamard)):
-            names = set(table[id(node.body)][1]) - {node.var}
         else:
             names = set()
-            for _, fv in entries:
+            for _, fv in entries[:-1]:
                 names.update(fv)
+            if entries:
+                names.update(set(entries[-1][1]).difference(binders(node)))
         table[id(node)] = (number, tuple(sorted(names)))
     return table
 
@@ -331,17 +336,7 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def bound_names(e: Expr) -> frozenset[str]:
     """Every name bound by some loop inside `e` (including sugar)."""
-    out = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, For):
-            out.add(node.var)
-            out.add(node.acc)
-        elif isinstance(node, (Sum, Prod, Hadamard)):
-            out.add(node.var)
-        stack.extend(children(node))
-    return frozenset(out)
+    return frozenset(name for node in walk(e) for name in binders(node))
 
 
 def drive(root, env, rule):
@@ -372,7 +367,7 @@ def rebuilt(e, env, body_env):
     children, a loop's body visited under `body_env` and every other child
     under `env`.  A leaf is returned as it is."""
     kids = list(children(e))
-    body = len(kids) - 1 if isinstance(e, (For, Sum, Prod, Hadamard)) else -1
+    body = len(kids) - 1 if binders(e) else -1
     for i, c in enumerate(kids):
         kids[i] = yield c, body_env if i == body else env
     cls = e.__class__
@@ -400,10 +395,9 @@ def _substitute(e, mapping):
         return e
     if e.__class__ is Var:
         return mapping.get(e.name, e)
-    inner = mapping
-    if isinstance(e, (For, Sum, Prod, Hadamard)):
-        bound = (e.var, e.acc) if e.__class__ is For else (e.var,)
-        inner = {k: v for k, v in mapping.items() if k not in bound}
+    bound = binders(e)
+    inner = {k: v for k, v in mapping.items()
+             if k not in bound} if bound else mapping
     return (yield from rebuilt(e, mapping, inner))
 
 

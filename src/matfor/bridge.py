@@ -43,7 +43,7 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, drive)
+                  Schema, Sum, Transpose, UNIT, Var, drive, node_table)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .fragments import LoopPattern, recognize_loop_pattern
@@ -133,8 +133,8 @@ def rel_encode(schema: Schema, inst: Instance, sr: Semiring):
 
 
 class _Phi:
-    def __init__(self, schema):
-        self.schema = schema
+    def __init__(self, table):
+        self.table = table
         self.counter = 0
 
     def fresh(self, base):
@@ -235,7 +235,8 @@ class _Phi:
             return q, sig
 
         if isinstance(e, For):
-            if recognize_loop_pattern(e) is not LoopPattern.SIGMA:
+            pattern = recognize_loop_pattern(e, self.table)
+            if pattern is not LoopPattern.SIGMA:
                 raise NotInSumFragment(
                     "only additive loops can be translated")
             body = e.body.right if e.body.left == Var(e.acc) else e.body.left
@@ -262,7 +263,7 @@ def phi_translate(e: Expr, schema: Schema) -> RAExpr:
     core = desugar(e, schema)
     types = dict(schema.vars)
     type_in_env(core, types)
-    q, _ = drive(core, (types, {}, {}), _Phi(schema).translate)
+    q, _ = drive(core, (types, {}, {}), _Phi(node_table(core)).translate)
     return q
 
 

@@ -31,7 +31,7 @@ import argparse
 import sys
 
 from . import stdlib
-from .ast import For, Hadamard, MatrixType, Prod, Schema, Sum, UNIT, walk
+from .ast import MatrixType, Schema, UNIT, binders, walk
 from .bridge import phi_translate, psi_translate
 from .circuit_compile import compile_expr
 from .circuits import dump_circuit, eval_circuit, load_circuit, stats
@@ -70,11 +70,7 @@ def _load_schema(path):
 
 
 def _binder_names(e):
-    names = []
-    for node in walk(e):
-        if isinstance(node, (For, Sum, Prod, Hadamard)):
-            names.append((node.var, node.var_sym))
-    return names
+    return [(node.var, node.var_sym) for node in walk(e) if binders(node)]
 
 
 def _extend_for_iterators(e, schema, default_sym):

@@ -132,18 +132,13 @@ def _memo_numbers(root, nodes):
         elif edges.get(number, 0) > 1 or any(b.isdisjoint(fv) for b in outer):
             memo.add(number)
             once.add(number)
-        loop = isinstance(node, (For, Sum, Prod, Hadamard))
-        if isinstance(node, For):
-            body = outer | {frozenset((node.var, node.acc))}
-        elif loop:
-            body = outer | {frozenset((node.var,))}
-        else:
-            body = outer
+        bound = ast.binders(node)
+        body = outer | {frozenset(bound)} if bound else outer
         kids = ast.children(node)
         for slot, c in enumerate(kids):
             num, child_fv = nodes[id(c)]
             edges[num] = edges.get(num, 0) + 1
-            inherits[num] = not loop and number in once and child_fv == fv
+            inherits[num] = not bound and number in once and child_fv == fv
             enclosing[num] = enclosing.get(num, empty) | (
                 body if slot == len(kids) - 1 else outer)
     return memo
@@ -384,15 +379,10 @@ class _Ctx:
             return self._loop(e, n, None, body, fold), s
 
         if cls is Ones:
-            f, s = yield e.arg, shapes
-            rows = s[0]
-
-            def run(env):
-                f(env)
-                if rows == 1:
-                    return sr.one
-                return KMatrix(rows, 1, (sr.one,) * rows)
-            return run, (rows, 1)
+            # the argument is built for its shape and never run
+            _, (rows, _) = yield e.arg, shapes
+            out = sr.one if rows == 1 else KMatrix(rows, 1, (sr.one,) * rows)
+            return (lambda env: out), (rows, 1)
 
         if cls is Diag:
             f, s = yield e.arg, shapes

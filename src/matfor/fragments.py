@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 
 from .ast import (Add, Apply, Const, Expr, For, Hadamard, MatMul, Ones, Prod,
-                  Sum, Transpose, Var, children, free_vars)
+                  Sum, Transpose, Var, children, node_table)
 
 
 class Fragment(enum.IntEnum):
@@ -88,26 +88,29 @@ def is_allones_expr(e: Expr) -> bool:
     return False
 
 
-def recognize_loop_pattern(loop: For) -> LoopPattern:
-    """Match a raw loop against the three quantifier templates."""
+def recognize_loop_pattern(loop: For, table=None) -> LoopPattern:
+    """Match a raw loop against the three quantifier templates; `table` is
+    the ``node_table`` of a tree that holds `loop`, if there is one."""
     if not isinstance(loop, For):
         raise TypeError("recognize_loop_pattern expects a For node")
+    if table is None:
+        table = node_table(loop)
     acc = Var(loop.acc)
     if loop.init is None and isinstance(loop.body, Add):
         for acc_side, other in ((loop.body.left, loop.body.right),
                                 (loop.body.right, loop.body.left)):
-            if acc_side == acc and loop.acc not in free_vars(other):
+            if acc_side == acc and loop.acc not in table[id(other)][1]:
                 return LoopPattern.SIGMA
     if (loop.init is not None and is_identity_expr(loop.init)
             and isinstance(loop.body, MatMul)
             and loop.body.left == acc
-            and loop.acc not in free_vars(loop.body.right)):
+            and loop.acc not in table[id(loop.body.right)][1]):
         return LoopPattern.PI
     if (loop.init is not None and is_allones_expr(loop.init)
             and isinstance(loop.body, Apply)
             and loop.body.func == "hprod2" and len(loop.body.args) == 2):
         for acc_side, other in (loop.body.args, loop.body.args[::-1]):
-            if acc_side == acc and loop.acc not in free_vars(other):
+            if acc_side == acc and loop.acc not in table[id(other)][1]:
                 return LoopPattern.HADAMARD
     return LoopPattern.GENERAL
 
@@ -123,6 +126,7 @@ _PATTERN_TIER = {
 def classify(e: Expr) -> Fragment:
     """Least fragment containing the expression."""
     tier = Fragment.CORE
+    table = node_table(e)
     stack = [e]
     while stack:
         node = stack.pop()
@@ -133,7 +137,8 @@ def classify(e: Expr) -> Fragment:
         elif isinstance(node, Prod):
             tier = max(tier, Fragment.PROD)
         elif isinstance(node, For):
-            tier = max(tier, _PATTERN_TIER[recognize_loop_pattern(node)])
+            pattern = recognize_loop_pattern(node, table)
+            tier = max(tier, _PATTERN_TIER[pattern])
         if tier is Fragment.FULL:
             return tier
         stack.extend(children(node))

@@ -19,6 +19,10 @@ with optional sign, fraction and exponent, or `inf`.  Function names are
 plain identifiers; `functions.resolve` looks them up at evaluation time,
 not here.
 
+`relalg.parse_ra` reads relational expressions from the same tokens.  The
+arrow ``->`` of its renamings is a token of its own, which no rule above
+accepts.
+
 Schemas are line based: ``var NAME : SYM x SYM`` where SYM is an identifier
 or `1`; `#` starts a comment.  The letter `x` is the dimension separator and
 is therefore not usable as a size-symbol name in schema files.
@@ -27,6 +31,7 @@ is therefore not usable as a size-symbol name in schema files.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul,
                   MatrixType, Ones, OrderKind, OrderPrim, Prod, Schema,
@@ -45,20 +50,14 @@ _TOKEN_RE = re.compile(r"""
     | (?P<scalmul>\.\*)
     | (?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>[()\[\],.+*=-])
+    | (?P<punct>->|[()\[\],.+*=-])
 """, re.VERBOSE)
 
 
-class Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind, text, span):
-        self.kind = kind
-        self.text = text
-        self.span = span
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+class Token(NamedTuple):
+    kind: str
+    text: str
+    span: SourceSpan
 
 
 def _tokenize(text):
@@ -110,6 +109,19 @@ class _Parser:
 
     def at(self, *kinds):
         return self.peek().kind in kinds
+
+    def whole(self, rule, what):
+        """The result of `rule`, which must read the input to its end."""
+        try:
+            node = rule()
+        except RecursionError:
+            raise ParseError(f"{what} nested too deeply",
+                             self.peek().span) from None
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.text!r}", tok.span,
+                             {"end"})
+        return node
 
     # ---- grammar -------------------------------------------------------
 
@@ -226,15 +238,7 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
-    try:
-        node = p.expr()
-    except RecursionError:
-        raise ParseError("expression nested too deeply",
-                         p.peek().span) from None
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.span, {"end"})
-    return node
+    return p.whole(p.expr, "expression")
 
 
 _SCHEMA_LINE = re.compile(

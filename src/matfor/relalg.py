@@ -11,11 +11,17 @@ agree), attribute renaming (a bijection from new names to the operand's
 names), and natural join (product of the operands' annotations on tuples
 that agree on shared attributes).
 
-Text form of expressions (prefix):
+Text form of expressions (prefix), read from the tokens of the expression
+language (`parser`), with ``->`` one token:
 
-    rel NAME
-    union(Q, Q)    join(Q, Q)
-    project[a, b](Q)    select[a, b](Q)    rename[new->old, ...](Q)
+    Q    ::= "rel" NAME
+           | ("union" | "join") "(" Q "," Q ")"
+           | ("project" | "select") "[" [NAME {"," NAME}] "]" "(" Q ")"
+           | "rename" "[" NAME "->" NAME {"," NAME "->" NAME} "]" "(" Q ")"
+
+A NAME is any identifier, expression keywords such as ``sum`` and ``inf``
+included.  Every syntax error reads ``at offset N: ...``, N counting
+characters from the start of the text.
 
 Relation files: a `relation NAME attr...` header per relation followed by
 data lines `v1 v2 ... : annotation`; `#` starts a comment.  An optional
@@ -24,12 +30,12 @@ leading `semiring NAME` line fixes how annotations are parsed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .ast import drive
 from .errors import (FormatError, ParseError, SignatureViolation,
                      UnknownRelation)
+from .parser import KEYWORDS, _Parser
 from .semiring import REAL, Semiring, by_name
 
 Tuple_ = tuple  # tuples of (attr, value) pairs sorted by attr
@@ -239,110 +245,64 @@ def _eval(q, inst, sr):
 # Text formats
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_OPERATORS = {"union": Union, "join": Join, "project": Project,
+              "select": Select, "rename": Rename}
 
 
-class _RAParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+class _RAParser(_Parser):
+    """Recursive descent over the expression tokens."""
 
-    def error(self, msg):
-        return ParseError(f"at offset {self.pos}: {msg}")
+    def name(self):
+        tok = self.advance()
+        if tok.kind != "ident" and tok.kind not in KEYWORDS:
+            raise ParseError(f"unexpected {tok.text!r}", tok.span,
+                             {"identifier"})
+        return tok.text
 
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def query(self):
+        tok = self.advance()
+        if tok.text == "rel":
+            return Rel(self.name())
+        op = _OPERATORS.get(tok.text)
+        if op is None:
+            raise ParseError(f"unexpected {tok.text!r}", tok.span,
+                             {"rel", *_OPERATORS})
+        if op is Union or op is Join:
+            self.expect("(")
+            left = self.query()
+            self.expect(",")
+            right = self.query()
+            self.expect(")")
+            return op(left, right)
+        self.expect("[")
+        items = []
+        if op is Rename or not self.at("]"):
+            items.append(self.item(op))
+            while self.at(","):
+                self.advance()
+                items.append(self.item(op))
+        self.expect("]")
+        self.expect("(")
+        arg = self.query()
+        self.expect(")")
+        return op(items, arg)
 
-    def lit(self, s):
-        self.ws()
-        if not self.text.startswith(s, self.pos):
-            raise self.error(f"expected {s!r}")
-        self.pos += len(s)
-
-    def ident(self):
-        self.ws()
-        m = re.compile(_IDENT).match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def attr_list(self):
-        self.lit("[")
-        attrs = []
-        self.ws()
-        if not self.text.startswith("]", self.pos):
-            attrs.append(self.ident())
-            self.ws()
-            while self.text.startswith(",", self.pos):
-                self.pos += 1
-                attrs.append(self.ident())
-                self.ws()
-        self.lit("]")
-        return attrs
-
-    def rename_list(self):
-        self.lit("[")
-        pairs = []
-        while True:
-            new = self.ident()
-            self.lit("->")
-            old = self.ident()
-            pairs.append((new, old))
-            self.ws()
-            if self.text.startswith(",", self.pos):
-                self.pos += 1
-                continue
-            break
-        self.lit("]")
-        return tuple(pairs)
-
-    def expr(self):
-        self.ws()
-        head_m = re.compile(_IDENT).match(self.text, self.pos)
-        if not head_m:
-            raise self.error("expected a relational operator")
-        head = head_m.group()
-        if head == "rel":
-            self.pos = head_m.end()
-            return Rel(self.ident())
-        if head in ("union", "join"):
-            self.pos = head_m.end()
-            self.lit("(")
-            left = self.expr()
-            self.lit(",")
-            right = self.expr()
-            self.lit(")")
-            return (Union if head == "union" else Join)(left, right)
-        if head in ("project", "select"):
-            self.pos = head_m.end()
-            attrs = self.attr_list()
-            self.lit("(")
-            arg = self.expr()
-            self.lit(")")
-            node = Project if head == "project" else Select
-            return node(frozenset(attrs), arg)
-        if head == "rename":
-            self.pos = head_m.end()
-            pairs = self.rename_list()
-            self.lit("(")
-            arg = self.expr()
-            self.lit(")")
-            return Rename(pairs, arg)
-        raise self.error(f"unknown relational operator {head!r}")
+    def item(self, op):
+        """A projected or selected attribute, or a renaming's pair."""
+        new = self.name()
+        if op is not Rename:
+            return new
+        self.expect("->")
+        return new, self.name()
 
 
 def parse_ra(text: str) -> RAExpr:
-    p = _RAParser(text)
     try:
-        q = p.expr()
-    except RecursionError:
-        raise p.error("relational expression nested too deeply") from None
-    p.ws()
-    if p.pos != len(p.text):
-        raise p.error("trailing input")
-    return q
+        p = _RAParser(text)
+        return p.whole(p.query, "relational expression")
+    except ParseError as exc:
+        raise ParseError(f"at offset {exc.span.start}: {exc.args[0]}",
+                         expected=exc.expected) from None
 
 
 def format_ra(q: RAExpr) -> str:

@@ -51,11 +51,16 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
+def _echo(text):
+    """`text` quoted for an error message, cut short if it is long."""
+    return repr(text) if len(text) <= 40 else f"{text[:37]!r}..."
+
+
 def _parse_real(text):
     try:
         v = float(text)
     except ValueError:
-        raise FormatError(f"not a real number: {text!r}") from None
+        raise FormatError(f"not a real number: {_echo(text)}") from None
     if math.isnan(v):
         raise FormatError("NaN is not in the real carrier")
     return v
@@ -67,20 +72,28 @@ def _fmt_real(v):
     return "%.17g" % v
 
 
+# Python refuses `int` of a string and `str` of an int past its int-string
+# limit, which is never set below 640 digits, so a nat is read and printed
+# in chunks of fewer digits.
+_NAT_CHUNK_DIGITS = 600
+_NAT_CHUNK = 10 ** _NAT_CHUNK_DIGITS
+
+
 def _parse_nat(text):
     try:
         v = int(text)
     except ValueError:
-        raise FormatError(f"not a natural number: {text!r}") from None
+        if not (text.isascii() and text.isdigit()):
+            raise FormatError(
+                f"not a natural number: {_echo(text)}") from None
+        v = 0
+        for i in range(0, len(text), _NAT_CHUNK_DIGITS):
+            chunk = text[i:i + _NAT_CHUNK_DIGITS]
+            v = v * 10 ** len(chunk) + int(chunk)
     if v < 0:
-        raise FormatError(f"negative value {v} is not a natural number")
+        raise FormatError(
+            f"negative value {_echo(text)} is not a natural number")
     return v
-
-
-# Python refuses `str` of an int past its int-string limit, which is never
-# set below 640 digits, so a nat is printed in chunks of fewer digits.
-_NAT_CHUNK_DIGITS = 600
-_NAT_CHUNK = 10 ** _NAT_CHUNK_DIGITS
 
 
 def _fmt_nat(v):
@@ -97,7 +110,8 @@ def _parse_bool(text):
         return 0
     if text == "1":
         return 1
-    raise FormatError(f"boolean carrier admits only 0 and 1, got {text!r}")
+    raise FormatError(
+        f"boolean carrier admits only 0 and 1, got {_echo(text)}")
 
 
 def _parse_tropical(text):

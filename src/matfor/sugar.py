@@ -26,7 +26,7 @@ from __future__ import annotations
 from . import ast
 from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
-from .errors import ArityMismatch
+from .errors import ArityMismatch, TypeCheckError
 from .typecheck import binder_types, type_in_env
 
 
@@ -73,28 +73,40 @@ def allones_template(t, fresh):
 
 
 def desugar(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
-    """Lower all sugar nodes; the result contains only core constructs."""
+    """Lower all sugar nodes; the result contains only core constructs.
+
+    A quantifier's loop is typed once, as it is built, and typing an
+    enclosing body stops there: an enclosing walk would reach it with only
+    fresh names added to the environment, so its outcome is the same."""
     fresh = _Fresh(e, schema)
+    known = {}
     return ast.drive(e, dict(schema.vars),
-                     lambda node, env: _desugar(node, env, fresh))
+                     lambda node, env: _desugar(node, env, fresh, known))
 
 
-def _desugar(e, env, fresh):
+def _desugar(e, env, fresh, known):
     if isinstance(e, (Sum, Prod, Hadamard)):
         inner = binder_types(e, env)
         body = yield e.body, inner
-        body_t = type_in_env(body, inner)
+        body_t = type_in_env(body, inner, known)
         acc = fresh.name("acc")
         if isinstance(e, Sum):
-            return For(e.var, acc, Add(Var(acc), body),
+            loop = For(e.var, acc, Add(Var(acc), body),
                        var_sym=e.var_sym, acc_type=body_t)
-        if isinstance(e, Prod):
-            return For(e.var, acc, MatMul(Var(acc), body),
+        elif isinstance(e, Prod):
+            loop = For(e.var, acc, MatMul(Var(acc), body),
                        init=identity_template(body_t.rows, fresh),
                        var_sym=e.var_sym, acc_type=body_t)
-        return For(e.var, acc, Apply("hprod2", (Var(acc), body)),
-                   init=allones_template(body_t, fresh),
-                   var_sym=e.var_sym, acc_type=body_t)
+        else:
+            loop = For(e.var, acc, Apply("hprod2", (Var(acc), body)),
+                       init=allones_template(body_t, fresh),
+                       var_sym=e.var_sym, acc_type=body_t)
+        try:
+            outcome = type_in_env(loop, env, known)
+        except TypeCheckError as exc:
+            outcome = exc
+        known[id(loop)] = loop, outcome
+        return loop
 
     if isinstance(e, Ones):
         t = type_in_env(e.arg, env)
@@ -124,8 +136,8 @@ def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
 def _reduce(e, env, fresh):
     if isinstance(e, Apply) and not e.args:
         raise ArityMismatch(f"function '{e.func}' applied to no arguments")
-    loop = isinstance(e, (For, Sum, Prod, Hadamard))
-    out = yield from ast.rebuilt(e, env, binder_types(e, env) if loop else env)
+    inner = binder_types(e, env) if ast.binders(e) else env
+    out = yield from ast.rebuilt(e, env, inner)
     if not isinstance(e, Apply):
         return out
     t = type_in_env(e.args[0], env)

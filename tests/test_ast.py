@@ -2,8 +2,8 @@ import pytest
 
 from matfor import stdlib
 from matfor.ast import (Add, Const, For, Hadamard, MatMul, MatrixType, Prod,
-                        Schema, Sum, Transpose, Var, bound_names, children,
-                        free_vars, node_table, substitute, walk)
+                        Schema, Sum, Transpose, Var, binders, bound_names,
+                        children, free_vars, node_table, substitute, walk)
 from matfor.errors import DuplicateVariable
 
 
@@ -14,6 +14,15 @@ def test_free_vars_of_variable():
 def test_loop_binders_are_not_free():
     e = For("v", "X", Add(Var("X"), MatMul(Var("v"), Var("W"))))
     assert free_vars(e) == {"W"}
+
+
+def test_binders_are_bound_in_the_last_child_only():
+    init, body = Var("v"), Add(Var("X"), Var("v"))
+    loop = For("v", "X", body, init)
+    assert binders(loop) == ("v", "X") and children(loop)[-1] is body
+    assert binders(Hadamard("v", body)) == ("v",)
+    assert binders(body) == ()
+    assert free_vars(loop) == {"v"}
 
 
 def test_sugar_binds_iterator():

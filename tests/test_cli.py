@@ -302,3 +302,22 @@ def test_eval_prints_a_nat_past_the_int_string_limit(files, capsys):
     assert header == "1 x 1"
     assert len(digits) == 19729
     assert digits[-20:] == str(pow(2, 65536, 10 ** 20)).zfill(20)
+
+
+def test_eval_reads_a_nat_past_the_int_string_limit(files, capsys):
+    big = "1" + "0" * 5000
+    inst = files("big.inst", "semiring nat\nsize alpha 1\n"
+                             f"matrix V alpha alpha\n{big}\n")
+    code, out, err = run(capsys, "eval", "-e", "V + V", "--instance", inst)
+    assert (code, err) == (0, "")
+    assert out == "1 x 1\n2" + "0" * 5000 + "\n"
+
+
+def test_a_long_bad_nat_is_echoed_cut_short(files, capsys):
+    bad = "1" + "0" * 4999 + "x"
+    inst = files("bad.inst", "semiring nat\nsize alpha 1\n"
+                             f"matrix V alpha alpha\n{bad}\n")
+    code, out, err = run(capsys, "eval", "-e", "V", "--instance", inst)
+    assert (code, out) == (2, "")
+    assert "not a natural number: '1000" in err
+    assert len(err) < 200

@@ -2,17 +2,24 @@
 
 A 5,000-term ``V + ... + V`` nests 5,000 deep either way round, well past
 Python's default recursion limit, so each pass must keep its pending nodes
-off the Python stack.  Queries nested 5,000 deep do the same for psi.
+off the Python stack.  Queries nested 5,000 deep do the same for psi.  A
+2,000-deep nest of quantifiers must cost work linear in its depth.
 """
+
+import importlib
+from collections import Counter
 
 import pytest
 
-from matfor.ast import Add, MatMul, MatrixType, Schema, Var, substitute
+from matfor import ast, bridge, fragments
+from matfor.ast import (Add, MatMul, MatrixType, Schema, Sum, UNIT, Var,
+                        substitute)
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
 from matfor.circuit_compile import compile_expr
 from matfor.cli import main
 from matfor.errors import EvalError
+from matfor.fragments import Fragment, classify
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import from_rows
@@ -151,3 +158,43 @@ def test_cli_accepts_a_long_sum(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.count("\n") == 1
+
+
+DEPTH = 2000
+NEST_SCHEMA = Schema({"V": MatrixType("alpha", UNIT)})
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls of the type checker's rule `_check` and of
+    `node_table`, through every module that holds them."""
+    counts = Counter()
+    typecheck_module = importlib.import_module("matfor.typecheck")
+    for module, name in [(typecheck_module, "_check"), (ast, "node_table"),
+                         (fragments, "node_table"), (bridge, "node_table")]:
+        def counting(*args, real=getattr(module, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _sum_nest():
+    """``sum v . (sum v . (... + v) + v)``, `DEPTH` quantifiers deep."""
+    e = Var("V")
+    for _ in range(DEPTH):
+        e = Sum("v", Add(e, Var("v")), var_sym="alpha")
+    return e
+
+
+@pytest.mark.parametrize("run", [
+    lambda e: desugar(e, NEST_SCHEMA),
+    lambda e: classify(desugar(e, NEST_SCHEMA)) is Fragment.SUM,
+    lambda e: phi_translate(e, NEST_SCHEMA),
+], ids=["desugar", "classify", "phi_translate"])
+def test_a_deep_quantifier_nest_costs_linear_work(calls, run):
+    # typing each desugared body afresh, or a table per loop, is quadratic:
+    # millions of `_check` calls and thousands of tables at this depth
+    assert run(_sum_nest())
+    assert calls["_check"] <= 13 * DEPTH
+    assert calls["node_table"] <= 2

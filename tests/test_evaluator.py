@@ -21,6 +21,7 @@ from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL
+from matfor.sugar import desugar
 
 
 def ev(text, schema_text, dims, sr=REAL, order=None, **mats):
@@ -94,6 +95,24 @@ def test_ones_and_diag_sugar():
               V=from_rows([[0.0] * 3] * 2)).tolists() == [[1.0], [1.0]]
     assert ev("diag(v)", "var v : alpha x 1", {"alpha": 2},
               v=v).tolists() == [[2.0, 0.0], [0.0, 5.0]]
+
+
+def test_ones_builds_its_argument_only_for_its_shape():
+    # div(V, W) divides by zero, but ones() and its desugared loop need
+    # only the argument's row count, so both give the all-ones column
+    schema = parse_schema("var V : alpha x 1\nvar W : alpha x 1")
+    inst = Instance({"alpha": 2}, {"V": from_rows([[3.0], [4.0]]),
+                                   "W": from_rows([[1.0], [0.0]])})
+    e = parse_expr("ones(div(V, W))")
+    with pytest.raises(DivisionByZero):
+        evaluate(parse_expr("div(V, W)"), inst, REAL, schema=schema)
+    with mock.patch.object(evaluator, "mat_map",
+                           side_effect=evaluator.mat_map) as kernel:
+        out = evaluate(e, inst, REAL, schema=schema)
+        assert kernel.call_count == 0
+    assert out.tolists() == [[1.0], [1.0]]
+    assert evaluate(desugar(e, schema), inst, REAL,
+                    schema=schema).tolists() == [[1.0], [1.0]]
 
 
 def test_pointwise_functions():

@@ -2,7 +2,9 @@ import itertools
 import random
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from matfor.errors import (FormatError, ParseError, SignatureViolation,
                            UnknownRelation)
@@ -149,6 +151,29 @@ def test_ra_text_round_trip(text):
     assert parse_ra(format_ra(q)) == q
 
 
+# expression keywords and relational operator names are names here too
+_NAMES = st.sampled_from(["R", "a", "b_2", "sum", "inf", "for", "ones",
+                          "Sless", "rel", "union", "rename"])
+
+
+def _queries():
+    attrs = st.frozensets(_NAMES, max_size=3)
+    pairs = st.lists(st.tuples(_NAMES, _NAMES), min_size=1, max_size=3)
+    return st.recursive(
+        st.builds(Rel, _NAMES),
+        lambda q: st.one_of(st.builds(Union, q, q), st.builds(Join, q, q),
+                            st.builds(Project, attrs, q),
+                            st.builds(Select, attrs, q),
+                            st.builds(Rename, pairs, q)),
+        max_leaves=8)
+
+
+@given(_queries())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ra_parses_what_it_formats(q):
+    assert parse_ra(format_ra(q)) == q
+
+
 def test_ra_parse_errors():
     for bad in ("", "rel", "union(rel R)", "project[a(rel R)", "frob(rel R)"):
         with pytest.raises(Exception):
@@ -162,6 +187,20 @@ def test_deep_ra_nesting_is_a_parse_error():
         parse_ra(text)
     assert "relational expression nested too deeply" in str(err.value)
     assert str(err.value).startswith("at offset ")
+
+
+@pytest.mark.parametrize("bad, offset", [
+    ("rel R $", 6),             # a character neither language lexes
+    ("rename[](rel R)", 7),     # a rename renames at least one attribute
+    ("project[a,](rel R)", 10),
+    ("sum(rel R)", 0),          # a keyword names no relational operator
+    ("rel R rel S", 6),
+])
+def test_ra_parse_errors_give_their_offset(bad, offset):
+    with pytest.raises(ParseError) as err:
+        parse_ra(bad)
+    assert str(err.value).startswith(f"at offset {offset}: ")
+    assert err.value.span is None
 
 
 def test_relation_file_round_trip():
