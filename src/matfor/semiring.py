@@ -11,6 +11,9 @@ The provided instances:
 * ``bool``     - {0, 1} with or/and.
 * ``tropical`` - min-plus over the reals extended with +infinity
                  (zero = inf, one = 0.0).
+* ``rational`` - exact fractions (`fractions.Fraction`).  Text is read as
+                 an exact value: ``0.1`` is 1/10, not the nearest float, and
+                 ``1/3`` is a third.
 
 Equality is exact except over the reals, where an absolute tolerance is
 honoured.  Floating addition is not associative, so order-sensitive laws are
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import DivisionByZero, FormatError, MatforError
@@ -161,6 +165,40 @@ def _tropical_literal(v):
     return v
 
 
+def _parse_rational(text):
+    # an exponent is spelt out as an exact power of ten, so a huge one is
+    # refused before it is built
+    _, e, exponent = text.lower().partition("e")
+    if e and len(exponent.strip().lstrip("+-").lstrip("0")) > 4:
+        raise FormatError(f"exponent out of range: {_echo(text)}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"not a rational number: {_echo(text)}") from None
+
+
+def _fmt_rational(v):
+    num = ("-" if v < 0 else "") + _fmt_nat(abs(v.numerator))
+    return num if v.denominator == 1 else f"{num}/{_fmt_nat(v.denominator)}"
+
+
+def _rational_literal(v):
+    try:
+        return Fraction(v)
+    except (ValueError, OverflowError):
+        raise FormatError(f"literal {v!r} is not a rational number") from None
+
+
+def _div_rational(x, y):
+    if not y:
+        raise DivisionByZero(f"division by zero: {x} / {y}")
+    return x / y
+
+
+def _gtz_rational(x):
+    return Fraction(1) if x > 0 else Fraction(0)
+
+
 REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
                 _parse_real, _fmt_real, _real_literal, _div_real, _gtz_real)
 
@@ -173,7 +211,11 @@ BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_,
 TROPICAL = Semiring("tropical", math.inf, 0.0, min, operator.add,
                     _parse_tropical, _fmt_tropical, _tropical_literal)
 
-SEMIRINGS = {sr.name: sr for sr in (REAL, NAT, BOOL, TROPICAL)}
+RATIONAL = Semiring("rational", Fraction(0), Fraction(1), operator.add,
+                    operator.mul, _parse_rational, _fmt_rational,
+                    _rational_literal, _div_rational, _gtz_rational)
+
+SEMIRINGS = {sr.name: sr for sr in (REAL, NAT, BOOL, TROPICAL, RATIONAL)}
 
 
 def by_name(name: str) -> Semiring:

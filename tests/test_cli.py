@@ -49,6 +49,17 @@ def test_eval_semiring_override(files, capsys):
     assert out == "2 x 1\n1\n1\n"
 
 
+def test_eval_over_rational_is_exact(files, capsys):
+    inst = files("q.inst", "semiring rational\nsize alpha 2\n"
+                           "matrix V alpha alpha\n1/3 0.1\n0 1\n")
+    code, out, _ = run(capsys, "eval", "-e", "V + V", "--instance", inst)
+    assert (code, out) == (0, "2 x 2\n2/3 1/5\n0 2\n")
+    nat = files("n.inst", "semiring nat\nsize alpha 2\n")
+    code, out, _ = run(capsys, "eval", "-e", "sum v . v", "--instance", nat,
+                       "--semiring", "rational")
+    assert (code, out) == (0, "2 x 1\n1\n1\n")
+
+
 def test_check_prints_the_type(files, capsys):
     schema = files("s.schema", "var V : alpha x beta\n")
     code, out, _ = run(capsys, "check", "-e", "V^T", "--schema", schema)

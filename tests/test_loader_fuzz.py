@@ -13,7 +13,7 @@ from matfor.relalg import parse_relations
 
 _NUMBERS = ["0", "1", "2", "3", "-1", "0.5", "1e400", "inf", "-inf", "nan",
             "x", "1_0", "\u0663"]
-_SEMIRINGS = ["nat", "real", "bool", "tropical"]
+_SEMIRINGS = ["nat", "real", "bool", "tropical", "rational"]
 _SYMS = ["alpha", "beta", "1", "x"]
 
 

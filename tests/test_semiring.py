@@ -1,18 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matfor.errors import FormatError
-from matfor.semiring import BOOL, NAT, REAL, TROPICAL, by_name
+from matfor.errors import DivisionByZero, FormatError
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL, by_name
 
-EXACT = [NAT, BOOL, TROPICAL]
+EXACT = [NAT, BOOL, TROPICAL, RATIONAL]
 
 _carrier = {
     "nat": st.integers(0, 10),
     "bool": st.sampled_from([0, 1]),
     "tropical": st.sampled_from([math.inf, 0.0, 1.0, 2.5, -3.0, 7.0]),
+    "rational": st.fractions(max_denominator=50),
 }
 
 
@@ -69,6 +71,48 @@ def test_parsing_and_printing():
 def test_nat_prints_past_the_int_string_limit():
     # the inner 600-digit chunks are all zero and must keep their zeros
     assert NAT.fmt(10 ** 5000 + 7) == "1" + "0" * 4999 + "7"
+
+
+def test_rational_reads_decimal_text_exactly():
+    # 0.1 is one tenth, not the float nearest to it
+    assert RATIONAL.parse("0.1") == Fraction(1, 10)
+    assert RATIONAL.parse("0.1") != Fraction(0.1)
+    assert RATIONAL.parse("-1/3") == Fraction(-1, 3)
+    assert RATIONAL.parse("1e3") == 1000
+    assert RATIONAL.from_literal(2.5) == Fraction(5, 2)
+    assert RATIONAL.from_literal(-1) == -1
+
+
+def test_rational_prints_what_it_reads():
+    for v in (Fraction(0), Fraction(-7, 3), Fraction(4), Fraction(1, 10)):
+        assert RATIONAL.parse(RATIONAL.fmt(v)) == v
+    assert RATIONAL.fmt(Fraction(-7, 3)) == "-7/3"
+    # past the int-string limit, as nats are
+    assert RATIONAL.fmt(Fraction(-10 ** 5000, 3)) == \
+        "-1" + "0" * 5000 + "/3"
+
+
+def test_rational_division_and_positivity():
+    assert RATIONAL.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
+    with pytest.raises(DivisionByZero):
+        RATIONAL.div(Fraction(1), Fraction(0))
+    assert RATIONAL.gtz(Fraction(1, 9)) == 1
+    assert RATIONAL.gtz(Fraction(-1, 9)) == 0
+    assert RATIONAL.gtz(Fraction(0)) == 0
+    assert by_name("rational") is RATIONAL
+
+
+@pytest.mark.parametrize("text", [
+    "nan", "inf", "-inf", "1/0", "x", "", "1e99999", "1e-99999"])
+def test_rational_carrier_violations(text):
+    with pytest.raises(FormatError):
+        RATIONAL.parse(text)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_rational_literal_violations(value):
+    with pytest.raises(FormatError):
+        RATIONAL.from_literal(value)
 
 
 @pytest.mark.parametrize("sr,text", [
