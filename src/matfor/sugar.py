@@ -27,7 +27,7 @@ from . import ast
 from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
 from .errors import ArityMismatch, TypeCheckError
-from .typecheck import binder_types, type_in_env
+from .typecheck import _check, binder_types, type_in_env
 
 
 class _Fresh:
@@ -127,23 +127,59 @@ def _desugar(e, env, fresh, known):
 
 
 def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
-    """Rewrite non-scalar pointwise applications to the double-sum form."""
+    """Rewrite non-scalar pointwise applications to the double-sum form.
+
+    The pass types every node once, from its children's outcomes, as it
+    leaves the node, so an application reads its first argument's type
+    without walking that argument again."""
     fresh = _Fresh(e, schema)
-    return ast.drive(e, dict(schema.vars),
-                     lambda node, env: _reduce(node, env, fresh))
+    out, _ = ast.drive(e, dict(schema.vars),
+                       lambda node, env: _reduce(node, env, fresh))
+    return out
 
 
 def _reduce(e, env, fresh):
+    """The rewrite of `e` and what typing `e` in `env` gives: its type, or
+    the first type error the type checker raises for it.  An application
+    whose first argument does not type raises that error."""
     if isinstance(e, Apply) and not e.args:
         raise ArityMismatch(f"function '{e.func}' applied to no arguments")
     inner = binder_types(e, env) if ast.binders(e) else env
-    out = yield from ast.rebuilt(e, env, inner)
+    rebuild, reply, outcomes = ast.rebuilt(e, env, inner), None, []
+    while True:
+        try:
+            child, child_env = rebuild.send(reply)
+        except StopIteration as stop:
+            out = stop.value
+            break
+        reply, outcome = yield child, child_env
+        outcomes.append(outcome)
+    outcome = _outcome(e, env, outcomes)
     if not isinstance(e, Apply):
-        return out
-    t = type_in_env(e.args[0], env)
+        return out, outcome
+    t = outcomes[0]
+    if isinstance(t, TypeCheckError):
+        raise t
     if t.is_scalar:
-        return out
-    return _scalarised_apply(e.func, out.args, t, fresh)
+        return out, outcome
+    return _scalarised_apply(e.func, out.args, t, fresh), outcome
+
+
+def _outcome(e, env, outcomes):
+    """What the type checker's rule gives for `e` in `env` when its children
+    give `outcomes`, in the order it visits them."""
+    check = _check(e, env)
+    try:
+        got = next(check)
+        for child in outcomes:
+            if isinstance(child, TypeCheckError):
+                return child
+            got = check.send(child)
+    except StopIteration as stop:
+        return stop.value
+    except TypeCheckError as exc:
+        return exc
+    raise AssertionError(f"type rule visits more children than {e!r} has")
 
 
 def _scalarised_apply(func, args, t, fresh):

@@ -11,9 +11,9 @@ from collections import Counter
 
 import pytest
 
-from matfor import ast, bridge, fragments
-from matfor.ast import (Add, MatMul, MatrixType, Schema, Sum, UNIT, Var,
-                        substitute)
+from matfor import ast, bridge, fragments, sugar
+from matfor.ast import (Add, Apply, MatMul, MatrixType, Schema, Sum, UNIT,
+                        Var, substitute)
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
 from matfor.circuit_compile import compile_expr
@@ -170,7 +170,8 @@ def calls(monkeypatch):
     `node_table`, through every module that holds them."""
     counts = Counter()
     typecheck_module = importlib.import_module("matfor.typecheck")
-    for module, name in [(typecheck_module, "_check"), (ast, "node_table"),
+    for module, name in [(typecheck_module, "_check"), (sugar, "_check"),
+                         (ast, "node_table"),
                          (fragments, "node_table"), (bridge, "node_table")]:
         def counting(*args, real=getattr(module, name), name=name):
             counts[name] += 1
@@ -198,3 +199,14 @@ def test_a_deep_quantifier_nest_costs_linear_work(calls, run):
     assert run(_sum_nest())
     assert calls["_check"] <= 13 * DEPTH
     assert calls["node_table"] <= 2
+
+
+def test_a_deep_application_nest_is_scalarised_in_linear_work(calls):
+    # ``hsum2(hsum2(... , V), V)``: typing each application's first argument
+    # afresh is quadratic, millions of `_check` calls at this depth
+    e = Var("V")
+    for _ in range(DEPTH):
+        e = Apply("hsum2", (e, Var("V")))
+    out = reduce_apply_to_scalars(e, NEST_SCHEMA)
+    assert calls["_check"] <= 13 * DEPTH
+    assert typecheck(out, NEST_SCHEMA) == MatrixType("alpha", UNIT)
