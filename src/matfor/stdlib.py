@@ -18,9 +18,9 @@ Groups:
   with M*A = U for arbitrary square A (first nonzero entry at or below the
   diagonal is chosen as pivot; columns with no pivot are skipped).
 * characteristic-polynomial suite - matrix powers and traces, triangular
-  inversion via a nilpotent power series, the Newton-identity triangular
-  system for the characteristic-polynomial coefficients, determinant and
-  inverse.
+  inversion as a product of elementary column stages, the Newton-identity
+  triangular system for the characteristic-polynomial coefficients,
+  determinant and inverse.
 
 The coefficient convention: with p(x) = x^n + c_1 x^(n-1) + ... + c_n the
 coefficients satisfy the lower-triangular system (D + N) * c = -b, where
@@ -28,6 +28,9 @@ D = diag(1..n), N holds the power traces tr(A^(i-j)) below the diagonal,
 and b = (tr(A^1), ..., tr(A^n)).  Then
 det(A) = (-1)^n c_n and, by Cayley-Hamilton,
 A^{-1} = -(1/c_n) * (A^(n-1) + sum_{i=1..n-1} c_i A^(n-1-i)).
+`inverse` weighs A^k there by e_max^T S^k w and I by e_max^T w, where S is
+the shift and w = S c + e_min = (1, c_1, ..., c_(n-1)); the evaluator's memo
+shares A^k and S^k with the trace vector and the Newton system.
 """
 
 from __future__ import annotations
@@ -166,16 +169,23 @@ def _diag_inverse(b, m):
 def _upper_inv(b, m, eid):
     """Inverse of an invertible upper-triangular matrix.
 
-    With D the diagonal part, U = D (I + D^-1 T) where T = U - D is strictly
-    upper, so D^-1 T is nilpotent and the power series inverts I + D^-1 T.
+    With D the diagonal part, U = D (I + N), N = D^-1 (U - D) strictly
+    upper.  Column u_j = N e_j is zero from row j down, so (I + N)^-1 is the
+    product of the n stages I - u_j e_j^T in ascending j.
     """
-    dinv = _diag_inverse(b, m)
-    series_arg = _neg(_mm(dinv, Add(m, _neg(_get_diag(b, m)))))
-    return _mm(_power_series(b, series_arg, eid), dinv)
+    dinv, e = _diag_inverse(b, m), b.bind("e", _COL)
+    strict = _mm(dinv, Add(m, _neg(_get_diag(b, m))))
+    return _mm(Prod("e", Add(eid, _neg(_mm(strict, e, Transpose(e))))), dinv)
 
 
 def _lower_inv(b, m, eid):
     return Transpose(_upper_inv(b, Transpose(m), eid))
+
+
+def _index_diagonal(b, eid):
+    """diag(1, 2, ..., n)."""
+    c, u = b.bind("c", _COL), b.bind("u", _COL)
+    return Sum("c", ScalarMul(Sum("u", _le(u, c, eid)), _mm(c, Transpose(c))))
 
 
 def _col_below(b, m, pivot):
@@ -523,12 +533,8 @@ def build_csanky_suite() -> list[NamedExpr]:
 
     b = _Decls({})
     eid = _identity(b)
-    cc = b.bind("c", _COL)
-    u = b.bind("u", _COL)
     out.append(NamedExpr(
-        "index_diagonal",
-        Sum("c", ScalarMul(Sum("u", _le(u, cc, eid)), _mm(cc, Transpose(cc)))),
-        b.schema(),
+        "index_diagonal", _index_diagonal(b, eid), b.schema(),
         description="diagonal matrix with entries 1, 2, ..., n"))
 
     def trace_vector(b, eid):
@@ -542,14 +548,10 @@ def build_csanky_suite() -> list[NamedExpr]:
         description="column of power traces (tr(A^1), ..., tr(A^n))"))
 
     def newton_matrix(b, eid):
-        cc = b.bind("c", _COL)
-        u = b.bind("u", _COL)
-        counts = Sum("c", ScalarMul(Sum("u", _le(u, cc, eid)),
-                                    _mm(cc, Transpose(cc))))
-        s = b.bind("s", _COL)
-        traces = trace_vector(b, eid)
-        return Add(counts,
-                   Sum("s", MatMul(_shift(b, traces, s, eid), Transpose(s))))
+        # trace_vector's iterator: S^k shares its power stages' selectors
+        counts, r = _index_diagonal(b, eid), b.bind("r", _COL)
+        shifted = _shift(b, trace_vector(b, eid), r, eid)
+        return Add(counts, Sum("r", MatMul(shifted, Transpose(r))))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
@@ -600,22 +602,17 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     coeffs = charpoly(b, eid)
+    shift = OrderPrim(OrderKind.NSHIFT, ALPHA)
+    weights = Add(MatMul(shift, coeffs), OrderPrim(OrderKind.EMIN, ALPHA))
+    r = b.bind("r", _COL)
+    powers = Sum("r", ScalarMul(
+        _mm(Transpose(_emax()), _pow(b, shift, r, eid), weights),
+        _pow(b, Var("V"), r, eid)))
+    tail = Add(ScalarMul(_mm(Transpose(_emax()), weights), eid), powers)
     last_coeff = _mm(Transpose(coeffs), _emax())
-    # A^(n-1) selects the basis vector below the last one; at n = 1 that is
-    # the zero vector, every power stage vanishes, and the guard term
-    # (first == last there) contributes the identity instead
-    penultimate = _pow(
-        b, Var("V"),
-        _mm(Transpose(OrderPrim(OrderKind.NSHIFT, ALPHA)), _emax()), eid)
-    one_dim = _mm(Transpose(OrderPrim(OrderKind.EMIN, ALPHA)), _emax())
-    head = ScalarMul(Apply("div", (Const(1), last_coeff)),
-                     Add(penultimate, ScalarMul(one_dim, eid)))
-    h = b.bind("h", _COL)
-    tail = Sum("h", ScalarMul(
-        Apply("div", (_mm(Transpose(coeffs), h), last_coeff)),
-        inv_power(b, Var("V"), h, eid)))
     out.append(NamedExpr(
-        "inverse", Add(eid, _neg(Add(head, tail))), b.schema(), inputs=("V",),
+        "inverse", ScalarMul(_neg(Apply("div", (Const(1), last_coeff))), tail),
+        b.schema(), inputs=("V",),
         description="matrix inverse via Cayley-Hamilton and the "
                     "characteristic coefficients"))
 

@@ -8,6 +8,7 @@ the package's evaluator, so a bug cannot cancel itself out.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +51,29 @@ def pivoted_elimination(a):
         state = t @ state
         m = t @ m
     return m, state
+
+
+def fraction_det(a):
+    """Determinant by Gaussian elimination over exact fractions."""
+    a = [[Fraction(v) for v in row] for row in a]
+    n, det = len(a), Fraction(1)
+    for i in range(n):
+        pivot = next((j for j in range(i, n) if a[j][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for j in range(i + 1, n):
+            mult = a[j][i] / a[i][i]
+            a[j] = [x - mult * y for x, y in zip(a[j], a[i])]
+    return det
+
+
+def fraction_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
 
 
 def det_by_permutations(a):

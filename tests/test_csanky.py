@@ -1,14 +1,17 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import max_abs_diff, real_matrix, run_named
+from conftest import dominant_real, max_abs_diff, real_matrix, run_named
+from matfor import evaluator
 from matfor.errors import DivisionByZero
 from matfor.evaluator import canonical_vector
 from matfor.matrix import from_rows
-from matfor.semiring import NAT, REAL
+from matfor.semiring import NAT, RATIONAL, REAL
 
 
 def well_conditioned(rng, n):
@@ -156,3 +159,96 @@ def test_determinant_and_inverse_against_oracles(lib, trial):
     inv = run_named(lib, "inverse", n, V=a)
     prod = np.array(rows) @ np.array(inv.tolists())
     assert np.max(np.abs(prod - np.eye(n))) <= 1e-6
+
+
+# Exact checks: over the rationals the Csanky suite's identities hold with
+# no rounding, so its outputs must equal the exact answers.
+
+
+def rational_matrix(rows):
+    return from_rows([[Fraction(v) for v in row] for row in rows])
+
+
+def integer_rows(rng, n, nonsingular=False):
+    while True:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if not nonsingular or oracles.fraction_det(rows) != 0:
+            return rows
+
+
+def exact_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_determinant_is_exact_over_rationals(lib, n):
+    rng = random.Random(900 + n)
+    for _ in range(2):
+        rows = integer_rows(rng, n)
+        got = run_named(lib, "determinant", n, RATIONAL,
+                        V=rational_matrix(rows))
+        assert got.entries == (oracles.fraction_det(rows),)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverses_are_exact_over_rationals(lib, n):
+    rng = random.Random(910 + n)
+    rows = integer_rows(rng, n, nonsingular=True)
+    cases = [("inverse", rows)]
+    for name, keep in (("upper_tri_inverse", lambda i, j: j >= i),
+                       ("lower_tri_inverse", lambda i, j: j <= i)):
+        tri = [[rows[i][j] if keep(i, j) else 0 for j in range(n)]
+               for i in range(n)]
+        for i in range(n):
+            tri[i][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        cases.append((name, tri))
+    for name, a in cases:
+        got = run_named(lib, name, n, RATIONAL, V=rational_matrix(a))
+        assert oracles.fraction_matmul(a, got.tolists()) == \
+            exact_identity(n), name
+
+
+@pytest.mark.parametrize("name,rows", [
+    ("inverse", [[1, 2, 3], [2, 4, 6], [1, 0, 1]]),
+    ("upper_tri_inverse", [[1, 2, 3], [0, 0, 6], [0, 0, 1]]),
+    ("lower_tri_inverse", [[1, 0, 0], [2, 4, 0], [1, 5, 0]]),
+])
+def test_a_singular_matrix_has_no_rational_inverse(lib, name, rows):
+    with pytest.raises(DivisionByZero):
+        run_named(lib, name, 3, RATIONAL, V=rational_matrix(rows))
+
+
+# Kernel counts: the triangular inverse is n elementary stages, and
+# `inverse` takes its powers of A from the trace vector's memo entries.
+
+
+def product_counts(monkeypatch, lib, name, n, v):
+    """`mat_mul` calls of one evaluation over the reals: those of two
+    n x n operands, and those whose right operand equals `v`."""
+    counts, real = Counter(), evaluator.mat_mul
+
+    def spy(a, b, sr):
+        counts["square"] += a.shape == b.shape == (n, n)
+        counts["by_input"] += b.entries == v.entries
+        return real(a, b, sr)
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "mat_mul", spy)
+        run_named(lib, name, n, V=v)
+    return counts
+
+
+def test_triangular_inverse_makes_linearly_many_products(lib, monkeypatch):
+    rng = random.Random(920)
+    for n in range(4, 11):
+        v = real_matrix([[rng.uniform(-1, 1) if j < i else
+                          (2.0 if i == j else 0.0) for j in range(n)]
+                         for i in range(n)])
+        counts = product_counts(monkeypatch, lib, "lower_tri_inverse", n, v)
+        assert counts["square"] <= 2 * n, n
+
+
+def test_inverse_builds_no_powers_beyond_the_determinants(lib, monkeypatch):
+    v = dominant_real(random.Random(930), 8)
+    det = product_counts(monkeypatch, lib, "determinant", 8, v)
+    inv = product_counts(monkeypatch, lib, "inverse", 8, v)
+    assert 0 < inv["by_input"] <= det["by_input"]

@@ -114,3 +114,9 @@ def test_stdlib_classification(lib):
     assert classify(lib["matrix_power"].expr) is Fragment.PROD
     assert classify(lib["repeated_squaring"].expr) is Fragment.FULL
     assert classify(lib["lu_upper"].expr) is Fragment.FULL
+    # the paper's claim that prod-MATLANG inverts matrices, witnessed by
+    # the Csanky suite: a rewrite that needs a general loop breaks it
+    for name in ("trace_vector", "newton_matrix", "charpoly_coeffs",
+                 "upper_tri_inverse", "lower_tri_inverse", "determinant",
+                 "inverse"):
+        assert classify(lib[name].expr) is Fragment.PROD, name
