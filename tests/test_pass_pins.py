@@ -207,13 +207,13 @@ PINS = {
     "typecheck": (
         "44b320f2205ec0c8ce42cb28f7350031a12108d4d99fad56ee06f2caf59b32aa"),
     "desugar": (
-        "4ee9aab6f8690095d23751c6a43cd2c4386aa2fc18cd5b4e373b9c306b7bbdb8"),
+        "fa97d0e05f9c8eb1c3ce83188544839bf9508ea68f8a3e375776f5c5231e0fad"),
     "scalarise": (
-        "b6674239fb584105d28906ead4cced8e73bd0e9204f5111bbfb6808ba6021447"),
+        "b10fc471c4e026201e2a3599822a47adb1139bda67f1f84b82ba65d06e929008"),
     "pretty": (
-        "e6db858e240930d6958bdd4260f8e0e2415fcb023c01e247fc52cac0da83e9fe"),
+        "a101f0310be0b7b88cd51e20fb6581ab3a94646879b99ceffc2dd217e44ad467"),
     "substitute": (
-        "4488c045d2d141d9bd49ba4f626be48ec7e9cc5303c1baed94f8381d37754906"),
+        "afb1d942bd149ea6eee050b156d59e7a803fd136e950dbff0b28ffacdb1333aa"),
     "phi": (
         "fe0c573f693af3fab2dde1b1fc18332a9e3c89e95eca3a86f5f8843ccd8bc4bf"),
     "psi": (
