@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -165,15 +166,25 @@ def _tropical_literal(v):
     return v
 
 
+# the forms `_fmt_rational` prints, read through `_parse_nat` so that they
+# load back past the int-string limit
+_RATIO = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
 def _parse_rational(text):
-    # an exponent is spelt out as an exact power of ten, so a huge one is
-    # refused before it is built
-    _, e, exponent = text.lower().partition("e")
-    if e and len(exponent.strip().lstrip("+-").lstrip("0")) > 4:
-        raise FormatError(f"exponent out of range: {_echo(text)}")
+    ratio = _RATIO.fullmatch(text)
     try:
+        if ratio is not None:
+            sign, num, den = ratio.groups()
+            value = Fraction(_parse_nat(num), _parse_nat(den or "1"))
+            return -value if sign else value
+        # an exponent is spelt out as an exact power of ten, so a huge one
+        # is refused before it is built
+        _, e, exponent = text.lower().partition("e")
+        if e and len(exponent.strip().lstrip("+-").lstrip("0")) > 4:
+            raise ValueError(exponent)
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (FormatError, ValueError, ZeroDivisionError):
         raise FormatError(f"not a rational number: {_echo(text)}") from None
 
 

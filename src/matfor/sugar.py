@@ -170,16 +170,15 @@ def _outcome(e, env, outcomes):
     give `outcomes`, in the order it visits them."""
     check = _check(e, env)
     try:
-        got = next(check)
-        for child in outcomes:
-            if isinstance(child, TypeCheckError):
-                return child
-            got = check.send(child)
+        check.send(None)
+        for got in outcomes:
+            if isinstance(got, TypeCheckError):
+                return got
+            check.send(got)
     except StopIteration as stop:
         return stop.value
     except TypeCheckError as exc:
         return exc
-    raise AssertionError(f"type rule visits more children than {e!r} has")
 
 
 def _scalarised_apply(func, args, t, fresh):

@@ -88,8 +88,9 @@ def test_rational_prints_what_it_reads():
         assert RATIONAL.parse(RATIONAL.fmt(v)) == v
     assert RATIONAL.fmt(Fraction(-7, 3)) == "-7/3"
     # past the int-string limit, as nats are
-    assert RATIONAL.fmt(Fraction(-10 ** 5000, 3)) == \
-        "-1" + "0" * 5000 + "/3"
+    big = Fraction(-10 ** 5000, 3)
+    assert RATIONAL.fmt(big) == "-1" + "0" * 5000 + "/3"
+    assert RATIONAL.parse(RATIONAL.fmt(big)) == big
 
 
 def test_rational_division_and_positivity():
@@ -103,7 +104,8 @@ def test_rational_division_and_positivity():
 
 
 @pytest.mark.parametrize("text", [
-    "nan", "inf", "-inf", "1/0", "x", "", "1e99999", "1e-99999"])
+    "nan", "inf", "-inf", "1/0", "x", "", "1e99999", "1e-99999", "--1",
+    "1/-3", "1" * 5000 + "x"])
 def test_rational_carrier_violations(text):
     with pytest.raises(FormatError):
         RATIONAL.parse(text)
