@@ -38,7 +38,7 @@ from .circuits import dump_circuit, eval_circuit, load_circuit, stats
 from .errors import EvalError, MatforError
 from .evaluator import evaluate
 from .fragments import classify
-from .instance import load_instance
+from .instance import Instance, load_instance
 from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
@@ -117,14 +117,20 @@ def _cmd_check(args):
 def _cmd_eval(args):
     e = parse_expr(args.expr)
     loaded = load_instance_arg(args.instance)
-    sr = by_name(args.semiring) if args.semiring else loaded.semiring
+    inst, sr = loaded.instance, loaded.semiring
+    if args.semiring:
+        # the instance's values are read again, as printed, in the override
+        sr = by_name(args.semiring)
+        inst = Instance(inst.dims, {
+            name: KMatrix(m.rows, m.cols, tuple(
+                sr.parse(loaded.semiring.fmt(v)) for v in m.entries))
+            for name, m in inst.mats.items()})
     schema = loaded.schema
     if args.schema:
         schema = schema.merged(_load_schema(args.schema))
-    schema = _extend_for_iterators(e, schema,
-                                   _single_symbol(loaded.instance.dims))
+    schema = _extend_for_iterators(e, schema, _single_symbol(inst.dims))
     typecheck(e, schema)
-    result = evaluate(e, loaded.instance, sr, schema=schema)
+    result = evaluate(e, inst, sr, schema=schema)
     _emit(format_matrix(result, sr))
     return 0
 

@@ -54,10 +54,20 @@ def test_eval_over_rational_is_exact(files, capsys):
                            "matrix V alpha alpha\n1/3 0.1\n0 1\n")
     code, out, _ = run(capsys, "eval", "-e", "V + V", "--instance", inst)
     assert (code, out) == (0, "2 x 2\n2/3 1/5\n0 2\n")
-    nat = files("n.inst", "semiring nat\nsize alpha 2\n")
-    code, out, _ = run(capsys, "eval", "-e", "sum v . v", "--instance", nat,
+
+
+def test_semiring_override_reads_the_values_in_its_carrier(files, capsys):
+    real = files("r.inst", "semiring real\nsize alpha 1\n"
+                           "matrix V alpha alpha\n0.5\n")
+    code, out, _ = run(capsys, "eval", "-e", "V + V * V", "--instance", real,
                        "--semiring", "rational")
-    assert (code, out) == (0, "2 x 1\n1\n1\n")
+    assert (code, out) == (0, "1 x 1\n3/4\n")
+    trop = files("t.inst", "semiring tropical\nsize alpha 1\n"
+                           "matrix V alpha alpha\ninf\n")
+    code, out, err = run(capsys, "eval", "-e", "V", "--instance", trop,
+                         "--semiring", "nat")
+    assert (code, out) == (2, "")
+    assert "not a natural number: 'inf'" in err
 
 
 def test_check_prints_the_type(files, capsys):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 
 from matfor.cli import main
 from matfor.printer import pretty
+from matfor.semiring import SEMIRINGS
 from test_loader_fuzz import INSTANCE_FILES, RELATION_FILES, _circuit_files
 from test_parser import _exprs
 
@@ -138,6 +139,16 @@ def files(tmp_path_factory):
 def test_eval_ends_with_a_documented_exit_code(schema_file, files, text):
     _run(["eval", "-e", text, "--instance", files("i.inst", INSTANCE),
           "--schema", schema_file])
+
+
+@given(inputs=INSTANCE_FILES, semiring=st.sampled_from(sorted(SEMIRINGS)))
+@example(inputs="semiring tropical\nsize alpha 1\nmatrix V alpha alpha\ninf",
+         semiring="nat")
+@settings(max_examples=150, deadline=None)
+def test_eval_under_another_semiring_ends_with_a_documented_exit_code(
+        files, inputs, semiring):
+    _run(["eval", "-e", "V + V * V", "--instance", files("e.inst", inputs),
+          "--semiring", semiring])
 
 
 @given(circuit=st.one_of(_circuit_files(), st.text(max_size=40)),
