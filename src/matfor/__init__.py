@@ -18,7 +18,8 @@ from .instance import Instance, LoadedInstance, load_instance, parse_instance
 from .matrix import KMatrix, from_rows
 from .parser import parse_expr, parse_schema
 from .printer import pretty
-from .semiring import BOOL, NAT, REAL, TROPICAL, Semiring, by_name
+from .semiring import (BOOL, NAT, RATIONAL, REAL, TROPICAL, Semiring,
+                       by_name)
 from .sugar import desugar, reduce_apply_to_scalars
 from .typecheck import typecheck
 
@@ -29,6 +30,6 @@ __all__ = [
     "canonical_vector", "evaluate", "mat_equal",
     "Instance", "LoadedInstance", "load_instance", "parse_instance",
     "KMatrix", "from_rows", "parse_expr", "parse_schema", "pretty",
-    "BOOL", "NAT", "REAL", "TROPICAL", "Semiring", "by_name",
+    "BOOL", "NAT", "RATIONAL", "REAL", "TROPICAL", "Semiring", "by_name",
     "desugar", "reduce_apply_to_scalars", "typecheck",
 ]

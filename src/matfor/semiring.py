@@ -132,7 +132,7 @@ def _fmt_tropical(v):
     return "inf" if math.isinf(v) else "%.17g" % v
 
 
-def _div_real(x, y):
+def _div(x, y):
     try:
         return x / y
     except ZeroDivisionError:
@@ -200,18 +200,12 @@ def _rational_literal(v):
         raise FormatError(f"literal {v!r} is not a rational number") from None
 
 
-def _div_rational(x, y):
-    if not y:
-        raise DivisionByZero(f"division by zero: {x} / {y}")
-    return x / y
-
-
 def _gtz_rational(x):
     return Fraction(1) if x > 0 else Fraction(0)
 
 
 REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
-                _parse_real, _fmt_real, _real_literal, _div_real, _gtz_real)
+                _parse_real, _fmt_real, _real_literal, _div, _gtz_real)
 
 NAT = Semiring("nat", 0, 1, operator.add, operator.mul,
                _parse_nat, _fmt_nat, _nat_literal)
@@ -224,7 +218,7 @@ TROPICAL = Semiring("tropical", math.inf, 0.0, min, operator.add,
 
 RATIONAL = Semiring("rational", Fraction(0), Fraction(1), operator.add,
                     operator.mul, _parse_rational, _fmt_rational,
-                    _rational_literal, _div_rational, _gtz_rational)
+                    _rational_literal, _div, _gtz_rational)
 
 SEMIRINGS = {sr.name: sr for sr in (REAL, NAT, BOOL, TROPICAL, RATIONAL)}
 
