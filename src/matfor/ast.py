@@ -12,12 +12,12 @@ there are sugar forms (``sum``/``prod``/``hprod`` quantifiers, ``ones``,
 ``diag``) that desugar to the core, plus four built-in order matrices over
 canonical vectors (strict order, first/last basis vector, index shift).
 
-Loop binders are resolved against a schema.  Passes that synthesise fresh
-binders (desugaring, translations) annotate them inline via ``var_sym`` /
-``acc_type`` instead of mutating the schema; the type checker and evaluator
-prefer the annotation when present.  Annotations, like source spans, are
-internal metadata - but unlike spans they affect typing, so they take part
-in structural equality.
+An unannotated loop binder is resolved against the enclosing binders, then
+the schema.  Passes that synthesise fresh binders (desugaring, translations)
+annotate them inline via ``var_sym`` / ``acc_type`` instead of mutating the
+schema; the type checker and evaluator prefer the annotation when present.
+Annotations, like source spans, are internal metadata - but unlike spans
+they affect typing, so they take part in structural equality.
 
 Every pass defined by structural recursion (typing, desugaring, printing,
 substitution, the relational translations, the evaluator's build) runs on
@@ -175,9 +175,9 @@ class Apply(Expr):
 class For(Expr):
     """Canonical-vector loop: iterate `var` over b_1..b_n updating `acc`.
 
-    Without `init` the accumulator starts at the zero matrix; with `init`
-    it starts at the value of that expression.  `var_sym` / `acc_type` are
-    optional inline binder types used when the binders are not in the schema.
+    The accumulator starts at the value of `init`, else at the zero matrix.
+    `var_sym` / `acc_type` annotate the binders; an unannotated one takes the
+    type of the enclosing binder of its name, else the schema's.
     """
 
     var: str
@@ -248,9 +248,7 @@ def children(e: Expr) -> tuple[Expr, ...]:
         return ()
     if isinstance(e, (Transpose, Ones, Diag)):
         return (e.arg,)
-    if isinstance(e, MatMul):
-        return (e.left, e.right)
-    if isinstance(e, Add):
+    if isinstance(e, (MatMul, Add)):
         return (e.left, e.right)
     if isinstance(e, ScalarMul):
         return (e.scalar, e.arg)
@@ -290,41 +288,43 @@ def _own_fields(e: Expr) -> tuple:
     return ()
 
 
+def distinct(root: Expr, key=id):
+    """Yield the nodes under `root`, children first, once per `key` (``id``:
+    each node of the DAG; a value number: each structure), on a heap stack."""
+    seen, stack = set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif (k := key(node)) not in seen:
+            seen.add(k)
+            stack.append((node, True))
+            stack.extend((c, False) for c in children(node))
+
+
 def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
     """Value number and sorted free variables of every node under `root`.
 
-    The table is keyed by ``id(node)``.  One iterative post-order pass visits
-    each distinct node once, so shared subtrees cost nothing extra and deep
-    trees need no Python stack.  Two nodes get the same value number exactly
-    when they are structurally equal: same class, same non-child fields and
-    children with the same numbers.  Spans take no part.  A ``Const`` is told
-    apart by the type and ``repr`` of its value, so ``1``, ``1.0`` and
-    ``True`` get different numbers, and so do ``0.0`` and ``-0.0``.
+    The table is keyed by ``id(node)``.  One `distinct` pass visits each
+    node once, so shared subtrees cost nothing extra.  Two nodes get the
+    same value number exactly when they are structurally equal: same class,
+    same non-child fields and children with the same numbers.  Spans take
+    no part.  A ``Const`` is told apart by the type and ``repr`` of its
+    value, so ``1``, ``1.0`` and ``True`` get different numbers, and so do
+    ``0.0`` and ``-0.0``.
     """
     table: dict[int, tuple[int, tuple[str, ...]]] = {}
     numbers: dict[tuple, int] = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in table:
-            continue
-        kids = children(node)
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in kids)
-            continue
-        entries = [table[id(c)] for c in kids]
+    for node in distinct(root):
+        entries = [table[id(c)] for c in children(node)]
         signature = (node.__class__, *_own_fields(node),
                      *[num for num, _ in entries])
         number = numbers.setdefault(signature, len(numbers))
-        if isinstance(node, Var):
-            names = {node.name}
-        else:
-            names = set()
-            for _, fv in entries[:-1]:
-                names.update(fv)
-            if entries:
-                names.update(set(entries[-1][1]).difference(binders(node)))
+        names = {node.name} if isinstance(node, Var) else set()
+        for _, fv in entries[:-1]:
+            names.update(fv)
+        if entries:
+            names.update(set(entries[-1][1]).difference(binders(node)))
         table[id(node)] = (number, tuple(sorted(names)))
     return table
 
@@ -336,7 +336,7 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def bound_names(e: Expr) -> frozenset[str]:
     """Every name bound by some loop inside `e` (including sugar)."""
-    return frozenset(name for node in walk(e) for name in binders(node))
+    return frozenset(name for node in distinct(e) for name in binders(node))
 
 
 def drive(root, env, rule):

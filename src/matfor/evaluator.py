@@ -9,18 +9,20 @@ evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
 
 Evaluation is staged: `evaluate` builds one closure per DAG node, then runs
 the root's.  The build runs on `ast.drive`, so it never recurses, and it
-hands each node the shapes of the names in scope: instance matrices,
-iterators (n x 1) and accumulators (from the initialiser, the annotation
-or the schema).  The build gives every node a concrete shape or raises:
-an unbound name, operands whose shapes do not fit (the kernels' own
-`ShapeMismatch`), a loop body whose shape differs from its accumulator's,
-or a missing dimension, literal or function is an error before any kernel
-runs, and carries no loop context.  A closure serves every occurrence of a
-value number under the same free-variable shapes; a node shared under
-binders of different sizes gets one per size.  A left-deep ``+`` or ``*``
-spine, up to a memoised node, is one closure that folds its operands from
-left to right, so its length costs no stack.  Other nodes still nest their
-closures, and a nest too deep for Python's stack raises `EvalError`.
+hands each node the shapes of the names in scope: instance matrices, and
+loop binders sized by typecheck's own `binder_types` over the schema with
+the scope laid over it (or by a ``for`` loop's initialiser).  The build
+gives every node a concrete shape or raises: an unbound name, operands
+whose shapes do not fit (the kernels' own `ShapeMismatch`), a loop body
+whose shape differs from its accumulator's, or a missing dimension, literal
+or function is an error before any kernel runs, and carries no loop
+context.  A closure serves every occurrence of a value number under one
+build key, the shapes of its free variables and of the `_resized` names, so
+a node shared under binders of different sizes gets one per size.  A left-
+deep ``+`` or ``*`` spine, up to a memoised node, is one closure that folds
+its operands from left to right, so its length costs no stack.  Other nodes
+still nest their closures, and a nest too deep for Python's stack raises
+`EvalError`.
 
 A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
 bare carrier value, not a `KMatrix`; with dimension one even the canonical
@@ -30,18 +32,19 @@ x)``, ``impl(*args)``), so results and compiled circuits are bit-identical
 to the kernels'.  Other nodes call the kernels through this module's
 globals (`mat_mul`, `mat_add`, ...).
 
-Evaluation is pure, so results of a subexpression can be memoised per
-call, keyed by the node's structure and the values currently bound to its
-free variables.  Builders share subtrees by reference, which turns deeply
-nested library expressions into DAGs and keeps evaluation polynomial.  A
-memo key is the flat tuple ``(number, value, ...)``: ``number`` is the
+Evaluation is pure, so results of a subexpression can be memoised per call,
+keyed by the node's structure and the values currently bound to its free
+variables.  Builders share subtrees by reference, which turns deeply nested
+library expressions into DAGs and keeps evaluation polynomial.  A memo key
+is the flat tuple ``(number, size, ..., value, ...)``: ``number`` is the
 node's value number, equal for structurally equal nodes, so two equal but
-distinct subtrees are evaluated once; the values are those of the node's
-free variables.  One linear pass (``ast.node_table``) gives both for the
-whole DAG.  ``Var`` leaves are read straight from the environment.  A
-`KMatrix` in a key compares by identity, a bare value by value, so a bare
-float enters the key with the sign of its zero (``-0.0`` must not answer
-for ``0.0``) and any other bare value with its class (`_scalar_key`).
+distinct subtrees are evaluated once; the sizes are the build key's; the
+values are those of the node's free variables.  One linear pass
+(``ast.node_table``) gives numbers and free variables for the whole DAG.
+``Var`` leaves are read straight from the environment.  A `KMatrix` in a key
+compares by identity, a bare value by value, so a bare float enters the key
+with the sign of its zero (``-0.0`` must not answer for ``0.0``) and any
+other bare value with its class (`_scalar_key`).
 
 A node is memoised only where a second read of its entry is possible: its
 value number is reached by more than one parent edge, or some loop
@@ -78,15 +81,16 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import ast, matrix
-from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, Ones,
-                  OrderKind, OrderPrim, Prod, ScalarMul, Sum, Transpose, UNIT,
-                  Var)
+from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
+                  Ones, OrderKind, OrderPrim, Prod, ScalarMul, Sum, Transpose,
+                  UNIT, Var)
 from .errors import (EvalError, FormatError, MatforError, MissingDimension,
-                     ShapeMismatch)
+                     ShapeMismatch, UnboundVariable)
 from .functions import resolve
 from .instance import Instance
 from .matrix import KMatrix, mat_add, mat_map, mat_mul, mat_scale, mat_transpose
 from .semiring import Semiring
+from .typecheck import binder_types, iterator_type
 
 canonical_vector = matrix.canonical_vector
 mat_equal = matrix.mat_equal
@@ -105,26 +109,15 @@ def _memo_numbers(root, nodes):
     loop's body or initialiser, into a parent with the same free variables
     that is the root, memoised, or itself runs once per key.  Edges are
     counted once per parent value number, so equal but distinct subtrees
-    count as one.  One pass collects a node per value number in post-order;
-    a second walks them parents first, so every edge into a node is
+    count as one.  `ast.distinct` gives a node per value number in
+    post-order; a pass walks them parents first, so every edge into a node is
     counted, its parents decided, and the binder sets of every loop
     enclosing it collected, before the node itself is decided.  A ``For``
     encloses its body, not its initialiser.
     """
-    order, seen = [], set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif nodes[id(node)][0] not in seen:
-            seen.add(nodes[id(node)][0])
-            stack.append((node, True))
-            stack.extend((c, False) for c in ast.children(node))
-
     memo, edges, enclosing, empty = set(), {}, {}, frozenset()
     once, inherits = {nodes[id(root)][0]}, {}
-    for node in reversed(order):
+    for node in reversed([*ast.distinct(root, lambda n: nodes[id(n)][0])]):
         number, fv = nodes[id(node)]
         outer = enclosing.get(number, empty)
         if edges.get(number) == 1 and inherits[number]:
@@ -151,9 +144,9 @@ def _scalar_key(x):
     return (x.__class__, x)
 
 
-def _memoised(cache, raw, number, fv, scope):
-    """`raw` behind a memo entry keyed by `number` and the values of the
-    free variables `fv`, whose shapes `scope` gives."""
+def _memoised(cache, raw, prefix, fv, scope):
+    """`raw` behind a memo entry keyed by `prefix` (number and sizes) and
+    the values of the free variables `fv`, whose shapes `scope` gives."""
     bare = [scope[name] == _SC for name in fv]
     if len(fv) > 1 and not any(bare):
         get = itemgetter(*fv)
@@ -165,7 +158,7 @@ def _memoised(cache, raw, number, fv, scope):
                           for name, b in parts])
 
     def run(env):
-        key = (number,) + get(env)
+        key = prefix + get(env)
         got = cache.get(key)
         if got is None:
             got = cache[key] = raw(env)
@@ -204,15 +197,29 @@ def _step(cls, sr, left, right):
     return op, out
 
 
+def _resized(root, nodes):
+    """The names that one loop under `root` sizes itself (by annotation or
+    initialiser) and another looks up: the enclosing scope then sizes the
+    latter, so the scope's shapes of these names enter the keys."""
+    own, looked_up = set(), set()
+    for node in ast.distinct(root, lambda n: nodes[id(n)][0]):
+        if ast.binders(node):
+            (own if node.var_sym else looked_up).add(node.var)
+        if node.__class__ is For:
+            (own if node.acc_type or node.init else looked_up).add(node.acc)
+    return sorted(own & looked_up)
+
+
 class _Ctx:
-    def __init__(self, inst, sr, schema, order, nodes, memo):
+    def __init__(self, inst, sr, schema, order, root):
         self.inst = inst
         self.sr = sr
-        self.types = dict(schema.vars) if schema is not None else {}
+        self.schema = schema.vars if schema is not None else {}
         self.order = order
         self.cache = {}
-        self.nodes = nodes
-        self.memo = memo
+        self.nodes = nodes = ast.node_table(root)
+        self.memo = _memo_numbers(root, nodes)
+        self.resized = _resized(root, nodes)
         self.canon = {}
 
     def bases(self, n):
@@ -224,6 +231,8 @@ class _Ctx:
         return got
 
     def dim(self, sym, what):
+        if sym.__class__ is int:
+            return sym
         if sym == UNIT:
             return 1
         try:
@@ -233,24 +242,22 @@ class _Ctx:
                 f"no dimension assigned to size symbol '{sym}' ({what})"
             ) from None
 
-    def iter_sym(self, node):
-        if node.var_sym is not None:
-            return node.var_sym
-        t = self.types.get(node.var)
-        if t is not None:
-            return t.rows
-        raise MissingDimension(
-            f"cannot resolve the size symbol of loop iterator '{node.var}'; "
-            f"declare it in the schema")
-
-    def acc_shape(self, node):
-        t = node.acc_type if node.acc_type is not None else self.types.get(node.acc)
-        if t is None:
-            raise MissingDimension(
-                f"cannot resolve the type of loop accumulator '{node.acc}'; "
-                f"declare it in the schema or give the loop an initialiser")
-        return (self.dim(t.rows, f"accumulator '{node.acc}'"),
-                self.dim(t.cols, f"accumulator '{node.acc}'"))
+    def binder_sizes(self, e, shapes):
+        """The iterator size of loop `e` and, unless an initialiser gives
+        it, its accumulator's shape: typecheck's rule over the schema, with
+        the scope's shapes of `e`'s binders laid over it as sized types."""
+        env = {**self.schema, **{name: MatrixType(*shapes[name])
+                                 for name in ast.binders(e) if name in shapes}}
+        try:
+            it, acc = iterator_type(e, env), (
+                binder_types(e, env)[e.acc]
+                if e.__class__ is For and e.init is None else None)
+        except UnboundVariable as exc:
+            raise MissingDimension(f"no type for loop binder '{exc.name}' in "
+                                   f"the schema or the scope") from None
+        what = f"binder of loop over '{e.var}'"
+        return self.dim(it.rows, what), acc and (self.dim(acc.rows, what),
+                                                 self.dim(acc.cols, what))
 
     def indices(self, n):
         if self.order is None:
@@ -272,12 +279,13 @@ class _Ctx:
 
         def cached(node, scope):
             number, fv = self.nodes[id(node)]
-            key = (number, *map(scope.get, fv))
+            sized = (number, *map(scope.get, self.resized))
+            key = (*sized, *map(scope.get, fv))
             got = done.get(key)
             if got is None:
                 run, shape = yield from self._node(node, scope)
                 if number in self.memo and node.__class__ is not Var:
-                    run = _memoised(self.cache, run, number, fv, scope)
+                    run = _memoised(self.cache, run, sized, fv, scope)
                 got = done[key] = run, shape
             return got
         return ast.drive(root, shapes, cached)
@@ -355,11 +363,10 @@ class _Ctx:
             return (lambda env: mat_map(impl, [f(env) for f in fs])), ss[0]
 
         if cls is For:
-            n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
+            n, s0 = self.binder_sizes(e, shapes)
             if e.init is not None:
                 start, s0 = yield e.init, shapes
             else:
-                s0 = self.acc_shape(e)
                 zero = sr.zero if s0 == _SC else matrix.zeros(*s0, sr)
 
                 def start(env):
@@ -372,7 +379,7 @@ class _Ctx:
             return self._loop(e, n, start, body), s0
 
         if cls is Sum or cls is Prod or cls is Hadamard:
-            n = self.dim(self.iter_sym(e), f"iterator '{e.var}'")
+            n, _ = self.binder_sizes(e, shapes)
             body, s = yield e.body, {**shapes, e.var: (n, 1)}
             fold, _ = _step({Sum: Add, Prod: MatMul}.get(cls, Hadamard), sr,
                             s, s)
@@ -450,11 +457,9 @@ def evaluate(e: ast.Expr,
              ) -> KMatrix:
     """Evaluate a (well-typed) expression on an instance.
 
-    `schema` supplies types for loop binders that carry no inline annotation.
+    `schema` types the unannotated loop binders no enclosing loop binds.
     """
-    nodes = ast.node_table(e)
-    ctx = _Ctx(inst, sr, schema, iteration_order, nodes,
-               _memo_numbers(e, nodes))
+    ctx = _Ctx(inst, sr, schema, iteration_order, e)
     run, shape = ctx.build(e, {name: m.shape for name, m in inst.mats.items()})
     try:
         out = run({name: m.entries[0] if m.shape == _SC else m

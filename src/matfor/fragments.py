@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 
 from .ast import (Add, Apply, Const, Expr, For, Hadamard, MatMul, Ones, Prod,
-                  Sum, Transpose, Var, children, node_table)
+                  Sum, Transpose, Var, distinct, node_table)
 
 
 class Fragment(enum.IntEnum):
@@ -127,9 +127,7 @@ def classify(e: Expr) -> Fragment:
     """Least fragment containing the expression."""
     tier = Fragment.CORE
     table = node_table(e)
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    for node in distinct(e):
         if isinstance(node, Sum):
             tier = max(tier, Fragment.SUM)
         elif isinstance(node, Hadamard):
@@ -141,5 +139,4 @@ def classify(e: Expr) -> Fragment:
             tier = max(tier, _PATTERN_TIER[pattern])
         if tier is Fragment.FULL:
             return tier
-        stack.extend(children(node))
     return tier

@@ -54,17 +54,15 @@ def iterator_type(loop, env) -> MatrixType:
 
 def binder_types(loop, env) -> dict[str, MatrixType]:
     """The environment of the body of a loop or quantifier: `env` with its
-    iterator and, for a ``for`` loop, its accumulator bound to their types.
-    Each type comes from the loop's annotation if it has one, else from
-    `env`; the iterator is looked up first."""
+    iterator and, for a ``for`` loop, its accumulator bound to their types,
+    from the loop's annotations, else from `env` (the enclosing binders over
+    the schema), the iterator first.  This is the one binder rule: typecheck,
+    desugar and the evaluator, over its build scope's sizes, all use it."""
     inner = {**env, loop.var: iterator_type(loop, env)}
     if isinstance(loop, For):
-        if loop.acc_type is not None:
-            inner[loop.acc] = loop.acc_type
-        elif loop.acc in env:
-            inner[loop.acc] = env[loop.acc]
-        else:
+        if loop.acc_type is None and loop.acc not in env:
             raise UnboundVariable(loop.acc)
+        inner[loop.acc] = loop.acc_type or env[loop.acc]
     return inner
 
 

@@ -19,6 +19,7 @@ from matfor.instance import Instance
 from matfor.matrix import KMatrix
 from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import REAL
+from test_evaluator import shared_loop_under_two_sizes
 
 
 def test_inner_product_circuit():
@@ -269,6 +270,13 @@ def test_clique_circuit_size_depth_and_degree(name, n, gates, depth):
     item = stdlib.all_named()[name]
     got = stats(compile_expr(item.expr, item.schema, {stdlib.ALPHA: n}))
     assert (got.n_gates, got.depth, got.degree) == (gates, depth, 6)
+
+
+def test_shared_loop_compiles_under_each_enclosing_binders_size():
+    s = parse_schema("var V : 1 x 1")
+    c = compile_expr(shared_loop_under_two_sizes(), s,
+                     {"alpha": 2, "gamma": 3})
+    assert eval_circuit(c, {("V", 1, 1): 1}) == {(1, 1): 4 + 9}
 
 
 COMPILE_ERRORS = [

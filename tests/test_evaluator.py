@@ -11,17 +11,20 @@ import oracles
 from conftest import dominant_real
 from matfor import evaluator, stdlib
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
-                        Sum, Transpose, Var, free_vars)
+                        Schema, Sum, Transpose, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MatforError, MissingDimension, ShapeMismatch,
-                           UnknownFunction)
+                           TypeCheckError, UnknownFunction)
 from matfor.evaluator import canonical_vector, evaluate, mat_equal
 from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.parser import parse_expr, parse_schema
+from matfor.printer import pretty
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL
 from matfor.sugar import desugar
+from matfor.typecheck import typecheck
+from test_pass_pins import _corpus
 
 
 def ev(text, schema_text, dims, sr=REAL, order=None, **mats):
@@ -633,3 +636,103 @@ def test_static_error_inside_a_loop_has_no_loop_context():
 def test_unbound_variable_raises_before_any_closure_runs():
     with pytest.raises(EvalError, match="no value bound to variable 'Z'"):
         ev("div([1], [0]) + Z", "var Z : 1 x 1", {})
+
+
+# An unannotated loop binder takes the type of the enclosing binder of its
+# name, else of its schema declaration, in the evaluator as in `typecheck`.
+
+_AB = MatrixType("alpha", "beta")
+
+
+def _nested_accumulators(acc):
+    """``for u, acc : alpha x beta . acc + (for u, acc . acc + V)``, the
+    inner accumulator unannotated."""
+    inner = For("u", acc, Add(Var(acc), Var("V")), var_sym="alpha")
+    return For("u", acc, Add(Var(acc), inner), var_sym="alpha", acc_type=_AB)
+
+
+@pytest.mark.parametrize("acc,decls", [("X", {}), ("s", {"s": _SCALAR})])
+def test_unannotated_accumulator_takes_the_enclosing_binders_type(acc,
+                                                                  decls):
+    # the schema's `s : 1 x 1` is shadowed by the outer accumulator
+    schema = Schema({"V": _AB, **decls})
+    e = _nested_accumulators(acc)
+    assert typecheck(e, schema) == _AB
+    v = from_rows([[1, 2, 3], [4, 5, 6]])
+    out = evaluate(e, Instance({"alpha": 2, "beta": 3}, {"V": v}), NAT,
+                   schema=schema)
+    assert out.tolists() == [[4 * x for x in row] for row in v.tolists()]
+
+
+def shared_loop_under_two_sizes():
+    """One loop shared under an iterator ``u`` over alpha and one over
+    gamma.  Its own iterator ``u`` is unannotated, so it runs alpha times in
+    the first place and gamma times in the second."""
+    shared = For("u", "Y", Add(Var("Y"), Var("V")), acc_type=_SCALAR)
+    return Add(
+        For("u", "X", Add(Var("X"), shared), var_sym="alpha",
+            acc_type=_SCALAR),
+        For("u", "Z", Add(Var("Z"), shared), var_sym="gamma",
+            acc_type=_SCALAR))
+
+
+def test_shared_loop_is_sized_by_each_enclosing_binder(monkeypatch):
+    schema = Schema({"V": _SCALAR})
+    e = shared_loop_under_two_sizes()
+    assert typecheck(e, schema) == _SCALAR
+    inst = Instance({"alpha": 2, "gamma": 3}, {"V": from_rows([[1]])})
+    assert evaluate(e, inst, NAT, schema=schema).tolists() == [[4 + 9]]
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_memo_numbers",
+                  lambda root, nodes: {num for num, _ in nodes.values()})
+        assert evaluate(e, inst, NAT, schema=schema).tolists() == [[13]]
+
+
+def test_accumulator_sized_by_its_initialiser_keeps_a_shared_loop_apart():
+    # `X` is declared 1 x 1, but the initialiser sizes the outer `X` 2 x 2;
+    # the shared loop looks `X` up, so it fits `V` inside the outer loop and
+    # not at the top level, wherever it is built first
+    shared = For("w", "X", Add(Var("X"), Var("V")), var_sym="alpha")
+    outer = For("u", "X", Add(Var("X"), shared), init=Var("V"),
+                var_sym="alpha")
+    schema = Schema({"V": MatrixType("alpha", "alpha"), "X": _SCALAR})
+    inst = Instance({"alpha": 2}, {"V": from_rows([[1, 2], [3, 4]])})
+    assert evaluate(outer, inst, NAT, schema=schema).tolists() == \
+        [[5, 10], [15, 20]]
+    for e in (Add(outer, shared), Add(shared, outer)):
+        with pytest.raises(ShapeMismatch):
+            evaluate(e, inst, NAT, schema=schema)
+
+
+def test_undeclared_unannotated_iterator_raises_missing_dimension():
+    e = For("u", "X", Add(Var("X"), Var("V")), acc_type=_SCALAR)
+    with pytest.raises(MissingDimension, match="'u'"):
+        evaluate(e, Instance({"alpha": 2}, {"V": from_rows([[1]])}), NAT,
+                 schema=Schema({"V": _SCALAR}))
+
+
+def test_every_expression_that_typechecks_evaluates():
+    dims = {"alpha": 2, "beta": 3, "gamma": 4}
+
+    def size(sym):
+        return 1 if sym == "1" else dims[sym]
+
+    typed = 0
+    for e, schema in _corpus():
+        try:
+            t = typecheck(e, schema)
+        except TypeCheckError:
+            continue
+        typed += 1
+        rng = random.Random(typed)
+        mats = {name: _random_input(rng, REAL, size(schema[name].rows),
+                                    size(schema[name].cols))
+                for name in sorted(free_vars(e))}
+        try:
+            out = evaluate(e, Instance(dims, mats), REAL, schema=schema)
+        except EvalError as exc:
+            assert not isinstance(exc, (MissingDimension, ShapeMismatch)), \
+                (pretty(e), exc)
+            continue
+        assert out.shape == (size(t.rows), size(t.cols)), pretty(e)
+    assert typed > 2000
