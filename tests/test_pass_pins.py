@@ -232,21 +232,45 @@ def corpus():
     return _corpus()
 
 
+def _expression_lines(name, corpus):
+    run = PASSES[name]
+    return [_line(run, e, schema) for e, schema in corpus]
+
+
+def _psi_lines():
+    return [_line(lambda q: pretty(psi_translate(q, BINARY)), q)
+            for q in _queries()]
+
+
+def _psi_signed_lines():
+    return [_line(lambda q: f"{format_ra(q)} => "
+                  f"{pretty(psi_translate(q, BINARY))}", q)
+            for q in _signed_queries()]
+
+
 @pytest.mark.parametrize("name", sorted(PASSES))
 def test_expression_pass_output_is_pinned(corpus, name):
-    run = PASSES[name]
-    assert _digest([_line(run, e, schema) for e, schema in corpus]) \
-        == PINS[name]
+    assert _digest(_expression_lines(name, corpus)) == PINS[name]
 
 
 def test_psi_output_is_pinned():
-    lines = [_line(lambda q: pretty(psi_translate(q, BINARY)), q)
-             for q in _queries()]
-    assert _digest(lines) == PINS["psi"]
+    assert _digest(_psi_lines()) == PINS["psi"]
 
 
 def test_psi_output_over_well_signed_queries_is_pinned():
-    lines = [_line(lambda q: f"{format_ra(q)} => "
-                   f"{pretty(psi_translate(q, BINARY))}", q)
-             for q in _signed_queries()]
-    assert _digest(lines) == PINS["psi_signed"]
+    assert _digest(_psi_signed_lines()) == PINS["psi_signed"]
+
+
+if __name__ == "__main__":
+    # ``python tests/test_pass_pins.py NAME`` prints the lines that
+    # ``PINS[NAME]`` digests, one per input, so two versions of a pass can
+    # be diffed line by line before a re-pin
+    import sys
+    name = sys.argv[1]
+    if name == "psi":
+        lines = _psi_lines()
+    elif name == "psi_signed":
+        lines = _psi_signed_lines()
+    else:
+        lines = _expression_lines(name, _corpus())
+    print("\n".join(lines))
