@@ -14,6 +14,12 @@ arguments are not scalars into a double sum over canonical vectors applying
 the function to picked-out entries, so that afterwards every application has
 (1, 1) arguments.
 
+Both passes need the type of each subtree, and both get it one way: their
+`drive` rules return ``(rewrite, outcome)`` pairs through `_typed`, which
+runs the type checker's rule on the children's outcomes as it leaves a
+node.  An outcome is a type or the first type error, so each node is typed
+once and the passes stay linear.
+
 Fresh accumulator/iterator names use an underscore-and-counter scheme and
 are guaranteed not to collide with schema names or names appearing in the
 expression.  Fresh binders carry inline type annotations, so the schema
@@ -75,63 +81,50 @@ def allones_template(t, fresh):
 def desugar(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
     """Lower all sugar nodes; the result contains only core constructs.
 
-    A quantifier's loop is typed once, as it is built, and typing an
-    enclosing body stops there: an enclosing walk would reach it with only
-    fresh names added to the environment, so its outcome is the same."""
+    A template reads the type of the body or argument it wraps from that
+    child's outcome (`_typed`), without walking the child again."""
     fresh = _Fresh(e, schema)
-    known = {}
-    return ast.drive(e, dict(schema.vars),
-                     lambda node, env: _desugar(node, env, fresh, known))
+    out, _ = ast.drive(e, dict(schema.vars),
+                       lambda node, env: _desugar(node, env, fresh))
+    return out
 
 
-def _desugar(e, env, fresh, known):
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        inner = binder_types(e, env)
-        body = yield e.body, inner
-        body_t = type_in_env(body, inner, known)
-        acc = fresh.name("acc")
-        if isinstance(e, Sum):
-            loop = For(e.var, acc, Add(Var(acc), body),
-                       var_sym=e.var_sym, acc_type=body_t)
-        elif isinstance(e, Prod):
-            loop = For(e.var, acc, MatMul(Var(acc), body),
-                       init=identity_template(body_t.rows, fresh),
-                       var_sym=e.var_sym, acc_type=body_t)
-        else:
-            loop = For(e.var, acc, Apply("hprod2", (Var(acc), body)),
-                       init=allones_template(body_t, fresh),
-                       var_sym=e.var_sym, acc_type=body_t)
-        try:
-            outcome = type_in_env(loop, env, known)
-        except TypeCheckError as exc:
-            outcome = exc
-        known[id(loop)] = loop, outcome
-        return loop
-
+def _desugar(e, env, fresh):
+    """The rewrite of `e` and its outcome in `env`.  A quantifier or
+    ``diag`` whose body or argument does not type raises that error.
+    ``ones`` types its argument in one walk and drops it unlowered."""
     if isinstance(e, Ones):
         t = type_in_env(e.arg, env)
-        return _ones_col(t.rows, fresh)
-
+        return _ones_col(t.rows, fresh), MatrixType(t.rows, UNIT)
+    out, outcome, outcomes = yield from _typed(e, env)
+    if not isinstance(e, (Sum, Prod, Hadamard, Diag)):
+        return out, outcome
+    t = _type_or_raise(outcomes[0])
     if isinstance(e, Diag):
-        arg = yield e.arg, env
-        t = type_in_env(e.arg, env)
         if t.rows == UNIT:
-            return arg
+            return out.arg, outcome
         v, x = fresh.name("v"), fresh.name("acc")
-        body = Add(Var(x), ScalarMul(MatMul(Transpose(Var(v)), arg),
+        body = Add(Var(x), ScalarMul(MatMul(Transpose(Var(v)), out.arg),
                                      MatMul(Var(v), Transpose(Var(v)))))
-        return For(v, x, body, var_sym=t.rows, acc_type=MatrixType(t.rows, t.rows))
-
-    inner = binder_types(e, env) if isinstance(e, For) else env
-    return (yield from ast.rebuilt(e, env, inner))
+        return For(v, x, body, var_sym=t.rows,
+                   acc_type=MatrixType(t.rows, t.rows)), outcome
+    acc = fresh.name("acc")
+    if isinstance(e, Sum):
+        body, init = Add(Var(acc), out.body), None
+    elif isinstance(e, Prod):
+        body = MatMul(Var(acc), out.body)
+        init = identity_template(t.rows, fresh)
+    else:
+        body = Apply("hprod2", (Var(acc), out.body))
+        init = allones_template(t, fresh)
+    return For(e.var, acc, body, init, e.var_sym, t), outcome
 
 
 def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
     """Rewrite non-scalar pointwise applications to the double-sum form.
 
-    The pass types every node once, from its children's outcomes, as it
-    leaves the node, so an application reads its first argument's type
-    without walking that argument again."""
+    An application reads its first argument's type from that argument's
+    outcome (`_typed`), without walking the argument again."""
     fresh = _Fresh(e, schema)
     out, _ = ast.drive(e, dict(schema.vars),
                        lambda node, env: _reduce(node, env, fresh))
@@ -139,30 +132,40 @@ def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
 
 
 def _reduce(e, env, fresh):
-    """The rewrite of `e` and what typing `e` in `env` gives: its type, or
-    the first type error the type checker raises for it.  An application
-    whose first argument does not type raises that error."""
+    """The rewrite of `e` and its outcome in `env`.  An application whose
+    first argument does not type raises that error."""
     if isinstance(e, Apply) and not e.args:
         raise ArityMismatch(f"function '{e.func}' applied to no arguments")
+    out, outcome, outcomes = yield from _typed(e, env)
+    if not isinstance(e, Apply):
+        return out, outcome
+    t = _type_or_raise(outcomes[0])
+    if t.is_scalar:
+        return out, outcome
+    return _scalarised_apply(e.func, out.args, t, fresh), outcome
+
+
+def _typed(e, env):
+    """For a `drive` rule that returns ``(rewrite, outcome)`` pairs: `e`
+    rebuilt from its children's rewrites, its outcome in `env`, and its
+    children's outcomes.  An outcome is what typing a node in its
+    environment gives: its type, or the first type error `_check` raises."""
     inner = binder_types(e, env) if ast.binders(e) else env
     rebuild, reply, outcomes = ast.rebuilt(e, env, inner), None, []
     while True:
         try:
             child, child_env = rebuild.send(reply)
         except StopIteration as stop:
-            out = stop.value
-            break
+            return stop.value, _outcome(e, env, outcomes), outcomes
         reply, outcome = yield child, child_env
         outcomes.append(outcome)
-    outcome = _outcome(e, env, outcomes)
-    if not isinstance(e, Apply):
-        return out, outcome
-    t = outcomes[0]
-    if isinstance(t, TypeCheckError):
-        raise t
-    if t.is_scalar:
-        return out, outcome
-    return _scalarised_apply(e.func, out.args, t, fresh), outcome
+
+
+def _type_or_raise(outcome):
+    """`outcome` if it is a type; raised if it is an error."""
+    if isinstance(outcome, TypeCheckError):
+        raise outcome
+    return outcome
 
 
 def _outcome(e, env, outcomes):

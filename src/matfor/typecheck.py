@@ -22,24 +22,11 @@ def typecheck(e: ast.Expr, schema: ast.Schema) -> MatrixType:
     return ast.drive(e, dict(schema.vars), _check)
 
 
-def type_in_env(e: ast.Expr, env: dict[str, MatrixType],
-                known=None) -> MatrixType:
-    """Type of `e` under an explicit variable-type environment.
-
-    `known` maps ``id(node)`` to ``(node, outcome)``, the outcome being the
-    node's type or first type error; the walk stops there and returns or
-    re-raises it."""
-    if not known:
-        return ast.drive(e, env, _check)
-
-    def rule(node, env):
-        got = known.get(id(node))
-        if got is None:
-            return (yield from _check(node, env))
-        if isinstance(got[1], Exception):
-            raise got[1]
-        return got[1]
-    return ast.drive(e, env, rule)
+def type_in_env(e: ast.Expr, env: dict[str, MatrixType]) -> MatrixType:
+    """Type of `e` under an explicit variable-type environment.  A pass that
+    rewrites a tree types it on the way instead, from each node's children's
+    outcomes (`sugar._typed`)."""
+    return ast.drive(e, env, _check)
 
 
 def iterator_type(loop, env) -> MatrixType:

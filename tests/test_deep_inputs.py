@@ -12,8 +12,8 @@ from collections import Counter
 import pytest
 
 from matfor import ast, bridge, fragments, sugar
-from matfor.ast import (Add, Apply, MatMul, MatrixType, Schema, Sum, UNIT,
-                        Var, substitute)
+from matfor.ast import (Add, Apply, Diag, MatMul, MatrixType, Schema, Sum,
+                        UNIT, Var, substitute)
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
 from matfor.circuit_compile import compile_expr
@@ -161,7 +161,8 @@ def test_cli_accepts_a_long_sum(tmp_path, capsys, command):
 
 
 DEPTH = 2000
-NEST_SCHEMA = Schema({"V": MatrixType("alpha", UNIT)})
+NEST_SCHEMA = Schema({"V": MatrixType("alpha", UNIT),
+                      "u": MatrixType("alpha", UNIT)})
 
 
 @pytest.fixture
@@ -188,17 +189,36 @@ def _sum_nest():
     return e
 
 
-@pytest.mark.parametrize("run", [
-    lambda e: desugar(e, NEST_SCHEMA),
-    lambda e: classify(desugar(e, NEST_SCHEMA)) is Fragment.SUM,
-    lambda e: phi_translate(e, NEST_SCHEMA),
+def _diag_nest():
+    """``diag(diag(... * u) * u) * u``, `DEPTH` diags deep."""
+    e = Var("V")
+    for _ in range(DEPTH):
+        e = MatMul(Diag(e), Var("u"))
+    return e
+
+
+def _sum_diag_nest():
+    """``sum v . diag(sum v . diag(... * v) * v) * v``, `DEPTH` levels."""
+    e = Var("V")
+    for _ in range(DEPTH):
+        e = Sum("v", MatMul(Diag(e), Var("v")), var_sym="alpha")
+    return e
+
+
+@pytest.mark.parametrize("run, per_level", [
+    (lambda e: desugar(e, NEST_SCHEMA), 13),
+    (lambda e: classify(desugar(e, NEST_SCHEMA)) is Fragment.SUM, 13),
+    (lambda e: phi_translate(e, NEST_SCHEMA), 21),
 ], ids=["desugar", "classify", "phi_translate"])
-def test_a_deep_quantifier_nest_costs_linear_work(calls, run):
-    # typing each desugared body afresh, or a table per loop, is quadratic:
-    # millions of `_check` calls and thousands of tables at this depth
-    assert run(_sum_nest())
-    assert calls["_check"] <= 13 * DEPTH
-    assert calls["node_table"] <= 2
+def test_a_deep_quantifier_nest_costs_linear_work(calls, run, per_level):
+    # typing each desugared body or diag argument afresh, or a table per
+    # loop, is quadratic: millions of `_check` calls and thousands of
+    # tables at this depth; phi types the whole core once more
+    for nest in (_sum_nest, _diag_nest, _sum_diag_nest):
+        calls.clear()
+        assert run(nest())
+        assert calls["_check"] <= per_level * DEPTH, nest.__name__
+        assert calls["node_table"] <= 2, nest.__name__
 
 
 def test_a_deep_application_nest_is_scalarised_in_linear_work(calls):
