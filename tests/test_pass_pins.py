@@ -207,7 +207,7 @@ PINS = {
     "typecheck": (
         "44b320f2205ec0c8ce42cb28f7350031a12108d4d99fad56ee06f2caf59b32aa"),
     "desugar": (
-        "fa97d0e05f9c8eb1c3ce83188544839bf9508ea68f8a3e375776f5c5231e0fad"),
+        "cf0ad64bc0d60c689d890dfe4dae00bc5372321a55e6834ece3bc913fd170f5b"),
     "scalarise": (
         "b10fc471c4e026201e2a3599822a47adb1139bda67f1f84b82ba65d06e929008"),
     "pretty": (
@@ -215,7 +215,7 @@ PINS = {
     "substitute": (
         "afb1d942bd149ea6eee050b156d59e7a803fd136e950dbff0b28ffacdb1333aa"),
     "phi": (
-        "fe0c573f693af3fab2dde1b1fc18332a9e3c89e95eca3a86f5f8843ccd8bc4bf"),
+        "b5abf8c14ee4ae00284d8eba101d476430c77b536e2a9fdb064860b4a6fdbbb9"),
     "psi": (
         "fa8bc3835a5471644d23166a979c467273255e8695816b2cedb841b23a151e2a"),
     "psi_signed": (
