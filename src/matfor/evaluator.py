@@ -50,15 +50,12 @@ A node is memoised only where a second read of its entry is possible: its
 value number is reached by more than one parent edge, or some loop
 enclosing it binds none of its free variables (for ``for`` neither the
 iterator nor the accumulator, for the quantifiers the iterator), so its key
-recurs across that loop's iterations.  Any other node is evaluated afresh
-each time its parent is: its key changes with every iteration of the loops
-around it, so its entry would be written and not read again, and in a deep
-loop nest such entries grow with the iteration count.  Nor is a node
-memoised that runs once per key anyway: its one parent edge is not a loop's
-body or initialiser and leads to a parent with the same free variables that
-is the root, memoised, or runs once per key itself, so the node runs only when
-that parent does, under the same key.  A left-deep product thus keeps one
-entry for its longest loop-invariant prefix.  One more linear pass
+recurs across that loop's iterations, and it does not inherit its key.  A
+node inherits its parent's key when its one parent edge is not a loop's
+body or initialiser and the parent has the same free variables: it runs
+only when that parent does.  Any other node is evaluated afresh, since its
+entry would be written and not read again.  A left-deep product thus keeps
+one entry for its longest loop-invariant prefix.  One more linear pass
 (`_memo_numbers`) finds the memoised numbers.  Which nodes are memoised
 changes only how often a node is computed, never what it computes:
 evaluation is deterministic, so every result is bit-identical to memoising
@@ -105,33 +102,29 @@ def _memo_numbers(root, nodes):
     `nodes` is ``ast.node_table(root)``.  A number qualifies when it is
     reached by more than one parent edge (``Add(e, e)`` counts twice), or
     when some loop enclosing it on some path binds none of its free
-    variables, unless it runs once per key: it has one parent edge, not a
-    loop's body or initialiser, into a parent with the same free variables
-    that is the root, memoised, or itself runs once per key.  Edges are
-    counted once per parent value number, so equal but distinct subtrees
-    count as one.  `ast.distinct` gives a node per value number in
-    post-order; a pass walks them parents first, so every edge into a node is
-    counted, its parents decided, and the binder sets of every loop
-    enclosing it collected, before the node itself is decided.  A ``For``
-    encloses its body, not its initialiser.
+    variables, unless it inherits its key: it has one parent edge, not a
+    loop's body or initialiser, into a parent with the same free variables.
+    Edges are counted once per parent value number, so equal but distinct
+    subtrees count as one.  `ast.distinct` gives a node per value number in
+    post-order; a pass walks them parents first, so every edge into a node
+    is counted, and the binder sets of every loop enclosing it collected,
+    before the node itself is decided.  A ``For`` encloses its body, not its
+    initialiser.
     """
-    memo, edges, enclosing, empty = set(), {}, {}, frozenset()
-    once, inherits = {nodes[id(root)][0]}, {}
+    memo, edges, enclosing, inherits, empty = set(), {}, {}, {}, frozenset()
     for node in reversed([*ast.distinct(root, lambda n: nodes[id(n)][0])]):
         number, fv = nodes[id(node)]
         outer = enclosing.get(number, empty)
-        if edges.get(number) == 1 and inherits[number]:
-            once.add(number)
-        elif edges.get(number, 0) > 1 or any(b.isdisjoint(fv) for b in outer):
+        if edges.get(number, 0) > 1 or not inherits.get(number) and any(
+                b.isdisjoint(fv) for b in outer):
             memo.add(number)
-            once.add(number)
         bound = ast.binders(node)
         body = outer | {frozenset(bound)} if bound else outer
         kids = ast.children(node)
         for slot, c in enumerate(kids):
             num, child_fv = nodes[id(c)]
             edges[num] = edges.get(num, 0) + 1
-            inherits[num] = not bound and number in once and child_fv == fv
+            inherits[num] = not bound and child_fv == fv
             enclosing[num] = enclosing.get(num, empty) | (
                 body if slot == len(kids) - 1 else outer)
     return memo
