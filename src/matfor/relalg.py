@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import drive
-from .errors import (FormatError, ParseError, SignatureViolation,
-                     UnknownRelation)
+from .errors import (FormatError, MatforError, ParseError,
+                     SignatureViolation, UnknownRelation)
 from .parser import KEYWORDS, _Parser
 from .semiring import REAL, Semiring, by_name
 
@@ -361,7 +361,10 @@ def parse_relations(text: str):
             if current_name is not None:
                 raise FormatError(
                     "a 'semiring' line must precede relation blocks", lineno)
-            sr = by_name(parts[1])
+            try:
+                sr = by_name(parts[1])
+            except MatforError as exc:
+                raise FormatError(str(exc), lineno) from None
         elif parts[0] == "relation":
             flush()
             if len(parts) < 2:

@@ -228,6 +228,9 @@ def test_relation_file_errors():
         parse_relations("semiring nat\nrelation R a\n1 : -4\n")
     with pytest.raises(FormatError):
         parse_relations("relation R a\n0 : 1\n")
+    with pytest.raises(FormatError,
+                       match="^line 2: unknown semiring 'naturals'"):
+        parse_relations("# annotations\nsemiring naturals\n")
 
 
 def test_semiring_line_after_a_relation_is_rejected():
