@@ -115,8 +115,8 @@ def _memo_numbers(root, nodes):
     for node in reversed([*ast.distinct(root, lambda n: nodes[id(n)][0])]):
         number, fv = nodes[id(node)]
         outer = enclosing.get(number, empty)
-        if edges.get(number, 0) > 1 or not inherits.get(number) and any(
-                b.isdisjoint(fv) for b in outer):
+        if edges.get(number, 0) > 1 or (not inherits.get(number) and any(
+                b.isdisjoint(fv) for b in outer)):
             memo.add(number)
         bound = ast.binders(node)
         body = outer | {frozenset(bound)} if bound else outer

@@ -205,19 +205,24 @@ def _sum_diag_nest():
     return e
 
 
+NESTS = (_sum_nest, _diag_nest, _sum_diag_nest)
+
+
 @pytest.mark.parametrize("run, per_level", [
-    (lambda e: desugar(e, NEST_SCHEMA), 13),
-    (lambda e: classify(desugar(e, NEST_SCHEMA)) is Fragment.SUM, 13),
-    (lambda e: phi_translate(e, NEST_SCHEMA), 21),
+    (lambda e: desugar(e, NEST_SCHEMA), (13, 13, 13)),
+    (lambda e: classify(desugar(e, NEST_SCHEMA)) is Fragment.SUM,
+     (13, 13, 13)),
+    # phi also types the desugared core, in which each diag is a loop
+    (lambda e: phi_translate(e, NEST_SCHEMA), (13, 21, 21)),
 ], ids=["desugar", "classify", "phi_translate"])
 def test_a_deep_quantifier_nest_costs_linear_work(calls, run, per_level):
     # typing each desugared body or diag argument afresh, or a table per
     # loop, is quadratic: millions of `_check` calls and thousands of
-    # tables at this depth; phi types the whole core once more
-    for nest in (_sum_nest, _diag_nest, _sum_diag_nest):
+    # tables at this depth
+    for nest, bound in zip(NESTS, per_level):
         calls.clear()
         assert run(nest())
-        assert calls["_check"] <= per_level * DEPTH, nest.__name__
+        assert calls["_check"] <= bound * DEPTH, nest.__name__
         assert calls["node_table"] <= 2, nest.__name__
 
 
