@@ -1,16 +1,16 @@
 """Compilation of expressions to arithmetic circuits for fixed dimensions.
 
 Given a dimension assignment for every size symbol, an expression unrolls
-into one circuit.  The compiler is the evaluator run over a gate-building
-semiring: its carrier is a compile-time rational constant or a reference
-to a built gate (`_Ref`), and its `plus`/`times` fold constants exactly and
-intern every gate they build.  A constant is an int; only a non-integral
+into one circuit.  The compiler is the evaluator run over a gate semiring:
+its carrier is a compile-time rational constant or an unbuilt gate
+(`_Ref`), and its `plus`/`times` fold constants exactly and otherwise
+return an unbuilt gate.  A constant is an int; only a non-integral
 literal or a division of two constants brings in a `Fraction`, so the
 canonical vectors' 0/1 entries and their sums stay ints.  The operations
 tell a gate from a constant by ``x.__class__ is _Ref``, not by an
 ``isinstance`` test or by comparing: comparing a `Fraction` against a gate
-reference goes through the `numbers` ABC checks, and on the compiler's hot
-path (`mat_mul`'s ``zero in ...`` and ``x != zero``) that cost dominated.
+goes through the `numbers` ABC checks, and on the compiler's hot path
+(`mat_mul`'s ``zero in ...`` and ``x != zero``) that cost dominated.
 
 `evaluate` supplies everything else (loops, quantifiers, order primitives,
 the memo), so loops unroll to sequential stages with the canonical vectors
@@ -22,14 +22,18 @@ the same either way.
 
 Only the polynomial surface compiles: core operators plus `div` and the
 pointwise product/sum families.  `div` is the gate semiring's ``div``
-field, which folds constants and otherwise builds a division gate.  The
+field, which folds constants and otherwise makes a division gate.  The
 semiring leaves ``gtz`` unset, as it has no sum/product/division circuit,
 so `evaluate` rejects it.  Constants other than 0 and 1 are synthesised
 when needed (positive integers as fan-in-k sums of ones, positive
 rationals as a division); negative or infinite constants that survive
 folding are rejected.
 
-The result is pruned: every remaining gate is reachable from an output.
+Gates are built from the outputs: for each result entry in row-major
+order, each gate after the unbuilt gates it uses, and its constant operands
+with it.  Gates are interned and numbered as they are built, so every gate
+is reachable from an output, and the numbers do not depend on the order of
+the kernels' calls.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import ast
+# `prune` is unused here, but the perfbench tracer wraps it by this name
 from .circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
                        prune, stats)
 from .errors import (FunctionUnavailableForSemiring, MissingDimension,
@@ -51,78 +56,51 @@ _MAX_SYNTH_INT = 1 << 16
 
 
 class _Ref:
-    """Reference to a built gate."""
+    """A gate, its two operands (an input's coordinate) and, once built, its
+    index."""
 
-    __slots__ = ("idx",)
+    __slots__ = ("kind", "a", "b", "idx")
 
-    def __init__(self, idx):
-        self.idx = idx
+    def __init__(self, kind, a, b=None):
+        self.kind = kind
+        self.a = a
+        self.b = b
+        self.idx = None
 
 
-class _Builder:
-    def __init__(self):
-        # gate -> its index; insertion order is gate order
-        self.interned: dict[Gate, int] = {}
+# scalar operations with constant folding ------------------------------------
 
-    def gate(self, kind, children=(), ref=None):
-        return self.interned.setdefault(Gate(kind, children, ref),
-                                        len(self.interned))
+def _sadd(a, b):
+    a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
+    if a_const and b_const:
+        return a + b
+    if a_const and a == 0:
+        return b
+    if b_const and b == 0:
+        return a
+    return _Ref(SUM, a, b)
 
-    def materialize(self, v) -> int:
-        if v.__class__ is _Ref:
-            return v.idx
-        if v == 0:
-            return self.gate(ZERO)
-        if v == 1:
-            return self.gate(ONE)
-        if v < 0:
-            raise UnsupportedConstant(
-                f"cannot synthesise the negative constant {v} from 0/1 gates")
-        if v.denominator == 1:
-            n = v.numerator
-            if n > _MAX_SYNTH_INT:
-                raise UnsupportedConstant(
-                    f"refusing to synthesise the constant {n} as a sum of "
-                    f"ones")
-            return self.gate(SUM, (self.gate(ONE),) * n)
-        num = self.materialize(v.numerator)
-        den = self.materialize(v.denominator)
-        return self.gate(DIV, (num, den))
 
-    # scalar operations with constant folding ----------------------------
+def _smul(a, b):
+    a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
+    if a_const and b_const:
+        return a * b
+    if a_const or b_const:
+        x, y = (a, b) if a_const else (b, a)
+        if x == 0:
+            return 0
+        if x == 1:
+            return y
+    return _Ref(PROD, a, b)
 
-    def sadd(self, a, b):
-        a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
-        if a_const and b_const:
-            return a + b
-        if a_const and a == 0:
-            return b
-        if b_const and b == 0:
-            return a
-        return _Ref(self.gate(SUM, (self.materialize(a),
-                                    self.materialize(b))))
 
-    def smul(self, a, b):
-        a_const, b_const = a.__class__ is not _Ref, b.__class__ is not _Ref
-        if a_const and b_const:
-            return a * b
-        if a_const or b_const:
-            x, y = (a, b) if a_const else (b, a)
-            if x == 0:
-                return 0
-            if x == 1:
-                return y
-        return _Ref(self.gate(PROD, (self.materialize(a),
-                                     self.materialize(b))))
-
-    def sdiv(self, a, b):
-        b_const = b.__class__ is not _Ref
-        if b_const and a.__class__ is not _Ref and b != 0:
-            return Fraction(a) / b
-        if b_const and b == 1:
-            return a
-        return _Ref(self.gate(DIV, (self.materialize(a),
-                                    self.materialize(b))))
+def _sdiv(a, b):
+    b_const = b.__class__ is not _Ref
+    if b_const and a.__class__ is not _Ref and b != 0:
+        return Fraction(a) / b
+    if b_const and b == 1:
+        return a
+    return _Ref(DIV, a, b)
 
 
 def _literal(v):
@@ -134,7 +112,11 @@ def _literal(v):
     return f.numerator if f.denominator == 1 else f
 
 
-def _input_matrix(name, schema, dims, b):
+_GATES = Semiring("circuit", 0, 1, _sadd, _smul, Fraction, str, _literal,
+                  div=_sdiv)
+
+
+def _input_matrix(name, schema, dims):
     t = schema.vars.get(name)
     if t is None:
         raise UnassignedSymbol(
@@ -145,9 +127,9 @@ def _input_matrix(name, schema, dims, b):
                 f"no dimension assigned to size symbol '{sym}' "
                 f"(variable '{name}')")
     rows, cols = dims[t.rows], dims[t.cols]
-    return KMatrix(rows, cols,
-                   tuple(_Ref(b.gate(INPUT, ref=(name, i + 1, j + 1)))
-                         for i in range(rows) for j in range(cols)))
+    return KMatrix(rows, cols, tuple(_Ref(INPUT, (name, i + 1, j + 1))
+                                     for i in range(rows)
+                                     for j in range(cols)))
 
 
 def compile_expr(e: ast.Expr, schema: ast.Schema,
@@ -157,23 +139,59 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     Free variables become input gates laid out by their schema type; the
     outputs are labelled with the 1-based positions of the result matrix.
     """
-    b = _Builder()
-    sr = Semiring("circuit", 0, 1, b.sadd, b.smul, Fraction, str, _literal,
-                  div=b.sdiv)
     inst = Instance({**dims, ast.UNIT: 1})
-    # inputs get their gates before evaluation, in sorted name order, so
-    # their numbers do not depend on which input the evaluation reaches first
     for name in sorted(ast.free_vars(e)):
-        inst.mats[name] = _input_matrix(name, schema, inst.dims, b)
+        inst.mats[name] = _input_matrix(name, schema, inst.dims)
     try:
-        result = evaluate(e, inst, sr, schema=schema)
+        result = evaluate(e, inst, _GATES, schema=schema)
     except MissingDimension as exc:
         raise UnassignedSymbol(str(exc)) from None
     except (UnknownFunction, FunctionUnavailableForSemiring) as exc:
         raise UnsupportedFunction(str(exc)) from None
-    outputs = [((i + 1, j + 1), b.materialize(result.get(i, j)))
+    interned: dict[Gate, int] = {}  # insertion order is gate order
+
+    def gate(kind, children=(), ref=None):
+        return interned.setdefault(Gate(kind, children, ref), len(interned))
+
+    def constant(v) -> int:
+        if v == 0 or v == 1:
+            return gate(ONE if v else ZERO)
+        if v < 0:
+            raise UnsupportedConstant(
+                f"cannot synthesise the negative constant {v} from 0/1 gates")
+        if v.denominator == 1:
+            n = v.numerator
+            if n > _MAX_SYNTH_INT:
+                raise UnsupportedConstant(
+                    f"refusing to synthesise the constant {n} as a sum of "
+                    f"ones")
+            return gate(SUM, (gate(ONE),) * n)
+        return gate(DIV, (constant(v.numerator), constant(v.denominator)))
+
+    def operand(x) -> int:
+        return x.idx if x.__class__ is _Ref else constant(x)
+
+    def build(v) -> int:
+        if v.__class__ is not _Ref:
+            return constant(v)
+        stack = [v]
+        while stack:
+            r = stack[-1]
+            a, b = r.a, r.b
+            # what is stacked is unbuilt: each stacked gate uses the next
+            if a.__class__ is _Ref and a.idx is None:
+                stack.append(a)
+            elif b.__class__ is _Ref and b.idx is None:
+                stack.append(b)
+            else:
+                stack.pop()
+                r.idx = (gate(INPUT, ref=a) if r.kind is INPUT
+                         else gate(r.kind, (operand(a), operand(b))))
+        return v.idx
+
+    outputs = [((i + 1, j + 1), build(result.get(i, j)))
                for i in range(result.rows) for j in range(result.cols)]
-    return prune(Circuit(list(b.interned), outputs))
+    return Circuit(list(interned), outputs)
 
 
 def degree_growth(e: ast.Expr, schema: ast.Schema, symbol: str,

@@ -8,21 +8,18 @@ entries; the evaluator's memo keys rely on that.  Indexing in code is
 formats and `canonical_vector`.
 
 `mat_mul` computes every entry as the left fold of ``plus`` from `zero` over
-the terms ``times(a[i][t], b[t][j])`` in ascending ``t``, and computes the
-entries in row-major order: for each entry it makes that entry's ``times``
-and ``plus`` calls, alternating, before any call for the next entry.  The
-circuit compiler interns gates in call order, so its circuits depend on this
-order as much as on the results.  There are three paths:
+the terms ``times(a[i][t], b[t][j])`` in ascending ``t``.  That fold is the
+contract; in what order the entries and their calls are made is not, and
+no caller depends on it.  There are three paths:
 
 * inner dimension one (``a`` is a column, ``b`` a row): each row of the
   result is ``map(plus, repeat(zero), map(times, repeat(a_i), b))``;
-* the zero-term path below, which leaves some terms out and makes the
-  calls it keeps in the same order;
+* the zero-term path below, which leaves some terms out;
 * otherwise each entry is ``reduce(plus, map(times, row, column), zero)``
   over a row of ``a`` and a column of ``b`` sliced once per call.
 
-The first and the last make exactly the calls of the plain triple loop, in
-its order, but step through the terms with C-level iterators.
+The first and the last make the calls of the plain triple loop, but step
+through the terms with C-level iterators.
 
 The zero-term path leaves out each term with a `zero` factor when `a` has
 more than one row (a single row cannot pay for the column lists it builds),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,7 +19,7 @@ from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import KMatrix
 from matfor.parser import parse_expr, parse_schema
-from matfor.semiring import REAL
+from matfor.semiring import RATIONAL
 from test_evaluator import shared_loop_under_two_sizes
 
 
@@ -118,11 +119,7 @@ def test_division_compiles_and_matches_the_evaluator():
         {(1, 1): 0.25}
 
 
-def test_compiled_circuits_are_well_formed():
-    s = parse_schema("var V : alpha x alpha\nvar v : alpha x 1")
-    e = parse_expr("sum v . (v^T * V * v) .* (v * v^T)")
-    c = compile_expr(e, s, {"alpha": 3})
-    c.validate()
+def _every_gate_is_reachable(c):
     reachable = set()
     stack = [idx for _, idx in c.outputs]
     while stack:
@@ -130,45 +127,15 @@ def test_compiled_circuits_are_well_formed():
         if i not in reachable:
             reachable.add(i)
             stack.extend(c.gates[i].children)
-    assert reachable == set(range(len(c.gates)))
+    return reachable == set(range(len(c.gates)))
 
 
-def agreement_case(lib, name, n, rng, pin=None):
-    item = lib[name]
-    expr = substitute(item.expr, pin) if pin else item.expr
-    dims = {"alpha": n}
-    c = compile_expr(expr, item.schema, dims)
-    mats, inputs = {}, {}
-    for vn in item.inputs:
-        if pin and vn in pin:
-            continue
-        t = item.schema[vn]
-        r, col = dims.get(t.rows, 1), dims.get(t.cols, 1)
-        vals = [Fraction(rng.randint(-3, 3)) for _ in range(r * col)]
-        mats[vn] = KMatrix(r, col, tuple(float(v) for v in vals))
-        for i in range(r):
-            for j in range(col):
-                inputs[(vn, i + 1, j + 1)] = vals[i * col + j]
-    inst = Instance(dims, mats)
-    want = evaluate(expr, inst, REAL, schema=item.schema)
-    got = eval_circuit(c, inputs)
-    for i in range(want.rows):
-        for j in range(want.cols):
-            assert abs(float(got[(i + 1, j + 1)]) - want.get(i, j)) < 1e-9
-
-
-@pytest.mark.parametrize("name,pin", [
-    ("ones_vec", None), ("identity", None), ("diag_embed", None),
-    ("index_le", None), ("index_lt", None),
-    ("shift_by_index", None), ("shift_vector", None),
-    ("power_sum", None),
-    ("matrix_power", {"v": OrderPrim(OrderKind.EMAX, "alpha")}),
-    ("four_clique", None), ("trace_vector", None),
-])
-def test_interpreter_circuit_agreement(lib, name, pin):
-    rng = random.Random(hash(name) & 0xFFFF)
-    for n in (2, 3, 4):
-        agreement_case(lib, name, n, rng, pin)
+def test_compiled_circuits_are_well_formed():
+    s = parse_schema("var V : alpha x alpha\nvar v : alpha x 1")
+    e = parse_expr("sum v . (v^T * V * v) .* (v * v^T)")
+    c = compile_expr(e, s, {"alpha": 3})
+    c.validate()
+    assert _every_gate_is_reachable(c)
 
 
 def test_dumps_of_compiled_circuits_reload(lib):
@@ -261,6 +228,93 @@ def _compile_outcome(item):
 def test_compiled_circuits_stay_gate_for_gate_identical(name):
     item = stdlib.all_named()[name]
     assert _compile_outcome(item) == CIRCUIT_DIGESTS[name]
+
+
+COMPILABLE = sorted(name for name, outcome in CIRCUIT_DIGESTS.items()
+                    if " at n=" not in outcome)
+
+
+@pytest.mark.parametrize("name", COMPILABLE)
+def test_every_gate_of_a_stdlib_circuit_is_reachable(name):
+    item = stdlib.all_named()[name]
+    for n in range(1, 5):
+        c = compile_expr(item.expr, item.schema, {stdlib.ALPHA: n})
+        c.validate()
+        assert _every_gate_is_reachable(c)
+
+
+def _column_major_mat_mul(a, b, sr):
+    """`matrix.mat_mul` with its calls in another order: the entries are
+    made column by column, and each makes all its ``times`` calls before
+    its ``plus`` calls.  Each entry is still the left fold of ``plus`` from
+    `zero` over its terms in ascending order."""
+    out = [None] * (a.rows * b.cols)
+    for j in range(b.cols):
+        for i in range(a.rows):
+            terms = [sr.times(a.get(i, t), b.get(t, j))
+                     for t in range(a.cols)]
+            out[i * b.cols + j] = reduce(sr.plus, terms, sr.zero)
+    return KMatrix(a.rows, b.cols, tuple(out))
+
+
+@pytest.mark.parametrize("name", COMPILABLE)
+def test_gate_numbers_do_not_follow_the_kernels_call_order(monkeypatch,
+                                                           name):
+    item = stdlib.all_named()[name]
+
+    def dumps():
+        return [dump_circuit(compile_expr(item.expr, item.schema,
+                                          {stdlib.ALPHA: n}))
+                for n in (2, 3)]
+
+    want = dumps()
+    monkeypatch.setattr("matfor.evaluator.mat_mul", _column_major_mat_mul)
+    assert dumps() == want
+
+
+def agreement_case(lib, name, n, rng, pin=None):
+    """Compare the circuit of `name` at dimension `n` with the interpreter
+    over the rationals, exactly.  A circuit holds no negative constant, so
+    when it divides its inputs are drawn positive and no division is by
+    zero."""
+    item = lib[name]
+    expr = substitute(item.expr, pin) if pin else item.expr
+    dims = {"alpha": n}
+    c = compile_expr(expr, item.schema, dims)
+    low = 1 if any(g.kind == DIV for g in c.gates) else -3
+    mats, inputs = {}, {}
+    for vn in item.inputs:
+        if pin and vn in pin:
+            continue
+        t = item.schema[vn]
+        r, col = dims.get(t.rows, 1), dims.get(t.cols, 1)
+        vals = [Fraction(rng.randint(low, 3)) for _ in range(r * col)]
+        mats[vn] = KMatrix(r, col, tuple(vals))
+        for i in range(r):
+            for j in range(col):
+                inputs[(vn, i + 1, j + 1)] = vals[i * col + j]
+    inst = Instance(dims, mats)
+    want = evaluate(expr, inst, RATIONAL, schema=item.schema)
+    assert eval_circuit(c, inputs) == {
+        (i + 1, j + 1): want.get(i, j)
+        for i in range(want.rows) for j in range(want.cols)}
+
+
+# the first eleven programs keep their places, and so their test ids
+_AGREEMENT_FIRST = ("ones_vec", "identity", "diag_embed", "index_le",
+                    "index_lt", "shift_by_index", "shift_vector", "power_sum",
+                    "matrix_power", "four_clique", "trace_vector")
+_PINS = {"matrix_power": {"v": OrderPrim(OrderKind.EMAX, "alpha")}}
+
+
+@pytest.mark.parametrize("name,pin", [
+    (name, _PINS.get(name)) for name in
+    _AGREEMENT_FIRST + tuple(n for n in COMPILABLE
+                             if n not in _AGREEMENT_FIRST)])
+def test_interpreter_circuit_agreement(lib, name, pin):
+    rng = random.Random(name)
+    for n in range(1, 6):
+        agreement_case(lib, name, n, rng, pin)
 
 
 @pytest.mark.parametrize("name", ["four_clique", "four_clique_order"])
@@ -362,3 +416,40 @@ def test_dumps_of_stdlib_circuits_reload_gate_for_gate(name):
     back = load_circuit(dump_circuit(c))
     assert back.gates == c.gates
     assert back.outputs == c.outputs
+
+
+def _structure_digest(c):
+    """sha256 of `c`'s outputs with each gate named by a hash of its kind,
+    its input coordinate and its children's names, so that two circuits
+    that differ only in their gate numbers have the same digest."""
+    names = []
+    for g in c.gates:
+        names.append(hashlib.sha256(repr(
+            (g.kind, g.ref, [names[ch] for ch in g.children])).encode())
+            .digest())
+    return hashlib.sha256(repr(
+        [(pos, names[idx]) for pos, idx in c.outputs]).encode()).hexdigest()
+
+
+def _stats_lines():
+    """One line per `stdlib.all_named()` program and n = 1..5: the
+    circuit's gate and wire counts, depth, degree and structure digest, or
+    the class of the error compiling raised."""
+    for name, item in sorted(stdlib.all_named().items()):
+        for n in range(1, 6):
+            try:
+                c = compile_expr(item.expr, item.schema, {stdlib.ALPHA: n})
+            except MatforError as exc:
+                yield f"{name} n={n}: {type(exc).__name__}"
+                continue
+            s = stats(c)
+            yield (f"{name} n={n}: gates={s.n_gates} wires={s.n_wires} "
+                   f"depth={s.depth} degree={s.degree} "
+                   f"structure={_structure_digest(c)[:16]}")
+
+
+if __name__ == "__main__":
+    # ``python tests/test_compile.py`` prints `_stats_lines()`, so the
+    # circuits of two versions of the compiler can be diffed without their
+    # gate numbers before `CIRCUIT_DIGESTS` is re-pinned
+    print("\n".join(_stats_lines()))

@@ -148,8 +148,8 @@ CALL_ORDER_SHAPES = (
 
 @pytest.mark.parametrize("n, k, m", CALL_ORDER_SHAPES)
 def test_mat_mul_makes_the_reference_calls_in_its_order(n, k, m):
-    # circuit_compile interns gates in call order, so the pinned circuit
-    # digests hold only while this order does
+    # every path makes the plain triple loop's calls, so each entry is the
+    # reference's fold over the same terms
     rng = random.Random(f"{n}x{k}x{m}")
     draws = [(1, 20), (0, 20)] if k == 1 else [(1, 20)]
     for low, high in draws:
