@@ -177,37 +177,37 @@ def test_sharing_does_not_change_the_compiled_circuit(name):
 CIRCUIT_DIGESTS = {
     "charpoly_coeffs": "UnsupportedConstant at n=1",
     "determinant": "UnsupportedConstant at n=1",
-    "diag_embed": "d46df188471aca3697928ec2d7676c1ac1de30b011554ce82bfb617a725a796a",
-    "diagonal_inverse": "6e9ac49314b17963e10edc7ed9575fa697424432dda96eed6e2c2ba3f29fa62e",
-    "diagonal_part": "7625da94740076775d3f21b3ad7e533545d0ea3ce6948e06f19fe886e8858ee2",
+    "diag_embed": "9702fe2b42a0e949bddb994958e1e9004a17da7768629def66fca9b4f797e827",
+    "diagonal_inverse": "a46641531574c7f829dddd043a17f8bacf8b530e2240cd5f7b0ce9bfb990498b",
+    "diagonal_part": "ee7de11ed45e697874a9085f613785a0f17c435f0311371ef156038c908fb584",
     "elimination_step": "UnsupportedConstant at n=1",
-    "four_clique": "169158f01c5f7e0eb98e753157eb4ecb68de1ef2872c695268a34ef91624df74",
-    "four_clique_order": "169158f01c5f7e0eb98e753157eb4ecb68de1ef2872c695268a34ef91624df74",
+    "four_clique": "83c05f6c830791c5df100a1647db882628293195d29f50dd56120d0b88dcb647",
+    "four_clique_order": "83c05f6c830791c5df100a1647db882628293195d29f50dd56120d0b88dcb647",
     "identity": "ab5740130899e4ab65ace28b20f66cfcac6f0141c5dbf380a39bf67aff64c3bf",
     "index_diagonal": "0c2c149573ee23bc9526d4b906fb10f448a47baa234c31885a065497e3d502ce",
-    "index_le": "321c4001c37a3fc36435fbe34d4b9ae040c904f278d51fe2ebc0646c100a1e00",
-    "index_lt": "60c64b2f1e24384efe7f7b6367778d9dc29a1d0abd8971268eb61872306552c3",
+    "index_le": "f978fe3d345aa2260acc30a7ca786ef982655a34b95f8764ceaccbc443ad93eb",
+    "index_lt": "cdf22328c0a1cd0ac6378cb7953221c756b5f075f6eba759ced12efe3f930ba3",
     "inverse": "UnsupportedConstant at n=1",
-    "inverse_power": "a3d386e6392fd1e4285d518e1c790b57efa3cd330323c61460f899028faff01a",
+    "inverse_power": "5a01108fefe0a0801e5546485d968e0219af60d3862358807f30de9a32eb48bf",
     "is_first": "2497ae13303ea70cc1993ea86e715d19709186c775fde0153a25b3cecd580c7a",
     "is_last": "7501946d3a0e85fb5fe676274d0bf282199f8413dfd1593697066a4362f43ec0",
     "last_basis": "f7be5591a46540dd8f10c3229b9a2959f02ce5d637248e8ec041152430fb22eb",
     "lower_tri_inverse": "UnsupportedConstant at n=1",
     "lu_lower": "UnsupportedConstant at n=1",
     "lu_upper": "UnsupportedConstant at n=1",
-    "matrix_power": "5d7f9d4eb20a6bd1fdf87e87b740f69ba7191432c69d21ab5364d63f87a3ecbb",
-    "newton_matrix": "3c6054002be2e9ce63660392b1a418021054d2bb889a859adfa707d91d9e6b87",
+    "matrix_power": "cdf5f6d7cd5e795273955567049561fd7cab67686d566d4f5951b3b57cc239a1",
+    "newton_matrix": "f1e77a525811016d00f672a520bcaa9af931a5c86c76897714b7bf8f63c997eb",
     "ones_vec": "ed3d0cb2b7b92131d5d195f7234b6f7e98ff47bf0c9a2b3a95bcc96dafdc97ea",
-    "pivot_column": "2ec7b6bb3b339b53329f75c50fd90c3d62ccba5ffa438ff08d070835fde1d5fc",
+    "pivot_column": "1c3fe0898c939c7d7b574dad758f03c3336c60d50e4557c9cc4b7c6786ddf0bb",
     "plu_transform": "UnsupportedFunction at n=1",
     "plu_upper": "UnsupportedFunction at n=1",
-    "power_sum": "e3e1f4ab1d00ce565b413f3a7e05780702cfdf0e4fd18fa2c36364daa14b5efc",
-    "power_trace": "d0a8ff2e89bafd2524956e6d710e5f1902afc98944abda3e5e43afb64f00c6e3",
+    "power_sum": "2c91d72bdec06ba1dd7c7d0f33da127f2bd155239f6d437e31dd75668dc160ed",
+    "power_trace": "d68bb309b9d56c0b0ab730a57390b04fb3e515ad880e94f0f3ccf67433679a8f",
     "repeated_squaring": "e579d324972babc790501c80c7d4710ecf92b376658b04b68bf03adc5646b62c",
-    "scaled_power_trace": "9022b6c59615770a7bdc8aaa5aca00de0214e30c4bb3bcf18dd0b51905aa19e6",
-    "shift_by_index": "d892122826ffce4dee9d14bd26691837a7a9e2207eadc3ac45e9dcce3f8e39dc",
-    "shift_vector": "d6884baff5c842c9c3af3b84222263136bbfe76814e83fea7608585e6f2504ed",
-    "trace_vector": "8794de556adae9483834aadb90750ff959361f4b1b0666e21ef3250bc62c9e48",
+    "scaled_power_trace": "6ed09e48bf8f48322e0cb5ddf0548abcc2f82aaa8f14cef54cc96fd5a7fd2e82",
+    "shift_by_index": "331266091f7a6d0102de667ada1e48a89a23cb50b53ca984ff6ec5404692d3b9",
+    "shift_vector": "b884ce99e4d279cbd81a1a6c070f3a9d712fc2187f07f4007d9bd5581abd7770",
+    "trace_vector": "fdbc353f680188ed753b4738032de0a7e1a878c42ac86dc4482e076efa8d03f3",
     "transitive_closure": "UnsupportedFunction at n=1",
     "upper_tri_inverse": "UnsupportedConstant at n=1",
 }
