@@ -1,16 +1,16 @@
 """Compilation of expressions to arithmetic circuits for fixed dimensions.
 
 Given a dimension assignment for every size symbol, an expression unrolls
-into one circuit.  The compiler is the evaluator run over a gate semiring:
-its carrier is a compile-time rational constant or an unbuilt gate
-(`_Ref`), and its `plus`/`times` fold constants exactly and otherwise
-return an unbuilt gate.  A constant is an int; only a non-integral
-literal or a division of two constants brings in a `Fraction`, so the
-canonical vectors' 0/1 entries and their sums stay ints.  The operations
-tell a gate from a constant by ``x.__class__ is _Ref``, not by an
-``isinstance`` test or by comparing: comparing a `Fraction` against a gate
-goes through the `numbers` ABC checks, and on the compiler's hot path
-(`mat_mul`'s ``zero in ...`` and ``x != zero``) that cost dominated.
+into one circuit.  The compiler is the evaluator run over a gate semiring
+whose carrier is a compile-time rational constant or an unbuilt gate
+(`_Ref`); `plus`/`times` fold constants exactly, or return an unbuilt gate.
+A constant is an int; only a non-integral literal or a division of two
+constants brings in a `Fraction`, so the canonical vectors' 0/1 entries and
+their sums stay ints.  The operations tell a gate from a constant by
+``x.__class__ is _Ref``, not by an ``isinstance`` test or by comparing:
+comparing a `Fraction` against a gate goes through the `numbers` ABC
+checks, and on the compiler's hot path (`mat_mul`'s ``zero in ...`` and
+``x != zero``) that cost dominated.
 
 `evaluate` supplies everything else (loops, quantifiers, order primitives,
 the memo), so loops unroll to sequential stages with the canonical vectors
@@ -26,14 +26,13 @@ field, which folds constants and otherwise makes a division gate.  The
 semiring leaves ``gtz`` unset, as it has no sum/product/division circuit,
 so `evaluate` rejects it.  Constants other than 0 and 1 are synthesised
 when needed (positive integers as fan-in-k sums of ones, positive
-rationals as a division); negative or infinite constants that survive
-folding are rejected.
+rationals as a division); infinite literals, and negative constants that
+an output uses, are rejected.
 
-Gates are built from the outputs: for each result entry in row-major
-order, each gate after the unbuilt gates it uses, and its constant operands
-with it.  Gates are interned and numbered as they are built, so every gate
-is reachable from an output, and the numbers do not depend on the order of
-the kernels' calls.
+Gates are built from the outputs, entry by entry in row-major order: each
+gate after the unbuilt gates it uses, with its constant operands.  They are
+interned and numbered as built, so each is reachable from an output, and
+the numbers do not follow the order of the kernels' calls.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ _MAX_SYNTH_INT = 1 << 16
 
 
 class _Ref:
-    """A gate, its two operands (an input's coordinate) and, once built, its
-    index."""
+    """An unbuilt gate (`idx` once built); an input's `a` is its coordinate."""
 
     __slots__ = ("kind", "a", "b", "idx")
 
@@ -153,7 +151,10 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     def gate(kind, children=(), ref=None):
         return interned.setdefault(Gate(kind, children, ref), len(interned))
 
-    def constant(v) -> int:
+    def index(v) -> int:
+        """The gate of a built `_Ref`, or of a constant, building it."""
+        if v.__class__ is _Ref:
+            return v.idx
         if v == 0 or v == 1:
             return gate(ONE if v else ZERO)
         if v < 0:
@@ -166,15 +167,10 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
                     f"refusing to synthesise the constant {n} as a sum of "
                     f"ones")
             return gate(SUM, (gate(ONE),) * n)
-        return gate(DIV, (constant(v.numerator), constant(v.denominator)))
-
-    def operand(x) -> int:
-        return x.idx if x.__class__ is _Ref else constant(x)
+        return gate(DIV, (index(v.numerator), index(v.denominator)))
 
     def build(v) -> int:
-        if v.__class__ is not _Ref:
-            return constant(v)
-        stack = [v]
+        stack = [v] if v.__class__ is _Ref else []
         while stack:
             r = stack[-1]
             a, b = r.a, r.b
@@ -186,8 +182,8 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
             else:
                 stack.pop()
                 r.idx = (gate(INPUT, ref=a) if r.kind is INPUT
-                         else gate(r.kind, (operand(a), operand(b))))
-        return v.idx
+                         else gate(r.kind, (index(a), index(b))))
+        return index(v)
 
     outputs = [((i + 1, j + 1), build(result.get(i, j)))
                for i in range(result.rows) for j in range(result.cols)]

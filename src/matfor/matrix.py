@@ -8,9 +8,8 @@ entries; the evaluator's memo keys rely on that.  Indexing in code is
 formats and `canonical_vector`.
 
 `mat_mul` computes every entry as the left fold of ``plus`` from `zero` over
-the terms ``times(a[i][t], b[t][j])`` in ascending ``t``.  That fold is the
-contract; in what order the entries and their calls are made is not, and
-no caller depends on it.  There are three paths:
+the terms ``times(a[i][t], b[t][j])`` in ascending ``t``; the order in
+which it makes the entries and their calls is free.  There are three paths:
 
 * inner dimension one (``a`` is a column, ``b`` a row): each row of the
   result is ``map(plus, repeat(zero), map(times, repeat(a_i), b))``;
