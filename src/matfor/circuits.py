@@ -183,51 +183,38 @@ def dump_circuit(c: Circuit) -> str:
     return "\n".join(lines)
 
 
-_GATE_RE = re.compile(r"^g(\d+) = (.+)$")
-_INPUT_RE = re.compile(r"^input (\S+)\[(\d+),(\d+)\]$")
-_OUT_RE = re.compile(r"^output\[(\d+),(\d+)\] = g(\d+)$")
+# one line of a dump: an output, an input gate, a constant, or an operation
+_LINE_RE = re.compile(r"output\[(\d+),(\d+)\] = g(\d+)"
+                      r"|g(\d+) = (?:input (\S+)\[(\d+),(\d+)\]|(const[01])"
+                      r"|(sum|prod|div)((?:\s+g\d+)*))")
 
 
 def load_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
-    outputs = []
+    outputs: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _OUT_RE.match(line)
-        if m:
-            outputs.append(((int(m.group(1)), int(m.group(2))),
-                            int(m.group(3))))
-            continue
-        m = _GATE_RE.match(line)
-        if not m:
+        m = _LINE_RE.fullmatch(line)
+        if m is None:
             raise FormatError("expected a gate or output line", lineno)
-        idx = int(m.group(1))
-        if idx != len(gates):
+        r, col, out, idx, name, i, j, const, kind, refs = m.groups()
+        if 0 in [int(x) for x in (r, col, i, j) if x]:
+            raise FormatError("position is not 1-based", lineno)
+        if out is not None:
+            pos = int(r), int(col)
+            if pos in outputs:
+                raise FormatError(f"output[{r},{col}] is given twice", lineno)
+            outputs[pos] = int(out)
+        elif int(idx) != len(gates):
             raise FormatError(
                 f"gate g{idx} out of order (expected g{len(gates)})", lineno)
-        body = m.group(2).strip()
-        mi = _INPUT_RE.match(body)
-        if mi:
-            gates.append(Gate(INPUT,
-                              ref=(mi.group(1), int(mi.group(2)),
-                                   int(mi.group(3)))))
-            continue
-        parts = body.split()
-        kind = parts[0]
-        if kind in (ZERO, ONE):
-            if len(parts) != 1:
-                raise FormatError(f"{kind} takes no children", lineno)
-            gates.append(Gate(kind))
-        elif kind in (SUM, PROD, DIV):
-            try:
-                children = tuple(int(p[1:]) for p in parts[1:])
-            except ValueError:
-                raise FormatError("bad gate reference", lineno) from None
-            gates.append(Gate(kind, children))
+        elif name is not None:
+            gates.append(Gate(INPUT, ref=(name, int(i), int(j))))
         else:
-            raise FormatError(f"unknown gate kind {kind!r}", lineno)
-    c = Circuit(gates, outputs)
+            gates.append(Gate(const or kind,
+                              tuple(map(int, re.findall(r"\d+", refs or "")))))
+    c = Circuit(gates, list(outputs.items()))
     c.validate()
     return c

@@ -99,6 +99,13 @@ def test_loader_rejects_malformed_circuits():
         load_circuit("g0 = zebra")
     with pytest.raises(FormatError):
         load_circuit("g0 = const1\ng1 = div g0")  # div arity
+    # each of these loaded before the loader read lines by one grammar
+    for text, line in [("g0 = const1\ng1 = sum x0 q0", 2),
+                       ("g0 = const1\ng1 = sum g-0", 2),
+                       ("g0 = input V[1,1]\ng1 = input V[0,1]", 2),
+                       ("g0 = const1\noutput[1,1] = g0\noutput[1,1] = g0", 3)]:
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            load_circuit(text)
 
 
 def test_validate_checks_topological_order():
