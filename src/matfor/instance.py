@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import MatrixType, Schema, UNIT
-from .errors import FormatError, ShapeError
+from .errors import FormatError, MatforError, ShapeError
 from .matrix import KMatrix, from_rows
 from .semiring import Semiring, by_name
 
@@ -78,9 +78,12 @@ def parse_instance(text: str) -> LoadedInstance:
         if parts[0] == "semiring":
             if len(parts) != 2:
                 raise FormatError("expected: semiring NAME", lineno)
+            if mats:
+                raise FormatError(
+                    "a 'semiring' line must precede matrix blocks", lineno)
             try:
                 sr = by_name(parts[1])
-            except Exception as exc:
+            except MatforError as exc:
                 raise FormatError(str(exc), lineno) from None
         elif parts[0] == "size":
             if len(parts) != 3:

@@ -41,6 +41,14 @@ def test_eval_is_deterministic(files, capsys):
     assert out1 == out2
 
 
+def test_eval_rejects_a_semiring_line_after_a_matrix_block(files, capsys):
+    inst = files("late.inst", "semiring real\nsize a 1\nmatrix V a a\n0.5\n"
+                              "semiring nat\nmatrix W a a\n1\n")
+    code, out, err = run(capsys, "eval", "-e", "V", "--instance", inst)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 5: a 'semiring' line must precede")
+
+
 def test_eval_semiring_override(files, capsys):
     inst = files("ones3.inst", "semiring real\nsize alpha 2\n")
     code, out, _ = run(capsys, "eval", "-e", "sum v . v", "--instance", inst,

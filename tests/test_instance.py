@@ -76,6 +76,26 @@ def test_duplicate_matrix():
         parse_instance(text)
 
 
+# a matrix block is read in the semiring declared before it, so a later
+# semiring line would leave it in another carrier than the instance's
+LATE_SEMIRING = ("semiring real\nsize a 1\nmatrix V a a\n0.5\n"
+                 "semiring nat\nmatrix W a a\n1\n")
+
+
+@pytest.mark.parametrize("text", [
+    LATE_SEMIRING, "semiring nat\nsize a 1\nmatrix V a a\n1\nsemiring nat",
+])
+def test_a_semiring_line_after_a_matrix_block_is_rejected(text):
+    with pytest.raises(FormatError, match="^line 5: a 'semiring' line must "
+                                          "precede matrix blocks"):
+        parse_instance(text)
+
+
+def test_an_unknown_semiring_names_its_line():
+    with pytest.raises(FormatError, match="^line 2: unknown semiring 'reals'"):
+        parse_instance("size a 1\nsemiring reals\n")
+
+
 def test_matrix_output_format():
     m = from_rows([[1.0, 0.5], [2.0, 1 / 3]])
     text = format_matrix(m, REAL)
