@@ -138,7 +138,7 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
     outputs are labelled with the 1-based positions of the result matrix.
     """
     inst = Instance({**dims, ast.UNIT: 1})
-    for name in sorted(ast.free_vars(e)):
+    for name in sorted(ast.free_vars(e)):  # the same first error each run
         inst.mats[name] = _input_matrix(name, schema, inst.dims)
     try:
         result = evaluate(e, inst, _GATES, schema=schema)

@@ -64,7 +64,7 @@ every node.
 Nothing here depends on the carrier beyond the semiring's operations,
 constants and pointwise functions: ``circuit_compile`` builds a circuit
 by running `evaluate` over a semiring whose carrier values are constants or
-gate references.
+unbuilt gates.
 
 ``iteration_order`` replaces the ascending visit order of every loop with a
 caller-supplied permutation; over exact semirings a pure ``sum`` expression

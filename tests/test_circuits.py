@@ -99,7 +99,7 @@ def test_loader_rejects_malformed_circuits():
         load_circuit("g0 = zebra")
     with pytest.raises(FormatError):
         load_circuit("g0 = const1\ng1 = div g0")  # div arity
-    # each of these loaded before the loader read lines by one grammar
+    # lines outside the grammar, and positions it reads but does not allow
     for text, line in [("g0 = const1\ng1 = sum x0 q0", 2),
                        ("g0 = const1\ng1 = sum g-0", 2),
                        ("g0 = input V[1,1]\ng1 = input V[0,1]", 2),

@@ -102,6 +102,9 @@ def test_negative_literals_may_fold_away():
     # (1 + (-1) * 1) == 0 folds before any gate is needed
     c = compile_expr(parse_expr("([1] + [-1] .* [1]) .* x"), s, {})
     assert eval_circuit(c, {("x", 1, 1): 5}) == {(1, 1): 0}
+    # a gate that uses -1 but that no output reaches is never built
+    c = compile_expr(parse_expr("([-1] .* x) .* [0]"), s, {})
+    assert dump_circuit(c) == "g0 = const0\noutput[1,1] = g0"
 
 
 def test_integer_literals_are_synthesised_from_ones():
