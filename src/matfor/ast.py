@@ -276,7 +276,8 @@ def _own_fields(e: Expr) -> tuple:
     if isinstance(e, Var):
         return (e.name,)
     if isinstance(e, Const):
-        return (type(e.value), repr(e.value))
+        v = e.value
+        return (v.__class__, v if v.__class__ is int else repr(v))
     if isinstance(e, For):
         return (e.var, e.acc, e.var_sym, e.acc_type, e.init is None)
     if isinstance(e, (Sum, Prod, Hadamard)):
@@ -309,9 +310,9 @@ def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
     node once, so shared subtrees cost nothing extra.  Two nodes get the
     same value number exactly when they are structurally equal: same class,
     same non-child fields and children with the same numbers.  Spans take
-    no part.  A ``Const`` is told apart by the type and ``repr`` of its
-    value, so ``1``, ``1.0`` and ``True`` get different numbers, and so do
-    ``0.0`` and ``-0.0``.
+    no part.  A ``Const`` is told apart by the type of its value and by
+    the value of an int or the ``repr`` of anything else, so ``1``, ``1.0``
+    and ``True`` get different numbers, and so do ``0.0`` and ``-0.0``.
     """
     table: dict[int, tuple[int, tuple[str, ...]]] = {}
     numbers: dict[tuple, int] = {}

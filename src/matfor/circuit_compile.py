@@ -4,13 +4,14 @@ Given a dimension assignment for every size symbol, an expression unrolls
 into one circuit.  The compiler is the evaluator run over a gate semiring
 whose carrier is a compile-time rational constant or an unbuilt gate
 (`_Ref`); `plus`/`times` fold constants exactly, or return an unbuilt gate.
-A constant is an int; only a non-integral literal or a division of two
-constants brings in a `Fraction`, so the canonical vectors' 0/1 entries and
-their sums stay ints.  The operations tell a gate from a constant by
-``x.__class__ is _Ref``, not by an ``isinstance`` test or by comparing:
-comparing a `Fraction` against a gate goes through the `numbers` ABC
-checks, and on the compiler's hot path (`mat_mul`'s ``zero in ...`` and
-``x != zero``) that cost dominated.
+A literal is the exact value of its text, as the ``rational`` semiring
+reads it.  A constant is an int; only a non-integral literal or a division
+of two constants brings in a `Fraction`, so the canonical vectors' 0/1
+entries and their sums stay ints.  The operations tell a gate from a
+constant by ``x.__class__ is _Ref``, not by an ``isinstance`` test or by
+comparing: comparing a `Fraction` against a gate goes through the
+`numbers` ABC checks, and on the compiler's hot path (`mat_mul`'s
+``zero in ...`` and ``x != zero``) that cost dominated.
 
 `evaluate` supplies everything else (loops, quantifiers, order primitives,
 the memo), so loops unroll to sequential stages with the canonical vectors
@@ -26,8 +27,9 @@ field, which folds constants and otherwise makes a division gate.  The
 semiring leaves ``gtz`` unset, as it has no sum/product/division circuit,
 so `evaluate` rejects it.  Constants other than 0 and 1 are synthesised
 when needed (positive integers as fan-in-k sums of ones, positive
-rationals as a division); infinite literals, and negative constants that
-an output uses, are rejected.
+rationals as a division), so ``[0.1]`` is the division of one by a sum of
+ten ones; infinite literals, and negative constants that an output uses,
+are rejected.
 
 Gates are built from the outputs, entry by entry in row-major order: each
 gate after the unbuilt gates it uses, with its constant operands.  They are
@@ -43,13 +45,13 @@ from . import ast
 # `prune` is unused here, but the perfbench tracer wraps it by this name
 from .circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
                        prune, stats)
-from .errors import (FunctionUnavailableForSemiring, MissingDimension,
-                     UnassignedSymbol, UnknownFunction, UnsupportedConstant,
-                     UnsupportedFunction)
+from .errors import (FormatError, FunctionUnavailableForSemiring,
+                     MissingDimension, UnassignedSymbol, UnknownFunction,
+                     UnsupportedConstant, UnsupportedFunction)
 from .evaluator import evaluate
 from .instance import Instance
 from .matrix import KMatrix
-from .semiring import Semiring
+from .semiring import RATIONAL, Semiring
 
 _MAX_SYNTH_INT = 1 << 16
 
@@ -101,16 +103,18 @@ def _sdiv(a, b):
     return _Ref(DIV, a, b)
 
 
-def _literal(v):
+def _literal(text):
+    """A literal's text read exactly, as `RATIONAL` reads it; an int if it
+    is integral."""
     try:
-        f = Fraction(v)
-    except (OverflowError, ValueError):
+        f = RATIONAL.parse(text)
+    except FormatError:
         raise UnsupportedConstant(
-            f"literal {v!r} cannot appear in a circuit") from None
+            f"literal {text!r} cannot appear in a circuit") from None
     return f.numerator if f.denominator == 1 else f
 
 
-_GATES = Semiring("circuit", 0, 1, _sadd, _smul, Fraction, str, _literal,
+_GATES = Semiring("circuit", 0, 1, _sadd, _smul, _literal, RATIONAL.fmt,
                   div=_sdiv)
 
 
@@ -159,13 +163,14 @@ def compile_expr(e: ast.Expr, schema: ast.Schema,
             return gate(ONE if v else ZERO)
         if v < 0:
             raise UnsupportedConstant(
-                f"cannot synthesise the negative constant {v} from 0/1 gates")
+                f"cannot synthesise the negative constant {_GATES.fmt(v)} "
+                f"from 0/1 gates")
         if v.denominator == 1:
             n = v.numerator
             if n > _MAX_SYNTH_INT:
                 raise UnsupportedConstant(
-                    f"refusing to synthesise the constant {n} as a sum of "
-                    f"ones")
+                    f"refusing to synthesise the constant {_GATES.fmt(n)} as "
+                    f"a sum of ones")
             return gate(SUM, (gate(ONE),) * n)
         return gate(DIV, (index(v.numerator), index(v.denominator)))
 

@@ -38,7 +38,7 @@ from .circuits import dump_circuit, eval_circuit, load_circuit, stats
 from .errors import EvalError, MatforError
 from .evaluator import evaluate
 from .fragments import classify
-from .instance import Instance, load_instance
+from .instance import Instance, parse_instance, read_text
 from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
@@ -59,8 +59,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return read_text(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
@@ -116,7 +115,7 @@ def _cmd_check(args):
 
 def _cmd_eval(args):
     e = parse_expr(args.expr)
-    loaded = load_instance_arg(args.instance)
+    loaded = parse_instance(_read(args.instance))
     inst, sr = loaded.instance, loaded.semiring
     if args.semiring:
         # the instance's values are read again, as printed, in the override
@@ -133,13 +132,6 @@ def _cmd_eval(args):
     result = evaluate(e, inst, sr, schema=schema)
     _emit(format_matrix(result, sr))
     return 0
-
-
-def load_instance_arg(path):
-    try:
-        return load_instance(path)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_desugar(args):
@@ -200,7 +192,7 @@ def _cmd_compile_circuit(args):
 
 def _cmd_circuit_eval(args):
     c = load_circuit(_read(args.circuit))
-    loaded = load_instance_arg(args.inputs)
+    loaded = parse_instance(_read(args.inputs))
     inputs = {}
     for name, mat in loaded.instance.mats.items():
         for i in range(mat.rows):
@@ -262,7 +254,7 @@ _DEMOS = {
 
 
 def _cmd_demo(args):
-    loaded = load_instance_arg(args.instance)
+    loaded = parse_instance(_read(args.instance))
     lib = stdlib.all_named()
     first = True
     for name, label in _DEMOS[args.kind]:

@@ -67,10 +67,7 @@ class UnboundVariable(TypeCheckError):
 
 
 class TypeMismatch(TypeCheckError):
-    def __init__(self, message, left=None, right=None):
-        super().__init__(message)
-        self.left = left
-        self.right = right
+    pass
 
 
 class IteratorNotVector(TypeCheckError):

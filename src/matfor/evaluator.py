@@ -86,6 +86,7 @@ from .errors import (EvalError, FormatError, MatforError, MissingDimension,
 from .functions import resolve
 from .instance import Instance
 from .matrix import KMatrix, mat_add, mat_map, mat_mul, mat_scale, mat_transpose
+from .printer import _literal
 from .semiring import Semiring
 from .typecheck import binder_types, iterator_type
 
@@ -332,7 +333,7 @@ class _Ctx:
 
         if cls is Const:
             try:
-                value = sr.from_literal(e.value)
+                value = sr.parse(_literal(e.value))
             except FormatError as exc:
                 raise EvalError(
                     f"literal not in the {sr.name} carrier: {exc}") from None

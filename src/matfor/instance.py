@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import MatrixType, Schema, UNIT
-from .errors import FormatError, MatforError, ShapeError
+from .errors import FormatError, ShapeError
 from .matrix import KMatrix, from_rows
-from .semiring import Semiring, by_name
+from .semiring import Semiring, read_semiring_line
 
 
 @dataclass
@@ -76,15 +76,7 @@ def parse_instance(text: str) -> LoadedInstance:
             continue
         parts = line.split()
         if parts[0] == "semiring":
-            if len(parts) != 2:
-                raise FormatError("expected: semiring NAME", lineno)
-            if mats:
-                raise FormatError(
-                    "a 'semiring' line must precede matrix blocks", lineno)
-            try:
-                sr = by_name(parts[1])
-            except MatforError as exc:
-                raise FormatError(str(exc), lineno) from None
+            sr = read_semiring_line(parts, lineno, bool(mats), "matrix")
         elif parts[0] == "size":
             if len(parts) != 3:
                 raise FormatError("expected: size SYM N", lineno)
@@ -154,7 +146,15 @@ def _validate_shapes(inst: Instance, schema: Schema):
                 f"matrix '{name}' has shape {mat.shape}, expected {want}")
 
 
+def read_text(path: str) -> str:
+    """The text of the file at `path`, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def load_instance(path: str) -> LoadedInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_instance(text)
+    return parse_instance(read_text(path))

@@ -37,6 +37,7 @@ from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul,
                   MatrixType, Ones, OrderKind, OrderPrim, Prod, Schema,
                   ScalarMul, SourceSpan, Sum, Transpose, Var)
 from .errors import DuplicateVariable, ParseError
+from .semiring import _parse_nat
 
 KEYWORDS = {"for", "sum", "prod", "hprod", "ones", "diag",
             "Sless", "Emin", "Emax", "Nshift", "inf"}
@@ -230,7 +231,7 @@ class _Parser:
             self.advance()
             text = tok.text
             if re.fullmatch(r"\d+", text):
-                return sign * int(text)
+                return sign * _parse_nat(text)
             return sign * float(text)
         raise ParseError(f"unexpected {tok.text!r} in scalar literal",
                          tok.span, {"number", "inf"})

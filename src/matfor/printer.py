@@ -12,13 +12,16 @@ import math
 
 from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul, Ones,
                   OrderPrim, Prod, ScalarMul, Sum, Transpose, Var, drive)
+from .semiring import _fmt_nat
 
 _BINDER, _ADD, _SCAL, _MUL, _POST, _ATOM = range(6)
 
 
 def _literal(value) -> str:
-    if isinstance(value, int):
-        return str(value)
+    """The text of a literal, which every semiring's ``parse`` reads as the
+    carrier element the literal denotes."""
+    if value.__class__ is int:
+        return ("-" if value < 0 else "") + _fmt_nat(abs(value))
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return repr(value)

@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import drive
-from .errors import (FormatError, MatforError, ParseError,
-                     SignatureViolation, UnknownRelation)
+from .errors import (FormatError, ParseError, SignatureViolation,
+                     UnknownRelation)
 from .parser import KEYWORDS, _Parser
-from .semiring import REAL, Semiring, by_name
+from .semiring import REAL, Semiring, read_semiring_line
 
 Tuple_ = tuple  # tuples of (attr, value) pairs sorted by attr
 
@@ -80,11 +80,6 @@ class KRelation:
 
     def adom(self) -> set[int]:
         return {v for t in self.support for _, v in t}
-
-    def __eq__(self, other):
-        return (isinstance(other, KRelation)
-                and self.signature == other.signature
-                and self.support == other.support)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +351,8 @@ def parse_relations(text: str):
             continue
         parts = line.split()
         if parts[0] == "semiring":
-            if len(parts) != 2:
-                raise FormatError("expected: semiring NAME", lineno)
-            if current_name is not None:
-                raise FormatError(
-                    "a 'semiring' line must precede relation blocks", lineno)
-            try:
-                sr = by_name(parts[1])
-            except MatforError as exc:
-                raise FormatError(str(exc), lineno) from None
+            sr = read_semiring_line(parts, lineno, current_name is not None,
+                                    "relation")
         elif parts[0] == "relation":
             flush()
             if len(parts) < 2:

@@ -1,7 +1,9 @@
-"""Commutative semirings and the four provided instances.
+"""Commutative semirings and the five provided instances.
 
 A semiring bundles carrier operations (plus, times), the two constants, a
-parser/printer for carrier values in text formats, and an equality test.
+parser/printer for carrier values in text, and an equality test.  The parser
+is the one rule from text to carrier: it reads instance and relation files,
+and an expression literal ``[c]`` is its printed text ``c`` read by it.
 It may also define the pointwise functions ``div`` and ``gtz``; a semiring
 that leaves one as None rejects it (see ``functions.resolve``).
 The provided instances:
@@ -41,7 +43,6 @@ class Semiring:
     times: Callable[[Any, Any], Any]
     parse: Callable[[str], Any]
     fmt: Callable[[Any], str]
-    from_literal: Callable[[Any], Any]
     div: Optional[Callable[[Any, Any], Any]] = None
     gtz: Optional[Callable[[Any], Any]] = None
 
@@ -136,34 +137,13 @@ def _div(x, y):
     try:
         return x / y
     except ZeroDivisionError:
-        raise DivisionByZero(f"division by zero: {x!r} / {y!r}") from None
+        # no operand is printed: past the int-string limit a rational has
+        # no `repr`
+        raise DivisionByZero("division by zero") from None
 
 
 def _gtz_real(x):
     return 1.0 if x > 0 else 0.0
-
-
-def _real_literal(v):
-    return float(v)
-
-
-def _nat_literal(v):
-    if isinstance(v, int) and v >= 0:
-        return v
-    raise FormatError(f"literal {v!r} is not a natural number")
-
-
-def _bool_literal(v):
-    if v in (0, 1):
-        return int(v)
-    raise FormatError(f"literal {v!r} is not a boolean")
-
-
-def _tropical_literal(v):
-    v = float(v)
-    if v == -math.inf or math.isnan(v):
-        raise FormatError(f"literal {v!r} is not in the min-plus carrier")
-    return v
 
 
 # the forms `_fmt_rational` prints, read through `_parse_nat` so that they
@@ -193,32 +173,25 @@ def _fmt_rational(v):
     return num if v.denominator == 1 else f"{num}/{_fmt_nat(v.denominator)}"
 
 
-def _rational_literal(v):
-    try:
-        return Fraction(v)
-    except (ValueError, OverflowError):
-        raise FormatError(f"literal {v!r} is not a rational number") from None
-
-
 def _gtz_rational(x):
     return Fraction(1) if x > 0 else Fraction(0)
 
 
 REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul,
-                _parse_real, _fmt_real, _real_literal, _div, _gtz_real)
+                _parse_real, _fmt_real, _div, _gtz_real)
 
 NAT = Semiring("nat", 0, 1, operator.add, operator.mul,
-               _parse_nat, _fmt_nat, _nat_literal)
+               _parse_nat, _fmt_nat)
 
 BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_,
-                _parse_bool, str, _bool_literal)
+                _parse_bool, str)
 
 TROPICAL = Semiring("tropical", math.inf, 0.0, min, operator.add,
-                    _parse_tropical, _fmt_tropical, _tropical_literal)
+                    _parse_tropical, _fmt_tropical)
 
 RATIONAL = Semiring("rational", Fraction(0), Fraction(1), operator.add,
-                    operator.mul, _parse_rational, _fmt_rational,
-                    _rational_literal, _div, _gtz_rational)
+                    operator.mul, _parse_rational, _fmt_rational, _div,
+                    _gtz_rational)
 
 SEMIRINGS = {sr.name: sr for sr in (REAL, NAT, BOOL, TROPICAL, RATIONAL)}
 
@@ -230,3 +203,17 @@ def by_name(name: str) -> Semiring:
         raise MatforError(
             f"unknown semiring '{name}' (available: "
             f"{', '.join(sorted(SEMIRINGS))})") from None
+
+
+def read_semiring_line(parts, lineno, late, blocks):
+    """The semiring a file's ``semiring NAME`` line names (split in `parts`);
+    `late` tells that one of the file's `blocks` has come before it."""
+    if len(parts) != 2:
+        raise FormatError("expected: semiring NAME", lineno)
+    if late:
+        raise FormatError(
+            f"a 'semiring' line must precede {blocks} blocks", lineno)
+    try:
+        return by_name(parts[1])
+    except MatforError as exc:
+        raise FormatError(str(exc), lineno) from None

@@ -123,7 +123,7 @@ def _lt(x, y):
     return _mm(Transpose(x), _sless(), y)
 
 
-def _pow(b, base, idx, eid, it="p"):
+def _pow(b, base, idx, eid):
     """base^k when `idx` is the k-th canonical vector.
 
     Each product stage selects `base` while the stage index is at most k and
@@ -131,9 +131,9 @@ def _pow(b, base, idx, eid, it="p"):
     on canonical vectors, so the construction stays inside every semiring.
     The stages all vanish when `idx` is the zero vector.
     """
-    p = b.bind(it, _COL)
-    return Prod(it, Add(ScalarMul(_le(p, idx, eid), base),
-                        ScalarMul(_lt(idx, p), eid)))
+    p = b.bind("p", _COL)
+    return Prod("p", Add(ScalarMul(_le(p, idx, eid), base),
+                          ScalarMul(_lt(idx, p), eid)))
 
 
 def _power_trace(b, m, idx, eid):
@@ -145,7 +145,7 @@ def _power_trace(b, m, idx, eid):
 def _shift(b, vec, idx, eid):
     """Shift a column vector down by k positions (idx = b_k)."""
     w = b.bind("w", _COL)
-    step = _pow(b, OrderPrim(OrderKind.NSHIFT, ALPHA), idx, eid, it="p")
+    step = _pow(b, OrderPrim(OrderKind.NSHIFT, ALPHA), idx, eid)
     return Sum("w", ScalarMul(_mm(Transpose(w), vec), _mm(step, w)))
 
 

@@ -79,23 +79,21 @@ def _check(e, env):
         rt = yield e.right, env
         if lt.cols != rt.rows:
             raise TypeMismatch(
-                f"matrix product needs matching inner symbols: {lt} vs {rt}",
-                lt, rt)
+                f"matrix product needs matching inner symbols: {lt} vs {rt}")
         return MatrixType(lt.rows, rt.cols)
 
     if isinstance(e, Add):
         lt = yield e.left, env
         rt = yield e.right, env
         if lt != rt:
-            raise TypeMismatch(f"addition needs equal types: {lt} vs {rt}",
-                               lt, rt)
+            raise TypeMismatch(f"addition needs equal types: {lt} vs {rt}")
         return lt
 
     if isinstance(e, ScalarMul):
         st = yield e.scalar, env
         if not st.is_scalar:
             raise TypeMismatch(
-                f"scalar product needs a (1, 1) left operand, got {st}", st)
+                f"scalar product needs a (1, 1) left operand, got {st}")
         return (yield e.arg, env)
 
     if isinstance(e, Apply):
@@ -112,7 +110,7 @@ def _check(e, env):
             if t != t0:
                 raise TypeMismatch(
                     f"pointwise application needs one common argument type: "
-                    f"{t0} vs {t}", t0, t)
+                    f"{t0} vs {t}")
         return t0
 
     if isinstance(e, For):
@@ -124,19 +122,18 @@ def _check(e, env):
             if it != acc_t:
                 raise TypeMismatch(
                     f"loop initialiser type {it} differs from accumulator "
-                    f"type {acc_t}", it, acc_t)
+                    f"type {acc_t}")
         bt = yield e.body, inner
         if bt != acc_t:
             raise TypeMismatch(
-                f"loop body type {bt} differs from accumulator type {acc_t}",
-                bt, acc_t)
+                f"loop body type {bt} differs from accumulator type {acc_t}")
         return acc_t
 
     if isinstance(e, (Sum, Prod, Hadamard)):
         bt = yield e.body, {**env, e.var: _vector_iterator_type(e, env)}
         if isinstance(e, Prod) and bt.rows != bt.cols:
             raise TypeMismatch(
-                f"prod quantifier needs a square or scalar body, got {bt}", bt)
+                f"prod quantifier needs a square or scalar body, got {bt}")
         return bt
 
     if isinstance(e, Ones):
@@ -147,7 +144,7 @@ def _check(e, env):
         t = yield e.arg, env
         if t.cols != UNIT:
             raise TypeMismatch(
-                f"diag needs a column vector argument, got {t}", t)
+                f"diag needs a column vector argument, got {t}")
         return MatrixType(t.rows, t.rows)
 
     if isinstance(e, OrderPrim):

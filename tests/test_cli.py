@@ -350,3 +350,48 @@ def test_a_long_bad_nat_is_echoed_cut_short(files, capsys):
     assert (code, out) == (2, "")
     assert "not a natural number: '1000" in err
     assert len(err) < 200
+
+
+BIG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["check", "--schema", "{s}"], "1 x 1\n"),
+    (["desugar"], f"[{BIG}]\n"),
+    (["eval", "--instance", "{nat.inst}"], f"1 x 1\n{BIG}\n"),
+], ids=["check", "desugar", "eval"])
+def test_a_literal_past_the_int_string_limit_comes_back(files, capsys,
+                                                        command, expected):
+    paths = {"s": files("s.schema", "var V : alpha x alpha\n"),
+             "nat.inst": files("nat.inst", "semiring nat\nsize alpha 1\n")}
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in command]
+    code, out, err = run(capsys, argv[0], "-e", f"[{BIG}]", *argv[1:])
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_a_literal_reads_as_its_text_reads_in_an_instance_file(files, capsys):
+    inst = files("q.inst", "semiring rational\nsize alpha 1\n"
+                           "matrix V alpha alpha\n0.1\n")
+    code, out, _ = run(capsys, "eval", "-e", "[0.1]", "--instance", inst)
+    assert (code, out) == (0, "1 x 1\n1/10\n")
+    code, out, _ = run(capsys, "eval", "-e", "[0.1] .* V", "--instance", inst)
+    assert (code, out) == (0, "1 x 1\n1/100\n")
+    # past the float range, as a real instance file reads it
+    inst = files("r.inst", "semiring real\nsize alpha 1\n"
+                           "matrix V alpha alpha\n2\n")
+    code, out, _ = run(capsys, "eval", "-e", f"[1{'0' * 400}] .* V",
+                       "--instance", inst)
+    assert (code, out) == (0, "1 x 1\ninf\n")
+    schema = files("s.schema", "var V : alpha x alpha\n")
+    code, out, _ = run(capsys, "compile-circuit", "-e", "[0.1] .* V",
+                       "--schema", schema, "--dim", "alpha=1")
+    assert code == 0
+    assert "g2 = sum g1 g1 g1 g1 g1 g1 g1 g1 g1 g1\ng3 = div g1 g2\n" in out
+
+
+def test_a_long_rational_divided_by_zero_is_an_eval_error(files, capsys):
+    inst = files("q.inst", "semiring rational\nsize alpha 1\n")
+    code, out, err = run(capsys, "eval", "-e", f"div([{BIG}], [0])",
+                         "--instance", inst)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: division by zero")

@@ -43,8 +43,14 @@ def schema_file(tmp_path_factory):
     return str(path)
 
 
+# literals past the float range and past Python's int-string limit
+LONG_LITERALS = [f"[1{'0' * 400}] .* V", f"[1{'0' * 5000}] .* V"]
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @given(text=st.one_of(_exprs().map(pretty), st.text(max_size=40)))
+@example(text=LONG_LITERALS[0])
+@example(text=LONG_LITERALS[1])
 @settings(max_examples=150, deadline=None)
 def test_cli_ends_with_a_documented_exit_code(schema_file, command, text):
     argv = [command, "-e", text, "--schema", schema_file, *COMMANDS[command]]
@@ -112,14 +118,15 @@ def _ra_texts():
 
 
 def _run(argv):
-    """Run the driver, check the exit-code contract, return the code."""
+    """Run the driver, check the exit-code contract, return the code and
+    what it wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
-    return code
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +142,8 @@ def files(tmp_path_factory):
 
 
 @given(text=st.one_of(_exprs().map(pretty), st.text(max_size=40)))
+@example(text=LONG_LITERALS[0])
+@example(text=LONG_LITERALS[1])
 @settings(max_examples=150, deadline=None)
 def test_eval_ends_with_a_documented_exit_code(schema_file, files, text):
     _run(["eval", "-e", text, "--instance", files("i.inst", INSTANCE),
@@ -170,3 +179,42 @@ def test_circuit_commands_end_with_a_documented_exit_code(files, circuit,
 def test_from_ra_ends_with_a_documented_exit_code(files, query, relations):
     _run(["from-ra", "-q", files("q.ra", query),
           "--relschema", files("r.rel", relations)])
+
+
+# every command that reads a file, with the file it reads and good files
+# for its other arguments; `{name}` is replaced by the path of that file
+FILE_COMMANDS = {
+    "check --schema": ["check", "-e", "V", "--schema", "{bad}"],
+    "eval --instance": ["eval", "-e", "V", "--instance", "{bad}"],
+    "eval --schema": ["eval", "-e", "V", "--instance", "{i.inst}",
+                      "--schema", "{bad}"],
+    "desugar --schema": ["desugar", "-e", "V", "--schema", "{bad}"],
+    "classify --schema": ["classify", "-e", "V", "--schema", "{bad}"],
+    "to-ra --schema": ["to-ra", "-e", "V", "--schema", "{bad}"],
+    "from-ra -q": ["from-ra", "-q", "{bad}", "--relschema", "{r.rel}"],
+    "from-ra --relschema": ["from-ra", "-q", "{q.ra}", "--relschema", "{bad}"],
+    "compile-circuit --schema": ["compile-circuit", "-e", "V", "--schema",
+                                 "{bad}", "--dim", "alpha=2"],
+    "circuit-eval --circuit": ["circuit-eval", "--circuit", "{bad}",
+                               "--inputs", "{i.inst}"],
+    "circuit-eval --inputs": ["circuit-eval", "--circuit", "{c.circuit}",
+                              "--inputs", "{bad}"],
+    "circuit-stats --circuit": ["circuit-stats", "--circuit", "{bad}"],
+    "demo --instance": ["demo", "det", "--instance", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS.values(),
+                         ids=FILE_COMMANDS.keys())
+def test_a_file_that_is_not_utf8_is_a_format_error(files, tmp_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("semiring real\n# caf\u00e9\n".encode("latin-1"))
+    paths = {"bad": str(bad), "i.inst": files("i.inst", INSTANCE),
+             "r.rel": files("r.rel", RELATIONS),
+             "q.ra": files("q.ra", "rel R"),
+             "c.circuit": files("c.circuit",
+                                "g0 = input V[1,1]\noutput[1,1] = g0\n")}
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    code, err = _run(argv)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: byte ") and "not UTF-8" in err

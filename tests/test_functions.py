@@ -17,8 +17,8 @@ from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL
 
 SCHEMA = parse_schema("var a : 1 x beta\nvar b : 1 x beta")
-#: inputs in every carrier, bool included
-A, B = [1, 0], [1, 1]
+#: inputs as text that every carrier reads, bool included
+A, B = ["1", "0"], ["1", "1"]
 #: stands for the gate-building semiring `compile_expr` evaluates over
 CIRCUIT = "circuit"
 
@@ -31,8 +31,8 @@ def _run(e, sr):
                                for j, v in enumerate(row)})
         return [out[(1, 1)], out[(1, 2)]]
     inst = Instance({"beta": 2},
-                    {"a": from_rows([list(map(sr.from_literal, A))]),
-                     "b": from_rows([list(map(sr.from_literal, B))])})
+                    {"a": from_rows([list(map(sr.parse, A))]),
+                     "b": from_rows([list(map(sr.parse, B))])})
     return evaluate(e, inst, sr, schema=SCHEMA).tolists()[0]
 
 

@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 
 from matfor.ast import MatrixType, Schema, Sum, UNIT, Var
 from matfor.circuit_compile import compile_expr
 from matfor.errors import FormatError, ShapeError
-from matfor.instance import Instance, parse_instance
+from matfor.instance import Instance, load_instance, parse_instance
 from matfor.matrix import format_matrix, from_rows
 from matfor.semiring import NAT, REAL, TROPICAL
 
@@ -94,6 +95,14 @@ def test_a_semiring_line_after_a_matrix_block_is_rejected(text):
 def test_an_unknown_semiring_names_its_line():
     with pytest.raises(FormatError, match="^line 2: unknown semiring 'reals'"):
         parse_instance("size a 1\nsemiring reals\n")
+
+
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path):
+    path = tmp_path / "latin1.inst"
+    path.write_bytes("semiring real\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(path))}: byte 19 is not UTF-8"):
+        load_instance(str(path))
 
 
 def test_matrix_output_format():

@@ -160,7 +160,7 @@ _syms = st.sampled_from(["alpha", "beta", "gamma"])
 
 def _exprs():
     leaves = (st.builds(Var, _names)
-              | st.builds(Const, st.integers(-5, 5))
+              | st.builds(Const, st.integers())
               | st.builds(Const, st.floats(allow_nan=False,
                                            allow_infinity=False,
                                            width=32))

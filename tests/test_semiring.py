@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from matfor.errors import DivisionByZero, FormatError
+from matfor.ast import Const, Schema
+from matfor.circuit_compile import compile_expr
+from matfor.circuits import eval_circuit
+from matfor.errors import (DivisionByZero, EvalError, FormatError,
+                           UnsupportedConstant)
+from matfor.evaluator import evaluate
+from matfor.instance import Instance, parse_instance
+from matfor.printer import pretty
 from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL, by_name
 
 EXACT = [NAT, BOOL, TROPICAL, RATIONAL]
@@ -79,8 +86,6 @@ def test_rational_reads_decimal_text_exactly():
     assert RATIONAL.parse("0.1") != Fraction(0.1)
     assert RATIONAL.parse("-1/3") == Fraction(-1, 3)
     assert RATIONAL.parse("1e3") == 1000
-    assert RATIONAL.from_literal(2.5) == Fraction(5, 2)
-    assert RATIONAL.from_literal(-1) == -1
 
 
 def test_rational_prints_what_it_reads():
@@ -111,10 +116,66 @@ def test_rational_carrier_violations(text):
         RATIONAL.parse(text)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_rational_literal_violations(value):
-    with pytest.raises(FormatError):
-        RATIONAL.from_literal(value)
+E, U = EvalError, UnsupportedConstant
+F = Fraction
+#: a literal's value over real, nat, bool, tropical and rational, then the
+#: gate count of its circuit; E and U are the errors evaluating and
+#: compiling it raise
+LITERALS = [
+    pytest.param(0, 0.0, 0, 0, 0.0, F(0), 1, id="0"),
+    pytest.param(1, 1.0, 1, 1, 1.0, F(1), 1, id="1"),
+    pytest.param(-1, -1.0, E, E, -1.0, F(-1), U, id="-1"),
+    pytest.param(2, 2.0, 2, E, 2.0, F(2), 2, id="2"),
+    pytest.param(7, 7.0, 7, E, 7.0, F(7), 2, id="7"),
+    pytest.param(10 ** 20, 1e20, 10 ** 20, E, 1e20, F(10 ** 20), U,
+                 id="10**20"),
+    pytest.param(10 ** 400, math.inf, 10 ** 400, E, math.inf, F(10 ** 400), U,
+                 id="10**400"),
+    pytest.param(0.0, 0.0, E, E, 0.0, F(0), 1, id="0.0"),
+    pytest.param(-0.0, -0.0, E, E, -0.0, F(0), 1, id="-0.0"),
+    pytest.param(1.0, 1.0, E, E, 1.0, F(1), 1, id="1.0"),
+    pytest.param(2.5, 2.5, E, E, 2.5, F(5, 2), 4, id="2.5"),
+    pytest.param(0.1, 0.1, E, E, 0.1, F(1, 10), 3, id="0.1"),
+    pytest.param(1 / 3, 1 / 3, E, E, 1 / 3, F(3333333333333333, 10 ** 16), U,
+                 id="1/3"),
+    pytest.param(1e16, 1e16, E, E, 1e16, F(10 ** 16), U, id="1e16"),
+    pytest.param(1e300, 1e300, E, E, 1e300, F(10 ** 300), U, id="1e300"),
+    pytest.param(math.inf, math.inf, E, E, math.inf, E, U, id="inf"),
+    pytest.param(-math.inf, -math.inf, E, E, E, E, U, id="-inf"),
+    pytest.param(math.nan, E, E, E, E, E, U, id="nan"),
+    pytest.param(True, E, E, E, E, E, U, id="True"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, real, nat, bool_, tropical, rational, gates", LITERALS)
+def test_a_literal_means_what_its_text_means(value, real, nat, bool_,
+                                             tropical, rational, gates):
+    """`[c]` is the carrier element the text `c` is in an instance file."""
+    e = Const(value)
+    text = pretty(e)[1:-1]
+    for sr, want in zip((REAL, NAT, BOOL, TROPICAL, RATIONAL),
+                        (real, nat, bool_, tropical, rational)):
+        file = f"semiring {sr.name}\nsize a 1\nmatrix V a a\n{text}\n"
+        if want is E:
+            with pytest.raises(EvalError, match="not in the .* carrier"):
+                evaluate(e, Instance(), sr)
+            with pytest.raises(FormatError):
+                parse_instance(file)
+            continue
+        got = evaluate(e, Instance(), sr).get(0, 0)
+        # `repr` tells the carrier's type and the sign of zero
+        assert repr(got) == repr(want), sr.name
+        read = parse_instance(file).instance.mats["V"].get(0, 0)
+        assert repr(read) == repr(want), sr.name
+    if gates is U:
+        with pytest.raises(UnsupportedConstant):
+            compile_expr(e, Schema(), {})
+    else:
+        c = compile_expr(e, Schema(), {})
+        assert len(c.gates) == gates
+        # 0/1 gates and their sums are ints, so `div` makes a float
+        assert eval_circuit(c, {}) == {(1, 1): float(rational)}
 
 
 @pytest.mark.parametrize("sr,text", [
