@@ -31,6 +31,12 @@ rationals as a division), so ``[0.1]`` is the division of one by a sum of
 ten ones; infinite literals, and negative constants that an output uses,
 are rejected.
 
+Constants fold exactly in N and Q, so over a semiring K a constant means
+its image under N -> K: over ``tropical``, ``[2]`` compiles to 1 (+) 1 =
+0.0, where `evaluate` reads it as 2.0.  So a circuit agrees with `evaluate`
+where every literal is 0 or 1, or where K's carrier holds N.  Folding
+``x * 0`` to 0 is not bitwise true over ``real`` for an infinite or NaN x.
+
 Gates are built from the outputs, entry by entry in row-major order: each
 gate after the unbuilt gates it uses, with its constant operands.  They are
 interned and numbered as built, so each is reachable from an output, and

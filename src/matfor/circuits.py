@@ -7,6 +7,11 @@ division gate.  A `Gate` is a named tuple, so gates compare and hash by
 value and a builder can intern them directly.  Outputs are gate references
 labelled with (row, col) positions of the result matrix.
 
+`eval_circuit` computes in a semiring K (``real`` by default) with K's
+operations, and a division gate is an error where K has no ``div``.  A
+constant is a natural, or a rational through division, so over K it means
+its image under N -> K (see `circuit_compile`).
+
 Degree is inductive: input and constant gates count 1, a sum gate takes the
 maximum over its children, a product gate the sum, and a division gate the
 maximum of numerator and denominator (a bound in lieu of a division
@@ -31,9 +36,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
-from .errors import DivisionByZero, EvalError, FormatError, MissingInput
+from .errors import (DivisionByZero, FormatError,
+                     FunctionUnavailableForSemiring, MissingInput)
+from .semiring import REAL, Semiring
 
 INPUT, ZERO, ONE, SUM, PROD, DIV = "input", "const0", "const1", "sum", "prod", "div"
 
@@ -78,39 +86,34 @@ class CircuitStats:
     degree_per_output: tuple[tuple[tuple[int, int], int], ...]
 
 
-def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object]):
-    """Bottom-up evaluation; `inputs` maps (name, row, col) to numbers."""
-    vals = [None] * len(c.gates)
+def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object],
+                 sr: Semiring = REAL):
+    """Bottom-up evaluation over `sr`; `inputs` maps (name, row, col) to
+    carrier values."""
+    vals = []
     for i, g in enumerate(c.gates):
-        try:
-            if g.kind == INPUT:
-                vals[i] = inputs[g.ref]
-            elif g.kind == ZERO:
-                vals[i] = 0
-            elif g.kind == ONE:
-                vals[i] = 1
-            elif g.kind == SUM:
-                acc = 0
-                for ch in g.children:
-                    acc = acc + vals[ch]
-                vals[i] = acc
-            elif g.kind == PROD:
-                acc = 1
-                for ch in g.children:
-                    acc = acc * vals[ch]
-                vals[i] = acc
-            else:
-                vals[i] = vals[g.children[0]] / vals[g.children[1]]
-        except KeyError:
-            name, r, col = g.ref
-            raise MissingInput(
-                f"no value for input {name}[{r},{col}]") from None
-        except ZeroDivisionError:
-            raise DivisionByZero(f"division by zero at gate g{i}") from None
-        except OverflowError:
-            # an int too large for a float met a float or a division
-            raise EvalError(
-                f"value at gate g{i} is out of float range") from None
+        args = map(vals.__getitem__, g.children)
+        if g.kind == SUM:
+            vals.append(reduce(sr.plus, args, sr.zero))
+        elif g.kind == PROD:
+            vals.append(reduce(sr.times, args, sr.one))
+        elif g.kind == INPUT:
+            if g.ref not in inputs:
+                name, r, col = g.ref
+                raise MissingInput(f"no value for input {name}[{r},{col}]")
+            vals.append(inputs[g.ref])
+        elif g.kind in (ZERO, ONE):
+            vals.append(sr.one if g.kind == ONE else sr.zero)
+        elif sr.div is None:
+            raise FunctionUnavailableForSemiring(
+                f"div at gate g{i} is not available over the {sr.name} "
+                f"semiring")
+        else:
+            try:
+                vals.append(sr.div(*args))
+            except DivisionByZero:
+                raise DivisionByZero(
+                    f"division by zero at gate g{i}") from None
     return {pos: vals[idx] for pos, idx in c.outputs}
 
 
@@ -121,16 +124,11 @@ def stats(c: Circuit) -> CircuitStats:
     for i, g in enumerate(c.gates):
         if g.kind in (INPUT, ZERO, ONE):
             degree[i] = 1
-            depth[i] = 0
             continue
         wires += len(g.children)
         depth[i] = 1 + max(depth[ch] for ch in g.children)
-        if g.kind == SUM:
-            degree[i] = max(degree[ch] for ch in g.children)
-        elif g.kind == PROD:
-            degree[i] = sum(degree[ch] for ch in g.children)
-        else:
-            degree[i] = max(degree[ch] for ch in g.children)
+        degree[i] = (sum if g.kind == PROD else max)(
+            degree[ch] for ch in g.children)
     per_output = tuple((pos, degree[idx]) for pos, idx in c.outputs)
     out_depth = max((depth[idx] for _, idx in c.outputs), default=0)
     out_deg = max((d for _, d in per_output), default=0)
@@ -173,8 +171,6 @@ def dump_circuit(c: Circuit) -> str:
         if g.kind == INPUT:
             name, r, col = g.ref
             lines.append(f"g{i} = input {name}[{r},{col}]")
-        elif g.kind in (ZERO, ONE):
-            lines.append(f"g{i} = {g.kind}")
         else:
             refs = " ".join(f"g{ch}" for ch in g.children)
             lines.append(f"g{i} = {g.kind} {refs}".rstrip())

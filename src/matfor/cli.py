@@ -22,7 +22,8 @@ Commands::
 `eval` induces the schema from the instance file; loop iterators that are
 not declared anywhere default to the single non-unit size symbol of the
 instance when there is exactly one.  `demo` expects the instance to provide
-a square matrix variable `V`.
+a square matrix variable `V`.  `circuit-eval` computes and prints in the
+semiring of its `--inputs` file (see `circuit_compile` on constants).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
 from .relalg import format_ra, parse_ra, parse_relations
-from .semiring import REAL, by_name
+from .semiring import by_name
 from .sugar import desugar
 from .typecheck import typecheck
 
@@ -193,27 +194,21 @@ def _cmd_compile_circuit(args):
 def _cmd_circuit_eval(args):
     c = load_circuit(_read(args.circuit))
     loaded = parse_instance(_read(args.inputs))
-    inputs = {}
-    for name, mat in loaded.instance.mats.items():
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                inputs[(name, i + 1, j + 1)] = mat.get(i, j)
-    out = eval_circuit(c, inputs)
-    try:
-        # exact ints can outgrow the real carrier the output is printed in
-        out = {pos: float(v) for pos, v in out.items()}
-    except OverflowError:
-        raise EvalError("a circuit output is out of float range") from None
+    inputs = {(name, i + 1, j + 1): mat.get(i, j)
+              for name, mat in loaded.instance.mats.items()
+              for i in range(mat.rows) for j in range(mat.cols)}
+    sr = loaded.semiring
+    out = eval_circuit(c, inputs, sr)
     rows = max((r for r, _ in out), default=0)
     cols = max((cc for _, cc in out), default=0)
     if len(out) == rows * cols:
         mat = KMatrix(rows, cols,
                       tuple(out[(i + 1, j + 1)] for i in range(rows)
                             for j in range(cols)))
-        _emit(format_matrix(mat, REAL))
+        _emit(format_matrix(mat, sr))
     else:
         for (r, cc) in sorted(out):
-            _emit(f"[{r},{cc}] = {REAL.fmt(out[(r, cc)])}")
+            _emit(f"[{r},{cc}] = {sr.fmt(out[(r, cc)])}")
     return 0
 
 

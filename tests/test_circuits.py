@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ import pytest
 from matfor.circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
                              dump_circuit, eval_circuit, load_circuit, prune,
                              stats)
-from matfor.errors import DivisionByZero, EvalError, FormatError, MissingInput
+from matfor.errors import (DivisionByZero, FormatError,
+                           FunctionUnavailableForSemiring, MissingInput)
+from matfor.evaluator import evaluate
+from matfor.instance import Instance
+from matfor.matrix import KMatrix
+from matfor.parser import parse_expr, parse_schema
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
 
 
 def dot_circuit():
@@ -43,7 +50,7 @@ def test_missing_input():
 def test_exact_arithmetic_with_fractions():
     c = Circuit([Gate(INPUT, ref=("x", 1, 1)), Gate(ONE), Gate(DIV, (1, 0))],
                 [((1, 1), 2)])
-    out = eval_circuit(c, {("x", 1, 1): Fraction(3)})
+    out = eval_circuit(c, {("x", 1, 1): Fraction(3)}, RATIONAL)
     assert out[(1, 1)] == Fraction(1, 3)
 
 
@@ -136,17 +143,34 @@ def test_loader_rejects_an_output_position_below_one():
         load_circuit("g0 = const1\noutput[1,2] = g0\noutput[0,0] = g0")
 
 
-def test_division_beyond_the_float_range_is_an_eval_error():
-    # V[1,1] = 2 squared eleven times is 2 ** 2048
+def test_division_past_the_float_range_is_what_evaluate_gives():
+    # V[1,1] = 2 squared eleven times is 2 ** 2048, divided by V[1,1]
     lines = ["g0 = input V[1,1]"]
     lines += [f"g{i} = prod g{i - 1} g{i - 1}" for i in range(1, 12)]
     c = load_circuit("\n".join(lines + ["g12 = div g11 g0",
                                         "output[1,1] = g12"]))
-    with pytest.raises(EvalError, match="gate g12 is out of float range"):
-        eval_circuit(c, {("V", 1, 1): 2})
-    # an int that large cannot meet a float either
+    e = parse_expr("div(for v, X = V . X * X, V)")
+    schema = parse_schema("var V : 1 x 1\nvar v : a x 1\nvar X : 1 x 1")
+    for sr, want in [(RATIONAL, Fraction(2 ** 2047)), (REAL, math.inf)]:
+        two = sr.parse("2")
+        inst = Instance({"a": 11}, {"V": KMatrix(1, 1, (two,))})
+        assert evaluate(e, inst, sr, schema=schema).get(0, 0) == want
+        assert eval_circuit(c, {("V", 1, 1): two}, sr) == {(1, 1): want}
+    # 2 ** 2048 plus a half
     c = load_circuit("\n".join(lines + ["g12 = input W[1,1]",
                                         "g13 = sum g11 g12",
                                         "output[1,1] = g13"]))
-    with pytest.raises(EvalError, match="gate g13 is out of float range"):
-        eval_circuit(c, {("V", 1, 1): 2, ("W", 1, 1): 0.5})
+    assert eval_circuit(c, {("V", 1, 1): Fraction(2),
+                            ("W", 1, 1): Fraction(1, 2)}, RATIONAL) == \
+        {(1, 1): 2 ** 2048 + Fraction(1, 2)}
+    assert eval_circuit(c, {("V", 1, 1): 2.0, ("W", 1, 1): 0.5}) == \
+        {(1, 1): math.inf}
+
+
+@pytest.mark.parametrize("sr", [NAT, BOOL, TROPICAL], ids=str)
+def test_a_div_gate_needs_a_semiring_with_div(sr):
+    c = Circuit([Gate(ONE), Gate(DIV, (0, 0))], [((1, 1), 1)])
+    with pytest.raises(FunctionUnavailableForSemiring,
+                       match=f"^div at gate g1 is not available over the "
+                             f"{sr.name} semiring$"):
+        eval_circuit(c, {}, sr)

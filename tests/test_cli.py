@@ -268,8 +268,11 @@ def test_eval_over_tropical_prints_inf(files, capsys):
     # DivisionByZero, an EvalError
     (("circuit-eval", "--circuit", "{div.circuit}", "--inputs", "{uv0.inst}"),
      3, "division by zero at gate g2"),
+    # FunctionUnavailableForSemiring, an EvalError
+    (("circuit-eval", "--circuit", "{div.circuit}", "--inputs", "{uv.inst}"),
+     3, "div at gate g2 is not available over the nat semiring"),
 ], ids=["format", "relalg", "sum_fragment", "unsupported_function",
-        "circuit", "division_by_zero"])
+        "circuit", "division_by_zero", "div_over_nat"])
 def test_exit_code_per_error_family(files, capsys, argv, code, message):
     paths = {
         "bad.inst": files("bad.inst", "semiring real\nsize alpha x\n"),
@@ -285,6 +288,9 @@ def test_exit_code_per_error_family(files, capsys, argv, code, message):
         "uv0.inst": files("uv0.inst",
                           "semiring real\nsize alpha 1\nmatrix u alpha 1\n1\n"
                           "matrix v alpha 1\n0\n"),
+        "uv.inst": files("uv.inst",
+                         "semiring nat\nsize alpha 1\nmatrix u alpha 1\n1\n"
+                         "matrix v alpha 1\n1\n"),
     }
     argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
     got, out, err = run(capsys, *argv)
@@ -304,8 +310,8 @@ def test_a_gate_without_children_is_a_format_error(files, capsys, command):
     assert err.startswith("error: ") and "sum needs a child" in err
 
 
-def test_circuit_output_beyond_the_float_range_is_an_eval_error(files,
-                                                                 capsys):
+def test_circuit_eval_prints_a_nat_past_the_float_range_exactly(files,
+                                                                capsys):
     # V[1,1] = 2 squared eleven times is 2 ** 2048
     lines = ["g0 = input V[1,1]"]
     lines += [f"g{i} = prod g{i - 1} g{i - 1}" for i in range(1, 12)]
@@ -314,8 +320,28 @@ def test_circuit_output_beyond_the_float_range_is_an_eval_error(files,
                  "semiring nat\nsize alpha 1\nmatrix V alpha alpha\n2\n")
     code, out, err = run(capsys, "circuit-eval", "--circuit", circ,
                          "--inputs", inst)
-    assert (code, out) == (3, "")
-    assert "out of float range" in err
+    assert (code, out, err) == (0, f"1 x 1\n{2 ** 2048}\n", "")
+
+
+@pytest.mark.parametrize("expr, inputs, expected", [
+    ("V * V", "semiring bool\nsize alpha 2\nmatrix V alpha alpha\n1 1\n1 1\n",
+     "2 x 2\n1 1\n1 1\n"),
+    ("V * V",
+     "semiring tropical\nsize alpha 2\nmatrix V alpha alpha\n1 2\n3 4\n",
+     "2 x 2\n2 3\n4 5\n"),
+    ("[0.1]", "semiring rational\nsize alpha 1\n", "1 x 1\n1/10\n"),
+], ids=["bool", "tropical", "rational"])
+def test_circuit_eval_prints_what_eval_prints(files, capsys, expr, inputs,
+                                              expected):
+    schema = files("s.schema", "var V : alpha x alpha\n")
+    inst = files("i.inst", inputs)
+    code, dump, _ = run(capsys, "compile-circuit", "-e", expr,
+                        "--schema", schema, "--dim", "alpha=2")
+    assert code == 0
+    circ = files("c.circuit", dump)
+    got = run(capsys, "circuit-eval", "--circuit", circ, "--inputs", inst)
+    assert got == (0, expected, "")
+    assert run(capsys, "eval", "-e", expr, "--instance", inst) == got
 
 
 def test_eval_prints_a_nat_past_the_int_string_limit(files, capsys):

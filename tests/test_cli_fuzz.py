@@ -164,6 +164,9 @@ def test_eval_under_another_semiring_ends_with_a_documented_exit_code(
        inputs=st.one_of(st.just(INSTANCE), INSTANCE_FILES))
 @example(circuit="g0 = input V[1,1]\noutput[1,2] = g0\noutput[0,0] = g0",
          inputs=INSTANCE)
+# a division over `nat`, which has none
+@example(circuit="g0 = input V[1,1]\ng1 = div g0 g0\noutput[1,1] = g1",
+         inputs=INSTANCE)
 @settings(max_examples=150, deadline=None)
 def test_circuit_commands_end_with_a_documented_exit_code(files, circuit,
                                                           inputs):

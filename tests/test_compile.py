@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -7,19 +8,19 @@ from functools import reduce
 import pytest
 
 from matfor import stdlib
-from matfor.ast import (Expr, OrderKind, OrderPrim, node_table, substitute,
-                        walk)
+from matfor.ast import (Const, Expr, OrderKind, OrderPrim, node_table,
+                        substitute, walk)
 from matfor.circuit_compile import compile_expr, degree_growth
 from matfor.circuits import (DIV, INPUT, dump_circuit, eval_circuit,
                              load_circuit, stats)
 from matfor.cli import main
-from matfor.errors import (MatforError, UnassignedSymbol,
+from matfor.errors import (EvalError, MatforError, UnassignedSymbol,
                            UnsupportedConstant, UnsupportedFunction)
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import KMatrix
 from matfor.parser import parse_expr, parse_schema
-from matfor.semiring import RATIONAL
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
 from test_evaluator import shared_loop_under_two_sizes
 
 
@@ -275,11 +276,25 @@ def test_gate_numbers_do_not_follow_the_kernels_call_order(monkeypatch,
     assert dumps() == want
 
 
-def agreement_case(lib, name, n, rng, pin=None):
+# entries each semiring's agreement check draws, given the least integer
+# it may draw: small signed fractions, as criterion 9 draws them, over the
+# reals, and over the min-plus semiring its zero `inf` now and then
+_DRAWS = {
+    RATIONAL: lambda rng, low: Fraction(rng.randint(low, 3)),
+    REAL: lambda rng, low: rng.randint(low, 3) / rng.randint(1, 4),
+    NAT: lambda rng, low: rng.randint(0, 3),
+    BOOL: lambda rng, low: rng.randint(0, 1),
+    TROPICAL: lambda rng, low: rng.choice([math.inf, -1.0, 0.0, 1.0, 2.5]),
+}
+
+
+def agreement_case(lib, name, n, rng, pin=None, sr=RATIONAL):
     """Compare the circuit of `name` at dimension `n` with the interpreter
-    over the rationals, exactly.  A circuit holds no negative constant, so
-    when it divides its inputs are drawn positive and no division is by
-    zero."""
+    over `sr`: exactly, but over the reals within criterion 9's tolerance.
+    A circuit holds no negative constant, so when it divides its inputs are
+    drawn positive and no division is by zero.  Outside the rationals the
+    interpreter may reject the program (a literal outside the carrier, or
+    `div` where the semiring has none); then there is nothing to compare."""
     item = lib[name]
     expr = substitute(item.expr, pin) if pin else item.expr
     dims = {"alpha": n}
@@ -291,16 +306,24 @@ def agreement_case(lib, name, n, rng, pin=None):
             continue
         t = item.schema[vn]
         r, col = dims.get(t.rows, 1), dims.get(t.cols, 1)
-        vals = [Fraction(rng.randint(low, 3)) for _ in range(r * col)]
+        vals = [_DRAWS[sr](rng, low) for _ in range(r * col)]
         mats[vn] = KMatrix(r, col, tuple(vals))
         for i in range(r):
             for j in range(col):
                 inputs[(vn, i + 1, j + 1)] = vals[i * col + j]
     inst = Instance(dims, mats)
-    want = evaluate(expr, inst, RATIONAL, schema=item.schema)
-    assert eval_circuit(c, inputs) == {
-        (i + 1, j + 1): want.get(i, j)
-        for i in range(want.rows) for j in range(want.cols)}
+    try:
+        want = evaluate(expr, inst, sr, schema=item.schema)
+    except EvalError:
+        if sr is RATIONAL:
+            raise
+        return
+    got = eval_circuit(c, inputs, sr)
+    assert got.keys() == {(i + 1, j + 1) for i in range(want.rows)
+                          for j in range(want.cols)}
+    tol = 1e-9 if sr is REAL else 0.0
+    assert all(sr.eq(v, want.get(i - 1, j - 1), tol)
+               for (i, j), v in got.items()), (name, n, sr.name)
 
 
 # the first eleven programs keep their places, and so their test ids
@@ -315,9 +338,18 @@ _PINS = {"matrix_power": {"v": OrderPrim(OrderKind.EMAX, "alpha")}}
     _AGREEMENT_FIRST + tuple(n for n in COMPILABLE
                              if n not in _AGREEMENT_FIRST)])
 def test_interpreter_circuit_agreement(lib, name, pin):
+    """Over the rationals at n = 1..5; over each other semiring at n = 1..4,
+    where a circuit's constants, folded in the rationals, mean their images
+    in the carrier: so over the min-plus semiring only for programs whose
+    literals are all 0 or 1."""
     rng = random.Random(name)
     for n in range(1, 6):
         agreement_case(lib, name, n, rng, pin)
+    literals = {x.value for x in walk(lib[name].expr) if isinstance(x, Const)}
+    for sr in (NAT, BOOL, REAL) + ((TROPICAL,) if literals <= {0, 1} else ()):
+        rng = random.Random(f"{name} {sr.name}")
+        for n in range(1, 5):
+            agreement_case(lib, name, n, rng, pin, sr)
 
 
 @pytest.mark.parametrize("name", ["four_clique", "four_clique_order"])

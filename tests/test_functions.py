@@ -14,7 +14,7 @@ from matfor.functions import resolve
 from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.parser import parse_expr, parse_schema
-from matfor.semiring import BOOL, NAT, REAL, TROPICAL
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
 
 SCHEMA = parse_schema("var a : 1 x beta\nvar b : 1 x beta")
 #: inputs as text that every carrier reads, bool included
@@ -28,7 +28,7 @@ def _run(e, sr):
         c = compile_expr(e, SCHEMA, {"beta": 2})
         out = eval_circuit(c, {(name, 1, j + 1): Fraction(v)
                                for name, row in (("a", A), ("b", B))
-                               for j, v in enumerate(row)})
+                               for j, v in enumerate(row)}, RATIONAL)
         return [out[(1, 1)], out[(1, 2)]]
     inst = Instance({"beta": 2},
                     {"a": from_rows([list(map(sr.parse, A))]),

@@ -174,8 +174,7 @@ def test_a_literal_means_what_its_text_means(value, real, nat, bool_,
     else:
         c = compile_expr(e, Schema(), {})
         assert len(c.gates) == gates
-        # 0/1 gates and their sums are ints, so `div` makes a float
-        assert eval_circuit(c, {}) == {(1, 1): float(rational)}
+        assert eval_circuit(c, {}, RATIONAL) == {(1, 1): rational}
 
 
 @pytest.mark.parametrize("sr,text", [
