@@ -24,6 +24,25 @@ its operands from left to right, so its length costs no stack.  Other nodes
 still nest their closures, and a nest too deep for Python's stack raises
 `EvalError`.
 
+A ``sum``, or an additive ``for`` (``X + S`` with X not free in S), over
+canonical vectors x with n > 1 is lifted into one fold when its body is a
+left-deep ``*`` spine of 1 x 1 factors, cut at its first x-free node, each
+free of x or a selection ``R * x`` or ``x^T * C`` with R and C free of x.
+Its body is never built: once per run of the loop each factor (R or C for
+a selection) is evaluated by its own closure, and the loop folds over the
+visit order with C-level `map`.  The selection at b_i is the kernel's one
+term whose basis entry is not zero, ``plus(zero, times(R[i], one))`` or
+``plus(zero, times(one, C[i]))``; the spine steps, the start and the
+``plus`` fold are the loop's own.  The kernel's other terms hold a `zero`
+factor, and leave its sum as it was exactly where the zero-term path
+leaves them out: where ``times(zero, y) == zero`` for every entry y of R or
+C.  A factor with an entry that fails this (+-inf or nan over the reals,
+-inf or nan over min-plus) takes the kernel's products against b_i
+instead.  So the fold is bit-identical to the loop, and an error in a
+factor carries the loop's first iteration as its context, as the loop's
+would.  This is the loop-lifting of Grust, Sakr and Teubner (XQuery on SQL
+Hosts, VLDB 2004), applied to the paper's sum over canonical vectors.
+
 A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
 bare carrier value, not a `KMatrix`; with dimension one even the canonical
 vectors are.  Its operations are the kernel's own on 1 x 1 matrices, in the
@@ -73,8 +92,10 @@ must produce the same result for every order.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
 from math import copysign
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import ast, matrix
@@ -189,6 +210,52 @@ def _step(cls, sr, left, right):
         r = mat_add(a, b, sr) if cls is Add else mat_mul(a, b, sr)
         return r.entries[0] if unwrap else r
     return op, out
+
+
+def _selections(e, nodes):
+    """The factors of loop `e`'s body when it sums a spine of selections.
+
+    That is a ``sum``, or a ``for`` whose body is ``X + S`` with its
+    accumulator X not free in S, where S mentions the iterator x and is a
+    left-deep ``*`` spine, cut at its first x-free node, of factors that
+    are each free of x, or ``R * x`` or ``x^T * C`` with R and C free of x.
+    Each factor is ``(kind, node)``: kind None for an x-free factor, "row"
+    for R and "col" for C.  None where the body has any other form.
+    """
+    var, body = e.var, e.body
+    if e.__class__ is For:
+        if (body.__class__ is not Add or body.left.__class__ is not Var
+                or body.left.name != e.acc
+                or e.acc in nodes[id(body.right)][1]):
+            return None
+        body = body.right
+    elif e.__class__ is not Sum:
+        return None
+
+    def free(node):
+        return var not in nodes[id(node)][1]
+
+    def factor(node):
+        if free(node):
+            return None, node
+        if node.__class__ is MatMul:
+            left, right = node.left, node.right
+            if right.__class__ is Var and right.name == var and free(left):
+                return "row", left
+            if (left.__class__ is Transpose and left.arg.__class__ is Var
+                    and left.arg.name == var and free(right)):
+                return "col", right
+        return None
+
+    if free(body):
+        return None
+    spine = []
+    while body.__class__ is MatMul and not free(body) and not factor(body):
+        spine.append(body.right)
+        body = body.left
+    spine.append(body)
+    out = [factor(node) for node in reversed(spine)]
+    return None if None in out else out
 
 
 def _resized(root, nodes):
@@ -365,7 +432,11 @@ class _Ctx:
 
                 def start(env):
                     return zero
-            body, s1 = yield e.body, {**shapes, e.var: (n, 1), e.acc: s0}
+            scope = {**shapes, e.var: (n, 1), e.acc: s0}
+            run = yield from self._row_fold(e, n, start, scope)
+            if run is not None:
+                return run, s0
+            body, s1 = yield e.body, scope
             if s1 != s0:
                 raise ShapeMismatch(
                     f"loop body has shape {s1}, its accumulator "
@@ -374,7 +445,11 @@ class _Ctx:
 
         if cls is Sum or cls is Prod or cls is Hadamard:
             n, _ = self.binder_sizes(e, shapes)
-            body, s = yield e.body, {**shapes, e.var: (n, 1)}
+            scope = {**shapes, e.var: (n, 1)}
+            run = yield from self._row_fold(e, n, None, scope)
+            if run is not None:
+                return run, _SC
+            body, s = yield e.body, scope
             fold, _ = _step({Sum: Add, Prod: MatMul}.get(cls, Hadamard), sr,
                             s, s)
             return self._loop(e, n, None, body, fold), s
@@ -418,6 +493,58 @@ class _Ctx:
             return (lambda env: out), (n, n)
 
         raise MatforError(f"cannot evaluate node {cls.__name__}")
+
+    def _row_fold(self, e, n, start, scope):
+        """Loop `e` (a ``for`` from `start`, or a ``sum``) run as one fold
+        over the rows its body selects (see `_selections`), or None where
+        the body is not such a sum, n is 1 or a factor's shape does not
+        fit; the body is then built as usual, and raises any error there.
+        The factors are built, and once per run evaluated, in spine order,
+        so a factor's error is the one the first iteration would raise."""
+        factors = _selections(e, self.nodes) if n > 1 else None
+        if factors is None or (start is not None and scope[e.acc] != _SC):
+            return None
+        fit = {None: _SC, "row": (1, n), "col": (n, 1)}
+        fs = []
+        for kind, node in factors:
+            f, s = yield node, scope
+            if s != fit[kind]:
+                return None
+            fs.append(f)
+        sr, bases, indices, var = self.sr, self.bases(n), self.indices, e.var
+        plus, times = sr.plus, sr.times
+        zeros, ones = repeat(sr.zero), repeat(sr.one)
+        kernel, _ = _step(MatMul, sr, (1, n), (n, 1))
+
+        def run(env):
+            acc = start(env) if start is not None else None
+            seq = indices(n)
+            try:
+                vals = [f(env) for f in fs]
+            except EvalError as exc:
+                exc.add_context(f"loop over '{var}', iteration 1 of {n}")
+                raise
+            # each iteration's term, in index order
+            terms = None
+            for (kind, _), val in zip(factors, vals):
+                if kind is None:
+                    col = repeat(val)
+                elif all(map(eq, map(times, zeros, val.entries), zeros)):
+                    # the kernel's one term whose basis entry is not zero
+                    col = map(plus, zeros, map(times, val.entries, ones)
+                              if kind == "row" else
+                              map(times, ones, val.entries))
+                elif kind == "row":
+                    col = map(kernel, repeat(val), bases)
+                else:
+                    col = map(kernel, map(mat_transpose, bases), repeat(val))
+                terms = col if terms is None else map(
+                    plus, zeros, map(times, terms, col))
+            if self.order is not None:
+                terms = itemgetter(*[i - 1 for i in seq])(tuple(terms))
+            return reduce(plus, terms) if start is None else reduce(
+                plus, terms, acc)
+        return run
 
     def _loop(self, e, n, start, body, fold=None):
         """A ``for`` loop (`start` is its initial accumulator) or, with

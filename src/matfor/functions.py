@@ -2,10 +2,10 @@
 
 Built-ins:
 
-* ``div``  - binary division, over a semiring that defines ``div`` (``real``
-  and the gate-building semiring of ``circuit_compile``).
+* ``div``  - binary division, over a semiring that defines ``div`` (``real``,
+  ``rational`` and the gate-building semiring of ``circuit_compile``).
 * ``gtz``  - strictly-positive indicator, over a semiring that defines
-  ``gtz`` (``real``).
+  ``gtz`` (``real`` and ``rational``).
 * ``hprodN`` / ``hsumN`` for every N >= 1 - N-fold semiring product / sum,
   available over every semiring.  These give pointwise (Hadamard-style)
   combination of equally shaped matrices; ``hprod2`` is the binary

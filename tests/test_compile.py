@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from matfor import stdlib
+from matfor import evaluator, stdlib
 from matfor.ast import (Const, Expr, OrderKind, OrderPrim, node_table,
                         substitute, walk)
 from matfor.circuit_compile import compile_expr, degree_growth
@@ -21,7 +21,7 @@ from matfor.instance import Instance
 from matfor.matrix import KMatrix
 from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
-from test_evaluator import shared_loop_under_two_sizes
+from test_evaluator import _record_selections, shared_loop_under_two_sizes
 
 
 def test_inner_product_circuit():
@@ -232,6 +232,20 @@ def _compile_outcome(item):
 def test_compiled_circuits_stay_gate_for_gate_identical(name):
     item = stdlib.all_named()[name]
     assert _compile_outcome(item) == CIRCUIT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lifted_loop_builds_the_gates_of_the_loop(monkeypatch, n):
+    # the gate semiring passes the lift's zero check, so the innermost loop
+    # of `four_clique_order` folds over its rows while it compiles
+    item = stdlib.all_named()["four_clique_order"]
+    with monkeypatch.context() as m:
+        seen = _record_selections(m)
+        lifted = compile_expr(item.expr, item.schema, {"alpha": n})
+    assert [sel for sel in seen if sel is not None]
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_selections", lambda e, nodes: None)
+        assert compile_expr(item.expr, item.schema, {"alpha": n}) == lifted
 
 
 COMPILABLE = sorted(name for name, outcome in CIRCUIT_DIGESTS.items()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -21,7 +22,7 @@ from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.parser import parse_expr, parse_schema
 from matfor.printer import pretty
-from matfor.semiring import BOOL, NAT, REAL, TROPICAL
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
 from matfor.sugar import desugar
 from matfor.typecheck import typecheck
 from test_pass_pins import _corpus
@@ -736,3 +737,175 @@ def test_every_expression_that_typechecks_evaluates():
             continue
         assert out.shape == (size(t.rows), size(t.cols)), pretty(e)
     assert typed > 2000
+
+
+# An innermost sum of selections ``R * x`` and ``x^T * C`` folds over the
+# rows it selects; with the pattern switched off the loop runs its body once
+# per canonical vector, and the two must agree bit for bit.
+
+_LIFT_SCHEMA = """
+var x : alpha x 1
+var a : alpha x 1
+var c : alpha x 1
+var s : 1 x 1
+var X : 1 x 1
+"""
+
+_LIFTED = [
+    "sum x . a^T * x",
+    "sum x . x^T * c",
+    "sum x . s * (a^T * x) * (x^T * c)",
+    "for x, X . X + a^T * x",
+    "for x, X . X + s * (x^T * c) * (a^T * x)",
+    "for x, X = s . X + (a^T * x) * s * (x^T * c)",
+]
+
+_INF, _NAN = math.inf, math.nan
+
+# (semiring, a, c, s); over real and tropical, a row holding a value y with
+# times(zero, y) != zero (an infinity or nan) is selected by the kernel
+_LIFT_INPUTS = [
+    (REAL, [-0.0, 1.5, -2.0], [0.5, -0.0, -0.0], -0.0),
+    (REAL, [_INF, -0.0, 1.0], [2.0, -_INF, 0.0], 2.0),
+    (REAL, [1.0, _NAN, -0.0], [-0.0, 3.0, _INF], -1.0),
+    (REAL, [_INF, 1.0, 2.0], [1.0, -0.0, 3.0], 2.0),
+    (REAL, [1.0, 1e16, -1e16], [1e16, 1.0, -1e16], 1.0),  # order-sensitive
+    (TROPICAL, [-_INF, 1.0, _INF], [0.0, _NAN, 2.0], 1.0),
+    (TROPICAL, [_INF, _INF, 3.0], [-0.0, 1.0, _INF], 0.0),
+    (NAT, [0, 3, 2], [1, 0, 5], 2),
+    (BOOL, [1, 0, 1], [1, 1, 0], 1),
+    (RATIONAL, [Fraction(1, 3), Fraction(0), Fraction(-2, 5)],
+     [Fraction(7, 2), Fraction(1), Fraction(0)], Fraction(3, 4)),
+]
+
+
+def _record_selections(monkeypatch):
+    """Keep what the pattern helper returns for every loop it is asked
+    about."""
+    seen = []
+    real = evaluator._selections
+
+    def spy(e, nodes):
+        seen.append(real(e, nodes))
+        return seen[-1]
+    monkeypatch.setattr(evaluator, "_selections", spy)
+    return seen
+
+
+def _lift_outcome(text, sr, a, c, s, order=None):
+    try:
+        out = ev(text, _LIFT_SCHEMA, {"alpha": len(a)}, sr, order,
+                 a=from_rows([[v] for v in a]), c=from_rows([[v] for v in c]),
+                 s=from_rows([[s]]))
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return [repr(v) for v in out.entries]
+
+
+@pytest.mark.parametrize("order", [None, lambda n: range(n, 0, -1)],
+                         ids=["ascending", "reversed"])
+@pytest.mark.parametrize("sr,a,c,s", _LIFT_INPUTS,
+                         ids=[sr.name for sr, *_ in _LIFT_INPUTS])
+@pytest.mark.parametrize("text", _LIFTED)
+def test_lifted_loop_is_bit_identical_to_the_loop(monkeypatch, text, sr, a,
+                                                  c, s, order):
+    with monkeypatch.context() as m:
+        seen = _record_selections(m)
+        lifted = _lift_outcome(text, sr, a, c, s, order)
+    assert seen and None not in seen
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_selections", lambda e, nodes: None)
+        assert _lift_outcome(text, sr, a, c, s, order) == lifted
+
+
+@pytest.mark.parametrize("text", _LIFTED)
+def test_loop_over_one_vector_is_not_lifted(monkeypatch, text):
+    with monkeypatch.context() as m:
+        seen = _record_selections(m)
+        out = _lift_outcome(text, REAL, [-0.0], [_INF], 2.0)
+    assert seen == []
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_selections", lambda e, nodes: None)
+        assert _lift_outcome(text, REAL, [-0.0], [_INF], 2.0) == out
+
+
+@pytest.mark.parametrize("text", [
+    "sum x . x^T * x",                # x on both sides
+    "sum x . a^T * x + [1]",          # not a product spine
+    "for x, X . X * (a^T * x)",       # not additive
+    "for x, X . X + X * (a^T * x)",   # the accumulator in the term
+    "for x, X . X + (a^T * x) * x^T * c",  # x^T is not a 1 x 1 factor
+])
+def test_other_loop_bodies_are_not_lifted(monkeypatch, text):
+    seen = _record_selections(monkeypatch)
+    _lift_outcome(text, NAT, [1, 2, 3], [4, 5, 6], 2)
+    assert seen == [None]
+
+
+# Errors inside a lifted loop read as they do when the loop runs its body
+# once per vector; both messages were recorded before the lift existed.
+
+def test_error_in_a_lifted_factor_names_the_first_iteration(monkeypatch):
+    seen = _record_selections(monkeypatch)
+    with pytest.raises(DivisionByZero) as err:
+        ev("sum x . div(a, c)^T * x", _LIFT_SCHEMA, {"alpha": 3},
+           a=from_rows([[1.0], [2.0], [3.0]]),
+           c=from_rows([[1.0], [0.0], [2.0]]))
+    assert seen and None not in seen
+    assert str(err.value) == \
+        "division by zero [loop over 'x', iteration 1 of 3]"
+
+
+def test_lifted_loop_checks_its_iteration_order(monkeypatch):
+    seen = _record_selections(monkeypatch)
+    with pytest.raises(EvalError) as err:
+        ev("sum x . a^T * x", _LIFT_SCHEMA, {"alpha": 3},
+           order=lambda n: [1] * n, a=from_rows([[1.0], [2.0], [3.0]]))
+    assert seen and None not in seen
+    assert str(err.value) == "iteration_order(3) is not a permutation of 1..3"
+
+
+def _is_basis(m, n):
+    return m.shape == (n, 1) and sorted(m.entries) == [0] * (n - 1) + [1]
+
+
+def test_four_clique_order_selects_its_innermost_rows_without_products(
+        monkeypatch, lib):
+    rng = random.Random(5)
+    n = 10
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                adj[i][j] = adj[j][i] = 1
+    calls = _spy_mat_mul(monkeypatch)
+    item = lib["four_clique_order"]
+    out = evaluate(item.expr, Instance({"alpha": n}, {"V": from_rows(adj)}),
+                   NAT, schema=item.schema)
+    assert out.get(0, 0) == oracles.ordered_four_cliques(adj)
+    # twelve selections a^T M b, each made once per pair of vectors before
+    # the lift (1,200 products); the six on x are now read off their rows,
+    # and the six on (u, v), (u, w) and (v, w) remain
+    selections = [a for a, b in calls
+                  if a.shape == (1, n) and _is_basis(b, n)]
+    assert len(selections) == 6 * n * n
+
+
+@pytest.mark.parametrize("name,calls_before", [("four_clique", 450),
+                                               ("determinant", 358)])
+def test_loops_that_select_otherwise_make_the_same_products(
+        monkeypatch, lib, name, calls_before):
+    # `four_clique`'s mask 1 - u^T x is no selection, and the trace loops
+    # t^T P t of `determinant` have t on both sides
+    n = 6
+    if name == "four_clique":
+        rng = random.Random(5)
+        v = from_rows([[float(rng.random() < 0.7) for _ in range(n)]
+                       for _ in range(n)])
+    else:
+        v = dominant_real(random.Random(61), n)
+    calls = _spy_mat_mul(monkeypatch)
+    item = lib[name]
+    evaluate(item.expr, Instance({"alpha": n}, {"V": v}), REAL,
+             schema=item.schema)
+    assert len(calls) == calls_before
