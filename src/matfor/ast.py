@@ -271,6 +271,29 @@ def binders(e: Expr) -> tuple[str, ...]:
     return ()
 
 
+def paired(acc: str, operands, table) -> Optional[Expr]:
+    """Of two `operands`, the one paired with the variable `acc` and free
+    of it (the second where the first is `acc`, else the first where the
+    second is), or None; `table` is a ``node_table`` that holds both."""
+    a, b = operands
+    for x, y in ((a, b), (b, a)):
+        if x.__class__ is Var and x.name == acc and acc not in table[id(y)][1]:
+            return y
+    return None
+
+
+def summand(e: Expr, table) -> Optional[Expr]:
+    """The term t of the paper's ``Σv.t := for v, X . X + t`` where `e` is
+    such a loop: a ``sum``'s body, or the side t of an initialiser-free
+    ``for``'s body ``X + t`` or ``t + X`` with X not free in t; None for
+    any other node.  `table` is a ``node_table`` that holds `e`."""
+    if e.__class__ is Sum:
+        return e.body
+    if e.__class__ is For and e.init is None and e.body.__class__ is Add:
+        return paired(e.acc, (e.body.left, e.body.right), table)
+    return None
+
+
 def _own_fields(e: Expr) -> tuple:
     """The non-child fields that tell a node apart from others of its class."""
     if isinstance(e, Var):

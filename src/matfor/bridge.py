@@ -43,10 +43,10 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, drive, node_table)
+                  Schema, Sum, Transpose, UNIT, Var, drive, node_table,
+                  summand)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
-from .fragments import LoopPattern, recognize_loop_pattern
 from .functions import pointwise
 from .instance import Instance
 from .matrix import KMatrix
@@ -235,11 +235,10 @@ class _Phi:
             return q, sig
 
         if isinstance(e, For):
-            pattern = recognize_loop_pattern(e, self.table)
-            if pattern is not LoopPattern.SIGMA:
+            body = summand(e, self.table)
+            if body is None:
                 raise NotInSumFragment(
                     "only additive loops can be translated")
-            body = e.body.right if e.body.left == Var(e.acc) else e.body.left
             sym = iterator_type(e, types).rows
             attr = self.fresh("it")
             inner_types = dict(types)

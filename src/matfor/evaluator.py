@@ -24,10 +24,10 @@ its operands from left to right, so its length costs no stack.  Other nodes
 still nest their closures, and a nest too deep for Python's stack raises
 `EvalError`.
 
-A ``sum``, or an additive ``for`` (``X + S`` with X not free in S), over
-canonical vectors x with n > 1 is lifted into one fold when its body is a
-left-deep ``*`` spine of 1 x 1 factors, cut at its first x-free node, each
-free of x or a selection ``R * x`` or ``x^T * C`` with R and C free of x.
+A loop ``Σx.S`` (`ast.summand`; a ``for``'s ``X + S`` with X on the left)
+over canonical vectors x with n > 1 is lifted into one fold when its term S
+is a left-deep ``*`` spine of 1 x 1 factors, cut at its first x-free node,
+each free of x or a selection ``R * x`` or ``x^T * C`` with R and C free of x.
 Its body is never built: once per run of the loop each factor (R or C for
 a selection) is evaluated by its own closure, and the loop folds over the
 visit order with C-level `map`.  The selection at b_i is the kernel's one
@@ -215,21 +215,15 @@ def _step(cls, sr, left, right):
 def _selections(e, nodes):
     """The factors of loop `e`'s body when it sums a spine of selections.
 
-    That is a ``sum``, or a ``for`` whose body is ``X + S`` with its
-    accumulator X not free in S, where S mentions the iterator x and is a
-    left-deep ``*`` spine, cut at its first x-free node, of factors that
-    are each free of x, or ``R * x`` or ``x^T * C`` with R and C free of x.
-    Each factor is ``(kind, node)``: kind None for an x-free factor, "row"
-    for R and "col" for C.  None where the body has any other form.
+    That is a loop ``Σx.S`` (`ast.summand`; a ``for``'s ``X + S`` with X
+    on the left, as min-plus ``plus`` is not symmetric in a nan) whose term
+    S mentions x and is a left-deep ``*`` spine, cut at its first x-free
+    node, of factors each free of x, or ``R * x`` or ``x^T * C`` with R and
+    C free of x.  Each factor is ``(kind, node)``: kind None for an x-free
+    factor, "row" for R and "col" for C.  None for any other loop.
     """
-    var, body = e.var, e.body
-    if e.__class__ is For:
-        if (body.__class__ is not Add or body.left.__class__ is not Var
-                or body.left.name != e.acc
-                or e.acc in nodes[id(body.right)][1]):
-            return None
-        body = body.right
-    elif e.__class__ is not Sum:
+    var, body = e.var, ast.summand(e, nodes)
+    if body is None or (e.__class__ is For and body is not e.body.right):
         return None
 
     def free(node):
@@ -433,7 +427,7 @@ class _Ctx:
                 def start(env):
                     return zero
             scope = {**shapes, e.var: (n, 1), e.acc: s0}
-            run = yield from self._row_fold(e, n, start, scope)
+            run = yield from self._row_fold(e, n, scope)
             if run is not None:
                 return run, s0
             body, s1 = yield e.body, scope
@@ -446,7 +440,7 @@ class _Ctx:
         if cls is Sum or cls is Prod or cls is Hadamard:
             n, _ = self.binder_sizes(e, shapes)
             scope = {**shapes, e.var: (n, 1)}
-            run = yield from self._row_fold(e, n, None, scope)
+            run = yield from self._row_fold(e, n, scope)
             if run is not None:
                 return run, _SC
             body, s = yield e.body, scope
@@ -494,15 +488,15 @@ class _Ctx:
 
         raise MatforError(f"cannot evaluate node {cls.__name__}")
 
-    def _row_fold(self, e, n, start, scope):
-        """Loop `e` (a ``for`` from `start`, or a ``sum``) run as one fold
-        over the rows its body selects (see `_selections`), or None where
-        the body is not such a sum, n is 1 or a factor's shape does not
-        fit; the body is then built as usual, and raises any error there.
+    def _row_fold(self, e, n, scope):
+        """Loop `e` run as one fold over the rows its body selects (see
+        `_selections`), or None where the body is not such a sum, n is 1 or
+        a factor's shape does not fit; the body is then built as usual, and
+        raises any error there.
         The factors are built, and once per run evaluated, in spine order,
         so a factor's error is the one the first iteration would raise."""
         factors = _selections(e, self.nodes) if n > 1 else None
-        if factors is None or (start is not None and scope[e.acc] != _SC):
+        if factors is None or (e.__class__ is For and scope[e.acc] != _SC):
             return None
         fit = {None: _SC, "row": (1, n), "col": (n, 1)}
         fs = []
@@ -515,9 +509,9 @@ class _Ctx:
         plus, times = sr.plus, sr.times
         zeros, ones = repeat(sr.zero), repeat(sr.one)
         kernel, _ = _step(MatMul, sr, (1, n), (n, 1))
+        first = (sr.zero,) if e.__class__ is For else ()  # a for from zero
 
         def run(env):
-            acc = start(env) if start is not None else None
             seq = indices(n)
             try:
                 vals = [f(env) for f in fs]
@@ -542,8 +536,7 @@ class _Ctx:
                     plus, zeros, map(times, terms, col))
             if self.order is not None:
                 terms = itemgetter(*[i - 1 for i in seq])(tuple(terms))
-            return reduce(plus, terms) if start is None else reduce(
-                plus, terms, acc)
+            return reduce(plus, terms, *first)
         return run
 
     def _loop(self, e, n, start, body, fold=None):

@@ -4,25 +4,26 @@ Fragments are linearly ordered::
 
     CORE < SUM < FO < PROD < FULL
 
-CORE has no loops at all.  A loop counts towards SUM when it is additive
-(the ``sum`` quantifier, or a raw loop with no initialiser whose body adds
-something independent of the accumulator to the accumulator), towards FO
-when it is a pointwise-product fold started from the all-ones matrix, and
-towards PROD when it is a matrix-product fold started from the identity
-with the accumulator on the left.  Anything else makes the expression FULL.
+CORE has no loops at all.  A loop counts towards SUM when it is the paper's
+``Σv.e := for v, X . X + e``, as `ast.summand` finds it: the ``sum``
+quantifier, or a raw loop with no initialiser whose body adds a term free
+of the accumulator to the accumulator.  It counts towards FO when it is a
+pointwise-product fold started from the all-ones matrix, and towards PROD
+when it is a matrix-product fold started from the identity with the
+accumulator on the left.  Anything else makes the expression FULL.
 
 Recognition is purely syntactic; no attempt is made to prove a FULL loop
-semantically equivalent to a recognisable one.  Addition commutes, so both
-argument orders of the additive body are accepted; matrix product does not,
-so only `acc * e` matches the product pattern.
+semantically equivalent to a recognisable one.  Addition and the pointwise
+product commute, so both argument orders are accepted; matrix product does
+not, so only `acc * e` matches the product pattern.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .ast import (Add, Apply, Const, Expr, For, Hadamard, MatMul, Ones, Prod,
-                  Sum, Transpose, Var, distinct, node_table)
+from .ast import (Apply, Const, Expr, For, Hadamard, MatMul, Ones, Prod,
+                  Transpose, Var, distinct, node_table, paired, summand)
 
 
 class Fragment(enum.IntEnum):
@@ -36,107 +37,55 @@ class Fragment(enum.IntEnum):
         return self.name.lower()
 
 
-class LoopPattern(enum.Enum):
-    SIGMA = "sigma"
-    PI = "pi"
-    HADAMARD = "hadamard"
-    GENERAL = "general"
+def _is_var(e, name):
+    return e.__class__ is Var and e.name == name
 
 
-def _is_outer_product_body(body, var):
-    return (isinstance(body, MatMul)
-            and body.left == Var(var)
-            and isinstance(body.right, Transpose)
-            and body.right.arg == Var(var))
+def _is_identity(e, table):
+    """The identity-matrix templates: ``[1]`` or ``Σj. j * j^T``."""
+    t = summand(e, table)
+    return e == Const(1) or (t.__class__ is MatMul and _is_var(t.left, e.var)
+                             and t.right.__class__ is Transpose
+                             and _is_var(t.right.arg, e.var))
 
 
-def is_identity_expr(e: Expr) -> bool:
-    """Recognise the identity-matrix templates (sugar or lowered form)."""
-    if e == Const(1):
+def _is_ones_column(e, table):
+    t = summand(e, table)
+    return e.__class__ is Ones or (t.__class__ is Var and t.name == e.var)
+
+
+def _is_allones(e, table):
+    """The all-ones templates of any shape."""
+    if e == Const(1) or _is_ones_column(e, table):
         return True
-    if isinstance(e, Sum):
-        return _is_outer_product_body(e.body, e.var)
-    if isinstance(e, For) and e.init is None and isinstance(e.body, Add):
-        for acc_side, other in ((e.body.left, e.body.right),
-                                (e.body.right, e.body.left)):
-            if acc_side == Var(e.acc) and _is_outer_product_body(other, e.var):
-                return True
-    return False
+    if e.__class__ is Transpose:
+        return _is_ones_column(e.arg, table)
+    return (e.__class__ is MatMul and _is_ones_column(e.left, table)
+            and e.right.__class__ is Transpose
+            and _is_ones_column(e.right.arg, table))
 
 
-def _is_ones_column(e: Expr) -> bool:
-    if isinstance(e, Ones):
-        return True
-    if isinstance(e, Sum):
-        return e.body == Var(e.var)
-    if isinstance(e, For) and e.init is None and isinstance(e.body, Add):
-        pair = {e.body.left, e.body.right}
-        return pair == {Var(e.acc), Var(e.var)}
-    return False
-
-
-def is_allones_expr(e: Expr) -> bool:
-    """Recognise the all-ones templates of any shape."""
-    if e == Const(1) or _is_ones_column(e):
-        return True
-    if isinstance(e, Transpose):
-        return _is_ones_column(e.arg)
-    if isinstance(e, MatMul):
-        return (_is_ones_column(e.left)
-                and isinstance(e.right, Transpose)
-                and _is_ones_column(e.right.arg))
-    return False
-
-
-def recognize_loop_pattern(loop: For, table=None) -> LoopPattern:
-    """Match a raw loop against the three quantifier templates; `table` is
-    the ``node_table`` of a tree that holds `loop`, if there is one."""
-    if not isinstance(loop, For):
-        raise TypeError("recognize_loop_pattern expects a For node")
-    if table is None:
-        table = node_table(loop)
-    acc = Var(loop.acc)
-    if loop.init is None and isinstance(loop.body, Add):
-        for acc_side, other in ((loop.body.left, loop.body.right),
-                                (loop.body.right, loop.body.left)):
-            if acc_side == acc and loop.acc not in table[id(other)][1]:
-                return LoopPattern.SIGMA
-    if (loop.init is not None and is_identity_expr(loop.init)
-            and isinstance(loop.body, MatMul)
-            and loop.body.left == acc
-            and loop.acc not in table[id(loop.body.right)][1]):
-        return LoopPattern.PI
-    if (loop.init is not None and is_allones_expr(loop.init)
-            and isinstance(loop.body, Apply)
-            and loop.body.func == "hprod2" and len(loop.body.args) == 2):
-        for acc_side, other in (loop.body.args, loop.body.args[::-1]):
-            if acc_side == acc and loop.acc not in table[id(other)][1]:
-                return LoopPattern.HADAMARD
-    return LoopPattern.GENERAL
-
-
-_PATTERN_TIER = {
-    LoopPattern.SIGMA: Fragment.SUM,
-    LoopPattern.HADAMARD: Fragment.FO,
-    LoopPattern.PI: Fragment.PROD,
-    LoopPattern.GENERAL: Fragment.FULL,
-}
+def _fragment(node, table) -> Fragment:
+    """The least fragment of a node's own construct, its children aside."""
+    if summand(node, table) is not None:
+        return Fragment.SUM
+    if node.__class__ is not For:
+        return {Hadamard: Fragment.FO, Prod: Fragment.PROD}.get(
+            node.__class__, Fragment.CORE)
+    body, init, acc = node.body, node.init, node.acc
+    if init is None:
+        return Fragment.FULL
+    if (body.__class__ is MatMul and _is_identity(init, table)
+            and paired(acc, (body.left, body.right), table) is body.right):
+        return Fragment.PROD
+    if (body.__class__ is Apply and body.func == "hprod2"
+            and len(body.args) == 2 and _is_allones(init, table)
+            and paired(acc, body.args, table) is not None):
+        return Fragment.FO
+    return Fragment.FULL
 
 
 def classify(e: Expr) -> Fragment:
     """Least fragment containing the expression."""
-    tier = Fragment.CORE
     table = node_table(e)
-    for node in distinct(e):
-        if isinstance(node, Sum):
-            tier = max(tier, Fragment.SUM)
-        elif isinstance(node, Hadamard):
-            tier = max(tier, Fragment.FO)
-        elif isinstance(node, Prod):
-            tier = max(tier, Fragment.PROD)
-        elif isinstance(node, For):
-            pattern = recognize_loop_pattern(node, table)
-            tier = max(tier, _PATTERN_TIER[pattern])
-        if tier is Fragment.FULL:
-            return tier
-    return tier
+    return max(_fragment(node, table) for node in distinct(e))

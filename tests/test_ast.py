@@ -3,7 +3,8 @@ import pytest
 from matfor import stdlib
 from matfor.ast import (Add, Const, For, Hadamard, MatMul, MatrixType, Prod,
                         Schema, Sum, Transpose, Var, binders, bound_names,
-                        children, free_vars, node_table, substitute, walk)
+                        children, free_vars, node_table, substitute, summand,
+                        walk)
 from matfor.errors import DuplicateVariable
 
 
@@ -127,6 +128,34 @@ def test_walk_of_a_deep_chain():
 def test_bound_names():
     e = Sum("v", For("w", "X", Var("X")))
     assert bound_names(e) == {"v", "w", "X"}
+
+
+_TERM = MatMul(Var("v"), Var("W"))
+
+
+def _summand(e):
+    return summand(e, node_table(e))
+
+
+def test_summand_of_a_sum_is_its_body():
+    assert _summand(Sum("v", _TERM)) is _TERM
+
+
+def test_summand_of_an_additive_loop_is_its_term_on_either_side():
+    assert _summand(For("v", "X", Add(Var("X"), _TERM))) is _TERM
+    assert _summand(For("v", "X", Add(_TERM, Var("X")))) is _TERM
+
+
+@pytest.mark.parametrize("e", [
+    For("v", "X", Add(Var("X"), MatMul(Var("X"), Var("v")))),
+    For("v", "X", Add(Var("X"), _TERM), init=Var("W")),
+    For("v", "X", MatMul(Var("X"), _TERM)),
+    Prod("v", _TERM),
+    Add(Var("X"), _TERM),
+], ids=["accumulator-in-term", "initialiser", "not-additive", "prod",
+        "not-a-loop"])
+def test_summand_of_any_other_node_is_none(e):
+    assert _summand(e) is None
 
 
 def test_structural_equality_ignores_spans():

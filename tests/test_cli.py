@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,18 @@ def test_stdlib_listing_and_printing(files, capsys):
     code, out, _ = run(capsys, "stdlib", "determinant", "--emit-schema")
     assert code == 0
     assert "var V : alpha x alpha" in out
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-m", "matfor", "stdlib",
+                           "identity"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "sum j . j * j^T\n", "")
 
 
 def test_stdlib_round_trips_through_check(files, capsys, tmp_path):

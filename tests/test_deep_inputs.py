@@ -12,13 +12,13 @@ from collections import Counter
 import pytest
 
 from matfor import ast, bridge, fragments, sugar
-from matfor.ast import (Add, Apply, Diag, MatMul, MatrixType, Schema, Sum,
-                        UNIT, Var, substitute)
+from matfor.ast import (Add, Apply, Diag, For, MatMul, MatrixType, Schema,
+                        Sum, UNIT, Var, substitute)
 from matfor.bridge import (phi_translate, psi_translate, rel_encode,
                            rel_schema_of)
 from matfor.circuit_compile import compile_expr
 from matfor.cli import main
-from matfor.errors import EvalError
+from matfor.errors import EvalError, NotInSumFragment
 from matfor.fragments import Fragment, classify
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
@@ -148,6 +148,29 @@ def test_right_deep_sum_too_deep_to_evaluate_is_an_eval_error(run):
     # a right-deep sum's closures still nest once per term
     with pytest.raises(EvalError, match="nested too deeply to evaluate"):
         run(_sum(False))
+
+
+def _deep_initialiser():
+    """``for v, X = (for i, S . S + (V + ... + V)) . hprod2(X, V)``, its
+    inner sum 3,000 terms long: a Σ loop as the initialiser of a loop that
+    is no ⊙ loop, since the Σ loop's term is not its iterator."""
+    e = Var("V")
+    for _ in range(2999):
+        e = Add(e, Var("V"))
+    t = MatrixType("alpha", "beta")
+    init = For("i", "S", Add(Var("S"), e), var_sym="alpha", acc_type=t)
+    return For("v", "X", Apply("hprod2", (Var("X"), Var("V"))), init,
+               var_sym="alpha", acc_type=t)
+
+
+def test_a_deep_initialiser_is_classified():
+    assert classify(_deep_initialiser()) is Fragment.FULL
+
+
+def test_a_deep_initialiser_is_no_additive_loop_to_phi():
+    with pytest.raises(NotInSumFragment,
+                       match="only additive loops can be translated"):
+        phi_translate(_deep_initialiser(), SCHEMA)
 
 
 @pytest.mark.parametrize("command", ["check", "to-ra"])

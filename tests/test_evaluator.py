@@ -757,7 +757,7 @@ _LIFTED = [
     "sum x . s * (a^T * x) * (x^T * c)",
     "for x, X . X + a^T * x",
     "for x, X . X + s * (x^T * c) * (a^T * x)",
-    "for x, X = s . X + (a^T * x) * s * (x^T * c)",
+    "for x, X . X + (a^T * x) * s * (x^T * c)",
 ]
 
 _INF, _NAN = math.inf, math.nan
@@ -835,6 +835,8 @@ def test_loop_over_one_vector_is_not_lifted(monkeypatch, text):
     "for x, X . X * (a^T * x)",       # not additive
     "for x, X . X + X * (a^T * x)",   # the accumulator in the term
     "for x, X . X + (a^T * x) * x^T * c",  # x^T is not a 1 x 1 factor
+    "for x, X = s . X + (a^T * x) * s * (x^T * c)",  # not a sum: initialised
+    "for x, X . (a^T * x) + X",       # the accumulator on the right
 ])
 def test_other_loop_bodies_are_not_lifted(monkeypatch, text):
     seen = _record_selections(monkeypatch)

@@ -4,9 +4,7 @@ import pytest
 
 from matfor.ast import Apply, Const, For, Var
 from matfor.evaluator import evaluate, mat_equal
-from matfor.fragments import (Fragment, LoopPattern, classify,
-                              is_allones_expr, is_identity_expr,
-                              recognize_loop_pattern)
+from matfor.fragments import Fragment, classify
 from matfor.instance import Instance
 from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import NAT
@@ -35,15 +33,12 @@ def test_squaring_loop_is_full():
 
 
 def test_sigma_pattern_both_argument_orders():
-    assert recognize_loop_pattern(parse_expr("for v, X . X + v")) is \
-        LoopPattern.SIGMA
-    assert recognize_loop_pattern(parse_expr("for v, X . v + X")) is \
-        LoopPattern.SIGMA
+    assert classify(parse_expr("for v, X . X + v")) is Fragment.SUM
+    assert classify(parse_expr("for v, X . v + X")) is Fragment.SUM
 
 
 def test_sigma_pattern_requires_accumulator_independence():
-    assert recognize_loop_pattern(parse_expr("for v, X . X + X")) is \
-        LoopPattern.GENERAL
+    assert classify(parse_expr("for v, X . X + X")) is Fragment.FULL
 
 
 def test_commuted_sigma_body_is_semantically_additive():
@@ -60,34 +55,42 @@ def test_commuted_sigma_body_is_semantically_additive():
 
 def test_pi_pattern_needs_identity_init():
     s = "for v, X = (sum j . j * j^T) . X * V"
-    assert recognize_loop_pattern(parse_expr(s)) is LoopPattern.PI
-    assert recognize_loop_pattern(parse_expr("for v, X . X * V")) is \
-        LoopPattern.GENERAL
+    assert classify(parse_expr(s)) is Fragment.PROD
+    assert classify(parse_expr("for v, X . X * V")) is Fragment.FULL
 
 
 def test_pi_pattern_fixes_the_multiplication_order():
     s = "for v, X = (sum j . j * j^T) . V * X"
-    assert recognize_loop_pattern(parse_expr(s)) is LoopPattern.GENERAL
+    assert classify(parse_expr(s)) is Fragment.FULL
 
 
 def test_hadamard_pattern():
     e = For("v", "X", Apply("hprod2", (Var("X"), Var("V"))),
             init=Const(1))
-    assert recognize_loop_pattern(e) is LoopPattern.HADAMARD
+    assert classify(e) is Fragment.FO
+
+
+def _pi_loop(init):
+    return parse_expr(f"for v, X = ({init}) . X * V")
+
+
+def _hadamard_loop(init):
+    return parse_expr(f"for v, X = ({init}) . hprod2(X, V)")
 
 
 def test_identity_recognition():
-    assert is_identity_expr(parse_expr("sum j . j * j^T"))
-    assert is_identity_expr(parse_expr("for j, D . D + j * j^T"))
-    assert is_identity_expr(Const(1))
-    assert not is_identity_expr(parse_expr("sum j . j * j"))
+    assert classify(_pi_loop("sum j . j * j^T")) is Fragment.PROD
+    assert classify(_pi_loop("for j, D . D + j * j^T")) is Fragment.PROD
+    assert classify(_pi_loop("[1]")) is Fragment.PROD
+    assert classify(_pi_loop("sum j . j * j")) is Fragment.FULL
 
 
 def test_allones_recognition():
-    assert is_allones_expr(parse_expr("sum i . i"))
-    assert is_allones_expr(parse_expr("(sum i . i) * (sum k . k)^T"))
-    assert is_allones_expr(Const(1))
-    assert not is_allones_expr(parse_expr("sum i . i * i^T"))
+    assert classify(_hadamard_loop("sum i . i")) is Fragment.FO
+    assert classify(_hadamard_loop("(sum i . i) * (sum k . k)^T")) is \
+        Fragment.FO
+    assert classify(_hadamard_loop("[1]")) is Fragment.FO
+    assert classify(_hadamard_loop("sum i . i * i^T")) is Fragment.FULL
 
 
 @pytest.mark.parametrize("text,schema_text", [
