@@ -43,8 +43,8 @@ from functools import reduce
 
 from . import relalg
 from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
-                  Schema, Sum, Transpose, UNIT, Var, drive, node_table,
-                  summand)
+                  Schema, Sum, Transpose, UNIT, Var, children, drive,
+                  node_table, summand)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, UnsupportedFunction)
 from .functions import pointwise
@@ -190,17 +190,27 @@ class _Phi:
             return self.rename_keeping(q, sig, {
                 swap[a[:4]] + a[4:]: a for a in sig if a[:4] in swap})
 
-        if isinstance(e, Add):
-            q1, s1 = yield e.left, scope
-            q2, s2 = yield e.right, scope
-            q1, s1 = self.pad(q1, s1, s2 - s1, itersyms)
-            q2, s2 = self.pad(q2, s2, s1 - s2, itersyms)
-            return Union(q1, q2), s1
-
-        if isinstance(e, ScalarMul):
-            q1, s1 = yield e.scalar, scope
-            q2, s2 = yield e.arg, scope
-            return Join(q1, q2), s1 | s2
+        if isinstance(e, (Add, ScalarMul, Apply)):
+            # a sum of operands is a union, each padded to one signature;
+            # a product of them is a join
+            op = "hsum" if isinstance(e, Add) else "hprod"
+            if isinstance(e, Apply):
+                p = pointwise(e.func)
+                if p is None:
+                    raise UnsupportedFunction(
+                        f"function '{e.func}' has no relational counterpart")
+                op = p[0]
+            first, *rest = children(e)
+            q, sig = yield first, scope
+            for c in rest:
+                q2, s2 = yield c, scope
+                if op == "hprod":
+                    q, sig = Join(q, q2), sig | s2
+                else:
+                    q, sig = self.pad(q, sig, s2 - sig, itersyms)
+                    q2, s2 = self.pad(q2, s2, sig - s2, itersyms)
+                    q = Union(q, q2)
+            return q, sig
 
         if isinstance(e, MatMul):
             q1, s1 = yield e.left, scope
@@ -213,26 +223,6 @@ class _Phi:
             q2, s2 = self.rename_keeping(q2, s2, {mid: row_attr(*inner)})
             out_sig = (s1 | s2) - {mid}
             return Project(out_sig, Join(q1, q2)), out_sig
-
-        if isinstance(e, Apply):
-            p = pointwise(e.func)
-            if p is None:
-                raise UnsupportedFunction(
-                    f"function '{e.func}' has no relational counterpart")
-            parts = []
-            for a in e.args:
-                parts.append((yield a, scope))
-            if p[0] == "hprod":
-                q, sig = parts[0]
-                for q2, s2 in parts[1:]:
-                    q, sig = Join(q, q2), sig | s2
-                return q, sig
-            q, sig = parts[0]
-            for q2, s2 in parts[1:]:
-                q, sig = self.pad(q, sig, s2 - sig, itersyms)
-                q2, s2 = self.pad(q2, s2, sig - s2, itersyms)
-                q = Union(q, q2)
-            return q, sig
 
         if isinstance(e, For):
             body = summand(e, self.table)

@@ -21,9 +21,14 @@ Commands::
 
 `eval` induces the schema from the instance file; loop iterators that are
 not declared anywhere default to the single non-unit size symbol of the
-instance when there is exactly one.  `demo` expects the instance to provide
-a square matrix variable `V`.  `circuit-eval` computes and prints in the
-semiring of its `--inputs` file (see `circuit_compile` on constants).
+instance when there is exactly one.  `eval --semiring NAME` reads the
+file's values as written, in the carrier NAME, and evaluates there; an
+unknown NAME is a bad flag.  A size symbol has one dimension: a repeated
+`--dim`, like a repeated `size` line, must give the one it already has, and
+the unit symbol `1` is always 1 (see `instance.set_dimension`).  `demo`
+expects the instance to provide a square matrix variable `V`.
+`circuit-eval` computes and prints in the semiring of its `--inputs` file
+(see `circuit_compile` on constants).
 """
 
 from __future__ import annotations
@@ -36,15 +41,15 @@ from .ast import MatrixType, Schema, UNIT, binders, walk
 from .bridge import phi_translate, psi_translate
 from .circuit_compile import compile_expr
 from .circuits import dump_circuit, eval_circuit, load_circuit, stats
-from .errors import EvalError, MatforError
+from .errors import EvalError, FormatError, MatforError
 from .evaluator import evaluate
 from .fragments import classify
-from .instance import Instance, parse_instance, read_text
+from .instance import parse_instance, read_text, set_dimension
 from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
 from .relalg import format_ra, parse_ra, parse_relations
-from .semiring import by_name
+from .semiring import SEMIRINGS
 from .sugar import desugar
 from .typecheck import typecheck
 
@@ -116,15 +121,9 @@ def _cmd_check(args):
 
 def _cmd_eval(args):
     e = parse_expr(args.expr)
-    loaded = parse_instance(_read(args.instance))
+    # argparse has checked the name, so an absent one is None
+    loaded = parse_instance(_read(args.instance), SEMIRINGS.get(args.semiring))
     inst, sr = loaded.instance, loaded.semiring
-    if args.semiring:
-        # the instance's values are read again, as printed, in the override
-        sr = by_name(args.semiring)
-        inst = Instance(inst.dims, {
-            name: KMatrix(m.rows, m.cols, tuple(
-                sr.parse(loaded.semiring.fmt(v)) for v in m.entries))
-            for name, m in inst.mats.items()})
     schema = loaded.schema
     if args.schema:
         schema = schema.merged(_load_schema(args.schema))
@@ -168,17 +167,15 @@ def _cmd_from_ra(args):
 
 
 def _parse_dims(pairs):
-    dims = {}
+    dims = {UNIT: 1}
     for item in pairs:
         if "=" not in item:
             raise _UsageError(f"--dim expects SYM=N, got {item!r}")
         sym, _, n = item.partition("=")
         try:
-            dims[sym] = int(n)
-        except ValueError:
-            raise _UsageError(f"bad dimension in {item!r}") from None
-        if dims[sym] < 1:
-            raise _UsageError("dimensions must be >= 1")
+            set_dimension(dims, sym, n)
+        except FormatError as exc:
+            raise _UsageError(f"--dim {item}: {exc}") from None
     return dims
 
 
@@ -285,7 +282,8 @@ def build_parser():
     sp = cmd("eval", _cmd_eval, help="evaluate an expression on an instance")
     sp.add_argument("-e", "--expr", required=True)
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--semiring", help="override the instance's semiring")
+    sp.add_argument("--semiring", choices=sorted(SEMIRINGS),
+                    help="read the instance's values in this semiring")
     sp.add_argument("--schema", help="extra declarations (loop variables)")
 
     sp = cmd("desugar", _cmd_desugar, help="lower sugar to the core forms")

@@ -13,9 +13,12 @@ Text format (UTF-8, '#' starts a line comment)::
     2
     3
 
-`1` is allowed as a size symbol and always has dimension 1.  The loader
-returns the instance, the declared semiring, and the schema induced by the
-matrix declarations.
+`1` is allowed as a size symbol and always has dimension 1.  A size symbol
+has one dimension: `set_dimension` is the one rule that gives it one from
+text, and it rejects a second, different one.  The loader reads every value
+once, in the semiring the caller names, or else in the one the file's
+`semiring` line names; it returns the instance, that semiring, and the
+schema induced by the matrix declarations.
 """
 
 from __future__ import annotations
@@ -49,8 +52,24 @@ class LoadedInstance:
     schema: Schema
 
 
-def parse_instance(text: str) -> LoadedInstance:
-    sr = None
+def set_dimension(dims: dict[str, int], sym: str, text: str, line=None):
+    """Give `sym` the dimension written `text` in `dims`: an integer >= 1,
+    and the one `sym` already has if it has one."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise FormatError(f"bad dimension {text!r}", line) from None
+    if n < 1:
+        raise FormatError("dimensions must be >= 1", line)
+    if dims.setdefault(sym, n) != n:
+        raise FormatError(
+            f"size symbol '{sym}' already has dimension {dims[sym]}", line)
+
+
+def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
+    """The instance in `text`, its values read in `sr` when it is given and
+    otherwise in the semiring the file names."""
+    named = None
     dims: dict[str, int] = {UNIT: 1}
     mats: dict[str, KMatrix] = {}
     schema = Schema()
@@ -62,8 +81,6 @@ def parse_instance(text: str) -> LoadedInstance:
         return line.split("#", 1)[0].strip()
 
     def dim_of(sym, lineno):
-        if sym == UNIT:
-            return 1
         if sym not in dims:
             raise FormatError(f"size symbol '{sym}' not declared", lineno)
         return dims[sym]
@@ -76,26 +93,18 @@ def parse_instance(text: str) -> LoadedInstance:
             continue
         parts = line.split()
         if parts[0] == "semiring":
-            sr = read_semiring_line(parts, lineno, bool(mats), "matrix")
+            named = read_semiring_line(parts, lineno, bool(mats), "matrix")
         elif parts[0] == "size":
             if len(parts) != 3:
                 raise FormatError("expected: size SYM N", lineno)
-            sym = parts[1]
-            try:
-                n = int(parts[2])
-            except ValueError:
-                raise FormatError(f"bad dimension {parts[2]!r}", lineno) from None
-            if n < 1:
-                raise FormatError("dimensions must be >= 1", lineno)
-            if sym == UNIT and n != 1:
-                raise FormatError("symbol '1' always has dimension 1", lineno)
-            dims[sym] = n
+            set_dimension(dims, parts[1], parts[2], lineno)
         elif parts[0] == "matrix":
             if len(parts) != 4:
                 raise FormatError("expected: matrix NAME SYM SYM", lineno)
-            if sr is None:
+            if named is None:
                 raise FormatError(
                     "a 'semiring' line must precede matrix blocks", lineno)
+            carrier = sr or named
             name, rsym, csym = parts[1], parts[2], parts[3]
             nrows = dim_of(rsym, lineno)
             ncols = dim_of(csym, lineno)
@@ -116,7 +125,7 @@ def parse_instance(text: str) -> LoadedInstance:
                         f"row of matrix '{name}' has {len(vals)} values, "
                         f"expected {ncols}", rowno)
                 try:
-                    rows.append([sr.parse(v) for v in vals])
+                    rows.append([carrier.parse(v) for v in vals])
                 except FormatError as exc:
                     raise FormatError(str(exc), rowno) from None
             if name in mats:
@@ -126,24 +135,9 @@ def parse_instance(text: str) -> LoadedInstance:
         else:
             raise FormatError(f"unrecognised directive {parts[0]!r}", lineno)
 
-    if sr is None:
+    if named is None:
         raise FormatError("missing 'semiring' line")
-    inst = Instance(dims, mats)
-    _validate_shapes(inst, schema)
-    return LoadedInstance(inst, sr, schema)
-
-
-def _validate_shapes(inst: Instance, schema: Schema):
-    for name, t in schema.vars.items():
-        mat = inst.mats.get(name)
-        if mat is None:
-            continue
-        want = (inst.dims.get(t.rows), inst.dims.get(t.cols))
-        if None in want:
-            raise ShapeError(f"matrix '{name}' uses an undeclared size symbol")
-        if mat.shape != want:
-            raise ShapeError(
-                f"matrix '{name}' has shape {mat.shape}, expected {want}")
+    return LoadedInstance(Instance(dims, mats), sr or named, schema)
 
 
 def read_text(path: str) -> str:

@@ -79,6 +79,19 @@ def test_semiring_override_reads_the_values_in_its_carrier(files, capsys):
                          "--semiring", "nat")
     assert (code, out) == (2, "")
     assert "not a natural number: 'inf'" in err
+    # the file's text is read in the named carrier, not as the file's own
+    # carrier prints it: a real 0.1 is the rational 1/10
+    tenth = files("p.inst", "semiring real\nsize alpha 1\n"
+                            "matrix V alpha alpha\n0.1\n")
+    code, out, _ = run(capsys, "eval", "-e", "V", "--instance", tenth,
+                       "--semiring", "rational")
+    assert (code, out) == (0, "1 x 1\n1/10\n")
+    # the named carrier replaces the file's, so a bool file may hold a 2
+    two = files("b.inst", "semiring bool\nsize alpha 1\n"
+                          "matrix V alpha alpha\n2\n")
+    code, out, _ = run(capsys, "eval", "-e", "V + V", "--instance", two,
+                       "--semiring", "nat")
+    assert (code, out) == (0, "1 x 1\n4\n")
 
 
 def test_check_prints_the_type(files, capsys):
@@ -223,6 +236,16 @@ def test_exit_codes(files, capsys):
     assert run(capsys, "eval", "-e", "sum v . v",
                "--instance", str(files("x", "")) + ".missing")[0] == 1
     assert run(capsys, "stdlib", "no_such_name")[0] == 1
+    # a size symbol has one dimension, and the unit symbol's is 1
+    uv = files("uv.schema", "var u : alpha x 1\nvar v : alpha x 1\n")
+    for dims in (("alpha=2", "alpha=3"), ("alpha=2", "1=2")):
+        argv = ["compile-circuit", "-e", "u^T * v", "--schema", uv]
+        for d in dims:
+            argv += ["--dim", d]
+        assert run(capsys, *argv)[0] == 1
+    # an unknown semiring is a bad flag
+    assert run(capsys, "eval", "-e", "V", "--instance", inst,
+               "--semiring", "reals")[0] == 1
 
 
 def test_deep_nesting_is_a_clean_error(files, capsys):

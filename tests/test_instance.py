@@ -71,6 +71,26 @@ def test_bad_dimension():
         parse_instance("semiring nat\nsize a 0\n")
 
 
+def test_a_second_dimension_for_a_symbol_names_its_line():
+    text = "semiring nat\nsize a 2\nmatrix V a a\n1 2\n3 4\nsize a 3\n"
+    with pytest.raises(FormatError, match="^line 6: size symbol 'a' already "
+                                          "has dimension 2"):
+        parse_instance(text)
+
+
+def test_the_unit_symbol_cannot_be_resized():
+    with pytest.raises(FormatError, match="^line 2: size symbol '1' already "
+                                          "has dimension 1"):
+        parse_instance("semiring nat\nsize 1 2\n")
+
+
+def test_a_repeated_size_line_with_the_same_dimension_loads():
+    loaded = parse_instance("semiring nat\nsize a 2\nsize a 2\n"
+                            "matrix v a 1\n1\n2\n")
+    assert loaded.instance.dims["a"] == 2
+    assert loaded.instance.mats["v"].tolists() == [[1], [2]]
+
+
 def test_duplicate_matrix():
     text = "semiring nat\nsize a 1\nmatrix V a a\n1\nmatrix V a a\n1\n"
     with pytest.raises(FormatError):
