@@ -97,6 +97,15 @@ def test_dump_load_round_trip():
     assert dump_circuit(again) == text
 
 
+def test_comments_and_blank_lines_in_a_dump_are_skipped():
+    text = dump_circuit(dot_circuit())
+    lines = text.splitlines()
+    noted = "\n".join(["# a dump", "", lines[0] + "  # first gate",
+                        "   ", *lines[1:-1], "# outputs", "",
+                        lines[-1] + " # last", "", "# end"])
+    assert dump_circuit(load_circuit(noted)) == text
+
+
 def test_loader_rejects_malformed_circuits():
     with pytest.raises(FormatError):
         load_circuit("g1 = const1")          # out of order

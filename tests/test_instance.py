@@ -46,6 +46,35 @@ def test_wrong_column_count_names_the_line():
     assert "line 5" in str(err.value)
 
 
+@pytest.mark.parametrize("gap", ["", "   ", "# a note", "  # a note"])
+def test_a_gap_inside_a_matrix_block_names_its_line(gap):
+    text = ("semiring nat\nsize a 3\nmatrix V a a\n1 2 3\n"
+            f"{gap}\n4 5 6\n7 8 9\n")
+    with pytest.raises(FormatError,
+                       match="^line 5: blank line inside matrix 'V'$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("tail", ["", "1\n", "1  # first\n"])
+def test_a_block_cut_short_at_the_end_of_the_file_names_its_header(tail):
+    text = f"semiring nat\nsize a 2\nsize b 1\nmatrix V a b\n{tail}"
+    with pytest.raises(FormatError, match="^line 4: matrix 'V' needs 2 rows$"):
+        parse_instance(text)
+
+
+def test_comments_and_blank_lines_around_blocks_are_skipped():
+    bare = ("semiring nat\nsize a 2\nmatrix V a a\n1 2\n3 4\n"
+            "matrix v a 1\n5\n6\n")
+    noted = ("# header\n\nsemiring nat  # carrier\n   \nsize a 2\n"
+             "matrix V a a # square\n1 2 # first\n3 4\n\n# next\n"
+             "matrix v a 1\n5\n6   # last\n\n# end\n")
+    a, b = parse_instance(bare), parse_instance(noted)
+    assert (a.semiring, a.schema, a.instance.dims) == \
+        (b.semiring, b.schema, b.instance.dims)
+    assert {n: m.tolists() for n, m in a.instance.mats.items()} == \
+        {n: m.tolists() for n, m in b.instance.mats.items()}
+
+
 def test_boolean_carrier_violation():
     with pytest.raises(FormatError):
         parse_instance("semiring bool\nsize a 1\nmatrix V a a\n2\n")

@@ -217,6 +217,15 @@ def test_relation_file_round_trip():
     assert rels2 == rels
 
 
+def test_comments_and_blank_lines_in_a_relation_file_are_skipped():
+    bare = ("semiring nat\nrelation R a b\n1 2 : 3\n2 2 : 1\n"
+            "relation T a\n4 : 2\n")
+    noted = ("# relations\n\nsemiring nat # carrier\n"
+             "relation R a b   # binary\n1 2 : 3\n  \n# a gap\n"
+             "2 2 : 1 # last of R\n\nrelation T a\n4 : 2\n\n# end\n")
+    assert parse_relations(noted) == parse_relations(bare)
+
+
 def test_relation_file_errors():
     with pytest.raises(FormatError):
         parse_relations("relation R a\nx : 1\n")
