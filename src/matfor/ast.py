@@ -34,6 +34,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .errors import DuplicateVariable
+from .semiring import _echo
 
 #: The unit size symbol: always assigned dimension 1.
 UNIT = "1"
@@ -88,7 +89,7 @@ class Schema:
         if not name:
             raise DuplicateVariable("variable name must be nonempty")
         if name in self.vars:
-            raise DuplicateVariable(f"variable '{name}' declared twice")
+            raise DuplicateVariable(f"variable {_echo(name)} declared twice")
         self.vars[name] = t
 
     def merged(self, other):

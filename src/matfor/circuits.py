@@ -28,7 +28,8 @@ Dump format, one gate per line, then one line per output::
     g4 = div g3 g1
     output[1,1] = g4
 
-Coordinates are 1-based.  `load_circuit(dump_circuit(c))` reproduces the
+Coordinates are 1-based.  `load_circuit` reads its lines by
+`semiring.records`, and `load_circuit(dump_circuit(c))` reproduces the
 circuit bit-exactly.
 """
 
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import (DivisionByZero, FormatError,
                      FunctionUnavailableForSemiring, MissingInput)
-from .semiring import REAL, Semiring
+from .semiring import REAL, Semiring, records
 
 INPUT, ZERO, ONE, SUM, PROD, DIV = "input", "const0", "const1", "sum", "prod", "div"
 
@@ -188,10 +189,7 @@ _LINE_RE = re.compile(r"output\[(\d+),(\d+)\] = g(\d+)"
 def load_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
     outputs: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         m = _LINE_RE.fullmatch(line)
         if m is None:
             raise FormatError("expected a gate or output line", lineno)

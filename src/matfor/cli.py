@@ -49,7 +49,7 @@ from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
 from .relalg import format_ra, parse_ra, parse_relations
-from .semiring import SEMIRINGS
+from .semiring import SEMIRINGS, _echo
 from .sugar import desugar
 from .typecheck import typecheck
 
@@ -170,12 +170,12 @@ def _parse_dims(pairs):
     dims = {UNIT: 1}
     for item in pairs:
         if "=" not in item:
-            raise _UsageError(f"--dim expects SYM=N, got {item!r}")
+            raise _UsageError(f"--dim expects SYM=N, got {_echo(item)}")
         sym, _, n = item.partition("=")
         try:
             set_dimension(dims, sym, n)
         except FormatError as exc:
-            raise _UsageError(f"--dim {item}: {exc}") from None
+            raise _UsageError(f"--dim {_echo(item)}: {exc}") from None
     return dims
 
 

@@ -1,6 +1,6 @@
 """Instances: concrete dimensions for size symbols and concrete matrices.
 
-Text format (UTF-8, '#' starts a line comment)::
+Text format (UTF-8, lines read by `semiring.records`)::
 
     semiring real
     size alpha 3
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .ast import MatrixType, Schema, UNIT
 from .errors import FormatError, ShapeError
 from .matrix import KMatrix, from_rows
-from .semiring import Semiring, read_semiring_line
+from .semiring import Semiring, _echo, read_semiring_line, records
 
 
 @dataclass
@@ -58,12 +58,13 @@ def set_dimension(dims: dict[str, int], sym: str, text: str, line=None):
     try:
         n = int(text)
     except ValueError:
-        raise FormatError(f"bad dimension {text!r}", line) from None
+        raise FormatError(f"bad dimension {_echo(text)}", line) from None
     if n < 1:
         raise FormatError("dimensions must be >= 1", line)
     if dims.setdefault(sym, n) != n:
         raise FormatError(
-            f"size symbol '{sym}' already has dimension {dims[sym]}", line)
+            f"size symbol {_echo(sym)} already has dimension {dims[sym]}",
+            line)
 
 
 def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
@@ -74,23 +75,13 @@ def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
     mats: dict[str, KMatrix] = {}
     schema = Schema()
 
-    lines = text.splitlines()
-    i = 0
-
-    def strip(line):
-        return line.split("#", 1)[0].strip()
-
     def dim_of(sym, lineno):
         if sym not in dims:
-            raise FormatError(f"size symbol '{sym}' not declared", lineno)
+            raise FormatError(f"size symbol {_echo(sym)} not declared", lineno)
         return dims[sym]
 
-    while i < len(lines):
-        lineno = i + 1
-        line = strip(lines[i])
-        i += 1
-        if not line:
-            continue
+    lines = records(text)
+    for lineno, line in lines:
         parts = line.split()
         if parts[0] == "semiring":
             named = read_semiring_line(parts, lineno, bool(mats), "matrix")
@@ -109,31 +100,32 @@ def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
             nrows = dim_of(rsym, lineno)
             ncols = dim_of(csym, lineno)
             rows = []
-            for _ in range(nrows):
-                if i >= len(lines):
+            # a block's rows are the lines right after its header
+            for rowno in range(lineno + 1, lineno + 1 + nrows):
+                at, row = next(lines, (None, None))
+                if at is None:
                     raise FormatError(
-                        f"matrix '{name}' needs {nrows} rows", lineno)
-                rowno = i + 1
-                row_line = strip(lines[i])
-                i += 1
-                if not row_line:
+                        f"matrix {_echo(name)} needs {nrows} rows", lineno)
+                if at != rowno:
                     raise FormatError(
-                        f"blank line inside matrix '{name}'", rowno)
-                vals = row_line.split()
+                        f"blank line inside matrix {_echo(name)}", rowno)
+                vals = row.split()
                 if len(vals) != ncols:
                     raise FormatError(
-                        f"row of matrix '{name}' has {len(vals)} values, "
-                        f"expected {ncols}", rowno)
+                        f"row of matrix {_echo(name)} has {len(vals)} "
+                        f"values, expected {ncols}", rowno)
                 try:
                     rows.append([carrier.parse(v) for v in vals])
                 except FormatError as exc:
                     raise FormatError(str(exc), rowno) from None
             if name in mats:
-                raise FormatError(f"matrix '{name}' declared twice", lineno)
+                raise FormatError(
+                    f"matrix {_echo(name)} declared twice", lineno)
             mats[name] = from_rows(rows)
             schema.declare(name, MatrixType(rsym, csym))
         else:
-            raise FormatError(f"unrecognised directive {parts[0]!r}", lineno)
+            raise FormatError(
+                f"unrecognised directive {_echo(parts[0])}", lineno)
 
     if named is None:
         raise FormatError("missing 'semiring' line")

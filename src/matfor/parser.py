@@ -37,7 +37,7 @@ from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul,
                   MatrixType, Ones, OrderKind, OrderPrim, Prod, Schema,
                   ScalarMul, SourceSpan, Sum, Transpose, Var)
 from .errors import DuplicateVariable, ParseError
-from .semiring import _parse_nat
+from .semiring import _parse_nat, records
 
 KEYWORDS = {"for", "sum", "prod", "hprod", "ones", "diag",
             "Sless", "Emin", "Emax", "Nshift", "inf"}
@@ -250,13 +250,10 @@ _SCHEMA_LINE = re.compile(
 
 def parse_schema(text: str) -> Schema:
     schema = Schema()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         m = _SCHEMA_LINE.match(line)
         if m is None:
-            span = SourceSpan(0, len(raw), lineno, 1)
+            span = SourceSpan(0, len(line), lineno, 1)
             raise ParseError("expected: var NAME : SYM x SYM", span)
         try:
             schema.declare(m.group("name"),

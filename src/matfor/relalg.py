@@ -24,8 +24,8 @@ included.  Every syntax error reads ``at offset N: ...``, N counting
 characters from the start of the text.
 
 Relation files: a `relation NAME attr...` header per relation followed by
-data lines `v1 v2 ... : annotation`; `#` starts a comment.  An optional
-leading `semiring NAME` line fixes how annotations are parsed.
+data lines `v1 v2 ... : annotation`, lines read by `semiring.records`.  An
+optional leading `semiring NAME` line fixes how annotations are parsed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .ast import drive
 from .errors import (FormatError, ParseError, SignatureViolation,
                      UnknownRelation)
 from .parser import KEYWORDS, _Parser
-from .semiring import REAL, Semiring, read_semiring_line
+from .semiring import REAL, Semiring, _echo, read_semiring_line, records
 
 Tuple_ = tuple  # tuples of (attr, value) pairs sorted by attr
 
@@ -333,49 +333,34 @@ def _format(q, out):
 def parse_relations(text: str):
     """Parse a relation file: (semiring, name -> KRelation)."""
     sr = REAL
-    rels: dict[str, KRelation] = {}
-    current_name = None
-    current_sig: list[str] = []
-    current_items: list = []
-
-    def flush():
-        nonlocal current_name, current_sig, current_items
-        if current_name is not None:
-            rels[current_name] = KRelation.build(
-                frozenset(current_sig), current_items, sr)
-        current_name, current_sig, current_items = None, [], []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    blocks: dict[str, tuple[list[str], list]] = {}
+    sig = items = None
+    for lineno, line in records(text):
         parts = line.split()
         if parts[0] == "semiring":
-            sr = read_semiring_line(parts, lineno, current_name is not None,
-                                    "relation")
+            sr = read_semiring_line(parts, lineno, bool(blocks), "relation")
         elif parts[0] == "relation":
-            flush()
             if len(parts) < 2:
                 raise FormatError("expected: relation NAME attr...", lineno)
-            current_name = parts[1]
-            current_sig = parts[2:]
-            if len(set(current_sig)) != len(current_sig):
+            name, sig, items = parts[1], parts[2:], []
+            if len(set(sig)) != len(sig):
                 raise FormatError("duplicate attribute names", lineno)
-            if current_name in rels:
+            if name in blocks:
                 raise FormatError(
-                    f"relation '{current_name}' declared twice", lineno)
+                    f"relation {_echo(name)} declared twice", lineno)
+            blocks[name] = sig, items
         else:
-            if current_name is None:
+            if sig is None:
                 raise FormatError(
                     "data line before any relation header", lineno)
             if ":" not in line:
                 raise FormatError("expected: v1 v2 ... : annotation", lineno)
             left, _, right = line.rpartition(":")
             vals = left.split()
-            if len(vals) != len(current_sig):
+            if len(vals) != len(sig):
                 raise FormatError(
-                    f"tuple has {len(vals)} values, expected "
-                    f"{len(current_sig)}", lineno)
+                    f"tuple has {len(vals)} values, expected {len(sig)}",
+                    lineno)
             try:
                 point = [int(v) for v in vals]
             except ValueError:
@@ -387,10 +372,10 @@ def parse_relations(text: str):
                 ann = sr.parse(right.strip())
             except FormatError as exc:
                 raise FormatError(str(exc), lineno) from None
-            current_items.append(
-                (make_tuple(dict(zip(current_sig, point))), ann))
-    flush()
-    return sr, rels
+            items.append((make_tuple(dict(zip(sig, point))), ann))
+    # no semiring line may follow a block, so every block is read in `sr`
+    return sr, {name: KRelation.build(sig, items, sr)
+                for name, (sig, items) in blocks.items()}
 
 
 def format_relations(rels: dict[str, KRelation], sr: Semiring) -> str:

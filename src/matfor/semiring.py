@@ -20,6 +20,10 @@ The provided instances:
 Equality is exact except over the reals, where an absolute tolerance is
 honoured.  Floating addition is not associative, so order-sensitive laws are
 only asserted over the exact semirings.
+
+Instance, relation, schema and circuit files read their lines through
+`records`, and the files with a carrier read its ``semiring NAME`` line
+through `read_semiring_line`.
 """
 
 from __future__ import annotations
@@ -201,8 +205,18 @@ def by_name(name: str) -> Semiring:
         return SEMIRINGS[name]
     except KeyError:
         raise MatforError(
-            f"unknown semiring '{name}' (available: "
+            f"unknown semiring {_echo(name)} (available: "
             f"{', '.join(sorted(SEMIRINGS))})") from None
+
+
+def records(text):
+    """The one line rule of instance, relation, schema and circuit files:
+    `#` starts a comment, and a line that holds nothing else is skipped.
+    Yields (line number, text stripped of its comment and blanks)."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def read_semiring_line(parts, lineno, late, blocks):

@@ -416,6 +416,17 @@ def test_a_long_bad_nat_is_echoed_cut_short(files, capsys):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("dim", ["alpha=1" + "x" * 5000, "alpha" * 1000],
+                         ids=["bad dimension", "no equals sign"])
+def test_a_long_dim_is_echoed_cut_short(files, capsys, dim):
+    uv = files("uv.schema", "var u : alpha x 1\nvar v : alpha x 1\n")
+    code, out, err = run(capsys, "compile-circuit", "-e", "u^T * v",
+                         "--schema", uv, "--dim", dim)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --dim ")
+    assert len(err) < 200
+
+
 BIG = "1" + "0" * 5000
 
 

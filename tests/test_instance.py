@@ -62,6 +62,14 @@ def test_a_block_cut_short_at_the_end_of_the_file_names_its_header(tail):
         parse_instance(text)
 
 
+@pytest.mark.parametrize("tail", ["\n", "1\n\n", "1\n# end\n  \n"])
+def test_a_block_cut_short_by_trailing_gaps_names_its_header(tail):
+    # no row follows the gap, so the block is short, not interrupted
+    text = f"semiring nat\nsize a 2\nsize b 1\nmatrix V a b\n{tail}"
+    with pytest.raises(FormatError, match="^line 4: matrix 'V' needs 2 rows$"):
+        parse_instance(text)
+
+
 def test_comments_and_blank_lines_around_blocks_are_skipped():
     bare = ("semiring nat\nsize a 2\nmatrix V a a\n1 2\n3 4\n"
             "matrix v a 1\n5\n6\n")
@@ -118,6 +126,28 @@ def test_a_repeated_size_line_with_the_same_dimension_loads():
                             "matrix v a 1\n1\n2\n")
     assert loaded.instance.dims["a"] == 2
     assert loaded.instance.mats["v"].tolists() == [[1], [2]]
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"semiring nat\nsize a 1{'0' * 5000}x\n", "line 2: bad dimension '1000"),
+    (f"semiring nat\n{LONG} a 1\n", "line 2: unrecognised directive 'xxx"),
+    (f"semiring nat\nmatrix V {LONG} 1\n", "line 2: size symbol 'xxx"),
+    (f"semiring nat\nsize {LONG} 1\nsize {LONG} 2\n",
+     "line 3: size symbol 'xxx"),
+    (f"semiring {LONG}\n", "line 1: unknown semiring 'xxx"),
+    (f"semiring nat\nmatrix {LONG} 1 1\n1\nmatrix {LONG} 1 1\n1\n",
+     "line 4: matrix 'xxx"),
+    (f"semiring nat\nmatrix {LONG} 1 1\n", "line 2: matrix 'xxx"),
+], ids=["dimension", "directive", "undeclared", "resized", "semiring",
+        "twice", "short"])
+def test_a_long_token_is_echoed_cut_short(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert str(err.value).startswith(message)
+    assert len(str(err.value)) < 120
 
 
 def test_duplicate_matrix():

@@ -1,6 +1,7 @@
-"""The file loaders on arbitrary line-structured text: each gives a result
-or raises a `MatforError`, and a circuit that loads can be analysed,
-dumped, reloaded and evaluated the same way."""
+"""The file loaders on arbitrary line-structured text, blank lines and
+comments mixed in: each gives a result or raises a `MatforError`, and a
+circuit that loads can be analysed, dumped, reloaded and evaluated the same
+way."""
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -9,12 +10,21 @@ from matfor.circuits import (INPUT, dump_circuit, eval_circuit, load_circuit,
                              stats)
 from matfor.errors import MatforError
 from matfor.instance import parse_instance
+from matfor.parser import format_schema, parse_schema
 from matfor.relalg import parse_relations
 
 _NUMBERS = ["0", "1", "2", "3", "-1", "0.5", "1e400", "inf", "-inf", "nan",
             "x", "1_0", "\u0663"]
 _SEMIRINGS = ["nat", "real", "bool", "tropical", "rational"]
 _SYMS = ["alpha", "beta", "1", "x"]
+# lines that hold nothing once their comment is cut off, and trailers
+_GAPS = st.sampled_from(["", "   ", "\t", "# note", "  # a # b", "#"])
+_TRAILERS = st.sampled_from(["", "", "", " # note", "#", "  #1 2 :"])
+
+
+def _noted(lines):
+    """A line drawn from `lines`, now and then with a trailing comment."""
+    return st.tuples(lines, _TRAILERS).map("".join)
 
 
 def _line(*words):
@@ -24,14 +34,17 @@ def _line(*words):
 
 def _files(*lines):
     """A line of the first kind, then up to ten lines, each of one of the
-    given kinds, a row of numbers or random tokens."""
+    given kinds, a row of numbers, random tokens or a gap, each line now
+    and then with a trailing comment."""
     words = sorted({w for line in lines for slot in line for w in slot})
     noise = st.lists(st.one_of(st.sampled_from(words), st.text(max_size=4)),
                      max_size=6).map(" ".join)
     rows = st.lists(st.sampled_from(_NUMBERS), max_size=3).map(" ".join)
     # rows weigh double: a matrix block needs one per matrix row
-    line = st.one_of(*[_line(*kind) for kind in lines], rows, rows, noise)
-    return st.tuples(_line(*lines[0]), st.lists(line, max_size=10)).map(
+    line = _noted(st.one_of(*[_line(*kind) for kind in lines],
+                            rows, rows, noise, _GAPS))
+    return st.tuples(_noted(_line(*lines[0])),
+                     st.lists(line, max_size=10)).map(
         lambda t: "\n".join([t[0], *t[1]]))
 
 
@@ -41,12 +54,16 @@ INSTANCE_FILES = _files(
 RELATION_FILES = _files(
     (["relation"], ["R", "S"], ["a", "b", ""]), (["semiring"], _SEMIRINGS),
     (_NUMBERS, [":"], _NUMBERS), (_NUMBERS, _NUMBERS, [":"], _NUMBERS))
+SCHEMA_FILES = _files(
+    (["var"], ["V", "u"], [":"], _SYMS, ["x"], _SYMS),
+    (["var"], ["V", "u", "1"], [":", ""], _SYMS, ["x", ""], _SYMS))
 
 
 @st.composite
 def _circuit_files(draw):
     """An input gate, then gate lines mostly numbered in order and mostly
-    referring back, with output lines and random text mixed in."""
+    referring back, with output lines, random text and gaps mixed in, each
+    line now and then with a trailing comment."""
     lines, gates = ["g0 = input V[1,1]"], 1
 
     def rarely():
@@ -60,8 +77,10 @@ def _circuit_files(draw):
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(
             ["input"] * 3 + ["const0", "const1"] + ["sum", "prod"] * 2
-            + ["div"] + ["output"] * 3 + ["text"]))
-        if kind == "text":
+            + ["div"] + ["output"] * 3 + ["text", "gap"]))
+        if kind == "gap":
+            lines.append(draw(_GAPS))
+        elif kind == "text":
             lines.append(draw(st.text(max_size=20)))
         elif kind == "output":
             lines.append(f"output[{index(3)},{index(3)}] = g{index(gates)}")
@@ -79,7 +98,7 @@ def _circuit_files(draw):
             number = index(0) if rarely() else gates
             lines.append(f"g{number} = {kind}")
             gates += 1
-    return "\n".join(lines)
+    return "\n".join(line + draw(_TRAILERS) for line in lines)
 
 
 @given(text=INSTANCE_FILES)
@@ -99,6 +118,16 @@ def test_relation_files_load_or_raise_a_matfor_error(text):
         parse_relations(text)
     except MatforError:
         pass
+
+
+@given(text=SCHEMA_FILES)
+@settings(max_examples=300, deadline=None)
+def test_schema_files_load_or_raise_a_matfor_error(text):
+    try:
+        schema = parse_schema(text)
+    except MatforError:
+        return
+    assert parse_schema(format_schema(schema)) == schema
 
 
 @given(text=_circuit_files())

@@ -126,6 +126,14 @@ def test_schema_duplicate_rejected():
         parse_schema("var V : alpha x alpha\nvar V : alpha x 1")
 
 
+def test_a_long_schema_name_is_echoed_cut_short():
+    line = f"var {'V' * 5000} : alpha x 1\n"
+    with pytest.raises(DuplicateVariable,
+                       match="^line 2: variable 'VVV") as err:
+        parse_schema(line * 2)
+    assert len(str(err.value)) < 100
+
+
 def test_schema_format_round_trip():
     s = parse_schema("var V : alpha x beta\nvar u : beta x 1")
     assert parse_schema(format_schema(s)) == s

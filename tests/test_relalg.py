@@ -242,6 +242,13 @@ def test_relation_file_errors():
         parse_relations("# annotations\nsemiring naturals\n")
 
 
+def test_a_long_relation_name_is_echoed_cut_short():
+    name = "R" * 5000
+    with pytest.raises(FormatError, match="^line 2: relation 'RRR") as err:
+        parse_relations(f"relation {name} a\nrelation {name} b\n")
+    assert len(str(err.value)) < 100
+
+
 def test_semiring_line_after_a_relation_is_rejected():
     # the annotations above it were parsed in the default real carrier
     with pytest.raises(FormatError, match="must precede relation blocks"):
