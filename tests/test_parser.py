@@ -106,6 +106,28 @@ def test_error_reports_expected_tokens():
     assert err.value.expected
 
 
+_ATOMS = "(, [, diag, for, hprod, identifier, ones, prod, sum"
+
+
+@pytest.mark.parametrize("bad, message", [
+    # `expect`, before a token and at the end of the input
+    ("(V W", "1:4: unexpected 'W' (expected: ))"),
+    ("(V", "1:3: unexpected '' (expected: ))"),
+    # `whole`
+    ("V V", "1:3: trailing input 'V' (expected: end)"),
+    # `atom`
+    (")", f"1:1: unexpected ')' (expected: {_ATOMS})"),
+    ("a +", f"1:4: unexpected 'end of input' (expected: {_ATOMS})"),
+    # `literal`
+    ("[x]", "1:2: unexpected 'x' in scalar literal (expected: inf, number)"),
+    ("[", "1:2: unexpected '' in scalar literal (expected: inf, number)"),
+])
+def test_syntax_error_messages_quote_the_token(bad, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(bad)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # schemas
 

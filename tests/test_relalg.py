@@ -203,6 +203,25 @@ def test_ra_parse_errors_give_their_offset(bad, offset):
     assert err.value.span is None
 
 
+_OPS = "join, project, rel, rename, select, union"
+
+
+@pytest.mark.parametrize("bad, message", [
+    # `name`
+    ("rel (", "at offset 4: unexpected '(' (expected: identifier)"),
+    # `query`, before a token and at the end of the input
+    ("foo R", f"at offset 0: unexpected 'foo' (expected: {_OPS})"),
+    ("", f"at offset 0: unexpected '' (expected: {_OPS})"),
+    # the expression parser's `expect` and `whole`
+    ("union(rel R", "at offset 11: unexpected '' (expected: ,)"),
+    ("rel R x", "at offset 6: trailing input 'x' (expected: end)"),
+])
+def test_ra_syntax_error_messages_quote_the_token(bad, message):
+    with pytest.raises(ParseError) as err:
+        parse_ra(bad)
+    assert str(err.value) == message
+
+
 def test_relation_file_round_trip():
     text = ("semiring nat\n"
             "relation R a b\n"
