@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .errors import DuplicateVariable
-from .semiring import _echo
+from .errors import DuplicateVariable, _echo
 
 #: The unit size symbol: always assigned dimension 1.
 UNIT = "1"
@@ -97,8 +96,8 @@ class Schema:
         for name, t in other.vars.items():
             if name in out.vars:
                 if out.vars[name] != t:
-                    raise DuplicateVariable(
-                        f"variable '{name}' declared with conflicting types")
+                    raise DuplicateVariable(f"variable {_echo(name)} declared "
+                                            f"with conflicting types")
             else:
                 out.vars[name] = t
         return out

@@ -46,7 +46,7 @@ from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
                   Schema, Sum, Transpose, UNIT, Var, children, drive,
                   node_table, summand)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
-                     SchemaNotBinary, UnsupportedFunction)
+                     SchemaNotBinary, UnsupportedFunction, _echo)
 from .functions import pointwise
 from .instance import Instance
 from .matrix import KMatrix
@@ -198,7 +198,8 @@ class _Phi:
                 p = pointwise(e.func)
                 if p is None:
                     raise UnsupportedFunction(
-                        f"function '{e.func}' has no relational counterpart")
+                        f"function {_echo(e.func)} has no relational "
+                        f"counterpart")
                 op = p[0]
             first, *rest = children(e)
             q, sig = yield first, scope
@@ -271,7 +272,7 @@ def check_binary(relschema: dict[str, frozenset[str]]):
     for name, attrs in relschema.items():
         if len(attrs) > 2:
             raise SchemaNotBinary(
-                f"relation '{name}' has arity {len(attrs)} > 2")
+                f"relation {_echo(name)} has arity {len(attrs)} > 2")
 
 
 def mat_var(name: str) -> str:

@@ -53,7 +53,7 @@ from .circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
                        prune, stats)
 from .errors import (FormatError, FunctionUnavailableForSemiring,
                      MissingDimension, UnassignedSymbol, UnknownFunction,
-                     UnsupportedConstant, UnsupportedFunction)
+                     UnsupportedConstant, UnsupportedFunction, _echo)
 from .evaluator import evaluate
 from .instance import Instance
 from .matrix import KMatrix
@@ -116,7 +116,7 @@ def _literal(text):
         f = RATIONAL.parse(text)
     except FormatError:
         raise UnsupportedConstant(
-            f"literal {text!r} cannot appear in a circuit") from None
+            f"literal {_echo(text)} cannot appear in a circuit") from None
     return f.numerator if f.denominator == 1 else f
 
 
@@ -128,12 +128,12 @@ def _input_matrix(name, schema, dims):
     t = schema.vars.get(name)
     if t is None:
         raise UnassignedSymbol(
-            f"variable '{name}' is not declared in the schema")
+            f"variable {_echo(name)} is not declared in the schema")
     for sym in (t.rows, t.cols):
         if sym not in dims:
             raise UnassignedSymbol(
-                f"no dimension assigned to size symbol '{sym}' "
-                f"(variable '{name}')")
+                f"no dimension assigned to size symbol {_echo(sym)} "
+                f"(variable {_echo(name)})")
     rows, cols = dims[t.rows], dims[t.cols]
     return KMatrix(rows, cols, tuple(_Ref(INPUT, (name, i + 1, j + 1))
                                      for i in range(rows)

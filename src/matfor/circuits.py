@@ -41,8 +41,8 @@ from functools import reduce
 from typing import NamedTuple
 
 from .errors import (DivisionByZero, FormatError,
-                     FunctionUnavailableForSemiring, MissingInput)
-from .semiring import REAL, Semiring, records
+                     FunctionUnavailableForSemiring, MissingInput, _echo)
+from .semiring import REAL, Semiring, _count, records
 
 INPUT, ZERO, ONE, SUM, PROD, DIV = "input", "const0", "const1", "sum", "prod", "div"
 
@@ -62,15 +62,16 @@ class Circuit:
         for i, g in enumerate(self.gates):
             for c in g.children:
                 if not 0 <= c < i:
-                    raise FormatError(
-                        f"gate g{i} references g{c}, which does not precede it")
+                    raise FormatError(f"gate g{i} references {_echo(f'g{c}')}"
+                                      f", which does not precede it")
             if g.kind == DIV and len(g.children) != 2:
                 raise FormatError(f"gate g{i}: div needs exactly 2 children")
             if g.kind in (SUM, PROD) and not g.children:
                 raise FormatError(f"gate g{i}: {g.kind} needs a child")
         for (r, col), idx in self.outputs:
             if not 0 <= idx < len(self.gates):
-                raise FormatError(f"output references missing gate g{idx}")
+                raise FormatError(
+                    f"output references missing gate {_echo(f'g{idx}')}")
             if r < 1 or col < 1:
                 raise FormatError(
                     f"output position [{r},{col}] is not 1-based")
@@ -101,7 +102,8 @@ def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object],
         elif g.kind == INPUT:
             if g.ref not in inputs:
                 name, r, col = g.ref
-                raise MissingInput(f"no value for input {name}[{r},{col}]")
+                raise MissingInput(
+                    f"no value for input {_echo(f'{name}[{r},{col}]')}")
             vals.append(inputs[g.ref])
         elif g.kind in (ZERO, ONE):
             vals.append(sr.one if g.kind == ONE else sr.zero)
@@ -194,21 +196,24 @@ def load_circuit(text: str) -> Circuit:
         if m is None:
             raise FormatError("expected a gate or output line", lineno)
         r, col, out, idx, name, i, j, const, kind, refs = m.groups()
-        if 0 in [int(x) for x in (r, col, i, j) if x]:
+        r, col, out, idx, i, j, *children = (
+            x and _count(x, "number", lineno) for x in
+            (r, col, out, idx, i, j, *re.findall(r"\d+", refs or "")))
+        if 0 in (r, col, i, j):
             raise FormatError("position is not 1-based", lineno)
         if out is not None:
-            pos = int(r), int(col)
-            if pos in outputs:
-                raise FormatError(f"output[{r},{col}] is given twice", lineno)
-            outputs[pos] = int(out)
-        elif int(idx) != len(gates):
+            if (r, col) in outputs:
+                raise FormatError(
+                    f"{_echo(line.partition(' =')[0])} is given twice", lineno)
+            outputs[r, col] = out
+        elif idx != len(gates):
             raise FormatError(
-                f"gate g{idx} out of order (expected g{len(gates)})", lineno)
+                f"gate {_echo('g' + m[4])} out of order "
+                f"(expected g{len(gates)})", lineno)
         elif name is not None:
-            gates.append(Gate(INPUT, ref=(name, int(i), int(j))))
+            gates.append(Gate(INPUT, ref=(name, i, j)))
         else:
-            gates.append(Gate(const or kind,
-                              tuple(map(int, re.findall(r"\d+", refs or "")))))
+            gates.append(Gate(const or kind, tuple(children)))
     c = Circuit(gates, list(outputs.items()))
     c.validate()
     return c

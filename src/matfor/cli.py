@@ -41,7 +41,7 @@ from .ast import MatrixType, Schema, UNIT, binders, walk
 from .bridge import phi_translate, psi_translate
 from .circuit_compile import compile_expr
 from .circuits import dump_circuit, eval_circuit, load_circuit, stats
-from .errors import EvalError, FormatError, MatforError
+from .errors import EvalError, FormatError, MatforError, _echo
 from .evaluator import evaluate
 from .fragments import classify
 from .instance import parse_instance, read_text, set_dimension
@@ -49,7 +49,7 @@ from .matrix import KMatrix, format_matrix
 from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
 from .relalg import format_ra, parse_ra, parse_relations
-from .semiring import SEMIRINGS, _echo
+from .semiring import SEMIRINGS
 from .sugar import desugar
 from .typecheck import typecheck
 
@@ -225,7 +225,7 @@ def _cmd_stdlib(args):
         return 0
     if args.name not in lib:
         raise _UsageError(
-            f"unknown stdlib expression '{args.name}' "
+            f"unknown stdlib expression {_echo(args.name)} "
             f"(run `matfor stdlib` for the list)")
     item = lib[args.name]
     if args.emit_schema:

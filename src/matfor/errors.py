@@ -9,6 +9,11 @@ appends as exceptions propagate outward.
 from __future__ import annotations
 
 
+def _echo(text):
+    """`text` quoted for an error message, cut short if it is long."""
+    return repr(text) if len(text) <= 40 else f"{text[:37]!r}..."
+
+
 class MatforError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -62,7 +67,7 @@ class TypeCheckError(MatforError):
 
 class UnboundVariable(TypeCheckError):
     def __init__(self, name):
-        super().__init__(f"unbound variable '{name}'")
+        super().__init__(f"unbound variable {_echo(name)}")
         self.name = name
 
 

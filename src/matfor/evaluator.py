@@ -103,7 +103,7 @@ from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, OrderKind, OrderPrim, Prod, ScalarMul, Sum, Transpose,
                   UNIT, Var)
 from .errors import (EvalError, FormatError, MatforError, MissingDimension,
-                     ShapeMismatch, UnboundVariable)
+                     ShapeMismatch, UnboundVariable, _echo)
 from .functions import resolve
 from .instance import Instance
 from .matrix import KMatrix, mat_add, mat_map, mat_mul, mat_scale, mat_transpose
@@ -294,7 +294,7 @@ class _Ctx:
             return self.inst.dims[sym]
         except KeyError:
             raise MissingDimension(
-                f"no dimension assigned to size symbol '{sym}' ({what})"
+                f"no dimension assigned to size symbol {_echo(sym)} ({what})"
             ) from None
 
     def binder_sizes(self, e, shapes):
@@ -308,9 +308,9 @@ class _Ctx:
                 binder_types(e, env)[e.acc]
                 if e.__class__ is For and e.init is None else None)
         except UnboundVariable as exc:
-            raise MissingDimension(f"no type for loop binder '{exc.name}' in "
-                                   f"the schema or the scope") from None
-        what = f"binder of loop over '{e.var}'"
+            raise MissingDimension(f"no type for loop binder {_echo(exc.name)}"
+                                   f" in the schema or the scope") from None
+        what = f"binder of loop over {_echo(e.var)}"
         return self.dim(it.rows, what), acc and (self.dim(acc.rows, what),
                                                  self.dim(acc.cols, what))
 
@@ -351,7 +351,7 @@ class _Ctx:
 
         if cls is Var:
             if e.name not in shapes:
-                raise EvalError(f"no value bound to variable '{e.name}'")
+                raise EvalError(f"no value bound to variable {_echo(e.name)}")
             return itemgetter(e.name), shapes[e.name]
 
         if cls is MatMul or cls is Add:
@@ -404,7 +404,7 @@ class _Ctx:
             arity, impl = resolve(e.func, sr)
             if arity != len(e.args):
                 raise EvalError(
-                    f"function '{e.func}' expects {arity} arguments, "
+                    f"function {_echo(e.func)} expects {arity} arguments, "
                     f"got {len(e.args)}")
             fs, ss = [], []
             for a in e.args:
@@ -434,7 +434,7 @@ class _Ctx:
             if s1 != s0:
                 raise ShapeMismatch(
                     f"loop body has shape {s1}, its accumulator "
-                    f"'{e.acc}' {s0}")
+                    f"{_echo(e.acc)} {s0}")
             return self._loop(e, n, start, body), s0
 
         if cls is Sum or cls is Prod or cls is Hadamard:
@@ -516,7 +516,7 @@ class _Ctx:
             try:
                 vals = [f(env) for f in fs]
             except EvalError as exc:
-                exc.add_context(f"loop over '{var}', iteration 1 of {n}")
+                exc.add_context(f"loop over {_echo(var)}, iteration 1 of {n}")
                 raise
             # each iteration's term, in index order
             terms = None
@@ -556,7 +556,7 @@ class _Ctx:
                     val = body(inner)
                 except EvalError as exc:
                     exc.add_context(
-                        f"loop over '{var}', iteration {step} of {n}")
+                        f"loop over {_echo(var)}, iteration {step} of {n}")
                     raise
                 acc = val if fold is None or step == 1 else fold(acc, val)
             return acc

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import MatrixType, Schema, UNIT
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, _echo
 from .matrix import KMatrix, from_rows
-from .semiring import Semiring, _echo, read_semiring_line, records
+from .semiring import Semiring, _count, read_semiring_line, records
 
 
 @dataclass
@@ -41,7 +41,7 @@ class Instance:
         for sym, n in self.dims.items():
             if n < 1:
                 raise ShapeError(
-                    f"size symbol '{sym}' has dimension {n}; dimensions "
+                    f"size symbol {_echo(sym)} has dimension {n}; dimensions "
                     f"must be >= 1")
 
 
@@ -55,10 +55,7 @@ class LoadedInstance:
 def set_dimension(dims: dict[str, int], sym: str, text: str, line=None):
     """Give `sym` the dimension written `text` in `dims`: an integer >= 1,
     and the one `sym` already has if it has one."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise FormatError(f"bad dimension {_echo(text)}", line) from None
+    n = _count(text, "dimension", line)
     if n < 1:
         raise FormatError("dimensions must be >= 1", line)
     if dims.setdefault(sym, n) != n:

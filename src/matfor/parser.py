@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul,
                   MatrixType, Ones, OrderKind, OrderPrim, Prod, Schema,
                   ScalarMul, SourceSpan, Sum, Transpose, Var)
-from .errors import DuplicateVariable, ParseError
+from .errors import DuplicateVariable, ParseError, _echo
 from .semiring import _parse_nat, records
 
 KEYWORDS = {"for", "sum", "prod", "hprod", "ones", "diag",
@@ -102,10 +102,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def reject(self, tok, expected, form="unexpected {}", end=""):
+        """Raise a `ParseError` quoting `tok` (or `end` at eof) in `form`."""
+        raise ParseError(form.format(_echo(tok.text or end)), tok.span,
+                         expected)
+
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text!r}", tok.span, {kind})
+            self.reject(tok, {kind})
         return self.advance()
 
     def at(self, *kinds):
@@ -120,8 +125,7 @@ class _Parser:
                              self.peek().span) from None
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.span,
-                             {"end"})
+            self.reject(tok, {"end"}, "trailing input {}")
         return node
 
     # ---- grammar -------------------------------------------------------
@@ -214,10 +218,8 @@ class _Parser:
                 self.expect(")")
                 return Apply(tok.text, tuple(args), span=tok.span)
             return Var(tok.text, span=tok.span)
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                         tok.span,
-                         {"(", "[", "identifier", "for", "sum", "prod",
-                          "hprod", "ones", "diag"})
+        self.reject(tok, {"(", "[", "identifier", "for", "sum", "prod",
+                          "hprod", "ones", "diag"}, end="end of input")
 
     def literal(self):
         sign = 1
@@ -233,8 +235,7 @@ class _Parser:
             if re.fullmatch(r"\d+", text):
                 return sign * _parse_nat(text)
             return sign * float(text)
-        raise ParseError(f"unexpected {tok.text!r} in scalar literal",
-                         tok.span, {"number", "inf"})
+        self.reject(tok, {"number", "inf"}, "unexpected {} in scalar literal")
 
 
 def parse_expr(text: str) -> Expr:

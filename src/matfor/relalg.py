@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 from .ast import drive
 from .errors import (FormatError, ParseError, SignatureViolation,
-                     UnknownRelation)
+                     UnknownRelation, _echo)
 from .parser import KEYWORDS, _Parser
-from .semiring import REAL, Semiring, _echo, read_semiring_line, records
+from .semiring import REAL, Semiring, _count, read_semiring_line, records
 
 Tuple_ = tuple  # tuples of (attr, value) pairs sorted by attr
 
@@ -146,7 +146,7 @@ def signature_of(q: RAExpr, relschema: dict[str, frozenset[str]]) -> frozenset[s
 def _signature(q, relschema):
     if isinstance(q, Rel):
         if q.name not in relschema:
-            raise UnknownRelation(f"unknown relation '{q.name}'")
+            raise UnknownRelation(f"unknown relation {_echo(q.name)}")
         return frozenset(relschema[q.name])
     if isinstance(q, Union):
         ls = yield q.left, relschema
@@ -250,8 +250,7 @@ class _RAParser(_Parser):
     def name(self):
         tok = self.advance()
         if tok.kind != "ident" and tok.kind not in KEYWORDS:
-            raise ParseError(f"unexpected {tok.text!r}", tok.span,
-                             {"identifier"})
+            self.reject(tok, {"identifier"})
         return tok.text
 
     def query(self):
@@ -260,8 +259,7 @@ class _RAParser(_Parser):
             return Rel(self.name())
         op = _OPERATORS.get(tok.text)
         if op is None:
-            raise ParseError(f"unexpected {tok.text!r}", tok.span,
-                             {"rel", *_OPERATORS})
+            self.reject(tok, {"rel", *_OPERATORS})
         if op is Union or op is Join:
             self.expect("(")
             left = self.query()
@@ -361,11 +359,7 @@ def parse_relations(text: str):
                 raise FormatError(
                     f"tuple has {len(vals)} values, expected {len(sig)}",
                     lineno)
-            try:
-                point = [int(v) for v in vals]
-            except ValueError:
-                raise FormatError("tuple values must be integers",
-                                  lineno) from None
+            point = [_count(v, "tuple value", lineno) for v in vals]
             if any(v < 1 for v in point):
                 raise FormatError("tuple values must be positive", lineno)
             try:

@@ -23,7 +23,10 @@ only asserted over the exact semirings.
 
 Instance, relation, schema and circuit files read their lines through
 `records`, and the files with a carrier read its ``semiring NAME`` line
-through `read_semiring_line`.
+through `read_semiring_line`.  A count written in text (a dimension, a
+tuple value, a gate index or position, a function's arity) becomes an int
+only through `_count`, and a token quoted back in a message goes through
+`errors._echo`, which cuts a long one short.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .errors import DivisionByZero, FormatError, MatforError
+from .errors import DivisionByZero, FormatError, MatforError, _echo
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,12 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
-def _echo(text):
-    """`text` quoted for an error message, cut short if it is long."""
-    return repr(text) if len(text) <= 40 else f"{text[:37]!r}..."
+def _count(text, what, line=None):
+    """The int `text` writes, else a `FormatError` that quotes it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad {what} {_echo(text)}", line) from None
 
 
 def _parse_real(text):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from . import ast
 from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
-from .errors import ArityMismatch, TypeCheckError
+from .errors import ArityMismatch, TypeCheckError, _echo
 from .typecheck import _check, binder_types, type_in_env
 
 
@@ -135,7 +135,8 @@ def _reduce(e, env, fresh):
     """The rewrite of `e` and its outcome in `env`.  An application whose
     first argument does not type raises that error."""
     if isinstance(e, Apply) and not e.args:
-        raise ArityMismatch(f"function '{e.func}' applied to no arguments")
+        raise ArityMismatch(
+            f"function {_echo(e.func)} applied to no arguments")
     out, outcome, outcomes = yield from _typed(e, env)
     if not isinstance(e, Apply):
         return out, outcome

@@ -13,7 +13,7 @@ from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, OrderKind, OrderPrim, Prod, ScalarMul, Sum, Transpose,
                   UNIT, Var)
 from .errors import (ArityMismatch, IteratorNotVector, TypeMismatch,
-                     UnboundVariable)
+                     UnboundVariable, _echo)
 from .functions import builtin_arity
 
 
@@ -57,7 +57,7 @@ def _vector_iterator_type(loop, env):
     t = iterator_type(loop, env)
     if t.cols != UNIT or t.rows == UNIT:
         raise IteratorNotVector(
-            f"loop iterator '{loop.var}' must have type (gamma, 1) with "
+            f"loop iterator {_echo(loop.var)} must have type (gamma, 1) with "
             f"gamma != 1, got {t}")
     return t
 
@@ -98,11 +98,12 @@ def _check(e, env):
 
     if isinstance(e, Apply):
         if not e.args:
-            raise ArityMismatch(f"function '{e.func}' applied to no arguments")
+            raise ArityMismatch(
+                f"function {_echo(e.func)} applied to no arguments")
         arity = builtin_arity(e.func)
         if arity is not None and arity != len(e.args):
             raise ArityMismatch(
-                f"function '{e.func}' expects {arity} arguments, "
+                f"function {_echo(e.func)} expects {arity} arguments, "
                 f"got {len(e.args)}")
         t0 = yield e.args[0], env
         for a in e.args[1:]:

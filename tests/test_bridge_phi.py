@@ -150,6 +150,15 @@ def test_names_outside_the_pointwise_families_are_rejected(src):
         phi_translate(parse_expr(src), SCHEMA)
 
 
+@pytest.mark.parametrize("name", ["f" * 5000, "hsum" + "1" * 5000],
+                         ids=["name", "arity past the int-string limit"])
+def test_a_long_function_name_is_echoed_cut_short(name):
+    with pytest.raises(UnsupportedFunction) as err:
+        phi_translate(parse_expr(f"{name}(V, V)"), SCHEMA)
+    assert str(err.value).startswith(f"function '{name[:37]}'...")
+    assert len(str(err.value)) < 200
+
+
 
 
 def test_an_accumulator_typed_by_the_enclosing_loop_translates():

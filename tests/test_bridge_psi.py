@@ -82,6 +82,14 @@ def test_non_binary_schema_is_rejected():
         psi_translate(parse_ra("rel R"), {"R": frozenset({"a", "b", "c"})})
 
 
+def test_a_long_relation_name_is_echoed_cut_short():
+    name = "R" * 5000
+    with pytest.raises(SchemaNotBinary) as err:
+        psi_translate(parse_ra(f"rel {name}"),
+                      {name: frozenset({"a", "b", "c"})})
+    assert str(err.value) == f"relation '{'R' * 37}'... has arity 3 > 2"
+
+
 def test_wide_output_is_rejected():
     with pytest.raises(OutputArityTooLarge):
         psi_translate(parse_ra("join(rel R, rel S)"), BINARY)

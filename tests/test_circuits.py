@@ -152,6 +152,59 @@ def test_loader_rejects_an_output_position_below_one():
         load_circuit("g0 = const1\noutput[1,2] = g0\noutput[0,0] = g0")
 
 
+_PAST = "1" * 5000  # past Python's int-string limit
+
+
+@pytest.mark.parametrize("text", [
+    f"g{_PAST} = const1",
+    f"g0 = const1\noutput[{_PAST},1] = g0",
+    f"g0 = const1\noutput[1,1] = g{_PAST}",
+    f"g0 = input V[1,{_PAST}]",
+    f"g0 = const1\ng1 = sum g0 g{_PAST}",
+], ids=["gate index", "output position", "output reference",
+        "input position", "child reference"])
+def test_a_number_past_the_int_string_limit_is_a_format_error(text):
+    with pytest.raises(FormatError) as err:
+        load_circuit(text)
+    assert str(err.value).startswith(f"line {text.count(chr(10)) + 1}: "
+                                     f"bad number '{'1' * 37}'...")
+
+
+_LONG = "1" * 4000  # within the limit
+
+
+@pytest.mark.parametrize("text, message", [
+    ("g1 = const1", "line 1: gate 'g1' out of order (expected g0)"),
+    (f"g{_LONG} = const1",
+     f"line 1: gate 'g{'1' * 36}'... out of order (expected g0)"),
+    ("g0 = const1\noutput[1,1] = g0\noutput[1,1] = g0",
+     "line 3: 'output[1,1]' is given twice"),
+    (f"g0 = const1\noutput[{_LONG},1] = g0\noutput[{_LONG},1] = g0",
+     f"line 3: 'output[{'1' * 30}'... is given twice"),
+    ("g0 = sum g1", "gate g0 references 'g1', which does not precede it"),
+    (f"g0 = sum g{_LONG}",
+     f"gate g0 references 'g{'1' * 36}'..., which does not precede it"),
+    ("g0 = const1\noutput[1,1] = g1", "output references missing gate 'g1'"),
+    (f"g0 = const1\noutput[1,1] = g{_LONG}",
+     f"output references missing gate 'g{'1' * 36}'..."),
+], ids=[f"{what} {size}" for what in ["order", "twice", "precede", "missing"]
+        for size in ["short", "long"]])
+def test_a_gate_reference_is_quoted_cut_short(text, message):
+    with pytest.raises(FormatError) as err:
+        load_circuit(text)
+    assert str(err.value) == message
+
+
+def test_a_missing_input_is_quoted_cut_short():
+    c = load_circuit(f"g0 = input {'V' * 5000}[1,1]\noutput[1,1] = g0")
+    with pytest.raises(MissingInput) as err:
+        eval_circuit(c, {})
+    assert str(err.value) == f"no value for input '{'V' * 37}'..."
+    c = load_circuit("g0 = input V[1,2]\noutput[1,1] = g0")
+    with pytest.raises(MissingInput, match=r"^no value for input 'V\[1,2\]'$"):
+        eval_circuit(c, {})
+
+
 def test_division_past_the_float_range_is_what_evaluate_gives():
     # V[1,1] = 2 squared eleven times is 2 ** 2048, divided by V[1,1]
     lines = ["g0 = input V[1,1]"]

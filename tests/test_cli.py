@@ -470,3 +470,18 @@ def test_a_long_rational_divided_by_zero_is_an_eval_error(files, capsys):
                          "--instance", inst)
     assert (code, out) == (3, "")
     assert err.startswith("error: division by zero")
+
+
+def test_circuit_stats_on_a_number_past_the_int_string_limit(files, capsys):
+    circuit = files("big.circ",
+                    f"g0 = input V[{'1' * 5000},1]\noutput[1,1] = g0\n")
+    code, out, err = run(capsys, "circuit-stats", "--circuit", circuit)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and len(err) < 200
+
+
+def test_check_a_pointwise_name_past_the_int_string_limit(files, capsys):
+    schema = files("s.schema", "var V : alpha x alpha\n")
+    code, out, err = run(capsys, "check", "-e", f"hsum{'1' * 5000}(V, V)",
+                         "--schema", schema)
+    assert (code, out, err) == (0, "alpha x alpha\n", "")

@@ -1,5 +1,6 @@
-"""The command-line driver on arbitrary input: every run ends with one of
-the documented exit codes, raises nothing and prints no traceback."""
+"""The command-line driver on arbitrary input, names of 5,000 characters
+included: every run ends with one of the documented exit codes, raises
+nothing and prints no traceback."""
 
 import contextlib
 import io
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from matfor.cli import main
 from matfor.printer import pretty
 from matfor.semiring import SEMIRINGS
-from test_loader_fuzz import INSTANCE_FILES, RELATION_FILES, _circuit_files
+from test_loader_fuzz import (HUGE, INSTANCE_FILES, LONG_NAME, RELATION_FILES,
+                              _circuit_files)
 from test_parser import _exprs
 
 # a declaration for every name `_exprs` draws
@@ -46,9 +48,17 @@ def schema_file(tmp_path_factory):
 # literals past the float range and past Python's int-string limit
 LONG_LITERALS = [f"[1{'0' * 400}] .* V", f"[1{'0' * 5000}] .* V"]
 
+# a name of 5,000 characters in each place a name goes, and a pointwise
+# function whose arity is past the int-string limit
+LONG_NAMES = st.sampled_from([
+    f"V + {LONG_NAME}", f"{LONG_NAME}(V)", f"hsum{HUGE[1]}(V, V)",
+    f"sum {LONG_NAME} . V", f"for {LONG_NAME}, X . X + {LONG_NAME}",
+    f"Sless[{LONG_NAME}]", f"V {LONG_NAME}", f"[{LONG_NAME}]"])
+EXPRS = st.one_of(_exprs().map(pretty), st.text(max_size=40), LONG_NAMES)
+
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@given(text=st.one_of(_exprs().map(pretty), st.text(max_size=40)))
+@given(text=EXPRS)
 @example(text=LONG_LITERALS[0])
 @example(text=LONG_LITERALS[1])
 @settings(max_examples=150, deadline=None)
@@ -102,11 +112,12 @@ relation S a
 
 
 def _ra_texts():
-    """Relational queries over R, S and a name with no relation."""
+    """Relational queries over R, S and two names with no relation, one of
+    5,000 characters."""
     attrs = st.lists(st.sampled_from("abc"), min_size=1, max_size=2).map(
         ", ".join)
     return st.recursive(
-        st.sampled_from(["rel R", "rel S", "rel T"]),
+        st.sampled_from(["rel R", "rel S", "rel T", f"rel {LONG_NAME}"]),
         lambda q: st.one_of(
             st.tuples(st.sampled_from(["union", "join"]), q, q).map(
                 lambda t: f"{t[0]}({t[1]}, {t[2]})"),
@@ -141,7 +152,7 @@ def files(tmp_path_factory):
     return write
 
 
-@given(text=st.one_of(_exprs().map(pretty), st.text(max_size=40)))
+@given(text=EXPRS)
 @example(text=LONG_LITERALS[0])
 @example(text=LONG_LITERALS[1])
 @settings(max_examples=150, deadline=None)

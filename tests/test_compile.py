@@ -92,6 +92,14 @@ def test_unassigned_symbol():
         compile_expr(parse_expr("V"), s, {"alpha": 2})
 
 
+def test_a_long_unassigned_symbol_is_echoed_cut_short():
+    s = parse_schema(f"var {'V' * 5000} : alpha x {'b' * 5000}")
+    with pytest.raises(UnassignedSymbol) as err:
+        compile_expr(parse_expr("V" * 5000), s, {"alpha": 2})
+    assert str(err.value) == (f"no dimension assigned to size symbol "
+                              f"'{'b' * 37}'... (variable '{'V' * 37}'...)")
+
+
 def test_negative_literals_cannot_survive_to_gates():
     s = parse_schema("var x : 1 x 1")
     with pytest.raises(UnsupportedConstant):

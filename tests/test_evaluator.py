@@ -639,6 +639,25 @@ def test_unbound_variable_raises_before_any_closure_runs():
         ev("div([1], [0]) + Z", "var Z : 1 x 1", {})
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("text, schema, dims, message", [
+    (_LONG, f"var {_LONG} : 1 x 1", {}, "no value bound to variable 'xxx"),
+    (f"f{_LONG}([1])", "", {}, "unknown function 'fxx"),
+    (f"sum {_LONG} . {_LONG}", "", {}, "no type for loop binder 'xxx"),
+    (f"sum v . v", f"var v : {_LONG} x 1", {},
+     "no dimension assigned to size symbol 'xxx"),
+    (f"sum {_LONG} . div([1], [0])", f"var {_LONG} : alpha x 1",
+     {"alpha": 2}, "[loop over 'xxx"),
+], ids=["unbound", "function", "binder", "size symbol", "loop context"])
+def test_a_long_name_is_echoed_cut_short(text, schema, dims, message):
+    with pytest.raises(EvalError) as err:
+        ev(text, schema, dims)
+    assert message in str(err.value) and "x' ..." not in str(err.value)
+    assert len(str(err.value)) < 200
+
+
 # An unannotated loop binder takes the type of the enclosing binder of its
 # name, else of its schema declaration, in the evaluator as in `typecheck`.
 

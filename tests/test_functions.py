@@ -8,9 +8,10 @@ from matfor import stdlib
 from matfor.ast import Apply, walk
 from matfor.circuit_compile import compile_expr
 from matfor.circuits import eval_circuit
-from matfor.errors import FunctionUnavailableForSemiring, UnsupportedFunction
+from matfor.errors import (FunctionUnavailableForSemiring, UnknownFunction,
+                           UnsupportedFunction, _echo)
 from matfor.evaluator import evaluate
-from matfor.functions import resolve
+from matfor.functions import pointwise, resolve
 from matfor.instance import Instance
 from matfor.matrix import from_rows
 from matfor.parser import parse_expr, parse_schema
@@ -68,3 +69,14 @@ def test_library_functions_resolve_over_real(name):
         if isinstance(node, Apply):
             arity, _ = resolve(node.func, REAL)
             assert arity == len(node.args)
+
+
+def test_a_pointwise_name_past_18_digits_is_an_unknown_function():
+    assert pointwise("hsum" + "9" * 18) == ("hsum", 10 ** 18 - 1)
+    for digits in (19, 5000):  # the second past the int-string limit
+        name = "hprod" + "1" * digits
+        assert pointwise(name) is None
+        with pytest.raises(UnknownFunction) as err:
+            resolve(name, NAT)
+        assert str(err.value) == f"unknown function {_echo(name)}"
+        assert len(str(err.value)) < 60

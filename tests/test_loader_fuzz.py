@@ -1,7 +1,8 @@
 """The file loaders on arbitrary line-structured text, blank lines and
-comments mixed in: each gives a result or raises a `MatforError`, and a
-circuit that loads can be analysed, dumped, reloaded and evaluated the same
-way."""
+comments mixed in, numerals past Python's int-string limit in every integer
+slot and names of 5,000 characters: each gives a result or raises a
+`MatforError`, and a circuit that loads can be analysed, dumped, reloaded
+and evaluated the same way."""
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -13,10 +14,13 @@ from matfor.instance import parse_instance
 from matfor.parser import format_schema, parse_schema
 from matfor.relalg import parse_relations
 
+# numerals past Python's int-string limit of 4,300 digits, and a long name
+HUGE = ["1" * 4301, "9" * 5000]
+LONG_NAME = "n" * 5000
 _NUMBERS = ["0", "1", "2", "3", "-1", "0.5", "1e400", "inf", "-inf", "nan",
-            "x", "1_0", "\u0663"]
+            "x", "1_0", "\u0663", *HUGE]
 _SEMIRINGS = ["nat", "real", "bool", "tropical", "rational"]
-_SYMS = ["alpha", "beta", "1", "x"]
+_SYMS = ["alpha", "beta", "1", "x", LONG_NAME]
 # lines that hold nothing once their comment is cut off, and trailers
 _GAPS = st.sampled_from(["", "   ", "\t", "# note", "  # a # b", "#"])
 _TRAILERS = st.sampled_from(["", "", "", " # note", "#", "  #1 2 :"])
@@ -50,9 +54,10 @@ def _files(*lines):
 
 INSTANCE_FILES = _files(
     (["semiring"], _SEMIRINGS), (["size"], _SYMS, _NUMBERS),
-    (["matrix"], ["V", "W"], _SYMS, _SYMS))
+    (["matrix"], ["V", "W", LONG_NAME], _SYMS, _SYMS))
 RELATION_FILES = _files(
-    (["relation"], ["R", "S"], ["a", "b", ""]), (["semiring"], _SEMIRINGS),
+    (["relation"], ["R", "S", LONG_NAME], ["a", "b", "", LONG_NAME]),
+    (["semiring"], _SEMIRINGS),
     (_NUMBERS, [":"], _NUMBERS), (_NUMBERS, _NUMBERS, [":"], _NUMBERS))
 SCHEMA_FILES = _files(
     (["var"], ["V", "u"], [":"], _SYMS, ["x"], _SYMS),
@@ -70,10 +75,11 @@ def _circuit_files(draw):
         return draw(st.sampled_from([False] * 9 + [True]))
 
     def index(bound):
-        # mostly below `bound`, now and then anything up to 9
+        # mostly below `bound`, now and then anything up to 9 or a numeral
+        # past the int-string limit
         if bound and not rarely():
             return draw(st.integers(0, bound - 1))
-        return draw(st.integers(0, 9))
+        return draw(st.sampled_from([*map(str, range(10)), *HUGE]))
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(
             ["input"] * 3 + ["const0", "const1"] + ["sum", "prod"] * 2
@@ -86,7 +92,7 @@ def _circuit_files(draw):
             lines.append(f"output[{index(3)},{index(3)}] = g{index(gates)}")
         else:
             if kind == "input":
-                name = draw(st.sampled_from("VW"))
+                name = draw(st.sampled_from(["V", "W", LONG_NAME]))
                 kind = f"input {name}[{index(3)},{index(3)}]"
             elif kind not in ("const0", "const1"):
                 # div mostly with its two children

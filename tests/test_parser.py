@@ -128,6 +128,22 @@ def test_syntax_error_messages_quote_the_token(bad, message):
     assert str(err.value) == message
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("bad", [
+    "(V " + _LONG,         # `expect`
+    "V " + _LONG,          # `whole`
+    "V + " + "1" * 5000,   # `atom`
+    f"[{_LONG}]",          # `literal`
+], ids=["expect", "trailing", "atom", "literal"])
+def test_a_long_token_is_echoed_cut_short(bad):
+    with pytest.raises(ParseError) as err:
+        parse_expr(bad)
+    assert f"'{bad.rstrip(']')[-1] * 37}'..." in str(err.value)
+    assert len(str(err.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # schemas
 

@@ -222,6 +222,31 @@ def test_ra_syntax_error_messages_quote_the_token(bad, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad", ["R" * 5000, "rel " + "1" * 5000],
+                         ids=["query", "name"])
+def test_a_long_ra_token_is_echoed_cut_short(bad):
+    with pytest.raises(ParseError) as err:
+        parse_ra(bad)
+    assert f"'{bad[-1] * 37}'..." in str(err.value)
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "line 2: bad tuple value 'x'"),
+    ("1" * 5000, f"line 2: bad tuple value '{'1' * 37}'..."),
+], ids=["letter", "past the int-string limit"])
+def test_a_tuple_value_that_is_no_integer_is_quoted(value, message):
+    with pytest.raises(FormatError) as err:
+        parse_relations(f"relation R a\n{value} : 1")
+    assert str(err.value) == message
+
+
+def test_a_long_unknown_relation_is_echoed_cut_short():
+    with pytest.raises(UnknownRelation) as err:
+        eval_ra(parse_ra("rel " + "S" * 5000), {}, NAT)
+    assert str(err.value) == f"unknown relation '{'S' * 37}'..."
+
+
 def test_relation_file_round_trip():
     text = ("semiring nat\n"
             "relation R a b\n"

@@ -1,7 +1,7 @@
 import pytest
 
-from matfor.ast import (Add, For, MatMul, MatrixType, Schema, Sum, Transpose,
-                        Var)
+from matfor.ast import (Add, Apply, For, MatMul, MatrixType, Schema, Sum,
+                        Transpose, Var)
 from matfor.errors import (ArityMismatch, IteratorNotVector, TypeMismatch,
                            UnboundVariable)
 from matfor.parser import parse_expr, parse_schema
@@ -52,6 +52,18 @@ def test_rule_table(text, schema, expected):
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         check("V", "")
+
+
+@pytest.mark.parametrize("expr, schema, error", [
+    (parse_expr("V + " + "x" * 5000), "var V : 1 x 1", UnboundVariable),
+    (Apply("f" * 5000, ()), "", ArityMismatch),
+    (parse_expr("sum " + "v" * 5000 + " . V"),
+     "var " + "v" * 5000 + " : 1 x 1\nvar V : 1 x 1", IteratorNotVector),
+], ids=["unbound", "no arguments", "iterator"])
+def test_a_long_name_is_echoed_cut_short(expr, schema, error):
+    with pytest.raises(error) as err:
+        typecheck(expr, parse_schema(schema))
+    assert "..." in str(err.value) and len(str(err.value)) < 200
 
 
 def test_addition_requires_equal_types():
