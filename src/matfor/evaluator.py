@@ -80,6 +80,26 @@ changes only how often a node is computed, never what it computes:
 evaluation is deterministic, so every result is bit-identical to memoising
 every node.
 
+Each evaluation also keeps a product cache (`_Products`).  A product whose
+build-time shapes have rows, inner and cols all above one, in a ``*`` or a
+``prod`` fold, is looked up by its shape and its operands' entries: floats
+by their bits, so -0.0 and 0.0, and nan payloads, stay apart; int, bool
+and `Fraction` entries by value and class.  Operands with entries of
+mixed classes or of another class (the compiler's gates, an unknown
+carrier) go to the kernel, as do selections, 1 x 1 values and the row
+fold's terms.  A miss calls this module's `mat_mul`, so a wrapper around it
+sees only the products that run.  The cache holds at most
+`_PRODUCT_ENTRIES` matrix entries; a product past that is not inserted.
+This is hash-consing (Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006) applied to kernel calls.  The memo and
+the cache skip different repeats.  The memo skips a node whose key recurs,
+and with it the node's whole subtree; it keys a `KMatrix` by identity, so
+it cannot see equal operands that no DAG node shares, such as the prefix
+products ``A^(p-1) * A`` that `stdlib._pow` rebuilds as fresh stages of a
+``prod`` for each power.  The cache sees those, but only once both
+operands have been computed, so it saves the one kernel call and none of
+the work that made them, which the memo skips.
+
 Nothing here depends on the carrier beyond the semiring's operations,
 constants and pointwise functions: ``circuit_compile`` builds a circuit
 by running `evaluate` over a semiring whose carrier values are constants or
@@ -92,6 +112,8 @@ must produce the same result for every order.
 
 from __future__ import annotations
 
+from array import array
+from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import copysign
@@ -116,6 +138,10 @@ mat_equal = matrix.mat_equal
 
 #: the shape of a node or variable carried as a bare carrier value
 _SC = (1, 1)
+
+#: the most matrix entries one evaluation's product cache holds, summed
+#: over its products' operands and results (`_Products`)
+_PRODUCT_ENTRIES = 1 << 18
 
 
 def _memo_numbers(root, nodes):
@@ -181,15 +207,61 @@ def _memoised(cache, raw, prefix, fv, scope):
     return run
 
 
-def _step(cls, sr, left, right):
+def _entries_key(entries):
+    """The product-cache form of a matrix's entries, equal only for equal
+    entries of one class, floats compared by their bits; None where the
+    entries are of mixed or other classes (a gate, an unknown carrier)."""
+    kinds = set(map(type, entries))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is float:
+        return array("d", entries).tobytes()
+    return (kind, entries) if kind in (int, bool, Fraction) else None
+
+
+class _Products(dict):
+    """One evaluation's products over `sr`: the result of `mat_mul` keyed
+    by ``(rows, inner, cols, key(a), key(b))`` (`_entries_key`).  `held`
+    counts the matrix entries of the operands and results it holds; a
+    product that would take it past `_PRODUCT_ENTRIES` is computed and not
+    inserted."""
+
+    __slots__ = ("sr", "held")
+
+    def __init__(self, sr):
+        super().__init__()
+        self.sr = sr
+        self.held = 0
+
+    def mul(self, a, b):
+        ka, kb = _entries_key(a.entries), _entries_key(b.entries)
+        if ka is None or kb is None:
+            return mat_mul(a, b, self.sr)
+        key = (a.rows, a.cols, b.cols, ka, kb)
+        got = self.get(key)
+        if got is None:
+            got = mat_mul(a, b, self.sr)
+            held = self.held + len(a.entries) + len(b.entries) + len(
+                got.entries)
+            if held <= _PRODUCT_ENTRIES:
+                self[key], self.held = got, held
+        return got
+
+
+def _step(cls, sr, left, right, products=None):
     """The operation that combines carried values of shapes `left` and
     `right` by `cls` (`Add`, `MatMul` or entrywise `Hadamard`), and the
-    shape of its result; `ShapeMismatch` if the shapes do not fit."""
+    shape of its result; `ShapeMismatch` if the shapes do not fit.  A
+    product whose rows, inner and cols are all above one goes through
+    `products` when it is given."""
     plus, times, zero = sr.plus, sr.times, sr.zero
     if cls is MatMul:
         if left[1] != right[0]:
             raise ShapeMismatch(f"cannot multiply {left} by {right}")
         out = (left[0], right[1])
+        if products is not None and min(left[0], left[1], right[1]) > 1:
+            return products.mul, out
     elif left != right:
         raise ShapeMismatch(f"cannot add {left} and {right}")
     else:
@@ -272,6 +344,7 @@ class _Ctx:
         self.schema = schema.vars if schema is not None else {}
         self.order = order
         self.cache = {}
+        self.products = _Products(sr)
         self.nodes = nodes = ast.node_table(root)
         self.memo = _memo_numbers(root, nodes)
         self.resized = _resized(root, nodes)
@@ -365,7 +438,7 @@ class _Ctx:
             steps = []
             for c in reversed(operands):
                 f, s = yield c, shapes
-                op, shape = _step(cls, sr, shape, s)
+                op, shape = _step(cls, sr, shape, s, self.products)
                 steps.append((op, f))
 
             def run(env):
@@ -445,7 +518,7 @@ class _Ctx:
                 return run, _SC
             body, s = yield e.body, scope
             fold, _ = _step({Sum: Add, Prod: MatMul}.get(cls, Hadamard), sr,
-                            s, s)
+                            s, s, self.products)
             return self._loop(e, n, None, body, fold), s
 
         if cls is Ones:
