@@ -64,7 +64,7 @@ class MatrixType:
         return self.rows == UNIT and self.cols == UNIT
 
     def __str__(self):
-        return f"{self.rows} x {self.cols}"
+        return f"{_echo(self.rows, str)} x {_echo(self.cols, str)}"
 
 
 SCALAR = MatrixType(UNIT, UNIT)

@@ -9,9 +9,11 @@ appends as exceptions propagate outward.
 from __future__ import annotations
 
 
-def _echo(text):
-    """`text` quoted for an error message, cut short if it is long."""
-    return repr(text) if len(text) <= 40 else f"{text[:37]!r}..."
+def _echo(text, quote=repr):
+    """`text` quoted by `quote` for an error message, cut short if it is
+    long; ``quote=str`` prints a number or a size symbol as it is."""
+    text = str(text)
+    return quote(text) if len(text) <= 40 else f"{quote(text[:37])}..."
 
 
 class MatforError(Exception):

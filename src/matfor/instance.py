@@ -60,7 +60,8 @@ def set_dimension(dims: dict[str, int], sym: str, text: str, line=None):
         raise FormatError("dimensions must be >= 1", line)
     if dims.setdefault(sym, n) != n:
         raise FormatError(
-            f"size symbol {_echo(sym)} already has dimension {dims[sym]}",
+            f"size symbol {_echo(sym)} already has dimension "
+            f"{_echo(dims[sym], str)}",
             line)
 
 
@@ -102,7 +103,8 @@ def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
                 at, row = next(lines, (None, None))
                 if at is None:
                     raise FormatError(
-                        f"matrix {_echo(name)} needs {nrows} rows", lineno)
+                        f"matrix {_echo(name)} needs "
+                        f"{_echo(nrows, str)} rows", lineno)
                 if at != rowno:
                     raise FormatError(
                         f"blank line inside matrix {_echo(name)}", rowno)
@@ -110,7 +112,7 @@ def parse_instance(text: str, sr: Semiring | None = None) -> LoadedInstance:
                 if len(vals) != ncols:
                     raise FormatError(
                         f"row of matrix {_echo(name)} has {len(vals)} "
-                        f"values, expected {ncols}", rowno)
+                        f"values, expected {_echo(ncols, str)}", rowno)
                 try:
                     rows.append([carrier.parse(v) for v in vals])
                 except FormatError as exc:

@@ -150,6 +150,25 @@ def test_a_long_token_is_echoed_cut_short(text, message):
     assert len(str(err.value)) < 120
 
 
+# the longest dimension Python reads from text: 4,300 digits
+HUGE = "1" * 4300
+
+
+@pytest.mark.parametrize("dim, shown", [("4", "4"), (HUGE, f"{'1' * 37}...")],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("tail, message", [
+    ("size a 2\n", "line 3: size symbol 'a' already has dimension {}"),
+    ("matrix V a 1\n", "line 3: matrix 'V' needs {} rows"),
+    ("matrix V 1 a\n1 2\n",
+     "line 4: row of matrix 'V' has 2 values, expected {}"),
+], ids=["resized", "rows", "values"])
+def test_a_dimension_is_echoed_whole_or_cut_short(dim, shown, tail,
+                                                  message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(f"semiring nat\nsize a {dim}\n{tail}")
+    assert str(err.value) == message.format(shown)
+
+
 def test_duplicate_matrix():
     text = "semiring nat\nsize a 1\nmatrix V a a\n1\nmatrix V a a\n1\n"
     with pytest.raises(FormatError):

@@ -66,6 +66,13 @@ def test_a_long_name_is_echoed_cut_short(expr, schema, error):
     assert "..." in str(err.value) and len(str(err.value)) < 200
 
 
+def test_a_long_size_symbol_is_echoed_cut_short():
+    with pytest.raises(TypeMismatch) as err:
+        check("V + W", f"var V : alpha x {'b' * 5000}\nvar W : alpha x alpha")
+    assert str(err.value) == (
+        f"addition needs equal types: alpha x {'b' * 37}... vs alpha x alpha")
+
+
 def test_addition_requires_equal_types():
     with pytest.raises(TypeMismatch):
         check("V + V^T", "var V : alpha x beta")
