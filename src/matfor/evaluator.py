@@ -242,25 +242,25 @@ class _Products(dict):
         got = self.get(key)
         if got is None:
             got = mat_mul(a, b, self.sr)
-            held = self.held + len(a.entries) + len(b.entries) + len(
-                got.entries)
-            if held <= _PRODUCT_ENTRIES:
-                self[key], self.held = got, held
+            size = len(a.entries) + len(b.entries) + len(got.entries)
+            if self.held + size <= _PRODUCT_ENTRIES:
+                self[key] = got
+                self.held += size
         return got
 
 
-def _step(cls, sr, left, right, products=None):
+def _step(cls, sr, left, right, products):
     """The operation that combines carried values of shapes `left` and
     `right` by `cls` (`Add`, `MatMul` or entrywise `Hadamard`), and the
     shape of its result; `ShapeMismatch` if the shapes do not fit.  A
     product whose rows, inner and cols are all above one goes through
-    `products` when it is given."""
+    `products`."""
     plus, times, zero = sr.plus, sr.times, sr.zero
     if cls is MatMul:
         if left[1] != right[0]:
             raise ShapeMismatch(f"cannot multiply {left} by {right}")
         out = (left[0], right[1])
-        if products is not None and min(left[0], left[1], right[1]) > 1:
+        if min(left[0], left[1], right[1]) > 1:
             return products.mul, out
     elif left != right:
         raise ShapeMismatch(f"cannot add {left} and {right}")
@@ -581,7 +581,7 @@ class _Ctx:
         sr, bases, indices, var = self.sr, self.bases(n), self.indices, e.var
         plus, times = sr.plus, sr.times
         zeros, ones = repeat(sr.zero), repeat(sr.one)
-        kernel, _ = _step(MatMul, sr, (1, n), (n, 1))
+        kernel, _ = _step(MatMul, sr, (1, n), (n, 1), self.products)
         first = (sr.zero,) if e.__class__ is For else ()  # a for from zero
 
         def run(env):
