@@ -298,6 +298,22 @@ def test_gate_numbers_do_not_follow_the_kernels_call_order(monkeypatch,
     assert dumps() == want
 
 
+@pytest.mark.parametrize("name", COMPILABLE)
+def test_the_product_cache_leaves_every_circuit_as_it_was(monkeypatch, name):
+    # a matrix that holds a gate is never cached; one of constants only is,
+    # and its product folds to the same constants
+    item = stdlib.all_named()[name]
+
+    def dumps():
+        return [dump_circuit(compile_expr(item.expr, item.schema,
+                                          {stdlib.ALPHA: n}))
+                for n in (2, 3)]
+
+    want = dumps()
+    monkeypatch.setattr(evaluator, "_PRODUCT_ENTRIES", 0)
+    assert dumps() == want
+
+
 # entries each semiring's agreement check draws, given the least integer
 # it may draw: small signed fractions, as criterion 9 draws them, over the
 # reals, and over the min-plus semiring its zero `inf` now and then

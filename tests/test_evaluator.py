@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 from fractions import Fraction
 from unittest import mock
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import dominant_real
+from conftest import dominant_real, run_named
 from matfor import evaluator, stdlib
+from matfor.circuit_compile import _Ref
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
                         Schema, Sum, Transpose, Var, free_vars)
 from matfor.errors import (DivisionByZero, EvalError,
@@ -933,3 +935,91 @@ def test_loops_that_select_otherwise_make_the_same_products(
              schema=item.schema)
     made = [1 for a, b in calls if min(a.rows, a.cols, b.cols) > 1]
     assert (len(calls) - len(made), len(made)) == (other, dense)
+
+
+# The product cache: equal dense products in one evaluation run once.
+
+# small signed fractions, and the values `_INPUT_VALUES` lacks: -0.0,
+# +-inf and nan, one to an input over the reals and min-plus
+_RATIONALS = tuple(Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3))
+_SPECIAL = (-0.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("sr", [REAL, TROPICAL, NAT, BOOL, RATIONAL],
+                         ids=lambda sr: sr.name)
+@pytest.mark.parametrize("name", ["determinant", "inverse", "power_sum"])
+def test_the_product_cache_changes_no_entry(monkeypatch, lib, name, sr):
+    # with the cap at 0 nothing is held, so every product runs; over nat,
+    # bool and min-plus `determinant` and `inverse` fail before any does
+    saved = 0
+    for seed in range(6):
+        rng, n = random.Random(seed), 3 + seed % 2
+        values = _INPUT_VALUES.get(sr, _RATIONALS)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if seed and sr in (REAL, TROPICAL):
+            rows[seed % n][rng.randrange(n)] = _SPECIAL[seed % 4]
+        inst = Instance({"alpha": n}, {"V": from_rows(rows)})
+        calls = _spy_mat_mul(monkeypatch)
+        cached = _outcome(lib[name], inst, sr)
+        cached_calls = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(evaluator, "_PRODUCT_ENTRIES", 0)
+            plain = _outcome(lib[name], inst, sr)
+        assert cached == plain, seed
+        saved += len(calls) - 2 * cached_calls
+    assert saved > 0 or isinstance(cached, type)
+
+
+def test_product_keys_are_equal_only_for_equal_bits_and_classes():
+    key = evaluator._entries_key
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    keys = [key(entries) for entries in [
+        (0.0, 1.0), (-0.0, 1.0), (math.nan, 1.0), (other_nan, 1.0),
+        (0, 1), (False, True), (Fraction(0), Fraction(1))]]
+    assert None not in keys and len(set(keys)) == len(keys)
+    assert key((math.nan, 1.0)) == keys[2]
+    # mixed classes, a gate, an unknown carrier
+    assert key((0, 1.0)) is key((_Ref("input", (1, 1)),)) is key(
+        (object(),)) is None
+
+
+def test_product_keys_tell_the_sign_of_zero_apart():
+    # min-plus: W * W is all 0.0 or inf, V * V all -0.0 or inf, and
+    # 0.0 == -0.0, so a key comparing floats by value would hand V * V the
+    # entries of W * W; `[inf] .*` makes W * W the zero matrix
+    inf = math.inf
+    e = Add(ScalarMul(Const(inf), MatMul(Var("W"), Var("W"))),
+            MatMul(Var("V"), Var("V")))
+    inst = Instance({}, {"W": from_rows([[0.0, inf], [inf, 0.0]]),
+                         "V": from_rows([[-0.0, inf], [inf, -0.0]])})
+    out = evaluate(e, inst, TROPICAL)
+    assert [repr(x) for x in out.entries] == ["-0.0", "inf", "inf", "-0.0"]
+
+
+def test_two_evaluations_do_not_share_products(monkeypatch, lib):
+    v = dominant_real(random.Random(7), 4)
+    made = _record_contexts(monkeypatch)
+    calls = _spy_mat_mul(monkeypatch)
+    first = run_named(lib, "power_sum", 4, V=v)
+    once = len(calls)
+    second = run_named(lib, "power_sum", 4, V=v)
+    assert first.entries == second.entries
+    assert len(calls) == 2 * once
+    assert made[0].products and made[1].products
+    assert made[0].products is not made[1].products
+
+
+def test_the_product_cache_holds_no_more_than_its_cap(monkeypatch, lib):
+    v = dominant_real(random.Random(8), 4)
+    want = run_named(lib, "power_sum", 4, V=v)
+    made = _record_contexts(monkeypatch)
+    calls = _spy_mat_mul(monkeypatch)
+    run_named(lib, "power_sum", 4, V=v)
+    unbounded, held = len(calls), made[0].products.held
+    # a 4 x 4 product holds 48 entries: room for two of them
+    monkeypatch.setattr(evaluator, "_PRODUCT_ENTRIES", 100)
+    out = run_named(lib, "power_sum", 4, V=v)
+    assert out.entries == want.entries
+    assert held > 100
+    assert len(made[1].products) == 2 and made[1].products.held == 96
+    assert len(calls) - unbounded > unbounded
