@@ -12,9 +12,9 @@ from hypothesis import given, settings
 import oracles
 from conftest import dominant_real, run_named
 from matfor import evaluator, stdlib
-from matfor.circuit_compile import _Ref
 from matfor.ast import (Add, Const, For, MatMul, MatrixType, Prod, ScalarMul,
                         Schema, Sum, Transpose, Var, free_vars)
+from matfor.circuit_compile import _Ref
 from matfor.errors import (DivisionByZero, EvalError,
                            FunctionUnavailableForSemiring, IndexOutOfRange,
                            MatforError, MissingDimension, ShapeMismatch,
