@@ -19,12 +19,13 @@ schema; the type checker and evaluator prefer the annotation when present.
 Annotations, like source spans, are internal metadata - but unlike spans
 they affect typing, so they take part in structural equality.
 
-Every pass defined by structural recursion (typing, desugaring, printing,
-substitution, the relational translations, the evaluator's build) runs on
-`drive`: the pass is a generator that yields each child where the recursive
-version would call itself and is sent back the child's result, and `drive`
-keeps the pending nodes on a list.  So no pass needs Python stack in
-proportion to the depth of its input; a deep ``V + ... + V`` costs heap.
+Every pass defined by structural recursion (both parsers, typing,
+desugaring, printing, substitution, the relational translations, the
+evaluator's build) runs on `drive`: the pass is a generator that yields
+each child where the recursive version would call itself and is sent back
+the child's result, and `drive` keeps the pending nodes on a list.  So no
+pass needs Python stack in proportion to the depth of its input; a deep
+``V + ... + V`` costs heap.
 """
 
 from __future__ import annotations

@@ -345,9 +345,6 @@ def main(argv=None) -> int:
     except MatforError as exc:
         _info(f"error: {exc}")
         return 2
-    except RecursionError:
-        _info("error: expression nested too deeply")
-        return 2
 
 
 if __name__ == "__main__":

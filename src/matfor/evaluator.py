@@ -546,7 +546,8 @@ class _Ctx:
         if cls is OrderPrim:
             n = self.dim(e.sym, f"order primitive {e.kind.value}")
             if e.kind is OrderKind.EMIN or e.kind is OrderKind.EMAX:
-                out = self.bases(n)[0 if e.kind is OrderKind.EMIN else -1]
+                out = sr.one if n == 1 else canonical_vector(
+                    1 if e.kind is OrderKind.EMIN else n, n, sr)
                 return (lambda env: out), (n, 1)
             ent = [sr.zero] * (n * n)
             if e.kind is OrderKind.SLESS:
@@ -645,12 +646,16 @@ def evaluate(e: ast.Expr,
     """Evaluate a (well-typed) expression on an instance.
 
     `schema` types the unannotated loop binders no enclosing loop binds.
+    Running out of Python stack or of memory is an `EvalError`.
     """
     ctx = _Ctx(inst, sr, schema, iteration_order, e)
-    run, shape = ctx.build(e, {name: m.shape for name, m in inst.mats.items()})
+    shapes = {name: m.shape for name, m in inst.mats.items()}
     try:
+        run, shape = ctx.build(e, shapes)
         out = run({name: m.entries[0] if m.shape == _SC else m
                    for name, m in inst.mats.items()})
     except RecursionError:
         raise EvalError("expression nested too deeply to evaluate") from None
+    except MemoryError:
+        raise EvalError("not enough memory to evaluate") from None
     return matrix.scalar(out) if shape == _SC else out

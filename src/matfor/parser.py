@@ -19,6 +19,11 @@ with optional sign, fraction and exponent, or `inf`.  Function names are
 plain identifiers; `functions.resolve` looks them up at evaluation time,
 not here.
 
+The rules run on `ast.drive`, so text of any depth parses without Python
+stack in proportion to its nesting.  The three binary levels and the
+``^T`` suffixes are one loop over a stack of pending operators, which
+takes precedence from the `INFIX` table that `printer.pretty` also reads.
+
 `relalg.parse_ra` reads relational expressions from the same tokens.  The
 arrow ``->`` of its renamings is a token of its own, which no rule above
 accepts.
@@ -35,15 +40,19 @@ from typing import NamedTuple
 
 from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul,
                   MatrixType, Ones, OrderKind, OrderPrim, Prod, Schema,
-                  ScalarMul, SourceSpan, Sum, Transpose, Var)
+                  ScalarMul, SourceSpan, Sum, Transpose, Var, drive)
 from .errors import DuplicateVariable, ParseError, _echo
 from .semiring import _parse_nat, records
 
-KEYWORDS = {"for", "sum", "prod", "hprod", "ones", "diag",
-            "Sless", "Emin", "Emax", "Nshift", "inf"}
+#: The binary operators as (node class, token kind, text), loosest first;
+#: the parser and `printer.pretty` both read precedence from here.
+INFIX = ((Add, "+", "+"), (ScalarMul, "scalmul", ".*"), (MatMul, "*", "*"))
+_LEVELS = {kind: level for level, (_, kind, _) in enumerate(INFIX)}
 
-_ORDER_KINDS = {"Sless": OrderKind.SLESS, "Emin": OrderKind.EMIN,
-                "Emax": OrderKind.EMAX, "Nshift": OrderKind.NSHIFT}
+QUANTIFIERS = {"sum": Sum, "prod": Prod, "hprod": Hadamard}
+CALLS = {"ones": Ones, "diag": Diag}
+_ORDER_NAMES = {kind.value for kind in OrderKind}
+KEYWORDS = {"for", *QUANTIFIERS, *CALLS, *_ORDER_NAMES, "inf"}
 
 _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+)
@@ -116,13 +125,12 @@ class _Parser:
     def at(self, *kinds):
         return self.peek().kind in kinds
 
-    def whole(self, rule, what):
-        """The result of `rule`, which must read the input to its end."""
-        try:
-            node = rule()
-        except RecursionError:
-            raise ParseError(f"{what} nested too deeply",
-                             self.peek().span) from None
+    def whole(self, rule):
+        """The result of the grammar rule `rule`, which must read the input
+        to its end.  A rule is a generator method: it yields ``(sub_rule,
+        None)`` where a recursive descent would call `sub_rule`, and is
+        sent back its result."""
+        node = drive(rule, None, lambda sub_rule, _: sub_rule())
         tok = self.peek()
         if tok.kind != "eof":
             self.reject(tok, {"end"}, "trailing input {}")
@@ -131,62 +139,49 @@ class _Parser:
     # ---- grammar -------------------------------------------------------
 
     def expr(self):
-        if self.at("for", "sum", "prod", "hprod"):
-            return self.binder()
-        return self.add()
-
-    def binder(self):
-        tok = self.advance()
+        tok = self.peek()
         if tok.kind == "for":
+            self.advance()
             var = self.expect("ident").text
             self.expect(",")
             acc = self.expect("ident").text
             init = None
             if self.at("="):
                 self.advance()
-                init = self.add()
+                init = yield self.operators, None
             self.expect(".")
-            body = self.expr()
+            body = yield self.expr, None
             return For(var, acc, body, init, span=tok.span)
-        var = self.expect("ident").text
-        self.expect(".")
-        body = self.expr()
-        node = {"sum": Sum, "prod": Prod, "hprod": Hadamard}[tok.kind]
-        return node(var, body, span=tok.span)
+        if tok.kind in QUANTIFIERS:
+            self.advance()
+            var = self.expect("ident").text
+            self.expect(".")
+            body = yield self.expr, None
+            return QUANTIFIERS[tok.kind](var, body, span=tok.span)
+        return (yield self.operators, None)
 
-    def add(self):
-        left = self.scal()
-        while self.at("+"):
-            tok = self.advance()
-            left = Add(left, self.scal(), span=tok.span)
-        return left
-
-    def scal(self):
-        left = self.mul()
-        while self.at("scalmul"):
-            tok = self.advance()
-            left = ScalarMul(left, self.mul(), span=tok.span)
-        return left
-
-    def mul(self):
-        left = self.post()
-        while self.at("*"):
-            tok = self.advance()
-            left = MatMul(left, self.post(), span=tok.span)
-        return left
-
-    def post(self):
-        node = self.atom()
-        while self.at("transpose"):
-            tok = self.advance()
-            node = Transpose(node, span=tok.span)
-        return node
+    def operators(self):
+        """Operands, each an atom and its ``^T`` suffixes, joined by the
+        `INFIX` operators.  An operator waits on `pending` until the next
+        one binds no tighter, so each level associates to the left."""
+        pending = []  # (left operand, operator level, operator span)
+        while True:
+            node = yield self.atom, None
+            while self.at("transpose"):
+                node = Transpose(node, span=self.advance().span)
+            level = _LEVELS.get(self.peek().kind)
+            while pending and (level is None or pending[-1][1] >= level):
+                left, top, span = pending.pop()
+                node = INFIX[top][0](left, node, span=span)
+            if level is None:
+                return node
+            pending.append((node, level, self.advance().span))
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = yield self.expr, None
             self.expect(")")
             return node
         if tok.kind == "[":
@@ -194,32 +189,31 @@ class _Parser:
             value = self.literal()
             self.expect("]")
             return Const(value, span=tok.span)
-        if tok.kind in _ORDER_KINDS:
+        if tok.kind in _ORDER_NAMES:
             self.advance()
             self.expect("[")
             sym = self.expect("ident").text
             self.expect("]")
-            return OrderPrim(_ORDER_KINDS[tok.kind], sym, span=tok.span)
-        if tok.kind in ("ones", "diag"):
+            return OrderPrim(OrderKind(tok.kind), sym, span=tok.span)
+        if tok.kind in CALLS:
             self.advance()
             self.expect("(")
-            arg = self.expr()
+            arg = yield self.expr, None
             self.expect(")")
-            node = Ones if tok.kind == "ones" else Diag
-            return node(arg, span=tok.span)
+            return CALLS[tok.kind](arg, span=tok.span)
         if tok.kind == "ident":
             self.advance()
             if self.at("("):
                 self.advance()
-                args = [self.expr()]
+                args = [(yield self.expr, None)]
                 while self.at(","):
                     self.advance()
-                    args.append(self.expr())
+                    args.append((yield self.expr, None))
                 self.expect(")")
                 return Apply(tok.text, tuple(args), span=tok.span)
             return Var(tok.text, span=tok.span)
-        self.reject(tok, {"(", "[", "identifier", "for", "sum", "prod",
-                          "hprod", "ones", "diag"}, end="end of input")
+        self.reject(tok, {"(", "[", "identifier", "for", *QUANTIFIERS,
+                          *CALLS}, end="end of input")
 
     def literal(self):
         sign = 1
@@ -240,7 +234,7 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
-    return p.whole(p.expr, "expression")
+    return p.whole(p.expr)
 
 
 _SCHEMA_LINE = re.compile(

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .ast import (Add, Apply, Const, Diag, Expr, For, Hadamard, MatMul, Ones,
-                  OrderPrim, Prod, ScalarMul, Sum, Transpose, Var, drive)
+from .ast import (Apply, Const, Expr, For, OrderPrim, Transpose, Var, children,
+                  drive)
+from .parser import CALLS, INFIX, QUANTIFIERS
 from .semiring import _fmt_nat
 
-_BINDER, _ADD, _SCAL, _MUL, _POST, _ATOM = range(6)
+# levels, loosest first: binders, the `INFIX` operators, then ``^T``
+_BINDER, _POST = 0, len(INFIX) + 1
+_INFIX = {cls: (level, text) for level, (cls, _, text) in enumerate(INFIX, 1)}
+_QUANTIFIERS = {cls: kw for kw, cls in QUANTIFIERS.items()}
+_CALLS = {cls: name for name, cls in CALLS.items()}
 
 
 def _literal(value) -> str:
@@ -43,30 +48,23 @@ def _pp(e, min_level):
         for a in e.args:
             args.append((yield a, _BINDER))
         return f"{e.func}({', '.join(args)})"
-    if isinstance(e, Ones):
-        return f"ones({(yield e.arg, _BINDER)})"
-    if isinstance(e, Diag):
-        return f"diag({(yield e.arg, _BINDER)})"
+    if e.__class__ in _CALLS:
+        return f"{_CALLS[e.__class__]}({(yield e.arg, _BINDER)})"
     if isinstance(e, Transpose):
         return _wrap(f"{(yield e.arg, _POST)}^T", _POST, min_level)
-    if isinstance(e, MatMul):
-        s = f"{(yield e.left, _MUL)} * {(yield e.right, _MUL + 1)}"
-        return _wrap(s, _MUL, min_level)
-    if isinstance(e, ScalarMul):
-        s = f"{(yield e.scalar, _SCAL)} .* {(yield e.arg, _SCAL + 1)}"
-        return _wrap(s, _SCAL, min_level)
-    if isinstance(e, Add):
-        s = f"{(yield e.left, _ADD)} + {(yield e.right, _ADD + 1)}"
-        return _wrap(s, _ADD, min_level)
+    if e.__class__ in _INFIX:
+        level, op = _INFIX[e.__class__]
+        left, right = children(e)
+        s = f"{(yield left, level)} {op} {(yield right, level + 1)}"
+        return _wrap(s, level, min_level)
     if isinstance(e, For):
         head = f"for {e.var}, {e.acc}"
         if e.init is not None:
-            head += f" = {(yield e.init, _ADD)}"
+            head += f" = {(yield e.init, _BINDER + 1)}"
         return _wrap(f"{head} . {(yield e.body, _BINDER)}", _BINDER, min_level)
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        kw = {Sum: "sum", Prod: "prod", Hadamard: "hprod"}[type(e)]
-        return _wrap(f"{kw} {e.var} . {(yield e.body, _BINDER)}",
-                     _BINDER, min_level)
+    if e.__class__ in _QUANTIFIERS:
+        return _wrap(f"{_QUANTIFIERS[e.__class__]} {e.var} . "
+                     f"{(yield e.body, _BINDER)}", _BINDER, min_level)
     raise TypeError(f"not an expression node: {e!r}")
 
 

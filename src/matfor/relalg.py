@@ -240,12 +240,13 @@ def _eval(q, inst, sr):
 # Text formats
 
 
-_OPERATORS = {"union": Union, "join": Join, "project": Project,
+_OPERATORS = {"rel": Rel, "union": Union, "join": Join, "project": Project,
               "select": Select, "rename": Rename}
+_NAMES = {op: name for name, op in _OPERATORS.items()}
 
 
 class _RAParser(_Parser):
-    """Recursive descent over the expression tokens."""
+    """The grammar above as `ast.drive` rules over the expression tokens."""
 
     def name(self):
         tok = self.advance()
@@ -255,16 +256,16 @@ class _RAParser(_Parser):
 
     def query(self):
         tok = self.advance()
-        if tok.text == "rel":
-            return Rel(self.name())
         op = _OPERATORS.get(tok.text)
         if op is None:
-            self.reject(tok, {"rel", *_OPERATORS})
+            self.reject(tok, set(_OPERATORS))
+        if op is Rel:
+            return Rel(self.name())
         if op is Union or op is Join:
             self.expect("(")
-            left = self.query()
+            left = yield self.query, None
             self.expect(",")
-            right = self.query()
+            right = yield self.query, None
             self.expect(")")
             return op(left, right)
         self.expect("[")
@@ -276,7 +277,7 @@ class _RAParser(_Parser):
                 items.append(self.item(op))
         self.expect("]")
         self.expect("(")
-        arg = self.query()
+        arg = yield self.query, None
         self.expect(")")
         return op(items, arg)
 
@@ -292,7 +293,7 @@ class _RAParser(_Parser):
 def parse_ra(text: str) -> RAExpr:
     try:
         p = _RAParser(text)
-        return p.whole(p.query, "relational expression")
+        return p.whole(p.query)
     except ParseError as exc:
         raise ParseError(f"at offset {exc.span.start}: {exc.args[0]}",
                          expected=exc.expected) from None
@@ -306,26 +307,23 @@ def format_ra(q: RAExpr) -> str:
 
 def _format(q, out):
     """A `drive` rule that appends the text of `q` to `out`."""
-    if isinstance(q, Rel):
-        out.append(f"rel {q.name}")
-    elif isinstance(q, (Union, Join)):
-        out.append("union(" if isinstance(q, Union) else "join(")
+    name = _NAMES.get(q.__class__)
+    if name is None:
+        raise TypeError(f"not a relational expression: {q!r}")
+    if q.__class__ is Rel:
+        out.append(f"{name} {q.name}")
+    elif q.__class__ is Union or q.__class__ is Join:
+        out.append(f"{name}(")
         yield q.left, out
         out.append(", ")
         yield q.right, out
         out.append(")")
-    elif isinstance(q, (Project, Select)):
-        op = "project" if isinstance(q, Project) else "select"
-        out.append(f"{op}[{', '.join(sorted(q.attrs))}](")
-        yield q.arg, out
-        out.append(")")
-    elif isinstance(q, Rename):
-        pairs = ", ".join(f"{new}->{old}" for new, old in q.mapping)
-        out.append(f"rename[{pairs}](")
-        yield q.arg, out
-        out.append(")")
     else:
-        raise TypeError(f"not a relational expression: {q!r}")
+        items = (sorted(q.attrs) if q.__class__ is not Rename else
+                 [f"{new}->{old}" for new, old in q.mapping])
+        out.append(f"{name}[{', '.join(items)}](")
+        yield q.arg, out
+        out.append(")")
 
 
 def parse_relations(text: str):

@@ -2,7 +2,8 @@
 
 A 5,000-term ``V + ... + V`` nests 5,000 deep either way round, well past
 Python's default recursion limit, so each pass must keep its pending nodes
-off the Python stack.  Queries nested 5,000 deep do the same for psi.  A
+off the Python stack.  Queries nested 5,000 deep do the same for psi, and
+text nested 5,000 deep for both parsers and the command line.  A
 2,000-deep nest of quantifiers must cost work linear in its depth.
 """
 
@@ -23,9 +24,10 @@ from matfor.fragments import Fragment, classify
 from matfor.evaluator import evaluate
 from matfor.instance import Instance
 from matfor.matrix import from_rows
+from matfor.parser import parse_expr
 from matfor.printer import pretty
 from matfor.relalg import (Join, Project, Rel, Rename, eval_ra, format_ra,
-                           make_tuple)
+                           make_tuple, parse_ra)
 from matfor.semiring import NAT
 from matfor.sugar import desugar, reduce_apply_to_scalars
 from matfor.typecheck import typecheck
@@ -57,6 +59,29 @@ def deep(request):
 def test_pretty(deep):
     e, text = deep
     assert pretty(e) == text
+
+
+def _same(a, b):
+    """Structural equality, spans aside, without recursion: equal trees get
+    one value number in a table that holds both."""
+    table = ast.node_table(Apply("pair", (a, b)))
+    return table[id(a)][0] == table[id(b)][0]
+
+
+def test_parse(deep):
+    e, text = deep
+    assert _same(parse_expr(text), e)
+    assert not _same(parse_expr(text), _sum(text != TEXT))
+
+
+def test_quantifier_prefixes_round_trip():
+    text = "".join(f"sum v{i} . " for i in range(TERMS)) + "V"
+    assert pretty(parse_expr(text)) == text
+
+
+def test_a_deep_query_round_trips():
+    text = "union(" * TERMS + "rel R" + ", rel R)" * TERMS
+    assert format_ra(parse_ra(text)) == text
 
 
 def test_typecheck(deep):
@@ -181,6 +206,38 @@ def test_cli_accepts_a_long_sum(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.count("\n") == 1
+
+
+def _right_nested(op):
+    return f"V {op} (" * (TERMS - 1) + "V" + ")" * (TERMS - 1)
+
+
+@pytest.mark.parametrize("text", [
+    _right_nested("+"), _right_nested("*"),
+    "[2] .* (" * (TERMS - 1) + "V" + ")" * (TERMS - 1),
+    "hsum1(" * TERMS + "V" + ")" * TERMS,
+], ids=["right-deep-sum", "right-deep-product", "scalar-product",
+        "application"])
+@pytest.mark.parametrize("command", ["check", "eval", "desugar", "classify",
+                                     "to-ra", "compile-circuit"])
+def test_cli_reads_deep_text(tmp_path, capsys, text, command):
+    # until the evaluator runs in bounded stack (ROADMAP item 1), eval and
+    # compile-circuit may end in its "nested too deeply" error
+    schema = tmp_path / "s.schema"
+    schema.write_text("var V : alpha x alpha\n")
+    inst = tmp_path / "v.inst"
+    inst.write_text("semiring nat\nsize alpha 2\nmatrix V alpha alpha\n"
+                    "1 2\n3 4\n")
+    files = {"eval": ["--instance", str(inst)],
+             "compile-circuit": ["--schema", str(schema), "--dim", "alpha=2"]}
+    code = main([command, "-e", text,
+                 *files.get(command, ["--schema", str(schema)])])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 DEPTH = 2000

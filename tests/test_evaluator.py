@@ -95,6 +95,21 @@ def test_shift_past_the_end_vanishes():
     assert out.tolists() == [[0.0], [0.0], [0.0]]
 
 
+@pytest.mark.parametrize("prim, index", [("Emin", 1), ("Emax", 5000)])
+def test_first_and_last_vector_build_only_themselves(monkeypatch, prim,
+                                                     index):
+    calls = []
+
+    def spy(i, n, sr):
+        calls.append((i, n))
+        return canonical_vector(i, n, sr)
+
+    monkeypatch.setattr(evaluator, "canonical_vector", spy)
+    out = ev(f"{prim}[alpha]", "", {"alpha": 5000})
+    assert calls == [(index, 5000)]
+    assert out.entries[index - 1] == 1.0 and sum(out.entries) == 1.0
+
+
 def test_ones_and_diag_sugar():
     v = from_rows([[2.0], [5.0]])
     assert ev("ones(V)", "var V : alpha x beta", {"alpha": 2, "beta": 3},
