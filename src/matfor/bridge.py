@@ -46,12 +46,13 @@ from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
                   Schema, Sum, Transpose, UNIT, Var, children, drive,
                   node_table, summand)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
-                     SchemaNotBinary, UnsupportedFunction, _echo)
+                     SchemaNotBinary, SignatureViolation, UnsupportedFunction,
+                     _echo)
 from .functions import pointwise
 from .instance import Instance
 from .matrix import KMatrix
 from .relalg import (Join, KRelation, Project, RAExpr, Rel, Rename, Select,
-                     Union, make_tuple)
+                     Union)
 from .semiring import Semiring
 from .sugar import desugar
 from .typecheck import iterator_type, type_in_env
@@ -106,24 +107,19 @@ def rel_encode(schema: Schema, inst: Instance, sr: Semiring):
         mat = inst.mats.get(name)
         if mat is None:
             continue
-        items = []
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                v = mat.get(i, j)
-                if v == sr.zero:
-                    continue
-                point = {}
-                if t.rows != UNIT:
-                    point[row_attr(t.rows)] = i + 1
-                if t.cols != UNIT:
-                    point[col_attr(t.cols)] = j + 1
-                items.append((make_tuple(point), v))
+        # `col_<sym>` sorts before `row_<sym>`, so a column pair goes first
+        rows = [((row_attr(t.rows), i),) if t.rows != UNIT else ()
+                for i in range(1, mat.rows + 1)]
+        cols = [((col_attr(t.cols), j),) if t.cols != UNIT else ()
+                for j in range(1, mat.cols + 1)]
+        keys = (col + row for row in rows for col in cols)
+        items = [(k, v) for k, v in zip(keys, mat.entries) if v != sr.zero]
         rels[rel_name(name)] = KRelation.build(relschema[rel_name(name)],
                                                items, sr)
     for sym, n in inst.dims.items():
         if sym == UNIT:
             continue
-        items = [(make_tuple({sym: i}), sr.one) for i in range(1, n + 1)]
+        items = [(((sym, i),), sr.one) for i in range(1, n + 1)]
         rels[dom_name(sym)] = KRelation.build(frozenset({sym}), items, sr)
     return relschema, rels
 
@@ -306,22 +302,21 @@ def mat_encode(relschema: dict[str, frozenset[str]],
     n = len(dom)
     schema = mat_schema(relschema)
     mats = {}
+    index = {d: i for i, d in enumerate(dom)}
     for name, attrs in relschema.items():
-        rel = rels.get(name)
-        if rel is None:
-            rel = KRelation(frozenset(attrs), {})
-        order = sorted(attrs)
-        if len(order) == 2:
-            ent = [rel.value(make_tuple({order[0]: dom[i],
-                                         order[1]: dom[j]}), sr)
-                   for i in range(n) for j in range(n)]
-            mats[mat_var(name)] = KMatrix(n, n, tuple(ent))
-        elif len(order) == 1:
-            ent = [rel.value(make_tuple({order[0]: dom[i]}), sr)
-                   for i in range(n)]
-            mats[mat_var(name)] = KMatrix(n, 1, tuple(ent))
-        else:
-            mats[mat_var(name)] = KMatrix(1, 1, (rel.value((), sr),))
+        rel = rels.get(name, KRelation(attrs))
+        if rel.signature != attrs:
+            raise SignatureViolation(
+                f"relation {_echo(name)} has signature "
+                f"{sorted(rel.signature)}, not {sorted(attrs)}")
+        shape = ((1, 1), (n, 1), (n, n))[len(attrs)]
+        ent = [sr.zero] * (shape[0] * shape[1])
+        for t, v in rel.check().support.items():
+            at = 0
+            for _, d in t:
+                at = at * n + index[d]
+            ent[at] = v
+        mats[mat_var(name)] = KMatrix(*shape, tuple(ent))
     return schema, Instance({MAT_SYM: n}, mats)
 
 

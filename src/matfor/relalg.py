@@ -11,6 +11,16 @@ agree), attribute renaming (a bijection from new names to the operand's
 names), and natural join (product of the operands' annotations on tuples
 that agree on shared attributes).
 
+Position plans: pairs sit in signature order, so an attribute has one index
+in every tuple of a relation.  Each operator works out once, from its
+operands' signatures, the indexes its output pairs or values come from, and
+builds every output tuple with them (`_getter`), without a `dict` or a
+`sorted` per tuple.  Union, projection and join results pass through
+`_merge`, the one rule that sums equal tuples and drops zeros.  Signatures
+are checked only where tuples come from outside: by `KRelation.build`, and
+by `KRelation.check`, which `eval_ra` runs once per relation a query names
+and `bridge.mat_encode` once per relation it encodes.
+
 Text form of expressions (prefix), read from the tokens of the expression
 language (`parser`), with ``->`` one token:
 
@@ -31,6 +41,8 @@ optional leading `semiring NAME` line fixes how annotations are parsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .ast import drive
 from .errors import (FormatError, ParseError, SignatureViolation,
@@ -49,6 +61,27 @@ def tuple_restrict(t: Tuple_, attrs) -> Tuple_:
     return tuple((a, v) for a, v in t if a in attrs)
 
 
+_attr = itemgetter(0)
+_value = itemgetter(1)
+
+
+def _getter(positions):
+    """An `itemgetter` over `positions` that always returns a tuple."""
+    if len(positions) == 1:
+        return lambda t, i=positions[0]: (t[i],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _merge(items, sr: Semiring) -> dict:
+    """The one merge rule: sum the annotations of equal tuples, drop zeros."""
+    out = {}
+    for t, v in items:
+        if t in out:
+            v = sr.plus(out[t], v)
+        out[t] = v
+    return {t: v for t, v in out.items() if v != sr.zero}
+
+
 @dataclass
 class KRelation:
     """Finite-support annotated relation over a fixed attribute signature."""
@@ -61,19 +94,18 @@ class KRelation:
 
     @classmethod
     def build(cls, signature, items, sr: Semiring):
-        """Construct, dropping zero annotations and merging duplicates."""
-        out = {}
-        sig = frozenset(signature)
-        for t, v in items:
-            if frozenset(a for a, _ in t) != sig:
+        """Construct from outside tuples: merge them, then check signatures."""
+        return cls(signature, _merge(items, sr)).check()
+
+    def check(self):
+        """`self`; raises `SignatureViolation` unless the attributes of
+        every tuple are the signature in sorted order."""
+        order = tuple(sorted(self.signature))
+        for t in self.support:
+            if tuple(map(_attr, t)) != order:
                 raise SignatureViolation(
-                    f"tuple {t} does not match signature {sorted(sig)}")
-            if t in out:
-                v = sr.plus(out[t], v)
-            out[t] = v
-        for t in [t for t, v in out.items() if v == sr.zero]:
-            del out[t]
-        return cls(sig, out)
+                    f"tuple {t} does not match signature {list(order)}")
+        return self
 
     def value(self, t: Tuple_, sr: Semiring):
         return self.support.get(t, sr.zero)
@@ -179,61 +211,58 @@ def eval_ra(q: RAExpr, inst: dict[str, KRelation], sr: Semiring) -> KRelation:
     """Evaluate over an instance; output support never stores zero."""
     relschema = {name: rel.signature for name, rel in inst.items()}
     signature_of(q, relschema)
-    return drive(q, None, lambda node, _: _eval(node, inst, sr))
+    checked = {}
+    return drive(q, None, lambda node, _: _eval(node, inst, checked, sr))
 
 
-def _eval(q, inst, sr):
+def _eval(q, inst, checked, sr):
     if isinstance(q, Rel):
-        return inst[q.name]
+        if q.name not in checked:
+            checked[q.name] = inst[q.name].check()
+        return checked[q.name]
 
     if isinstance(q, Union):
         left = yield q.left, None
         right = yield q.right, None
-        items = list(left.support.items()) + list(right.support.items())
-        return KRelation.build(left.signature, items, sr)
+        return KRelation(left.signature, _merge(
+            chain(left.support.items(), right.support.items()), sr))
 
-    if isinstance(q, Project):
-        rel = yield q.arg, None
-        items = [(tuple_restrict(t, q.attrs), v)
-                 for t, v in rel.support.items()]
-        return KRelation.build(q.attrs, items, sr)
+    rel = yield (q.left if isinstance(q, Join) else q.arg), None
+    order = sorted(rel.signature)
 
-    if isinstance(q, Select):
-        rel = yield q.arg, None
-        items = []
-        for t, v in rel.support.items():
-            picked = {val for a, val in t if a in q.attrs}
-            if len(picked) <= 1:
-                items.append((t, v))
-        return KRelation.build(rel.signature, items, sr)
+    if isinstance(q, (Project, Select)):
+        get = _getter([i for i, a in enumerate(order) if a in q.attrs])
+        if isinstance(q, Project):
+            return KRelation(q.attrs, _merge(
+                ((get(t), v) for t, v in rel.support.items()), sr))
+        return KRelation(rel.signature, {
+            t: v for t, v in rel.support.items()
+            if len(set(map(_value, get(t)))) <= 1})
 
     if isinstance(q, Rename):
-        rel = yield q.arg, None
-        mapping = dict(q.mapping)
-        items = []
-        for t, v in rel.support.items():
-            vals = dict(t)
-            items.append((make_tuple({new: vals[old]
-                                      for new, old in mapping.items()}), v))
-        return KRelation.build(frozenset(mapping), items, sr)
+        names = [new for new, _ in q.mapping]
+        get = _getter([order.index(old) for _, old in q.mapping])
+        return KRelation(frozenset(names), {
+            tuple(zip(names, map(_value, get(t)))): v
+            for t, v in rel.support.items()})
 
-    if isinstance(q, Join):
-        left = yield q.left, None
-        right = yield q.right, None
-        shared = left.signature & right.signature
-        buckets: dict[Tuple_, list] = {}
-        for t, v in right.support.items():
-            buckets.setdefault(tuple_restrict(t, shared), []).append((t, v))
-        sig = left.signature | right.signature
-        items = []
-        for t1, v1 in left.support.items():
-            for t2, v2 in buckets.get(tuple_restrict(t1, shared), ()):
-                merged = dict(t1)
-                merged.update(dict(t2))
-                items.append((make_tuple(merged), sr.times(v1, v2)))
-        return KRelation.build(sig, items, sr)
-
-    raise TypeError(f"not a relational expression: {q!r}")
+    # a Join: `signature_of` has rejected every other node
+    right = yield q.right, None
+    other = sorted(right.signature)
+    shared = sorted(rel.signature & right.signature)
+    left_key = _getter([order.index(a) for a in shared])
+    right_key = _getter([other.index(a) for a in shared])
+    sig = rel.signature | right.signature
+    build = _getter([order.index(a) if a in rel.signature
+                     else len(order) + other.index(a)
+                     for a in sorted(sig)])
+    buckets: dict[Tuple_, list] = {}
+    for t, v in right.support.items():
+        buckets.setdefault(right_key(t), []).append((t, v))
+    return KRelation(sig, _merge(
+        ((build(t1 + t2), sr.times(v1, v2))
+         for t1, v1 in rel.support.items()
+         for t2, v2 in buckets.get(left_key(t1), ())), sr))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from matfor.ast import (UNIT, MatMul, MatrixType, Sum, bound_names,
 from matfor.bridge import (MAT_SYM, active_domain, mat_encode, mat_schema,
                            psi_translate)
 from matfor.errors import (EmptyActiveDomain, OutputArityTooLarge,
-                           SchemaNotBinary)
+                           SchemaNotBinary, SignatureViolation)
 from matfor.evaluator import evaluate
 from matfor.fragments import Fragment, classify
 from matfor.printer import pretty
@@ -69,6 +69,26 @@ def test_unary_and_nullary_encodings():
                               rels, NAT)
     assert inst.mats["V_T"].tolists() == [[4]]
     assert inst.mats["V_Z"].tolists() == [[9]]
+
+
+def test_a_relation_off_its_schema_signature_is_rejected():
+    rels = {"R": KRelation.build(
+        frozenset({"x", "y"}), [(make_tuple({"x": 1, "y": 2}), 3)], NAT)}
+    with pytest.raises(SignatureViolation,
+                       match=r"^relation 'R' has signature \['x', 'y'\], "
+                             r"not \['a', 'b'\]$"):
+        mat_encode({"R": frozenset({"a", "b"})}, rels, NAT)
+    name = "R" * 5000
+    with pytest.raises(SignatureViolation) as err:
+        mat_encode({name: frozenset({"a", "b"})}, {name: rels["R"]}, NAT)
+    assert len(str(err.value)) < 100
+
+
+def test_a_malformed_tuple_is_rejected_before_encoding():
+    # built directly, so no signature check has run on its support
+    rels = {"R": KRelation(frozenset({"a", "b"}), {(("a", 1),): 3})}
+    with pytest.raises(SignatureViolation):
+        mat_encode({"R": frozenset({"a", "b"})}, rels, NAT)
 
 
 def test_empty_active_domain_is_rejected():

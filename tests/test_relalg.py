@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import sys
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -12,7 +14,7 @@ from matfor.relalg import (Join, KRelation, Project, Rel, Rename, Select,
                            Union, eval_ra, format_ra, format_relations,
                            make_tuple, parse_ra, parse_relations,
                            tuple_restrict)
-from matfor.semiring import BOOL, NAT
+from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
 
 
 def rel(sig, rows, sr=NAT):
@@ -294,3 +296,158 @@ def test_semiring_line_after_a_relation_is_rejected():
     # the annotations above it were parsed in the default real carrier
     with pytest.raises(FormatError, match="must precede relation blocks"):
         parse_relations("relation R a\n1 : 0\n1 : 0\nsemiring bool\n")
+
+
+# ---------------------------------------------------------------------------
+# position plans against the per-tuple reference
+
+
+def _reference(q, inst, sr):
+    """(signature, support) of `q`, each tuple rebuilt through a `dict` and
+    a `sorted`, as the operators were written before position plans."""
+    def merged(items):
+        out = {}
+        for t, v in items:
+            out[t] = sr.plus(out[t], v) if t in out else v
+        return {t: v for t, v in out.items() if not v == sr.zero}
+
+    if isinstance(q, Rel):
+        return inst[q.name].signature, dict(inst[q.name].support)
+    if isinstance(q, Union):
+        sig, left = _reference(q.left, inst, sr)
+        _, right = _reference(q.right, inst, sr)
+        return sig, merged(list(left.items()) + list(right.items()))
+    if isinstance(q, Join):
+        sig1, left = _reference(q.left, inst, sr)
+        sig2, right = _reference(q.right, inst, sr)
+        shared = sig1 & sig2
+        items = []
+        for t1, v1 in left.items():
+            for t2, v2 in right.items():
+                if tuple_restrict(t1, shared) == tuple_restrict(t2, shared):
+                    items.append((make_tuple({**dict(t1), **dict(t2)}),
+                                  sr.times(v1, v2)))
+        return sig1 | sig2, merged(items)
+    sig, rows = _reference(q.arg, inst, sr)
+    if isinstance(q, Project):
+        return q.attrs, merged((tuple_restrict(t, q.attrs), v)
+                               for t, v in rows.items())
+    if isinstance(q, Select):
+        return sig, {t: v for t, v in rows.items()
+                     if len({x for a, x in t if a in q.attrs}) <= 1}
+    mapping = dict(q.mapping)
+    return frozenset(mapping), {
+        make_tuple({new: dict(t)[old] for new, old in mapping.items()}): v
+        for t, v in rows.items()}
+
+
+_SCHEMA = {"R": ("a", "b"), "S": ("b", "c"), "T": ("a",), "U": ()}
+_POOL = ("a", "b", "c", "d")
+# values whose sums and products are exact in every carrier, so the
+# reference's order of summation cannot differ from the plans' in the result
+_VALUES = {
+    NAT: st.integers(0, 3),
+    BOOL: st.integers(0, 1),
+    TROPICAL: st.sampled_from([0.0, 1.0, 2.0, 5.0, math.inf]),
+    REAL: st.sampled_from([0.0, 0.5, -0.5, 1.0, -2.0, 3.0]),
+    RATIONAL: st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 3),
+                               Fraction(2), Fraction(-5, 2)]),
+}
+
+
+def _instance(draw, sr):
+    inst = {}
+    for name, attrs in _SCHEMA.items():
+        points = list(itertools.product(range(1, 4), repeat=len(attrs)))
+        vals = draw(st.lists(_VALUES[sr], min_size=len(points),
+                             max_size=len(points)))
+        inst[name] = rel(attrs, list(zip(points, vals)), sr)
+    return inst
+
+
+@st.composite
+def _typed_query(draw, depth=3):
+    """A query over `_SCHEMA` that `signature_of` accepts, and its
+    signature."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(sorted(_SCHEMA)))
+        return Rel(name), frozenset(_SCHEMA[name])
+    q, sig = draw(_typed_query(depth - 1))
+    op = draw(st.sampled_from([Union, Join, Project, Select, Rename]))
+    if op is Union or op is Join:
+        other, other_sig = draw(_typed_query(depth - 1))
+        if op is Join:
+            return Join(q, other), sig | other_sig
+        return Union(q, other if other_sig == sig else q), sig
+    if op is Rename:
+        new = draw(st.permutations(_POOL))[:len(sig)]
+        return Rename(tuple(zip(new, sorted(sig))), q), frozenset(new)
+    attrs = frozenset(draw(st.sets(st.sampled_from(sorted(sig)))) if sig
+                      else ())
+    return op(attrs, q), attrs if op is Project else sig
+
+
+@pytest.mark.parametrize("sr", list(_VALUES), ids=lambda sr: sr.name)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_position_plans_agree_with_the_per_tuple_reference(sr, data):
+    inst = _instance(data.draw, sr)
+    q, sig = data.draw(_typed_query())
+    out = eval_ra(q, inst, sr)
+    assert out.signature == sig
+    assert (out.signature, out.support) == _reference(q, inst, sr)
+
+
+_EDGES = {
+    "project to ()": Project(frozenset(), Rel("R")),
+    "swapping rename": Rename((("a", "b"), ("b", "a")), Rel("R")),
+    "swapped union": Union(Rel("R"), Rename((("a", "b"), ("b", "a")),
+                                            Rel("R"))),
+    "disjoint join": Join(Rel("T"), Rename((("c", "a"),), Rel("T"))),
+    "equal-signature join": Join(Rel("R"), Rename((("a", "b"), ("b", "a")),
+                                                  Rel("R"))),
+    "self-join": Join(Rel("R"), Rel("R")),
+    "join with the nullary": Join(Rel("U"), Rel("S")),
+    "select over one": Select(frozenset({"b"}), Rel("S")),
+    "select over all": Select(frozenset({"a", "b"}), Rel("R")),
+    "select over none": Select(frozenset(), Rel("R")),
+}
+
+
+@pytest.mark.parametrize("sr", list(_VALUES), ids=lambda sr: sr.name)
+@pytest.mark.parametrize("q", _EDGES.values(), ids=_EDGES)
+def test_position_plan_edge_cases(sr, q):
+    ones = [sr.one, sr.plus(sr.one, sr.one)]
+    inst = {name: rel(attrs, [(p, ones[sum(p) % 2]) for p in
+                              itertools.product((1, 2), repeat=len(attrs))],
+                      sr)
+            for name, attrs in _SCHEMA.items()}
+    out = eval_ra(q, inst, sr)
+    assert out.support
+    assert (out.signature, out.support) == _reference(q, inst, sr)
+
+
+def test_a_union_that_cancels_to_zero_is_dropped_over_real():
+    r1 = rel({"a"}, [((1,), 0.5), ((2,), 1.0)], REAL)
+    r2 = rel({"a"}, [((1,), -0.5), ((2,), 1.0)], REAL)
+    out = eval_ra(Union(Rel("r1"), Rel("r2")), {"r1": r1, "r2": r2}, REAL)
+    assert out.support == {make_tuple({"a": 2}): 2.0}
+
+
+@pytest.mark.parametrize("q", ["rel R", "project[b](rel R)",
+                               "join(rel R, rel R)", "select[a, b](rel R)",
+                               "rename[x->a, y->b](rel R)"])
+def test_a_malformed_leaf_is_a_signature_violation(q):
+    # built directly, so no signature check has run on its support
+    bad = KRelation(frozenset({"a", "b"}), {(("a", 1),): 1})
+    with pytest.raises(SignatureViolation,
+                       match=r"^tuple \(\('a', 1\),\) does not match "
+                             r"signature \['a', 'b'\]$"):
+        eval_ra(parse_ra(q), {"R": bad}, NAT)
+
+
+def test_build_checks_the_signature_of_outside_tuples():
+    with pytest.raises(SignatureViolation):
+        KRelation.build({"a", "b"}, [((("b", 1), ("a", 2)), 1)], NAT)
+    with pytest.raises(SignatureViolation):
+        KRelation.build({"a"}, [((("a", 1), ("a", 2)), 1)], NAT)
