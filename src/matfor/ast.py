@@ -17,7 +17,7 @@ the schema.  Passes that synthesise fresh binders (desugaring, translations)
 annotate them inline via ``var_sym`` / ``acc_type`` instead of mutating the
 schema; the type checker and evaluator prefer the annotation when present.
 Annotations, like source spans, are internal metadata - but unlike spans
-they affect typing, so they take part in structural equality.
+they affect typing, so they take part in structural identity (`Tree`).
 
 Every pass defined by structural recursion (both parsers, typing,
 desugaring, printing, substitution, the relational translations, the
@@ -30,7 +30,7 @@ pass needs Python stack in proportion to the depth of its input; a deep
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -117,45 +117,115 @@ class Schema:
 
 
 # ---------------------------------------------------------------------------
-# Expressions
+# Trees and expressions
 
 
-@dataclass(frozen=True)
-class Expr:
+class Tree:
+    """The base of the frozen dataclass trees `Expr` and `relalg.RAExpr`:
+    two trees are ``==`` exactly when a ``node_table`` holding both gives
+    them one value number.  ``==``, ``hash`` and ``repr`` keep pending nodes
+    on a list, and ``==`` compares each pair of shared nodes once."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (ids := (id(a), id(b))) not in seen:
+                seen.add(ids)
+                (key_a, kids_a), (key_b, kids_b) = parts(a), parts(b)
+                if key_a != key_b or len(kids_a) != len(kids_b):
+                    return False
+                stack += zip(kids_a, kids_b)
+        return True
+
+    def __hash__(self):
+        hashes = {}
+        for node in distinct(self):
+            key, kids = parts(node)
+            hashes[id(node)] = hash((key, *[hashes[id(c)] for c in kids]))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        return "".join(drive(self, [], _repr))
+
+
+def treeclass(cls):
+    """A frozen dataclass keeping `Tree`'s methods, which read `_compared`."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    cls._compared = tuple(f.name for f in fields(cls) if f.compare)
+    return cls
+
+
+def parts(node: Tree) -> tuple[tuple, tuple]:
+    """A tree node's key and `children`: every field that holds no tree
+    enters the key, after the node's class, as ``(class, value)``, a float
+    as ``(float, repr)``."""
+    key = [node.__class__]
+    for name in node._compared:
+        v = getattr(node, name)
+        if not (isinstance(v, Tree)
+                or v.__class__ is tuple and v and isinstance(v[0], Tree)):
+            key.append((v.__class__, repr(v) if v.__class__ is float else v))
+    return tuple(key), children(node)
+
+
+def _repr(node, out):
+    """A `drive` rule: append a generated dataclass ``repr`` of `node`."""
+    out.append(f"{node.__class__.__qualname__}(")
+    for i, name in enumerate(node._compared):
+        v = getattr(node, name)
+        out.append(f"{', ' if i else ''}{name}=")
+        if isinstance(v, Tree):
+            yield v, out
+        elif v.__class__ is tuple and v and isinstance(v[0], Tree):
+            for j, c in enumerate(v):
+                out.append(", " if j else "(")
+                yield c, out
+            out.append(",)" if len(v) == 1 else ")")
+        else:
+            out.append(repr(v))
+    out.append(")")
+    return out
+
+
+@treeclass
+class Expr(Tree):
     span: Optional[SourceSpan] = field(
         default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@treeclass
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@treeclass
 class Const(Expr):
     """Scalar literal; int for integral values, float otherwise (inf allowed)."""
 
     value: Union[int, float]
 
 
-@dataclass(frozen=True)
+@treeclass
 class Transpose(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@treeclass
 class MatMul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@treeclass
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@treeclass
 class ScalarMul(Expr):
     """Scalar product: `scalar` must have type (1,1)."""
 
@@ -163,7 +233,7 @@ class ScalarMul(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@treeclass
 class Apply(Expr):
     func: str
     args: tuple[Expr, ...]
@@ -172,7 +242,7 @@ class Apply(Expr):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@treeclass
 class For(Expr):
     """Canonical-vector loop: iterate `var` over b_1..b_n updating `acc`.
 
@@ -189,7 +259,7 @@ class For(Expr):
     acc_type: Optional[MatrixType] = None
 
 
-@dataclass(frozen=True)
+@treeclass
 class Sum(Expr):
     """Additive quantifier: fold the body over canonical vectors with +."""
 
@@ -198,7 +268,7 @@ class Sum(Expr):
     var_sym: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@treeclass
 class Prod(Expr):
     """Multiplicative quantifier: fold with matrix product, identity start."""
 
@@ -207,7 +277,7 @@ class Prod(Expr):
     var_sym: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@treeclass
 class Hadamard(Expr):
     """Pointwise-product quantifier: fold with entrywise product, ones start."""
 
@@ -216,14 +286,14 @@ class Hadamard(Expr):
     var_sym: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@treeclass
 class Ones(Expr):
     """All-ones column vector whose height is the row dimension of `arg`."""
 
     arg: Expr
 
 
-@dataclass(frozen=True)
+@treeclass
 class Diag(Expr):
     """Diagonal matrix built from a column vector."""
 
@@ -237,29 +307,22 @@ class OrderKind(Enum):
     NSHIFT = "Nshift"   # square matrix, (i,j) = one iff i = j + 1
 
 
-@dataclass(frozen=True)
+@treeclass
 class OrderPrim(Expr):
     kind: OrderKind
     sym: str
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    """Direct subexpressions of a node, in a fixed order."""
-    if isinstance(e, (Var, Const, OrderPrim)):
-        return ()
-    if isinstance(e, (Transpose, Ones, Diag)):
-        return (e.arg,)
-    if isinstance(e, (MatMul, Add)):
-        return (e.left, e.right)
-    if isinstance(e, ScalarMul):
-        return (e.scalar, e.arg)
-    if isinstance(e, Apply):
-        return e.args
-    if isinstance(e, For):
-        return (e.body,) if e.init is None else (e.init, e.body)
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        return (e.body,)
-    raise TypeError(f"not an expression node: {e!r}")
+def children(e: Tree) -> tuple[Tree, ...]:
+    """The trees a node's fields hold, in field order, a loop's body last."""
+    kids = []
+    for name in e._compared:
+        v = getattr(e, name)
+        if isinstance(v, Tree):
+            kids.append(v)
+        elif v.__class__ is tuple and v and isinstance(v[0], Tree):
+            kids += v
+    return tuple(kids[::-1]) if e.__class__ is For else tuple(kids)
 
 
 def binders(e: Expr) -> tuple[str, ...]:
@@ -295,24 +358,6 @@ def summand(e: Expr, table) -> Optional[Expr]:
     return None
 
 
-def _own_fields(e: Expr) -> tuple:
-    """The non-child fields that tell a node apart from others of its class."""
-    if isinstance(e, Var):
-        return (e.name,)
-    if isinstance(e, Const):
-        v = e.value
-        return (v.__class__, v if v.__class__ is int else repr(v))
-    if isinstance(e, For):
-        return (e.var, e.acc, e.var_sym, e.acc_type, e.init is None)
-    if isinstance(e, (Sum, Prod, Hadamard)):
-        return (e.var, e.var_sym)
-    if isinstance(e, Apply):
-        return (e.func,)
-    if isinstance(e, OrderPrim):
-        return (e.kind, e.sym)
-    return ()
-
-
 def distinct(root: Expr, key=id):
     """Yield the nodes under `root`, children first, once per `key` (``id``:
     each node of the DAG; a value number: each structure), on a heap stack."""
@@ -332,18 +377,16 @@ def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
 
     The table is keyed by ``id(node)``.  One `distinct` pass visits each
     node once, so shared subtrees cost nothing extra.  Two nodes get the
-    same value number exactly when they are structurally equal: same class,
-    same non-child fields and children with the same numbers.  Spans take
-    no part.  A ``Const`` is told apart by the type of its value and by
-    the value of an int or the ``repr`` of anything else, so ``1``, ``1.0``
-    and ``True`` get different numbers, and so do ``0.0`` and ``-0.0``.
+    same value number exactly when they are ``==``: the same `parts` key
+    (class and non-child fields, spans aside) and children with the same
+    numbers.
     """
     table: dict[int, tuple[int, tuple[str, ...]]] = {}
     numbers: dict[tuple, int] = {}
     for node in distinct(root):
-        entries = [table[id(c)] for c in children(node)]
-        signature = (node.__class__, *_own_fields(node),
-                     *[num for num, _ in entries])
+        key, kids = parts(node)
+        entries = [table[id(c)] for c in kids]
+        signature = (*key, *[num for num, _ in entries])
         number = numbers.setdefault(signature, len(numbers))
         names = {node.name} if isinstance(node, Var) else set()
         for _, fv in entries[:-1]:

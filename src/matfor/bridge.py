@@ -47,7 +47,7 @@ from .ast import (Add, Apply, Expr, For, MatMul, MatrixType, ScalarMul,
                   node_table, summand)
 from .errors import (EmptyActiveDomain, NotInSumFragment, OutputArityTooLarge,
                      SchemaNotBinary, SignatureViolation, UnsupportedFunction,
-                     _echo)
+                     _echo, _echo_names)
 from .functions import pointwise
 from .instance import Instance
 from .matrix import KMatrix
@@ -308,7 +308,7 @@ def mat_encode(relschema: dict[str, frozenset[str]],
         if rel.signature != attrs:
             raise SignatureViolation(
                 f"relation {_echo(name)} has signature "
-                f"{sorted(rel.signature)}, not {sorted(attrs)}")
+                f"{_echo_names(rel.signature)}, not {_echo_names(attrs)}")
         shape = ((1, 1), (n, 1), (n, n))[len(attrs)]
         ent = [sr.zero] * (shape[0] * shape[1])
         for t, v in rel.check().support.items():
@@ -422,7 +422,7 @@ def psi_translate(q: RAExpr, relschema: dict[str, frozenset[str]]) -> Expr:
     sig = relalg.signature_of(q, relschema)
     if len(sig) > 2:
         raise OutputArityTooLarge(
-            f"query signature {sorted(sig)} has arity {len(sig)} > 2")
+            f"query signature {_echo_names(sig)} has arity {len(sig)} > 2")
     scope = {}
     factors = drive(q, scope, _Psi(relschema).translate)
     order = sorted(sig)

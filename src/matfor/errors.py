@@ -16,6 +16,11 @@ def _echo(text, quote=repr):
     return quote(text) if len(text) <= 40 else f"{quote(text[:37])}..."
 
 
+def _echo_names(names):
+    """The sorted `names` printed as a list, each through `_echo`."""
+    return f"[{', '.join(map(_echo, sorted(names)))}]"
+
+
 class MatforError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -44,9 +44,9 @@ def _is_var(e, name):
 def _is_identity(e, table):
     """The identity-matrix templates: ``[1]`` or ``Σj. j * j^T``."""
     t = summand(e, table)
-    return e == Const(1) or (t.__class__ is MatMul and _is_var(t.left, e.var)
-                             and t.right.__class__ is Transpose
-                             and _is_var(t.right.arg, e.var))
+    return (e.__class__ is Const and e.value == 1) or (
+        t.__class__ is MatMul and _is_var(t.left, e.var)
+        and t.right.__class__ is Transpose and _is_var(t.right.arg, e.var))
 
 
 def _is_ones_column(e, table):
@@ -56,7 +56,7 @@ def _is_ones_column(e, table):
 
 def _is_allones(e, table):
     """The all-ones templates of any shape."""
-    if e == Const(1) or _is_ones_column(e, table):
+    if _is_ones_column(e, table) or e.__class__ is Const and e.value == 1:
         return True
     if e.__class__ is Transpose:
         return _is_ones_column(e.arg, table)

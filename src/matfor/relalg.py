@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
-from .ast import drive
+from .ast import Tree, drive, treeclass
 from .errors import (FormatError, ParseError, SignatureViolation,
-                     UnknownRelation, _echo)
+                     UnknownRelation, _echo, _echo_names)
 from .parser import KEYWORDS, _Parser
 from .semiring import REAL, Semiring, _count, read_semiring_line, records
 
@@ -104,7 +104,8 @@ class KRelation:
         for t in self.support:
             if tuple(map(_attr, t)) != order:
                 raise SignatureViolation(
-                    f"tuple {t} does not match signature {list(order)}")
+                    f"tuple {_echo(t, str)} does not match signature "
+                    f"{_echo_names(order)}")
         return self
 
     def value(self, t: Tuple_, sr: Semiring):
@@ -118,23 +119,23 @@ class KRelation:
 # Expressions
 
 
-@dataclass(frozen=True)
-class RAExpr:
+@treeclass
+class RAExpr(Tree):
     pass
 
 
-@dataclass(frozen=True)
+@treeclass
 class Rel(RAExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@treeclass
 class Union(RAExpr):
     left: RAExpr
     right: RAExpr
 
 
-@dataclass(frozen=True)
+@treeclass
 class Project(RAExpr):
     attrs: frozenset[str]
     arg: RAExpr
@@ -143,7 +144,7 @@ class Project(RAExpr):
         object.__setattr__(self, "attrs", frozenset(self.attrs))
 
 
-@dataclass(frozen=True)
+@treeclass
 class Select(RAExpr):
     attrs: frozenset[str]
     arg: RAExpr
@@ -152,7 +153,7 @@ class Select(RAExpr):
         object.__setattr__(self, "attrs", frozenset(self.attrs))
 
 
-@dataclass(frozen=True)
+@treeclass
 class Rename(RAExpr):
     """`mapping` sends each new attribute name to an operand attribute."""
 
@@ -164,7 +165,7 @@ class Rename(RAExpr):
                            tuple(sorted(dict(self.mapping).items())))
 
 
-@dataclass(frozen=True)
+@treeclass
 class Join(RAExpr):
     left: RAExpr
     right: RAExpr
@@ -186,13 +187,14 @@ def _signature(q, relschema):
         if ls != rs:
             raise SignatureViolation(
                 f"union operands must share a signature: "
-                f"{sorted(ls)} vs {sorted(rs)}")
+                f"{_echo_names(ls)} vs {_echo_names(rs)}")
         return ls
     if isinstance(q, (Project, Select)):
         s = yield q.arg, relschema
         if not q.attrs <= s:
             raise SignatureViolation(
-                f"attributes {sorted(q.attrs - s)} not in operand signature")
+                f"attributes {_echo_names(q.attrs - s)} not in operand "
+                f"signature")
         return q.attrs if isinstance(q, Project) else s
     if isinstance(q, Rename):
         s = yield q.arg, relschema

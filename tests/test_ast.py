@@ -1,11 +1,18 @@
+import copy
+import hashlib
+
 import pytest
 
 from matfor import stdlib
-from matfor.ast import (Add, Const, For, Hadamard, MatMul, MatrixType, Prod,
-                        Schema, Sum, Transpose, Var, binders, bound_names,
-                        children, free_vars, node_table, substitute, summand,
-                        walk)
+from matfor.ast import (Add, Apply, Const, For, Hadamard, MatMul, MatrixType,
+                        Prod, Schema, Sum, Transpose, Var, binders,
+                        bound_names, children, free_vars, node_table,
+                        substitute, summand, walk)
+from matfor.bridge import psi_translate
 from matfor.errors import DuplicateVariable
+from matfor.parser import parse_expr
+from matfor.relalg import Project, Rel, Select, parse_ra
+from matfor.sugar import desugar
 
 
 def test_free_vars_of_variable():
@@ -190,3 +197,129 @@ def test_transpose_swaps_type_fields():
     t = MatrixType("alpha", "beta")
     assert t.transposed() == MatrixType("beta", "alpha")
     assert Transpose(Var("V")) == Transpose(Var("V"))
+
+
+# ---------------------------------------------------------------------------
+# One structural identity: ==, hash and repr of expression and query trees
+
+DEEP = 5000
+
+
+def _deep_sum(left_deep):
+    e = Var("V")
+    for _ in range(DEEP - 1):
+        e = Add(e, Var("V")) if left_deep else Add(Var("V"), e)
+    return e
+
+
+# builder, and how often its leaf's field prints
+DEEP_TREES = {
+    "left-deep-sum": (lambda: _deep_sum(True), "name='V'", DEEP),
+    "right-deep-sum": (lambda: _deep_sum(False), "name='V'", DEEP),
+    "sum-nest": (lambda: parse_expr(
+        "".join(f"sum v{i} . " for i in range(DEEP)) + "V"), "name='V'", 1),
+    "union-nest": (lambda: parse_ra(
+        "union(" * DEEP + "rel R" + ", rel R)" * DEEP), "name='R'", DEEP + 1),
+    "join-nest": (lambda: parse_ra(
+        "join(rel R, " * DEEP + "rel R" + ")" * DEEP), "name='R'", DEEP + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TREES))
+def test_deep_trees_compare_hash_and_print(name):
+    build, leaf, count = DEEP_TREES[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) and repr(a).count(leaf) == count
+
+
+def test_deep_sums_of_either_shape_differ():
+    assert _deep_sum(True) != _deep_sum(False)
+
+
+def test_a_shared_dag_compares_in_linear_work():
+    # 200 levels of ``e + e``: 2**200 paths, 200 distinct pairs of nodes
+    a, b = Var("V"), Var("V")
+    for _ in range(200):
+        a, b = Add(a, a), Add(b, b)
+    assert a == b and hash(a) == hash(b)
+    assert a != Add(b.left, Add(b.left.left, Var("W")))
+
+
+def test_equality_agrees_with_value_numbers():
+    from test_pass_pins import _corpus
+    exprs = [e for e, _ in _corpus()]
+    for i, a in enumerate(exprs):
+        for b in [copy.deepcopy(a), *exprs[i + 1:i + 4]]:
+            table = node_table(Apply("pair", (a, b)))
+            same = table[id(a)][0] == table[id(b)][0]
+            assert (a == b) is same and (a != b) is not same, (a, b)
+            assert not same or hash(a) == hash(b)
+
+
+_BODY, _TYPE = Add(Var("X"), Var("v")), MatrixType("a", "a")
+# the pairs the value numbers keep apart, and two pairs of queries
+APART = [
+    (Const(1), Const(1.0)),
+    (Const(1), Const(True)),
+    (Const(0.0), Const(-0.0)),
+    (For("v", "X", _BODY, init=Var("v")), For("v", "X", _BODY)),
+    (For("v", "X", _BODY, acc_type=_TYPE), For("v", "X", _BODY)),
+    (Sum("v", _BODY), Prod("v", _BODY)),
+    (Prod("v", _BODY), Hadamard("v", _BODY)),
+    (Sum("v", _BODY, var_sym="a"), Sum("v", _BODY, var_sym="b")),
+    (Sum("v", _BODY), Sum("w", _BODY)),
+    (Rel("R"), Var("R")),
+    (Project({"a"}, Rel("R")), Select({"a"}, Rel("R"))),
+]
+
+
+@pytest.mark.parametrize("x, y", APART)
+def test_what_evaluates_differently_compares_unequal(x, y):
+    assert x != y and not x == y
+    assert x == copy.deepcopy(x) and hash(x) == hash(copy.deepcopy(x))
+
+
+def test_nan_literals_are_equal():
+    # two nan objects: a float enters the key by its repr
+    a, b = Const(float("nan")), Const(float("nan"))
+    assert a.value is not b.value
+    assert a == b and hash(a) == hash(b)
+
+
+def test_trees_are_unequal_to_other_values():
+    assert Var("V") != "V" and Var("V") != ("V",)
+
+
+def _repr_lines():
+    """The repr of every stdlib program, its desugared core, the parsed phi
+    corpus, the psi translations of the psi queries and those queries whose
+    attribute sets print in one order."""
+    from test_acceptance import PHI_CORPUS
+    from test_bridge_psi import BINARY, QUERIES
+    lines = []
+    for _, item in sorted(stdlib.all_named().items()):
+        lines += [repr(item.expr), repr(desugar(item.expr, item.schema))]
+    lines += [repr(parse_expr(text)) for text in PHI_CORPUS]
+    lines += [repr(psi_translate(parse_ra(text), BINARY)) for text in QUERIES]
+    # a frozenset of two or more names prints in a per-process order
+    lines += [repr(parse_ra(text)) for text in QUERIES if "[a, " not in text]
+    return lines
+
+
+# sha256 of the newline-joined `_repr_lines` as the dataclass-generated
+# repr printed them
+REPR_SHA256 = (
+    "08b1b84edf5f85ddb68ab8f613113076fcc92435671083b103eab9e680e2e914")
+
+
+def test_repr_prints_what_the_dataclass_printed():
+    text = "\n".join(_repr_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPR_SHA256
+    assert repr(Apply("f", (Var("V"),))) == (
+        "Apply(func='f', args=(Var(name='V'),))")
+    assert repr(For("v", "X", Var("X"), acc_type=MatrixType("a", "a"))) == (
+        "For(var='v', acc='X', body=Var(name='X'), init=None, var_sym=None, "
+        "acc_type=MatrixType(rows='a', cols='a'))")

@@ -91,7 +91,7 @@ CORPUS = [
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_translation_contract(text):
-    rng = random.Random(hash(text) & 0xFFFFFF)
+    rng = random.Random(text)
     e = parse_expr(text)
     t = typecheck(e, SCHEMA)
     q = phi_translate(e, SCHEMA)

@@ -115,6 +115,29 @@ def test_wide_output_is_rejected():
         psi_translate(parse_ra("join(rel R, rel S)"), BINARY)
 
 
+def test_a_wide_output_names_its_attributes_cut_short():
+    with pytest.raises(OutputArityTooLarge,
+                       match=r"^query signature \['a', 'b', 'c'\] has arity "
+                             r"3 > 2$"):
+        psi_translate(parse_ra("join(rel R, rel S)"), BINARY)
+    long = "x" * 5000
+    with pytest.raises(OutputArityTooLarge) as err:
+        psi_translate(parse_ra(f"join(rel R, rename[{long}->a](rel T))"),
+                      BINARY)
+    assert str(err.value) == (
+        f"query signature ['a', 'b', '{'x' * 37}'...] has arity 3 > 2")
+
+
+def test_a_long_attribute_name_off_the_schema_is_echoed_cut_short():
+    long = "x" * 5000
+    rels = {"R": KRelation.build(
+        frozenset({long}), [(make_tuple({long: 1}), 3)], NAT)}
+    with pytest.raises(SignatureViolation) as err:
+        mat_encode({"R": frozenset({"a", long})}, rels, NAT)
+    assert str(err.value) == (f"relation 'R' has signature ['{'x' * 37}'...], "
+                              f"not ['a', '{'x' * 37}'...]")
+
+
 def rand_rels(rng, relschema, sr, maxdom=5):
     dom = list(range(1, rng.randint(1, maxdom) + 1))
     rels = {}

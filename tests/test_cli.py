@@ -267,6 +267,15 @@ def test_deep_ra_query_is_translated(files, capsys):
     assert out.count("V_R") == depth + 1 and out.count("\n") == 1
 
 
+def test_a_long_attribute_name_is_echoed_cut_short(files, capsys):
+    rels = files("r.rel", "semiring nat\nrelation R a b\n1 2 : 3\n")
+    query = files("long.ra", f"project[{'x' * 5000}](rel R)")
+    code, out, err = run(capsys, "from-ra", "-q", query, "--relschema", rels)
+    assert code != 0 and out == ""
+    assert err == (f"error: attributes ['{'x' * 37}'...] not in operand "
+                   f"signature\n")
+
+
 def test_running_out_of_memory_is_an_eval_error(files, capsys, monkeypatch):
     def exhausted(i, n, sr):
         raise MemoryError

@@ -61,17 +61,10 @@ def test_pretty(deep):
     assert pretty(e) == text
 
 
-def _same(a, b):
-    """Structural equality, spans aside, without recursion: equal trees get
-    one value number in a table that holds both."""
-    table = ast.node_table(Apply("pair", (a, b)))
-    return table[id(a)][0] == table[id(b)][0]
-
-
 def test_parse(deep):
     e, text = deep
-    assert _same(parse_expr(text), e)
-    assert not _same(parse_expr(text), _sum(text != TEXT))
+    assert parse_expr(text) == e
+    assert parse_expr(text) != _sum(text != TEXT)
 
 
 def test_quantifier_prefixes_round_trip():

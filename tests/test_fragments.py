@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matfor.ast import Apply, Const, For, Var
+from matfor.ast import Apply, Const, For, MatMul, Var
 from matfor.evaluator import evaluate, mat_equal
 from matfor.fragments import Fragment, classify
 from matfor.instance import Instance
@@ -91,6 +91,18 @@ def test_allones_recognition():
         Fragment.FO
     assert classify(_hadamard_loop("[1]")) is Fragment.FO
     assert classify(_hadamard_loop("sum i . i * i^T")) is Fragment.FULL
+
+
+@pytest.mark.parametrize("one", [Const(1.0), Const(True)],
+                         ids=["float", "bool"])
+def test_a_one_of_any_number_type_is_a_template(one):
+    # classification reads the literal's value, not its structural identity
+    assert classify(For("v", "X", MatMul(Var("X"), Var("V")),
+                        init=one)) is Fragment.PROD
+    assert classify(For("v", "X", Apply("hprod2", (Var("X"), Var("V"))),
+                        init=one)) is Fragment.FO
+    assert classify(_pi_loop("[1.0]")) is Fragment.PROD
+    assert classify(_hadamard_loop("[1.0]")) is Fragment.FO
 
 
 @pytest.mark.parametrize("text,schema_text", [

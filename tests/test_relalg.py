@@ -76,6 +76,46 @@ def test_signature_rules_are_enforced():
         eval_ra(Rel("missing"), {"r": r}, NAT)
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("q, message", [
+    (Union(Rel("r"), Project(frozenset(), Rel("r"))),
+     "union operands must share a signature: ['a'] vs []"),
+    (Project(frozenset({"zzz", "y"}), Rel("r")),
+     "attributes ['y', 'zzz'] not in operand signature"),
+    (Select(frozenset({"zzz"}), Rel("r")),
+     "attributes ['zzz'] not in operand signature"),
+])
+def test_signature_errors_quote_short_names_whole(q, message):
+    with pytest.raises(SignatureViolation) as err:
+        eval_ra(q, {"r": rel({"a"}, [((1,), 1)])}, NAT)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("q", [
+    Union(Rel("r"), Rename(((LONG, "a"),), Rel("r"))),
+    Project(frozenset({LONG}), Rel("r")),
+    Select(frozenset({LONG, "y" + LONG}), Rel("r")),
+], ids=["union", "project", "select"])
+def test_signature_errors_cut_long_names_short(q):
+    with pytest.raises(SignatureViolation) as err:
+        eval_ra(q, {"r": rel({"a"}, [((1,), 1)])}, NAT)
+    assert len(str(err.value)) < 200 and "x" * 37 + "'..." in str(err.value)
+
+
+def test_a_tuple_off_its_signature_is_echoed_cut_short():
+    with pytest.raises(SignatureViolation) as err:
+        KRelation.build(frozenset({"a" * 5000}),
+                        [((("b" * 5000, 1),), 1)], NAT)
+    assert str(err.value) == (
+        f"tuple (('{'b' * 34}... does not match signature ['{'a' * 37}'...]")
+    with pytest.raises(SignatureViolation) as err:
+        KRelation.build(frozenset({"a"}), [((("b", 1),), 1)], NAT)
+    assert str(err.value) == (
+        "tuple (('b', 1),) does not match signature ['a']")
+
+
 def test_active_domain_never_grows():
     r = rel({"a", "b"}, [((1, 2), 2)])
     q = Join(Rename((("b", "a"), ("c", "b")), Rel("r")), Rel("r"))
