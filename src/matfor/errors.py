@@ -16,9 +16,17 @@ def _echo(text, quote=repr):
     return quote(text) if len(text) <= 40 else f"{quote(text[:37])}..."
 
 
+#: how many names `_echo_names` prints before it counts the rest
+_ECHO_NAMES = 8
+
+
 def _echo_names(names):
-    """The sorted `names` printed as a list, each through `_echo`."""
-    return f"[{', '.join(map(_echo, sorted(names)))}]"
+    """The sorted `names` printed as a list, each through `_echo`; past the
+    first `_ECHO_NAMES` only the number of the rest is printed."""
+    names = sorted(names)
+    shown = ", ".join(map(_echo, names[:_ECHO_NAMES]))
+    rest = len(names) - _ECHO_NAMES
+    return f"[{shown}, ... {rest} more]" if rest > 0 else f"[{shown}]"
 
 
 class MatforError(Exception):

@@ -34,14 +34,16 @@ visit order with C-level `map`.  The selection at b_i is the kernel's one
 term whose basis entry is not zero, ``plus(zero, times(R[i], one))`` or
 ``plus(zero, times(one, C[i]))``; the spine steps, the start and the
 ``plus`` fold are the loop's own.  The kernel's other terms hold a `zero`
-factor, and leave its sum as it was exactly where the zero-term path
-leaves them out: where ``times(zero, y) == zero`` for every entry y of R or
-C.  A factor with an entry that fails this (+-inf or nan over the reals,
--inf or nan over min-plus) takes the kernel's products against b_i
-instead.  So the fold is bit-identical to the loop, and an error in a
-factor carries the loop's first iteration as its context, as the loop's
-would.  This is the loop-lifting of Grust, Sakr and Teubner (XQuery on SQL
-Hosts, VLDB 2004), applied to the paper's sum over canonical vectors.
+factor, and leave its sum as it was under the rule by which the kernel's
+selection and zero-term paths leave such terms out: where R or C
+`matrix.absorbs`, that is ``times(zero, y) == zero`` for every entry y of
+it, an answer the matrix keeps.  A factor with an entry that fails this
+(+-inf or nan over the reals, -inf or nan over min-plus) takes the
+kernel's products against b_i instead.  So the fold is bit-identical to
+the loop, and an error in a factor carries the loop's first iteration as
+its context, as the loop's would.  This is the loop-lifting of Grust, Sakr
+and Teubner (XQuery on SQL Hosts, VLDB 2004), applied to the paper's sum
+over canonical vectors.
 
 A node that is 1 x 1 at build time, like a 1 x 1 variable, is carried as a
 bare carrier value, not a `KMatrix`; with dimension one even the canonical
@@ -117,7 +119,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import copysign
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import ast, matrix
@@ -597,7 +599,7 @@ class _Ctx:
             for (kind, _), val in zip(factors, vals):
                 if kind is None:
                     col = repeat(val)
-                elif all(map(eq, map(times, zeros, val.entries), zeros)):
+                elif matrix.absorbs(val, sr):
                     # the kernel's one term whose basis entry is not zero
                     col = map(plus, zeros, map(times, val.entries, ones)
                               if kind == "row" else

@@ -57,10 +57,6 @@ def make_tuple(assignment: dict[str, int]) -> Tuple_:
     return tuple(sorted(assignment.items()))
 
 
-def tuple_restrict(t: Tuple_, attrs) -> Tuple_:
-    return tuple((a, v) for a, v in t if a in attrs)
-
-
 _attr = itemgetter(0)
 _value = itemgetter(1)
 
@@ -399,16 +395,3 @@ def parse_relations(text: str):
     # no semiring line may follow a block, so every block is read in `sr`
     return sr, {name: KRelation.build(sig, items, sr)
                 for name, (sig, items) in blocks.items()}
-
-
-def format_relations(rels: dict[str, KRelation], sr: Semiring) -> str:
-    lines = [f"semiring {sr.name}"]
-    for name in sorted(rels):
-        rel = rels[name]
-        attrs = sorted(rel.signature)
-        lines.append(f"relation {name} {' '.join(attrs)}".rstrip())
-        for t in sorted(rel.support):
-            vals = dict(t)
-            point = " ".join(str(vals[a]) for a in attrs)
-            lines.append(f"{point} : {sr.fmt(rel.support[t])}".lstrip())
-    return "\n".join(lines)

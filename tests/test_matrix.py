@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from matfor.errors import ShapeMismatch
-from matfor.matrix import (KMatrix, canonical_vector, from_rows, identity,
-                           mat_add, mat_map, mat_mul, mat_scale,
+from matfor.matrix import (KMatrix, absorbs, canonical_vector, from_rows,
+                           identity, mat_add, mat_map, mat_mul, mat_scale,
                            mat_transpose)
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL, Semiring
 
@@ -55,11 +55,20 @@ def _operands(draw):
 
     def operand(rows, cols):
         kind = draw(st.sampled_from(["random", "random", "identity",
-                                     "basis", "zeros"]))
+                                     "basis", "lone", "zeros"]))
         if kind == "identity" and rows == cols:
             return identity(rows, sr)
         if kind == "basis" and cols == 1:
             return canonical_vector(draw(st.integers(1, rows)), rows, sr)
+        if kind == "basis" and rows == 1:
+            return mat_transpose(
+                canonical_vector(draw(st.integers(1, cols)), cols, sr))
+        if kind == "lone" and 1 in (rows, cols):
+            # a selection vector whose one entry is a special value
+            ent = [sr.zero] * (rows * cols)
+            ent[draw(st.integers(0, len(ent) - 1))] = draw(
+                st.sampled_from(SPECIAL[sr.name]))
+            return KMatrix(rows, cols, tuple(ent))
         if kind == "zeros":
             return KMatrix(rows, cols, (sr.zero,) * (rows * cols))
         ent = draw(st.lists(value, min_size=rows * cols,
@@ -170,13 +179,16 @@ BIG_VALUES = {
 
 @pytest.mark.parametrize("sr", [REAL, TROPICAL], ids=lambda sr: sr.name)
 @pytest.mark.parametrize("n", [12, 14])
-@pytest.mark.parametrize("inner", ["rank_one", "dense"])
+@pytest.mark.parametrize("inner", ["rank_one", "dense", "selection"])
 def test_mat_mul_matches_the_reference_at_benchmark_sizes(sr, n, inner):
     rng = random.Random(f"{sr.name}/{n}/{inner}")
     k = 1 if inner == "rank_one" else n
     values = BIG_VALUES[sr.name]
     nonzero = [v for v in values if v != sr.zero]
     finite = [v for v in nonzero if math.isfinite(v)]
+    if inner == "selection":
+        _check_selections(sr, n, rng, values + [-INF, NAN], nonzero, finite)
+        return
     # every value, no zero (the fold runs every term), and finite with
     # zeros (the zero-term rule applies)
     for pool in (values, nonzero, finite + [sr.zero]):
@@ -185,6 +197,65 @@ def test_mat_mul_matches_the_reference_at_benchmark_sizes(sr, n, inner):
             b = KMatrix(k, n, tuple(rng.choice(pool) for _ in range(k * n)))
             assert _reprs(mat_mul(a, b, sr)) == \
                 _reprs(_reference_mat_mul(a, b, sr))
+
+
+def _check_selections(sr, n, rng, wild, nonzero, finite):
+    """1 x n * n x n and n x n * n x 1 with a lone-entry vector, against
+    operands that fail the absorption check (inf or nan; -inf or nan over
+    min-plus) and operands that pass it, so both the selection path and its
+    fallback run."""
+    held = set()
+    for pool in (wild, finite + [sr.zero]):
+        for _ in range(4):
+            full = KMatrix(n, n, tuple(rng.choice(pool) for _ in range(n * n)))
+            ent = [sr.zero] * n
+            ent[rng.randrange(n)] = rng.choice(nonzero + [sr.one])
+            for vec in (tuple(ent), canonical_vector(
+                    rng.randint(1, n), n, sr).entries):
+                row, col = KMatrix(1, n, vec), KMatrix(n, 1, vec)
+                for a, b in ((row, full), (full, col)):
+                    assert _reprs(mat_mul(a, b, sr)) == \
+                        _reprs(_reference_mat_mul(a, b, sr))
+            held.add(absorbs(full, sr))
+    assert held == {True, False}
+
+
+@pytest.mark.parametrize("first, second", [(TROPICAL, REAL),
+                                           (REAL, TROPICAL)],
+                         ids=["tropical_first", "real_first"])
+def test_the_absorption_answer_is_kept_per_semiring(first, second):
+    # min-plus absorbs inf (inf + inf is inf); over the reals 0 * inf is nan
+    m = from_rows([[1.5, INF, -0.0], [0.0, 2.0, INF], [3.0, -1.0, 0.5]])
+    for sr in (first, second, first, second):
+        col = canonical_vector(2, 3, sr)
+        for a, b in ((mat_transpose(col), m), (m, col)):
+            assert _reprs(mat_mul(a, b, sr)) == \
+                _reprs(_reference_mat_mul(a, b, sr)), sr.name
+        assert absorbs(m, sr) is (sr is TROPICAL)
+
+
+@pytest.mark.parametrize("n, k, m", [(1, 2, 2), (1, 4, 3), (1, 14, 14),
+                                     (2, 2, 1), (3, 4, 1), (14, 14, 1)])
+def test_the_selection_path_makes_the_reference_calls_with_a_nonzero_factor(
+        n, k, m):
+    rng = random.Random(f"select/{n}x{k}x{m}")
+    t = rng.randrange(k)
+    vec = tuple(rng.randint(1, 20) if s == t else 0 for s in range(k))
+    full = tuple(rng.randint(0, 3) for _ in range(k * max(n, m)))
+    a, b = ((KMatrix(1, k, vec), KMatrix(k, m, full)) if n == 1 else
+            (KMatrix(n, k, full), KMatrix(k, 1, vec)))
+    got, want = [], []
+    sr = _recording(got)
+    assert absorbs(b if n == 1 else a, sr)  # its own calls, made once
+    got.clear()
+    mat_mul(a, b, sr)
+    _reference_mat_mul(a, b, _recording(want))
+    # the reference makes each term as a times call, then the plus that
+    # adds it; the path drops each term whose factor from the vector is zero
+    side = 1 if n == 1 else 2
+    kept = [call for term in zip(want[0::2], want[1::2])
+            if term[0][side] != 0 for call in term]
+    assert got == kept and len(got) == 2 * n * m
 
 
 def test_mat_map_calls_fn_in_entry_order_and_raises_the_first_error():
