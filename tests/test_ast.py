@@ -289,6 +289,40 @@ def test_nan_literals_are_equal():
     assert a == b and hash(a) == hash(b)
 
 
+def test_a_joint_node_table_numbers_a_shared_subtree_once(monkeypatch):
+    from matfor import ast
+    shared = MatMul(Var("V"), Var("W"))
+    a, b = Add(shared, Var("V")), Transpose(shared)
+    keyed = []
+
+    def spy(node):
+        keyed.append(node)
+        return parts(node)
+
+    parts = ast.parts
+    monkeypatch.setattr(ast, "parts", spy)
+    table = node_table(a, b)
+    assert len(keyed) == len({id(n) for n in keyed}) == len(table) == 6
+    assert {id(a), id(b), id(shared)} <= table.keys()
+    # equal structures under either root take one number
+    twin = Transpose(MatMul(Var("V"), Var("W")))
+    joint = node_table(a, twin)
+    assert joint[id(twin.arg)] == joint[id(shared)] == (joint[id(shared)][0],
+                                                       ("V", "W"))
+    assert joint[id(a.right)][0] == joint[id(shared.left)][0]
+
+
+def test_an_expr_never_equals_a_query():
+    exprs = [Var("R"), Transpose(Var("R")), parse_expr("V * V")]
+    queries = [Rel("R"), Project({"a"}, Rel("R")),
+               parse_ra("union(rel R, rel R)")]
+    for e in exprs:
+        for q in queries:
+            table = node_table(e, q)
+            assert table[id(e)][0] != table[id(q)][0]
+            assert e != q and q != e and not e == q
+
+
 def test_trees_are_unequal_to_other_values():
     assert Var("V") != "V" and Var("V") != ("V",)
 

@@ -249,6 +249,47 @@ def test_exit_codes(files, capsys):
                "--semiring", "reals")[0] == 1
 
 
+# two size symbols, the first named as a fallback symbol would be
+TWO_SYMBOLS = ("semiring real\nsize {s} 3\nsize beta 2\nmatrix V {s} 1\n"
+               "1\n2\n3\nmatrix W beta 1\n1\n2\n")
+
+
+@pytest.mark.parametrize("sym", ["_s1", "gamma"])
+def test_an_undeclared_iterator_takes_a_symbol_no_instance_uses(files, capsys,
+                                                               sym):
+    inst = files("two.inst", TWO_SYMBOLS.format(s=sym))
+    code, out, err = run(capsys, "eval", "-e", "sum v . v + V",
+                         "--instance", inst)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: addition needs equal types")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("sym", ["_s1", "gamma"])
+def test_desugar_gives_an_undeclared_iterator_a_symbol_no_schema_uses(
+        files, capsys, sym):
+    schema = files("v.schema", f"var V : {sym} x 1\n")
+    code, out, err = run(capsys, "desugar", "-e", "sum v . v + V",
+                         "--schema", schema)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: addition needs equal types")
+
+
+def test_an_unused_size_line_keeps_its_symbol_from_an_iterator(files, capsys):
+    inst = files("unused.inst", "semiring real\nsize _s1 3\nsize beta 2\n"
+                                "matrix W beta 1\n1\n2\n")
+    code, out, err = run(capsys, "eval", "-e", "sum v . v", "--instance", inst)
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "error: no dimension assigned to size symbol '_s2'")
+
+
+def test_an_undeclared_iterator_takes_a_symbol_no_order_matrix_uses(capsys):
+    code, out, err = run(capsys, "desugar", "-e", "sum v . v + Emin[_s1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: addition needs equal types")
+
+
 def test_deep_nesting_is_checked(files, capsys):
     schema = files("s.schema", "var V : alpha x alpha\n")
     expr = "(" * 300 + "V" + ")" * 300

@@ -148,3 +148,74 @@ def test_reduce_apply_is_idempotent():
     e = parse_expr("div(A, B)")
     once = reduce_apply_to_scalars(e, s)
     assert reduce_apply_to_scalars(once, s) == once
+
+
+# ---------------------------------------------------------------------------
+# Over the reals, native sugar and its lowering agree on finite entries
+
+LOWERING_SCHEMA = """
+var V : alpha x alpha
+var W : alpha x alpha
+var u : alpha x 1
+var v : alpha x 1
+var w : alpha x 1
+"""
+
+# criterion 12's corpus
+LOWERING_CORPUS = [
+    "sum v . v",
+    "sum v . v * v^T",
+    "prod v . V",
+    "hprod v . V + v * v^T",
+    "ones(V) + diag(u)^T * u",
+    "diag(ones(W))",
+    "sum v . hprod2(V, v * v^T)",
+    "hsum3(V, W, V)",
+    "hprod2(u, u) + u",
+    "prod v . hprod2(V, W) + diag(v)",
+    "sum v . sum w . (v^T * V * w) .* (v * w^T)",
+]
+
+
+def _real_both_ways(text, mats, n):
+    """`text` evaluated natively, desugared and scalarised, over real."""
+    s = parse_schema(LOWERING_SCHEMA)
+    e = parse_expr(text)
+    inst = Instance({"alpha": n}, mats)
+    return [evaluate(x, inst, REAL, schema=s)
+            for x in (e, desugar(e, s), reduce_apply_to_scalars(e, s))]
+
+
+@pytest.mark.parametrize("text", LOWERING_CORPUS)
+def test_lowering_agrees_over_real_on_finite_entries(text):
+    rng = random.Random(212)
+    draws = (-0.0, 0.0, 1.0, -2.5, 0.5, 3.0)
+    for _ in range(8):
+        n = rng.randrange(1, 5)
+        mats = {}
+        for name, t in parse_schema(LOWERING_SCHEMA).vars.items():
+            r, c = (n if t.rows == "alpha" else 1), (n if t.cols == "alpha"
+                                                     else 1)
+            mats[name] = KMatrix(r, c, tuple(rng.choice(draws)
+                                             for _ in range(r * c)))
+        native, lowered, scalarised = _real_both_ways(text, mats, n)
+        assert mat_equal(lowered, native, REAL), text
+        assert mat_equal(scalarised, native, REAL), text
+
+
+def test_prod_over_an_infinite_entry_differs_once_desugared():
+    # the identity start multiplies inf by 0.0
+    inf = float("inf")
+    native, lowered, _ = _real_both_ways(
+        "prod v . V", {"V": KMatrix(2, 2, (inf, 1.0, 2.0, 3.0))}, 2)
+    assert repr(native.entries) == "(inf, inf, inf, 11.0)"
+    assert repr(lowered.entries) == "(inf, inf, nan, nan)"
+
+
+def test_diag_of_an_infinite_entry_differs_once_desugared():
+    # both the selection b_i^T * u and the scaled v * v^T take inf * 0.0
+    inf = float("inf")
+    native, lowered, _ = _real_both_ways(
+        "diag(u)", {"u": KMatrix(2, 1, (inf, -0.0))}, 2)
+    assert repr(native.entries) == "(inf, 0.0, 0.0, -0.0)"
+    assert repr(lowered.entries) == "(nan, nan, nan, nan)"
