@@ -122,23 +122,17 @@ class Schema:
 
 class Tree:
     """The base of the frozen dataclass trees `Expr` and `relalg.RAExpr`:
-    two trees are ``==`` exactly when a ``node_table`` holding both gives
-    them one value number.  ``==``, ``hash`` and ``repr`` keep pending nodes
-    on a list, and ``==`` compares each pair of shared nodes once."""
+    two trees are ``==`` exactly when the ``node_table`` of both gives them
+    one value number.  ``==``, ``hash`` and ``repr`` keep pending nodes on
+    a list."""
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        seen, stack = set(), [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b and (ids := (id(a), id(b))) not in seen:
-                seen.add(ids)
-                (key_a, kids_a), (key_b, kids_b) = parts(a), parts(b)
-                if key_a != key_b or len(kids_a) != len(kids_b):
-                    return False
-                stack += zip(kids_a, kids_b)
-        return True
+        if self is other:
+            return True
+        table = node_table(self, other)
+        return table[id(self)][0] == table[id(other)][0]
 
     def __hash__(self):
         hashes = {}
@@ -358,10 +352,10 @@ def summand(e: Expr, table) -> Optional[Expr]:
     return None
 
 
-def distinct(root: Expr, key=id):
-    """Yield the nodes under `root`, children first, once per `key` (``id``:
+def distinct(*roots: Tree, key=id):
+    """Yield the nodes under `roots`, children first, once per `key` (``id``:
     each node of the DAG; a value number: each structure), on a heap stack."""
-    seen, stack = set(), [(root, False)]
+    seen, stack = set(), [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -372,8 +366,8 @@ def distinct(root: Expr, key=id):
             stack.extend((c, False) for c in children(node))
 
 
-def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
-    """Value number and sorted free variables of every node under `root`.
+def node_table(*roots: Tree) -> dict[int, tuple[int, tuple[str, ...]]]:
+    """Value number and sorted free variables of every node under `roots`.
 
     The table is keyed by ``id(node)``.  One `distinct` pass visits each
     node once, so shared subtrees cost nothing extra.  Two nodes get the
@@ -383,7 +377,7 @@ def node_table(root: Expr) -> dict[int, tuple[int, tuple[str, ...]]]:
     """
     table: dict[int, tuple[int, tuple[str, ...]]] = {}
     numbers: dict[tuple, int] = {}
-    for node in distinct(root):
+    for node in distinct(*roots):
         key, kids = parts(node)
         entries = [table[id(c)] for c in kids]
         signature = (*key, *[num for num, _ in entries])

@@ -294,13 +294,12 @@ def mat_encode(relschema: dict[str, frozenset[str]],
                sr: Semiring):
     """Encode a binary relation instance as matrices over the active domain
     (taken in ascending order); returns (schema, instance)."""
-    check_binary(relschema)
+    schema = mat_schema(relschema)
     dom = active_domain(rels)
     if not dom:
         raise EmptyActiveDomain(
             "cannot encode an instance with an empty active domain")
     n = len(dom)
-    schema = mat_schema(relschema)
     mats = {}
     index = {d: i for i, d in enumerate(dom)}
     for name, attrs in relschema.items():

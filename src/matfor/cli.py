@@ -21,14 +21,15 @@ Commands::
 
 `eval` induces the schema from the instance file; loop iterators that are
 not declared anywhere default to the single non-unit size symbol of the
-instance when there is exactly one.  `eval --semiring NAME` reads the
-file's values as written, in the carrier NAME, and evaluates there; an
-unknown NAME is a bad flag.  A size symbol has one dimension: a repeated
-`--dim`, like a repeated `size` line, must give the one it already has, and
-the unit symbol `1` is always 1 (see `instance.set_dimension`).  `demo`
-expects the instance to provide a square matrix variable `V`.
-`circuit-eval` computes and prints in the semiring of its `--inputs` file
-(see `circuit_compile` on constants).
+instance when there is exactly one, else to a fresh one (`sugar._Fresh`,
+``_s1``, ``_s2``, ...) that no schema type, instance ``size`` line or order
+matrix uses.  `eval --semiring NAME` reads the file's values as written, in
+the carrier NAME, and evaluates there; an unknown NAME is a bad flag.  A
+size symbol has one dimension: a repeated `--dim`, like a repeated `size`
+line, must give the one it already has, and the unit symbol `1` is always 1
+(see `instance.set_dimension`).  `demo` expects the instance to provide a
+square matrix variable `V`.  `circuit-eval` computes and prints in the
+semiring of its `--inputs` file (see `circuit_compile` on constants).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import argparse
 import sys
 
 from . import stdlib
-from .ast import MatrixType, Schema, UNIT, binders, walk
+from .ast import MatrixType, OrderPrim, Schema, UNIT, binders, walk
 from .bridge import phi_translate, psi_translate
 from .circuit_compile import compile_expr
 from .circuits import dump_circuit, eval_circuit, load_circuit, stats
@@ -50,7 +51,7 @@ from .parser import format_schema, parse_expr, parse_schema
 from .printer import pretty
 from .relalg import format_ra, parse_ra, parse_relations
 from .semiring import SEMIRINGS
-from .sugar import desugar
+from .sugar import _Fresh, desugar
 from .typecheck import typecheck
 
 
@@ -74,29 +75,19 @@ def _load_schema(path):
     return parse_schema(_read(path))
 
 
-def _binder_names(e):
-    return [(node.var, node.var_sym) for node in walk(e) if binders(node)]
-
-
-def _extend_for_iterators(e, schema, default_sym):
-    """Give undeclared, unannotated iterators a fallback symbol."""
-    out = Schema(schema.vars)
-    counter = 0
-    for name, ann in _binder_names(e):
-        if ann is not None or name in out:
-            continue
-        if default_sym is None:
-            counter += 1
-            sym = f"_s{counter}"
-        else:
-            sym = default_sym
-        out.declare(name, MatrixType(sym, UNIT))
-    return out
-
-
-def _single_symbol(dims):
+def _extend_for_iterators(e, schema, dims=()):
+    """Give undeclared, unannotated iterators the one symbol of `dims` other
+    than the unit, if there is one, else each a fresh symbol: one that no
+    symbol in `dims`, in the schema or in an order matrix of `e` is."""
+    out, nodes, types = Schema(schema.vars), [*walk(e)], schema.vars.values()
+    fresh = _Fresh({*dims, *(t.rows for t in types), *(t.cols for t in types),
+                    *(n.sym for n in nodes if isinstance(n, OrderPrim))})
     syms = [s for s in dims if s != UNIT]
-    return syms[0] if len(syms) == 1 else None
+    for node in nodes:
+        if binders(node) and node.var_sym is None and node.var not in out:
+            sym = syms[0] if len(syms) == 1 else fresh.name("s")
+            out.declare(node.var, MatrixType(sym, UNIT))
+    return out
 
 
 def _emit(text):
@@ -127,7 +118,7 @@ def _cmd_eval(args):
     schema = loaded.schema
     if args.schema:
         schema = schema.merged(_load_schema(args.schema))
-    schema = _extend_for_iterators(e, schema, _single_symbol(inst.dims))
+    schema = _extend_for_iterators(e, schema, inst.dims)
     typecheck(e, schema)
     result = evaluate(e, inst, sr, schema=schema)
     _emit(format_matrix(result, sr))
@@ -137,7 +128,7 @@ def _cmd_eval(args):
 def _cmd_desugar(args):
     e = parse_expr(args.expr)
     schema = _load_schema(args.schema) if args.schema else Schema()
-    schema = _extend_for_iterators(e, schema, None)
+    schema = _extend_for_iterators(e, schema)
     _emit(pretty(desugar(e, schema)))
     return 0
 

@@ -5,7 +5,10 @@ value of its explicit initialiser), then performs one sequential iteration
 per canonical vector b_1 .. b_n in ascending index order, n being the
 dimension assigned to the iterator's size symbol.  The quantifier sugar is
 evaluated directly by folding: ``sum`` with +, ``prod`` with matrix product,
-``hprod`` with the entrywise product.
+``hprod`` with the entrywise product, from the first term; ``ones`` and
+``diag`` are built directly.  So over ``real`` these agree with their
+desugared loops while every value is finite, up to the sign of a zero (see
+`sugar`).
 
 Evaluation is staged: `evaluate` builds one closure per DAG node, then runs
 the root's.  The build runs on `ast.drive`, so it never recurses, and it
@@ -162,7 +165,7 @@ def _memo_numbers(root, nodes):
     initialiser.
     """
     memo, edges, enclosing, inherits, empty = set(), {}, {}, {}, frozenset()
-    for node in reversed([*ast.distinct(root, lambda n: nodes[id(n)][0])]):
+    for node in reversed([*ast.distinct(root, key=lambda n: nodes[id(n)][0])]):
         number, fv = nodes[id(node)]
         outer = enclosing.get(number, empty)
         if edges.get(number, 0) > 1 or (not inherits.get(number) and any(
@@ -331,7 +334,7 @@ def _resized(root, nodes):
     initialiser) and another looks up: the enclosing scope then sizes the
     latter, so the scope's shapes of these names enter the keys."""
     own, looked_up = set(), set()
-    for node in ast.distinct(root, lambda n: nodes[id(n)][0]):
+    for node in ast.distinct(root, key=lambda n: nodes[id(n)][0]):
         if ast.binders(node):
             (own if node.var_sym else looked_up).add(node.var)
         if node.__class__ is For:

@@ -20,11 +20,17 @@ runs the type checker's rule on the children's outcomes as it leaves a
 node.  An outcome is a type or the first type error, so each node is typed
 once and the passes stay linear.
 
-Fresh accumulator/iterator names use an underscore-and-counter scheme and
-are guaranteed not to collide with schema names or names appearing in the
-expression.  Fresh binders carry inline type annotations, so the schema
-itself never has to change.  Both passes preserve types and semantics and
-are idempotent.
+Both passes run on one driver, `_lowered`.  Their fresh names come from
+`_Fresh` (an underscore and a counter), which avoids the schema's names and
+every name in the expression.  Fresh binders carry inline type
+annotations, so the schema itself never has to change.
+
+Both passes preserve types and are idempotent.  Their templates multiply
+values y by the ``zero`` entries of canonical vectors, so they preserve
+values where ``times(zero, y) == zero`` (`matrix.absorbs`): over ``nat``
+always, over ``real`` while every value is finite, up to the sign of a
+zero.  Over ``real``, ``0.0 * inf`` is nan: ``prod v . V`` and ``diag(u)``
+can give nan desugared where an entry is inf.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .typecheck import _check, binder_types, type_in_env
 
 
 class _Fresh:
-    def __init__(self, e, schema):
-        self.taken = set(schema.vars) | ast.free_vars(e) | ast.bound_names(e)
+    def __init__(self, taken):
+        self.taken = set(taken)
         self.counter = 0
 
     def name(self, base):
@@ -78,15 +84,20 @@ def allones_template(t, fresh):
     return MatMul(_ones_col(t.rows, fresh), Transpose(_ones_col(t.cols, fresh)))
 
 
+def _lowered(e, schema, rule):
+    """`e` rewritten by the `drive` rule ``rule(node, env, fresh)``."""
+    fresh = _Fresh({*schema.vars, *ast.free_vars(e), *ast.bound_names(e)})
+    out, _ = ast.drive(e, dict(schema.vars),
+                       lambda node, env: rule(node, env, fresh))
+    return out
+
+
 def desugar(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
     """Lower all sugar nodes; the result contains only core constructs.
 
     A template reads the type of the body or argument it wraps from that
     child's outcome (`_typed`), without walking the child again."""
-    fresh = _Fresh(e, schema)
-    out, _ = ast.drive(e, dict(schema.vars),
-                       lambda node, env: _desugar(node, env, fresh))
-    return out
+    return _lowered(e, schema, _desugar)
 
 
 def _desugar(e, env, fresh):
@@ -125,10 +136,7 @@ def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
 
     An application reads its first argument's type from that argument's
     outcome (`_typed`), without walking the argument again."""
-    fresh = _Fresh(e, schema)
-    out, _ = ast.drive(e, dict(schema.vars),
-                       lambda node, env: _reduce(node, env, fresh))
-    return out
+    return _lowered(e, schema, _reduce)
 
 
 def _reduce(e, env, fresh):

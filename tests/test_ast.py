@@ -293,13 +293,12 @@ def test_a_joint_node_table_numbers_a_shared_subtree_once(monkeypatch):
     from matfor import ast
     shared = MatMul(Var("V"), Var("W"))
     a, b = Add(shared, Var("V")), Transpose(shared)
-    keyed = []
+    keyed, parts = [], ast.parts
 
     def spy(node):
         keyed.append(node)
         return parts(node)
 
-    parts = ast.parts
     monkeypatch.setattr(ast, "parts", spy)
     table = node_table(a, b)
     assert len(keyed) == len({id(n) for n in keyed}) == len(table) == 6

@@ -271,3 +271,8 @@ def test_translation_makes_no_free_variable_pass(monkeypatch):
     for qtext in QUERIES + [nested]:
         psi_translate(parse_ra(qtext), BINARY)
     assert calls == []
+
+
+def test_a_non_binary_schema_is_rejected_before_an_empty_domain():
+    with pytest.raises(SchemaNotBinary):
+        mat_encode({"R": frozenset({"a", "b", "c"})}, {}, NAT)
