@@ -118,8 +118,13 @@ def test_classify_without_schema(files, capsys):
 
 def test_desugar_prints_core_syntax(capsys):
     code, out, _ = run(capsys, "desugar", "-e", "sum v . v")
+    assert (code, out) == (0, "for v, _acc1 . _acc1 + v\n")
+    code, out, _ = run(capsys, "desugar", "-e", "hprod v . diag(v)")
     assert code == 0
-    assert out.strip().startswith("for v,")
+    assert out == (
+        "for v, _acc3 = (for _v4, _acc5 . _acc5 + _v4) * "
+        "(for _v6, _acc7 . _acc7 + _v6)^T . hprod2(_acc3, "
+        "for _v1, _acc2 . _acc2 + _v1^T * v .* _v1 * _v1^T)\n")
 
 
 def test_demo_det(files, capsys):
@@ -189,6 +194,19 @@ def test_to_ra_and_from_ra(files, capsys):
     code, out, _ = run(capsys, "from-ra", "-q", query, "--relschema", rels)
     assert code == 0
     assert out.strip() == "sum _t1 . (sum _t2 . _t1^T * V_R * _t2) .* _t1"
+
+
+def test_to_ra_prints_its_invented_attributes(files, capsys):
+    schema = files("s.schema", "var V : alpha x alpha\nvar v : alpha x 1\n")
+    code, out, _ = run(capsys, "to-ra", "-e", "sum v . V * v",
+                       "--schema", schema)
+    assert code == 0
+    assert out == (
+        "project[row_alpha](project[it_1, row_alpha](join("
+        "rename[mid_2->col_alpha, row_alpha->row_alpha](rel R_V), "
+        "rename[it_1->it_1, mid_2->row_alpha](select[it_1, row_alpha]("
+        "join(rename[row_alpha->alpha](rel D_alpha), "
+        "rename[it_1->alpha](rel D_alpha)))))))\n")
 
 
 def test_to_ra_rejects_non_additive(files, capsys):

@@ -7,6 +7,28 @@ from matfor.printer import pretty
 from matfor.semiring import BOOL, NAT, REAL, TROPICAL
 from matfor.typecheck import typecheck
 
+INPUTS = {
+    "ones_vec": (), "diag_embed": ("a",), "identity": (),
+    "index_le": ("w", "v"), "index_lt": ("y", "v"), "is_first": ("v",),
+    "is_last": ("v",), "last_basis": (), "shift_by_index": ("v",),
+    "shift_vector": ("a", "v"), "repeated_squaring": ("A",),
+    "four_clique": ("V",), "four_clique_order": ("V",),
+    "transitive_closure": ("V",), "pivot_column": ("V", "y"),
+    "elimination_step": ("V", "y"), "lu_upper": ("V",), "lu_lower": ("V",),
+    "plu_transform": ("V",), "plu_upper": ("V",),
+    "matrix_power": ("V", "v"), "power_trace": ("V", "v"),
+    "scaled_power_trace": ("V", "v"), "power_sum": ("V",),
+    "diagonal_part": ("V",), "diagonal_inverse": ("V",),
+    "upper_tri_inverse": ("V",), "lower_tri_inverse": ("V",),
+    "index_diagonal": (), "trace_vector": ("V",), "newton_matrix": ("V",),
+    "charpoly_coeffs": ("V",), "inverse_power": ("V", "v"),
+    "determinant": ("V",), "inverse": ("V",),
+}
+
+
+def test_inputs_of_every_program(lib):
+    assert {name: item.inputs for name, item in lib.items()} == INPUTS
+
 
 def test_identity(lib):
     out = run_named(lib, "identity", 3)
