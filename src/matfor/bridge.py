@@ -14,22 +14,25 @@ expression satisfying, entry for entry,
 
     evaluate(e)[i, j] == eval_ra(phi(e))(row_alpha: i, col_beta: j)
 
-Bound iterators become fresh attributes: an occurrence of the iterator is
-the diagonal relation over (row_sym, attr) built from two renamed copies of
-the domain relation, an additive quantifier joins the body with the domain
-relation on the iterator attribute and projects the attribute away, and
-union-like nodes pad either side with missing iterator attributes.
+Bound iterators become fresh attributes and a product's inner dimension
+another, named ``it_`` and ``mid_`` with one `sugar._Fresh` counter.  An
+occurrence of the iterator is the diagonal relation over (row_sym, attr)
+built from two renamed copies of the domain relation, an additive
+quantifier joins the body with the domain relation on the iterator
+attribute and projects the attribute away, and union-like nodes pad either
+side with missing iterator attributes.
 
 Relational side -> matrix side: for a binary input schema, `mat_encode`
 collapses the active domain to {d_1 < ... < d_n}, assigns every relation a
 square/vector/scalar variable over one symbol, and `psi_translate` produces
 an additive-fragment expression whose (i, j) entry equals the query's value
 at (d_i, d_j).  Intermediate signatures of any arity are handled by keeping
-one canonical-vector variable per attribute.  Its name sits in a scope
-cell that the first relation to reach the attribute fills, and both
-operands of a union or join read the same cells, so the left operand's name
-wins and no translated subtree is ever renamed.  A subquery translates to a
-list of 1x1 factors whose product is its value, and a projection sums each
+one canonical-vector variable per attribute, named ``_t`` with a
+`sugar._Fresh` counter.  Its name sits in a scope cell that the first
+relation to reach the attribute fills, and both operands of a union or
+join read the same cells, so the left operand's name wins and no
+translated subtree is ever renamed.  A subquery translates to a list of 1x1
+factors whose product is its value, and a projection sums each
 dropped attribute's iterator over only the factors that mention it, leaving
 the others outside the sum (variable elimination).  By distributivity this
 equals summing the whole product in any commutative semiring, so ``nat``,
@@ -54,7 +57,7 @@ from .matrix import KMatrix
 from .relalg import (Join, KRelation, Project, RAExpr, Rel, Rename, Select,
                      Union)
 from .semiring import Semiring
-from .sugar import desugar
+from .sugar import _Fresh, desugar
 from .typecheck import iterator_type, type_in_env
 
 MAT_SYM = "alpha"
@@ -131,11 +134,7 @@ def rel_encode(schema: Schema, inst: Instance, sr: Semiring):
 class _Phi:
     def __init__(self, table):
         self.table = table
-        self.counter = 0
-
-    def fresh(self, base):
-        self.counter += 1
-        return f"{base}_{self.counter}"
+        self.fresh = _Fresh(())
 
     def dom_join(self, attr, sym):
         return Rename(((attr, sym),), Rel(dom_name(sym)))
@@ -215,7 +214,7 @@ class _Phi:
             inner = [a[4:] for a in s1 if a.startswith("col_")]
             if not inner:
                 return Join(q1, q2), s1 | s2
-            mid = self.fresh("mid")
+            mid = self.fresh.name("mid_")
             q1, s1 = self.rename_keeping(q1, s1, {mid: col_attr(*inner)})
             q2, s2 = self.rename_keeping(q2, s2, {mid: row_attr(*inner)})
             out_sig = (s1 | s2) - {mid}
@@ -227,7 +226,7 @@ class _Phi:
                 raise NotInSumFragment(
                     "only additive loops can be translated")
             sym = iterator_type(e, types).rows
-            attr = self.fresh("it")
+            attr = self.fresh.name("it_")
             inner_types = dict(types)
             inner_types[e.var] = MatrixType(sym, UNIT)
             inner_env = dict(env)
@@ -328,11 +327,7 @@ def product(factors: list[tuple[Expr, frozenset[str]]]) -> Expr:
 class _Psi:
     def __init__(self, relschema):
         self.relschema = relschema
-        self.counter = 0
-
-    def fresh(self):
-        self.counter += 1
-        return f"_t{self.counter}"
+        self.fresh = _Fresh(())
 
     def translate(self, q, scope):
         """A `drive` rule returning the query's factors.
@@ -351,7 +346,7 @@ class _Psi:
             names = []
             for attr in sorted(self.relschema[q.name]):
                 cell = scope.setdefault(attr, [None])
-                name = self.fresh()
+                name = self.fresh.name("_t")
                 if cell[0] is None:
                     cell[0] = name
                 names.append(cell[0])

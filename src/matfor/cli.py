@@ -23,7 +23,9 @@ Commands::
 not declared anywhere default to the single non-unit size symbol of the
 instance when there is exactly one, else to a fresh one (`sugar._Fresh`,
 ``_s1``, ``_s2``, ...) that no schema type, instance ``size`` line or order
-matrix uses.  `eval --semiring NAME` reads the file's values as written, in
+matrix uses.  `desugar` gives them fresh symbols too; `check`, `to-ra`,
+`compile-circuit` and `classify --schema` type iterators only from
+``--schema``.  `eval --semiring NAME` reads the file's values as written, in
 the carrier NAME, and evaluates there; an unknown NAME is a bad flag.  A
 size symbol has one dimension: a repeated `--dim`, like a repeated `size`
 line, must give the one it already has, and the unit symbol `1` is always 1
@@ -85,7 +87,7 @@ def _extend_for_iterators(e, schema, dims=()):
     syms = [s for s in dims if s != UNIT]
     for node in nodes:
         if binders(node) and node.var_sym is None and node.var not in out:
-            sym = syms[0] if len(syms) == 1 else fresh.name("s")
+            sym = syms[0] if len(syms) == 1 else fresh.name("_s")
             out.declare(node.var, MatrixType(sym, UNIT))
     return out
 

@@ -111,8 +111,9 @@ by running `evaluate` over a semiring whose carrier values are constants or
 unbuilt gates.
 
 ``iteration_order`` replaces the ascending visit order of every loop with a
-caller-supplied permutation; over exact semirings a pure ``sum`` expression
-must produce the same result for every order.
+caller-supplied permutation of the ints 1..n (anything else is an
+`EvalError`); over exact semirings a pure ``sum`` expression must produce
+the same result for every order.
 """
 
 from __future__ import annotations
@@ -396,7 +397,8 @@ class _Ctx:
         if self.order is None:
             return range(1, n + 1)
         seq = list(self.order(n))
-        if sorted(seq) != list(range(1, n + 1)):
+        if (not all(isinstance(i, int) for i in seq)
+                or sorted(seq) != list(range(1, n + 1))):
             raise EvalError(
                 f"iteration_order({n}) is not a permutation of 1..{n}")
         return seq

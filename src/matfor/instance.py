@@ -39,10 +39,10 @@ class Instance:
     def __post_init__(self):
         self.dims.setdefault(UNIT, 1)
         for sym, n in self.dims.items():
-            if n < 1:
+            if not isinstance(n, int) or n < 1:
                 raise ShapeError(
-                    f"size symbol {_echo(sym)} has dimension {n}; dimensions "
-                    f"must be >= 1")
+                    f"size symbol {_echo(sym)} has dimension "
+                    f"{_echo(n, str)}; dimensions must be integers >= 1")
 
 
 @dataclass

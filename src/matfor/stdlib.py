@@ -1,9 +1,10 @@
 """Library of named expressions: the programs the language exists for.
 
 Every entry is a `NamedExpr`: an expression over a schema template with a
-single size symbol ``alpha`` and the input variables an instance must
-provide.  Subexpressions used several times are shared by object reference,
-which the evaluator's memoisation turns into DAG-cost evaluation.
+single size symbol ``alpha``, whose free declared names are the input
+variables an instance must provide.  Subexpressions used several times are
+shared by object reference, which the evaluator's memoisation turns into
+DAG-cost evaluation.
 
 Groups:
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 from .ast import (Add, Apply, Const, Expr, For, MatMul, MatrixType, Ones,
                   OrderKind, OrderPrim, Prod, Schema, ScalarMul, Sum,
-                  Transpose, UNIT, Var)
+                  Transpose, UNIT, Var, free_vars)
 
 ALPHA = "alpha"
 _COL = MatrixType(ALPHA, UNIT)
@@ -49,11 +50,19 @@ _SC = MatrixType(UNIT, UNIT)
 
 @dataclass(frozen=True)
 class NamedExpr:
+    """A library program.  Its `inputs`, the variables an instance must
+    provide, are the names `schema` declares that are free in `expr`, in
+    declaration order."""
+
     name: str
     expr: Expr
     schema: Schema
-    inputs: tuple[str, ...] = ()
     description: str = ""
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        free = free_vars(self.expr)
+        return tuple(name for name in self.schema.vars if name in free)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +245,7 @@ def build_basics() -> list[NamedExpr]:
     body = Add(g, ScalarMul(_mm(Transpose(k), Var("a")),
                             _mm(k, Transpose(k))))
     out.append(NamedExpr(
-        "diag_embed", For("k", "G", body), b.schema(), inputs=("a",),
+        "diag_embed", For("k", "G", body), b.schema(),
         description="square matrix with the input vector on the diagonal"))
 
     b = _Decls({})
@@ -248,24 +257,22 @@ def build_basics() -> list[NamedExpr]:
     eid = _identity(b)
     out.append(NamedExpr(
         "index_le", _le(Var("w"), Var("v"), eid), b.schema(),
-        inputs=("w", "v"),
         description="one iff index(w) <= index(v) on canonical vectors"))
 
     b = _Decls({"y": _COL, "v": _COL})
     out.append(NamedExpr(
-        "index_lt", _lt(Var("y"), Var("v")), b.schema(), inputs=("y", "v"),
+        "index_lt", _lt(Var("y"), Var("v")), b.schema(),
         description="one iff index(y) < index(v) on canonical vectors"))
 
     b = _Decls({"v": _COL})
     out.append(NamedExpr(
         "is_first", _mm(Transpose(OrderPrim(OrderKind.EMIN, ALPHA)), Var("v")),
-        b.schema(), inputs=("v",),
+        b.schema(),
         description="one iff the input is the first canonical vector"))
 
     b = _Decls({"v": _COL})
     out.append(NamedExpr(
         "is_last", _mm(Transpose(_emax()), Var("v")), b.schema(),
-        inputs=("v",),
         description="one iff the input is the last canonical vector"))
 
     b = _Decls({})
@@ -278,14 +285,13 @@ def build_basics() -> list[NamedExpr]:
     out.append(NamedExpr(
         "shift_by_index",
         _pow(b, OrderPrim(OrderKind.NSHIFT, ALPHA), Var("v"), eid),
-        b.schema(), inputs=("v",),
+        b.schema(),
         description="k-step shift matrix when the input is b_k"))
 
     b = _Decls({"a": _COL, "v": _COL})
     eid = _identity(b)
     out.append(NamedExpr(
         "shift_vector", _shift(b, Var("a"), Var("v"), eid), b.schema(),
-        inputs=("a", "v"),
         description="shift the entries of `a` down by k positions (v = b_k)"))
 
     b = _Decls({"A": _SC})
@@ -293,7 +299,7 @@ def build_basics() -> list[NamedExpr]:
     x = b.bind("X", _SC)
     out.append(NamedExpr(
         "repeated_squaring", For("v", "X", MatMul(x, x), init=Var("A")),
-        b.schema(), inputs=("A",),
+        b.schema(),
         description="squares the accumulator once per canonical vector: "
                     "computes a^(2^n)"))
 
@@ -345,7 +351,7 @@ def build_graph_queries() -> list[NamedExpr]:
     out.append(NamedExpr(
         "four_clique",
         _clique_body(lambda a, bb: _one_minus(_mm(Transpose(a), bb))),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="number of ordered distinct 4-tuples inducing a clique; "
                     "distinctness mask 1 - s^T t needs a -1 literal, so this "
                     "form is for the real semiring"))
@@ -355,7 +361,7 @@ def build_graph_queries() -> list[NamedExpr]:
     out.append(NamedExpr(
         "four_clique_order",
         _clique_body(lambda a, bb: _mm(Transpose(a), mask, bb)),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="four_clique with the distinctness mask built from the "
                     "order matrix; valid over every semiring"))
 
@@ -365,7 +371,7 @@ def build_graph_queries() -> list[NamedExpr]:
     out.append(NamedExpr(
         "transitive_closure",
         Apply("gtz", (Prod("t", Add(eid, Var("V"))),)),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="reflexive-transitive closure indicator: nonzero "
                     "entries of (I + A)^n"))
 
@@ -382,14 +388,13 @@ def build_lu_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ, "y": _COL})
     out.append(NamedExpr(
         "pivot_column", _col_below(b, Var("V"), Var("y")), b.schema(),
-        inputs=("V", "y"),
         description="pivot column with entries at or above the pivot zeroed"))
 
     b = _Decls({"V": _SQ, "y": _COL})
     eid = _identity(b)
     out.append(NamedExpr(
         "elimination_step", _elim_step(b, Var("V"), Var("y"), eid),
-        b.schema(), inputs=("V", "y"),
+        b.schema(),
         description="Gaussian elimination step for the pivot column"))
 
     b = _Decls({"V": _SQ})
@@ -399,7 +404,7 @@ def build_lu_suite() -> list[NamedExpr]:
     loop = For("y", "F", _mm(_elim_step(b, _mm(f, Var("V")), y, eid), f),
                init=eid)
     out.append(NamedExpr(
-        "lu_upper", MatMul(loop, Var("V")), b.schema(), inputs=("V",),
+        "lu_upper", MatMul(loop, Var("V")), b.schema(),
         description="upper-triangular factor by column-wise elimination"))
 
     b = _Decls({"V": _SQ})
@@ -413,7 +418,7 @@ def build_lu_suite() -> list[NamedExpr]:
     out.append(NamedExpr(
         "lu_lower",
         Add(eid, Sum("y", MatMul(_neg(multipliers), Transpose(y)))),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="unit lower-triangular factor with L * U = A"))
 
     return out
@@ -458,11 +463,10 @@ def build_plu_suite() -> list[NamedExpr]:
     transform = For("y", "F", _mm(step, swap, f), init=eid)
 
     return [
-        NamedExpr("plu_transform", transform, b.schema(), inputs=("V",),
+        NamedExpr("plu_transform", transform, b.schema(),
                   description="row-pivoted elimination transform M with "
                               "M * A upper triangular"),
         NamedExpr("plu_upper", MatMul(transform, Var("V")), b.schema(),
-                  inputs=("V",),
                   description="upper-triangular image M * A of the pivoted "
                               "elimination"),
     ]
@@ -479,14 +483,12 @@ def build_csanky_suite() -> list[NamedExpr]:
     eid = _identity(b)
     out.append(NamedExpr(
         "matrix_power", _pow(b, Var("V"), Var("v"), eid), b.schema(),
-        inputs=("V", "v"),
         description="A^k for v = b_k"))
 
     b = _Decls({"V": _SQ, "v": _COL})
     eid = _identity(b)
     out.append(NamedExpr(
         "power_trace", _power_trace(b, Var("V"), Var("v"), eid), b.schema(),
-        inputs=("V", "v"),
         description="tr(A^k) for v = b_k"))
 
     b = _Decls({"V": _SQ, "v": _COL})
@@ -496,39 +498,35 @@ def build_csanky_suite() -> list[NamedExpr]:
         "scaled_power_trace",
         Apply("div", (_power_trace(b, Var("V"), Var("v"), eid),
                       Sum("u", _le(u, Var("v"), eid)))),
-        b.schema(), inputs=("V", "v"),
+        b.schema(),
         description="tr(A^k) / k for v = b_k"))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
         "power_sum", _power_series(b, Var("V"), eid), b.schema(),
-        inputs=("V",),
         description="I + A + A^2 + ... + A^n"))
 
     b = _Decls({"V": _SQ})
     out.append(NamedExpr(
-        "diagonal_part", _get_diag(b, Var("V")), b.schema(), inputs=("V",),
+        "diagonal_part", _get_diag(b, Var("V")), b.schema(),
         description="diagonal of the input as a diagonal matrix"))
 
     b = _Decls({"V": _SQ})
     out.append(NamedExpr(
         "diagonal_inverse", _diag_inverse(b, Var("V")), b.schema(),
-        inputs=("V",),
         description="diagonal matrix of reciprocal diagonal entries"))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
         "upper_tri_inverse", _upper_inv(b, Var("V"), eid), b.schema(),
-        inputs=("V",),
         description="inverse of an invertible upper-triangular matrix"))
 
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
         "lower_tri_inverse", _lower_inv(b, Var("V"), eid), b.schema(),
-        inputs=("V",),
         description="inverse of an invertible lower-triangular matrix"))
 
     b = _Decls({})
@@ -544,7 +542,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
-        "trace_vector", trace_vector(b, eid), b.schema(), inputs=("V",),
+        "trace_vector", trace_vector(b, eid), b.schema(),
         description="column of power traces (tr(A^1), ..., tr(A^n))"))
 
     def newton_matrix(b, eid):
@@ -556,7 +554,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
-        "newton_matrix", newton_matrix(b, eid), b.schema(), inputs=("V",),
+        "newton_matrix", newton_matrix(b, eid), b.schema(),
         description="lower-triangular Newton-identity system matrix "
                     "diag(1..n) + shifted power traces"))
 
@@ -567,7 +565,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     b = _Decls({"V": _SQ})
     eid = _identity(b)
     out.append(NamedExpr(
-        "charpoly_coeffs", charpoly(b, eid), b.schema(), inputs=("V",),
+        "charpoly_coeffs", charpoly(b, eid), b.schema(),
         description="coefficients (c_1, ..., c_n) of the characteristic "
                     "polynomial x^n + c_1 x^(n-1) + ... + c_n"))
 
@@ -582,7 +580,6 @@ def build_csanky_suite() -> list[NamedExpr]:
     eid = _identity(b)
     out.append(NamedExpr(
         "inverse_power", inv_power(b, Var("V"), Var("v"), eid), b.schema(),
-        inputs=("V", "v"),
         description="A^(n-1-k) for v = b_k (identity for k >= n-1)"))
 
     b = _Decls({"V": _SQ})
@@ -595,7 +592,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     out.append(NamedExpr(
         "determinant",
         _mm(Transpose(ScalarMul(sign, charpoly(b, eid))), _emax()),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="determinant via (-1)^n times the last characteristic "
                     "coefficient"))
 
@@ -612,7 +609,7 @@ def build_csanky_suite() -> list[NamedExpr]:
     last_coeff = _mm(Transpose(coeffs), _emax())
     out.append(NamedExpr(
         "inverse", ScalarMul(_neg(Apply("div", (Const(1), last_coeff))), tail),
-        b.schema(), inputs=("V",),
+        b.schema(),
         description="matrix inverse via Cayley-Hamilton and the "
                     "characteristic coefficients"))
 

@@ -21,7 +21,7 @@ node.  An outcome is a type or the first type error, so each node is typed
 once and the passes stay linear.
 
 Both passes run on one driver, `_lowered`.  Their fresh names come from
-`_Fresh` (an underscore and a counter), which avoids the schema's names and
+`_Fresh` (a prefix and a counter), which avoids the schema's names and
 every name in the expression.  Fresh binders carry inline type
 annotations, so the schema itself never has to change.
 
@@ -47,10 +47,10 @@ class _Fresh:
         self.taken = set(taken)
         self.counter = 0
 
-    def name(self, base):
+    def name(self, prefix):
         while True:
             self.counter += 1
-            cand = f"_{base}{self.counter}"
+            cand = f"{prefix}{self.counter}"
             if cand not in self.taken:
                 self.taken.add(cand)
                 return cand
@@ -59,7 +59,7 @@ class _Fresh:
 def _ones_col(sym, fresh):
     if sym == UNIT:
         return Const(1)
-    v, x = fresh.name("v"), fresh.name("acc")
+    v, x = fresh.name("_v"), fresh.name("_acc")
     return For(v, x, Add(Var(x), Var(v)),
                var_sym=sym, acc_type=MatrixType(sym, UNIT))
 
@@ -68,7 +68,7 @@ def identity_template(sym, fresh):
     """Identity matrix as a core loop: sum of v * v^T over canonical vectors."""
     if sym == UNIT:
         return Const(1)
-    v, x = fresh.name("v"), fresh.name("acc")
+    v, x = fresh.name("_v"), fresh.name("_acc")
     return For(v, x, Add(Var(x), MatMul(Var(v), Transpose(Var(v)))),
                var_sym=sym, acc_type=MatrixType(sym, sym))
 
@@ -114,12 +114,12 @@ def _desugar(e, env, fresh):
     if isinstance(e, Diag):
         if t.rows == UNIT:
             return out.arg, outcome
-        v, x = fresh.name("v"), fresh.name("acc")
+        v, x = fresh.name("_v"), fresh.name("_acc")
         body = Add(Var(x), ScalarMul(MatMul(Transpose(Var(v)), out.arg),
                                      MatMul(Var(v), Transpose(Var(v)))))
         return For(v, x, body, var_sym=t.rows,
                    acc_type=MatrixType(t.rows, t.rows)), outcome
-    acc = fresh.name("acc")
+    acc = fresh.name("_acc")
     if isinstance(e, Sum):
         body, init = Add(Var(acc), out.body), None
     elif isinstance(e, Prod):
@@ -195,16 +195,16 @@ def _outcome(e, env, outcomes):
 
 def _scalarised_apply(func, args, t, fresh):
     if t.cols == UNIT:                       # column vector (alpha, 1)
-        vi = fresh.name("i")
+        vi = fresh.name("_i")
         picked = tuple(MatMul(Transpose(Var(vi)), a) for a in args)
         return Sum(vi, ScalarMul(Apply(func, picked), Var(vi)),
                    var_sym=t.rows)
     if t.rows == UNIT:                       # row vector (1, beta)
-        vj = fresh.name("j")
+        vj = fresh.name("_j")
         picked = tuple(MatMul(a, Var(vj)) for a in args)
         return Sum(vj, ScalarMul(Apply(func, picked), Transpose(Var(vj))),
                    var_sym=t.cols)
-    vi, vj = fresh.name("i"), fresh.name("j")
+    vi, vj = fresh.name("_i"), fresh.name("_j")
     picked = tuple(MatMul(MatMul(Transpose(Var(vi)), a), Var(vj))
                    for a in args)
     inner = ScalarMul(Apply(func, picked), MatMul(Var(vi), Transpose(Var(vj))))

@@ -903,6 +903,15 @@ def test_lifted_loop_checks_its_iteration_order(monkeypatch):
     assert str(err.value) == "iteration_order(3) is not a permutation of 1..3"
 
 
+@pytest.mark.parametrize("text", ["sum x . a^T * x", "sum x . x"])
+def test_an_iteration_order_of_floats_is_not_a_permutation(text):
+    # 2.0 == 2, but a float cannot index a row
+    with pytest.raises(EvalError) as err:
+        ev(text, _LIFT_SCHEMA, {"alpha": 2}, order=lambda n: [2.0, 1.0],
+           a=from_rows([[1.0], [2.0]]))
+    assert str(err.value) == "iteration_order(2) is not a permutation of 1..2"
+
+
 def _is_basis(m, n):
     return m.shape == (n, 1) and sorted(m.entries) == [0] * (n - 1) + [1]
 

@@ -221,3 +221,8 @@ def test_instance_rejects_a_dimension_below_one():
         Instance({"a": 0}, {"s": from_rows([[1]])})
     with pytest.raises(ShapeError, match="'a' has dimension 0"):
         compile_expr(Sum("v", Var("s"), var_sym="a"), s, {"a": 0})
+
+
+def test_instance_rejects_a_dimension_that_is_not_an_int():
+    with pytest.raises(ShapeError, match="'alpha' has dimension 2.0"):
+        Instance({"alpha": 2.0})
