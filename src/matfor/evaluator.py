@@ -120,10 +120,11 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from itertools import repeat
 from math import copysign
 from operator import itemgetter
+from struct import calcsize
 from typing import Callable, Optional, Sequence
 
 from . import ast, matrix
@@ -644,6 +645,23 @@ class _Ctx:
         return run
 
 
+def _in_fresh_chunk(fn):
+    """`fn`, run with its frames at the start of a fresh frame chunk.
+
+    CPython 3.11+ keeps frames in 16 KiB chunks and frees a chunk when its
+    first frame returns, so a hot call on a chunk edge maps memory on every
+    call: at some caller depths `four_clique_order` over NAT ran up to seven
+    times slower.  The wrapper's frame is declared larger than a chunk, so
+    it always opens a new one and `fn`'s frames sit at the same place in it
+    whatever the caller's depth."""
+    def call(*args, **kwargs):
+        return fn(*args, **kwargs)
+    call.__code__ = call.__code__.replace(
+        co_stacksize=(16 << 10) // calcsize("P"))
+    return wraps(fn)(call)
+
+
+@_in_fresh_chunk
 def evaluate(e: ast.Expr,
              inst: Instance,
              sr: Semiring,

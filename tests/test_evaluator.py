@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ from matfor.errors import (DivisionByZero, EvalError,
                            TypeCheckError, UnknownFunction)
 from matfor.evaluator import canonical_vector, evaluate, mat_equal
 from matfor.instance import Instance
-from matfor.matrix import from_rows
+from matfor.matrix import KMatrix, from_rows
 from matfor.parser import parse_expr, parse_schema
 from matfor.printer import pretty
 from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
@@ -1047,3 +1048,37 @@ def test_the_product_cache_holds_no_more_than_its_cap(monkeypatch, lib):
     assert held > 100
     assert len(made[1].products) == 2 and made[1].products.held == 96
     assert len(calls) - unbounded > unbounded
+
+
+def _at_depth(depth, fn):
+    """fn(), called `depth` frames deeper than this call."""
+    return _at_depth(depth - 1, fn) if depth else fn()
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11)
+    or not sys.platform.startswith("linux"),
+    reason="frame chunks are CPython 3.11+; page-fault counts are Linux's")
+def test_the_callers_stack_depth_does_not_make_evaluation_map_memory(lib):
+    # CPython frees a 16 KiB frame chunk when its first frame returns, so a
+    # hot call on a chunk edge would map fresh pages on every call; over
+    # more than a chunk's worth of caller depths, no evaluation may fault
+    # in more than a few pages (one depth took 866 before `evaluate` opened
+    # a chunk of its own)
+    import resource
+    item, n = lib["four_clique_order"], 4
+    adj = [int(i != j) for i in range(n) for j in range(n)]
+    inst = Instance({stdlib.ALPHA: n}, {"V": KMatrix(n, n, tuple(adj))})
+
+    def run():
+        return evaluate(item.expr, inst, NAT, schema=item.schema)
+
+    want = run()
+    faults = []
+    for depth in range(200):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert _at_depth(depth, run).entries == want.entries
+        faults.append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert want.entries == (24,)
+    assert max(faults) <= 100, faults
