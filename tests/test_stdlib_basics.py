@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from conftest import real_matrix, run_named
+from matfor.ast import free_vars
 from matfor.evaluator import canonical_vector
 from matfor.parser import parse_expr
 from matfor.printer import pretty
@@ -28,6 +31,76 @@ INPUTS = {
 
 def test_inputs_of_every_program(lib):
     assert {name: item.inputs for name, item in lib.items()} == INPUTS
+
+
+def test_every_input_is_free_and_every_free_name_is_an_input(lib):
+    for name, item in lib.items():
+        assert set(item.inputs) == free_vars(item.expr), name
+
+
+# sha256 of one "name repr(expr)" line per program, in library order
+EXPR_DIGEST = \
+    "bdeda6f6d5e9759ab78ac0f9042cc9f5dc49ceb5013c06398fe3de8f2e02d561"
+
+
+def test_the_programs_trees_are_pinned(lib):
+    text = "\n".join(f"{name} {item.expr!r}" for name, item in lib.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPR_DIGEST
+
+
+COL, SQ, SC = "alpha x 1", "alpha x alpha", "1 x 1"
+SCHEMAS = {
+    "ones_vec": {"S": COL, "i": COL},
+    "diag_embed": {"G": SQ, "a": COL, "k": COL},
+    "identity": {"j": COL},
+    "index_le": {"j": COL, "v": COL, "w": COL},
+    "index_lt": {"v": COL, "y": COL},
+    "is_first": {"v": COL},
+    "is_last": {"v": COL},
+    "last_basis": {},
+    "shift_by_index": {"j": COL, "p": COL, "v": COL},
+    "shift_vector": {"a": COL, "j": COL, "p": COL, "v": COL, "w": COL},
+    "repeated_squaring": {"A": SC, "X": SC, "v": COL},
+    "four_clique": {"V": SQ, "X1": SC, "X2": SC, "X3": SC, "X4": SC, "u": COL,
+        "v": COL, "w": COL, "x": COL},
+    "four_clique_order": {"V": SQ, "X1": SC, "X2": SC, "X3": SC, "X4": SC,
+        "u": COL, "v": COL, "w": COL, "x": COL},
+    "transitive_closure": {"V": SQ, "j": COL, "t": COL},
+    "pivot_column": {"C": COL, "V": SQ, "i": COL, "y": COL},
+    "elimination_step": {"C": COL, "V": SQ, "i": COL, "j": COL, "y": COL},
+    "lu_upper": {"C": COL, "F": SQ, "V": SQ, "i": COL, "j": COL, "y": COL},
+    "lu_lower": {"C": COL, "V": SQ, "W": SQ, "i": COL, "j": COL, "y": COL,
+        "z": COL},
+    "plu_transform": {"C": COL, "F": SQ, "V": SQ, "i": COL, "j": COL, "u": COL,
+        "w": COL, "y": COL},
+    "plu_upper": {"C": COL, "F": SQ, "V": SQ, "i": COL, "j": COL, "u": COL,
+        "w": COL, "y": COL},
+    "matrix_power": {"V": SQ, "j": COL, "p": COL, "v": COL},
+    "power_trace": {"V": SQ, "j": COL, "p": COL, "t": COL, "v": COL},
+    "scaled_power_trace": {"V": SQ, "j": COL, "p": COL, "t": COL, "u": COL,
+        "v": COL},
+    "power_sum": {"V": SQ, "j": COL, "p": COL, "q": COL},
+    "diagonal_part": {"V": SQ, "d": COL},
+    "diagonal_inverse": {"V": SQ, "d": COL},
+    "upper_tri_inverse": {"V": SQ, "d": COL, "e": COL, "j": COL},
+    "lower_tri_inverse": {"V": SQ, "d": COL, "e": COL, "j": COL},
+    "index_diagonal": {"c": COL, "j": COL, "u": COL},
+    "trace_vector": {"V": SQ, "j": COL, "p": COL, "r": COL, "t": COL},
+    "newton_matrix": {"V": SQ, "c": COL, "j": COL, "p": COL, "r": COL,
+        "t": COL, "u": COL, "w": COL},
+    "charpoly_coeffs": {"V": SQ, "c": COL, "d": COL, "e": COL, "j": COL,
+        "p": COL, "r": COL, "t": COL, "u": COL, "w": COL},
+    "inverse_power": {"V": SQ, "g": COL, "j": COL, "v": COL},
+    "determinant": {"S": COL, "V": SQ, "c": COL, "d": COL, "e": COL, "i": COL,
+        "j": COL, "m": COL, "p": COL, "r": COL, "t": COL, "u": COL, "w": COL},
+    "inverse": {"V": SQ, "c": COL, "d": COL, "e": COL, "j": COL, "p": COL,
+        "r": COL, "t": COL, "u": COL, "w": COL},
+}
+
+
+def test_the_schema_of_every_program(lib):
+    assert {name: {var: str(t) for var, t in item.schema.vars.items()}
+            for name, item in lib.items()} == SCHEMAS
 
 
 def test_identity(lib):
