@@ -1,10 +1,17 @@
 """Library of named expressions: the programs the language exists for.
 
 Every entry is a `NamedExpr`: an expression over a schema template with a
-single size symbol ``alpha``, whose free declared names are the input
-variables an instance must provide.  Subexpressions used several times are
-shared by object reference, which the evaluator's memoisation turns into
-DAG-cost evaluation.
+single size symbol ``alpha``, whose free variables are the inputs an
+instance must provide.  Subexpressions used several times are shared by
+object reference, which the evaluator's memoisation turns into DAG-cost
+evaluation.
+
+A program declares only its inputs.  Every name a library loop binds has
+one type, given by `_BINDERS`: iterators and the vector accumulators ``C``
+and ``S`` are ``alpha x 1``, the matrix accumulators ``F``, ``G`` and ``W``
+are ``alpha x alpha``, and the scalar accumulators ``X``, ``X1``-``X4`` are
+``1 x 1``.  A program's schema is its inputs, then the table's types of the
+names its loops bind, in name order.
 
 Groups:
 
@@ -37,32 +44,42 @@ shares A^k and S^k with the trace vector and the Newton system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ast import (Add, Apply, Const, Expr, For, MatMul, MatrixType, Ones,
                   OrderKind, OrderPrim, Prod, Schema, ScalarMul, Sum,
-                  Transpose, UNIT, Var, free_vars)
+                  Transpose, UNIT, Var, bound_names)
 
 ALPHA = "alpha"
 _COL = MatrixType(ALPHA, UNIT)
 _SQ = MatrixType(ALPHA, ALPHA)
 _SC = MatrixType(UNIT, UNIT)
 
+_BINDERS = {**dict.fromkeys([*"cdegijkmpqrtuvwxyz", "C", "S"], _COL),
+            **dict.fromkeys("FGW", _SQ),
+            **dict.fromkeys(["X", "X1", "X2", "X3", "X4"], _SC)}
+
 
 @dataclass(frozen=True)
 class NamedExpr:
-    """A library program.  Its `inputs`, the variables an instance must
-    provide, are the names `schema` declares that are free in `expr`, in
-    declaration order."""
+    """A library program.  `input_types` declares the variables an
+    instance must provide, which are `inputs` in that order; `schema` adds
+    the `_BINDERS` type of every name bound in `expr`, sorted by name."""
 
     name: str
     expr: Expr
-    schema: Schema
+    input_types: dict[str, MatrixType]
     description: str = ""
 
     @property
     def inputs(self) -> tuple[str, ...]:
-        free = free_vars(self.expr)
-        return tuple(name for name in self.schema.vars if name in free)
+        return tuple(self.input_types)
+
+    @cached_property
+    def schema(self) -> Schema:
+        bound = sorted(bound_names(self.expr))
+        return Schema(self.input_types).merged(
+            Schema({name: _BINDERS[name] for name in bound}))
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +116,14 @@ def _emax():
     return OrderPrim(OrderKind.EMAX, ALPHA)
 
 
-class _Decls:
-    """Collects binder declarations while a template is assembled."""
-
-    def __init__(self, inputs):
-        self.types = dict(inputs)
-
-    def bind(self, name, t):
-        old = self.types.get(name)
-        if old is not None and old != t:
-            raise ValueError(f"binder '{name}' redeclared as {t}, was {old}")
-        self.types[name] = t
-        return Var(name)
-
-    def schema(self):
-        return Schema(self.types)
+# e_Id as a sum of outer products of canonical vectors
+_J = Var("j")
+_EID = Sum("j", _mm(_J, Transpose(_J)))
 
 
-def _identity(b):
-    """e_Id as a sum of outer products of canonical vectors."""
-    j = b.bind("j", _COL)
-    return Sum("j", _mm(j, Transpose(j)))
-
-
-def _le(x, y, eid):
+def _le(x, y):
     """Index comparison: one iff index(x) <= index(y)."""
-    return _mm(Transpose(x), Add(eid, _sless()), y)
+    return _mm(Transpose(x), Add(_EID, _sless()), y)
 
 
 def _lt(x, y):
@@ -132,7 +131,7 @@ def _lt(x, y):
     return _mm(Transpose(x), _sless(), y)
 
 
-def _pow(b, base, idx, eid):
+def _pow(base, idx):
     """base^k when `idx` is the k-th canonical vector.
 
     Each product stage selects `base` while the stage index is at most k and
@@ -140,88 +139,84 @@ def _pow(b, base, idx, eid):
     on canonical vectors, so the construction stays inside every semiring.
     The stages all vanish when `idx` is the zero vector.
     """
-    p = b.bind("p", _COL)
-    return Prod("p", Add(ScalarMul(_le(p, idx, eid), base),
-                          ScalarMul(_lt(idx, p), eid)))
+    p = Var("p")
+    return Prod("p", Add(ScalarMul(_le(p, idx), base),
+                          ScalarMul(_lt(idx, p), _EID)))
 
 
-def _power_trace(b, m, idx, eid):
+def _power_trace(m, idx):
     """tr(base^k) for idx = b_k."""
-    t = b.bind("t", _COL)
-    return Sum("t", _mm(Transpose(t), _pow(b, m, idx, eid), t))
+    t = Var("t")
+    return Sum("t", _mm(Transpose(t), _pow(m, idx), t))
 
 
-def _shift(b, vec, idx, eid):
+def _shift(vec, idx):
     """Shift a column vector down by k positions (idx = b_k)."""
-    w = b.bind("w", _COL)
-    step = _pow(b, OrderPrim(OrderKind.NSHIFT, ALPHA), idx, eid)
+    w = Var("w")
+    step = _pow(OrderPrim(OrderKind.NSHIFT, ALPHA), idx)
     return Sum("w", ScalarMul(_mm(Transpose(w), vec), _mm(step, w)))
 
 
-def _power_series(b, m, eid):
+def _power_series(m):
     """I + m + m^2 + ... + m^n."""
-    q = b.bind("q", _COL)
-    return Add(eid, Sum("q", _pow(b, m, q, eid)))
+    return Add(_EID, Sum("q", _pow(m, Var("q"))))
 
 
-def _get_diag(b, m):
-    d = b.bind("d", _COL)
+def _get_diag(m):
+    d = Var("d")
     return Sum("d", ScalarMul(_mm(Transpose(d), m, d), _mm(d, Transpose(d))))
 
 
-def _diag_inverse(b, m):
-    d = b.bind("d", _COL)
-    return Sum("d", ScalarMul(Apply("div", (Const(1), _mm(Transpose(d), m, d))),
-                              _mm(d, Transpose(d))))
+def _diag_inverse(m):
+    d = Var("d")
+    recip = Apply("div", (Const(1), _mm(Transpose(d), m, d)))
+    return Sum("d", ScalarMul(recip, _mm(d, Transpose(d))))
 
 
-def _upper_inv(b, m, eid):
+def _upper_inv(m):
     """Inverse of an invertible upper-triangular matrix.
 
     With D the diagonal part, U = D (I + N), N = D^-1 (U - D) strictly
     upper.  Column u_j = N e_j is zero from row j down, so (I + N)^-1 is the
     product of the n stages I - u_j e_j^T in ascending j.
     """
-    dinv, e = _diag_inverse(b, m), b.bind("e", _COL)
-    strict = _mm(dinv, Add(m, _neg(_get_diag(b, m))))
-    return _mm(Prod("e", Add(eid, _neg(_mm(strict, e, Transpose(e))))), dinv)
+    dinv, e = _diag_inverse(m), Var("e")
+    strict = _mm(dinv, Add(m, _neg(_get_diag(m))))
+    return _mm(Prod("e", Add(_EID, _neg(_mm(strict, e, Transpose(e))))), dinv)
 
 
-def _lower_inv(b, m, eid):
-    return Transpose(_upper_inv(b, Transpose(m), eid))
+def _lower_inv(m):
+    return Transpose(_upper_inv(Transpose(m)))
 
 
-def _index_diagonal(b, eid):
+def _index_diagonal():
     """diag(1, 2, ..., n)."""
-    c, u = b.bind("c", _COL), b.bind("u", _COL)
-    return Sum("c", ScalarMul(Sum("u", _le(u, c, eid)), _mm(c, Transpose(c))))
+    c, u = Var("c"), Var("u")
+    return Sum("c", ScalarMul(Sum("u", _le(u, c)), _mm(c, Transpose(c))))
 
 
-def _col_below(b, m, pivot):
+def _col_below(m, pivot):
     """Column at the pivot index with entries at or above the pivot zeroed."""
-    i = b.bind("i", _COL)
-    c = b.bind("C", _COL)
-    body = Add(ScalarMul(MatMul(_lt(pivot, i), _mm(Transpose(i), m, pivot)), i),
-               c)
-    return For("i", "C", body)
+    i = Var("i")
+    entry = MatMul(_lt(pivot, i), _mm(Transpose(i), m, pivot))
+    return For("i", "C", Add(ScalarMul(entry, i), Var("C")))
 
 
-def _elim_step(b, m, pivot, eid):
+def _elim_step(m, pivot):
     """I + c * pivot^T: zeroes the pivot column below the diagonal."""
     quotient = Apply("div", (
-        _col_below(b, m, pivot),
+        _col_below(m, pivot),
         ScalarMul(_neg(_mm(Transpose(pivot), m, pivot)), Ones(pivot))))
-    return Add(eid, MatMul(quotient, Transpose(pivot)))
+    return Add(_EID, MatMul(quotient, Transpose(pivot)))
 
 
-def _elim_before(b, m, pivot, eid):
+def _elim_before(m, pivot):
     """Product of the elimination steps strictly before the pivot index."""
-    z = b.bind("z", _COL)
-    w = b.bind("W", _SQ)
+    z, w = Var("z"), Var("W")
     guard = _lt(z, pivot)
-    body = Add(ScalarMul(guard, _mm(_elim_step(b, _mm(w, m), z, eid), w)),
+    body = Add(ScalarMul(guard, _mm(_elim_step(_mm(w, m), z), w)),
                ScalarMul(_one_minus(guard), w))
-    return For("z", "W", body, init=eid)
+    return For("z", "W", body, init=_EID)
 
 
 # ---------------------------------------------------------------------------
@@ -229,81 +224,46 @@ def _elim_before(b, m, pivot, eid):
 
 
 def build_basics() -> list[NamedExpr]:
-    out = []
-
-    b = _Decls({})
-    i = b.bind("i", _COL)
-    s = b.bind("S", _COL)
-    out.append(NamedExpr(
-        "ones_vec", For("i", "S", Add(s, i)), b.schema(),
-        description="all-ones column vector, accumulated one basis vector "
-                    "at a time"))
-
-    b = _Decls({"a": _COL})
-    k = b.bind("k", _COL)
-    g = b.bind("G", _SQ)
-    body = Add(g, ScalarMul(_mm(Transpose(k), Var("a")),
-                            _mm(k, Transpose(k))))
-    out.append(NamedExpr(
-        "diag_embed", For("k", "G", body), b.schema(),
-        description="square matrix with the input vector on the diagonal"))
-
-    b = _Decls({})
-    out.append(NamedExpr(
-        "identity", _identity(b), b.schema(),
-        description="identity matrix as a sum of outer products"))
-
-    b = _Decls({"w": _COL, "v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "index_le", _le(Var("w"), Var("v"), eid), b.schema(),
-        description="one iff index(w) <= index(v) on canonical vectors"))
-
-    b = _Decls({"y": _COL, "v": _COL})
-    out.append(NamedExpr(
-        "index_lt", _lt(Var("y"), Var("v")), b.schema(),
-        description="one iff index(y) < index(v) on canonical vectors"))
-
-    b = _Decls({"v": _COL})
-    out.append(NamedExpr(
-        "is_first", _mm(Transpose(OrderPrim(OrderKind.EMIN, ALPHA)), Var("v")),
-        b.schema(),
-        description="one iff the input is the first canonical vector"))
-
-    b = _Decls({"v": _COL})
-    out.append(NamedExpr(
-        "is_last", _mm(Transpose(_emax()), Var("v")), b.schema(),
-        description="one iff the input is the last canonical vector"))
-
-    b = _Decls({})
-    out.append(NamedExpr(
-        "last_basis", _emax(), b.schema(),
-        description="the last canonical vector"))
-
-    b = _Decls({"v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "shift_by_index",
-        _pow(b, OrderPrim(OrderKind.NSHIFT, ALPHA), Var("v"), eid),
-        b.schema(),
-        description="k-step shift matrix when the input is b_k"))
-
-    b = _Decls({"a": _COL, "v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "shift_vector", _shift(b, Var("a"), Var("v"), eid), b.schema(),
-        description="shift the entries of `a` down by k positions (v = b_k)"))
-
-    b = _Decls({"A": _SC})
-    v = b.bind("v", _COL)
-    x = b.bind("X", _SC)
-    out.append(NamedExpr(
-        "repeated_squaring", For("v", "X", MatMul(x, x), init=Var("A")),
-        b.schema(),
-        description="squares the accumulator once per canonical vector: "
-                    "computes a^(2^n)"))
-
-    return out
+    a, v, k, x = Var("a"), Var("v"), Var("k"), Var("X")
+    return [
+        NamedExpr("ones_vec", For("i", "S", Add(Var("S"), Var("i"))), {},
+                  description="all-ones column vector, accumulated one "
+                              "basis vector at a time"),
+        NamedExpr("diag_embed",
+                  For("k", "G", Add(Var("G"), ScalarMul(_mm(Transpose(k), a),
+                                                 _mm(k, Transpose(k))))),
+                  {"a": _COL},
+                  description="square matrix with the input vector on the "
+                              "diagonal"),
+        NamedExpr("identity", _EID, {},
+                  description="identity matrix as a sum of outer products"),
+        NamedExpr("index_le", _le(Var("w"), v), {"w": _COL, "v": _COL},
+                  description="one iff index(w) <= index(v) on canonical "
+                              "vectors"),
+        NamedExpr("index_lt", _lt(Var("y"), v), {"y": _COL, "v": _COL},
+                  description="one iff index(y) < index(v) on canonical "
+                              "vectors"),
+        NamedExpr("is_first",
+                  _mm(Transpose(OrderPrim(OrderKind.EMIN, ALPHA)), v),
+                  {"v": _COL},
+                  description="one iff the input is the first canonical "
+                              "vector"),
+        NamedExpr("is_last", _mm(Transpose(_emax()), v), {"v": _COL},
+                  description="one iff the input is the last canonical "
+                              "vector"),
+        NamedExpr("last_basis", _emax(), {},
+                  description="the last canonical vector"),
+        NamedExpr("shift_by_index",
+                  _pow(OrderPrim(OrderKind.NSHIFT, ALPHA), v), {"v": _COL},
+                  description="k-step shift matrix when the input is b_k"),
+        NamedExpr("shift_vector", _shift(a, v), {"a": _COL, "v": _COL},
+                  description="shift the entries of `a` down by k positions "
+                              "(v = b_k)"),
+        NamedExpr("repeated_squaring",
+                  For("v", "X", MatMul(x, x), init=Var("A")), {"A": _SC},
+                  description="squares the accumulator once per canonical "
+                              "vector: computes a^(2^n)"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,47 +295,28 @@ def _clique_body(edge):
     return For("u", "X1", Add(Var("X1"), inner))
 
 
-def _clique_decls():
-    b = _Decls({"V": _SQ})
-    for name in ("u", "v", "w", "x"):
-        b.bind(name, _COL)
-    for name in ("X1", "X2", "X3", "X4"):
-        b.bind(name, _SC)
-    return b
-
-
 def build_graph_queries() -> list[NamedExpr]:
-    out = []
-
-    b = _clique_decls()
-    out.append(NamedExpr(
-        "four_clique",
-        _clique_body(lambda a, bb: _one_minus(_mm(Transpose(a), bb))),
-        b.schema(),
-        description="number of ordered distinct 4-tuples inducing a clique; "
-                    "distinctness mask 1 - s^T t needs a -1 literal, so this "
-                    "form is for the real semiring"))
-
-    b = _clique_decls()
     mask = Add(_sless(), Transpose(_sless()))
-    out.append(NamedExpr(
-        "four_clique_order",
-        _clique_body(lambda a, bb: _mm(Transpose(a), mask, bb)),
-        b.schema(),
-        description="four_clique with the distinctness mask built from the "
-                    "order matrix; valid over every semiring"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    t = b.bind("t", _COL)
-    out.append(NamedExpr(
-        "transitive_closure",
-        Apply("gtz", (Prod("t", Add(eid, Var("V"))),)),
-        b.schema(),
-        description="reflexive-transitive closure indicator: nonzero "
-                    "entries of (I + A)^n"))
-
-    return out
+    return [
+        NamedExpr("four_clique",
+                  _clique_body(lambda a, b: _one_minus(_mm(Transpose(a), b))),
+                  {"V": _SQ},
+                  description="number of ordered distinct 4-tuples inducing "
+                              "a clique; distinctness mask 1 - s^T t needs a "
+                              "-1 literal, so this form is for the real "
+                              "semiring"),
+        NamedExpr("four_clique_order",
+                  _clique_body(lambda a, b: _mm(Transpose(a), mask, b)),
+                  {"V": _SQ},
+                  description="four_clique with the distinctness mask built "
+                              "from the order matrix; valid over every "
+                              "semiring"),
+        NamedExpr("transitive_closure",
+                  Apply("gtz", (Prod("t", Add(_EID, Var("V"))),)),
+                  {"V": _SQ},
+                  description="reflexive-transitive closure indicator: "
+                              "nonzero entries of (I + A)^n"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -383,45 +324,29 @@ def build_graph_queries() -> list[NamedExpr]:
 
 
 def build_lu_suite() -> list[NamedExpr]:
-    out = []
-
-    b = _Decls({"V": _SQ, "y": _COL})
-    out.append(NamedExpr(
-        "pivot_column", _col_below(b, Var("V"), Var("y")), b.schema(),
-        description="pivot column with entries at or above the pivot zeroed"))
-
-    b = _Decls({"V": _SQ, "y": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "elimination_step", _elim_step(b, Var("V"), Var("y"), eid),
-        b.schema(),
-        description="Gaussian elimination step for the pivot column"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    y = b.bind("y", _COL)
-    f = b.bind("F", _SQ)
-    loop = For("y", "F", _mm(_elim_step(b, _mm(f, Var("V")), y, eid), f),
-               init=eid)
-    out.append(NamedExpr(
-        "lu_upper", MatMul(loop, Var("V")), b.schema(),
-        description="upper-triangular factor by column-wise elimination"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    y = b.bind("y", _COL)
-    state = _mm(_elim_before(b, Var("V"), y, eid), Var("V"))
+    v, y, f = Var("V"), Var("y"), Var("F")
+    upper = For("y", "F", _mm(_elim_step(_mm(f, v), y), f), init=_EID)
+    state = _mm(_elim_before(v, y), v)
     multipliers = Apply("div", (
-        _col_below(b, state, y),
+        _col_below(state, y),
         ScalarMul(_neg(_mm(Transpose(y), state, y)), Ones(y))))
-    # the step inverses (I + c y^T)^-1 = I - c y^T collapse into one sum
-    out.append(NamedExpr(
-        "lu_lower",
-        Add(eid, Sum("y", MatMul(_neg(multipliers), Transpose(y)))),
-        b.schema(),
-        description="unit lower-triangular factor with L * U = A"))
-
-    return out
+    return [
+        NamedExpr("pivot_column", _col_below(v, y), {"V": _SQ, "y": _COL},
+                  description="pivot column with entries at or above the "
+                              "pivot zeroed"),
+        NamedExpr("elimination_step", _elim_step(v, y),
+                  {"V": _SQ, "y": _COL},
+                  description="Gaussian elimination step for the pivot "
+                              "column"),
+        NamedExpr("lu_upper", MatMul(upper, v), {"V": _SQ},
+                  description="upper-triangular factor by column-wise "
+                              "elimination"),
+        # the step inverses (I + c y^T)^-1 = I - c y^T collapse into one sum
+        NamedExpr("lu_lower",
+                  Add(_EID, Sum("y", MatMul(_neg(multipliers), Transpose(y)))),
+                  {"V": _SQ},
+                  description="unit lower-triangular factor with L * U = A"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +354,19 @@ def build_lu_suite() -> list[NamedExpr]:
 
 
 def build_plu_suite() -> list[NamedExpr]:
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    y = b.bind("y", _COL)
-    f = b.bind("F", _SQ)
-    w = b.bind("w", _COL)
-    u = b.bind("u", _COL)
+    y, f, w, u = Var("y"), Var("F"), Var("w"), Var("u")
     state = _mm(f, Var("V"))
 
     def nonzero_at_or_below(row):
         entry = _mm(Transpose(row), state, y)
-        return ScalarMul(Apply("gtz", (MatMul(entry, entry),)),
-                         _le(y, row, eid))
+        return ScalarMul(Apply("gtz", (MatMul(entry, entry),)), _le(y, row))
 
     earlier = Sum("u", ScalarMul(_lt(u, w), nonzero_at_or_below(u)))
     first = ScalarMul(nonzero_at_or_below(w),
                       _one_minus(Apply("gtz", (earlier,))))
     pivot = Sum("w", ScalarMul(first, w))
     has_pivot = Apply("gtz", (_mm(Transpose(Ones(pivot)), pivot),))
-    swap = Add(eid, ScalarMul(has_pivot, _add(
+    swap = Add(_EID, ScalarMul(has_pivot, _add(
         _neg(_mm(y, Transpose(y))),
         _neg(_mm(pivot, Transpose(pivot))),
         _mm(y, Transpose(pivot)),
@@ -458,15 +377,15 @@ def build_plu_suite() -> list[NamedExpr]:
     denom = ScalarMul(
         _neg(Add(_mm(Transpose(y), swapped, y), _one_minus(has_pivot))),
         Ones(y))
-    step = Add(eid, MatMul(Apply("div", (_col_below(b, swapped, y), denom)),
-                           Transpose(y)))
-    transform = For("y", "F", _mm(step, swap, f), init=eid)
+    step = Add(_EID, MatMul(Apply("div", (_col_below(swapped, y), denom)),
+                            Transpose(y)))
+    transform = For("y", "F", _mm(step, swap, f), init=_EID)
 
     return [
-        NamedExpr("plu_transform", transform, b.schema(),
+        NamedExpr("plu_transform", transform, {"V": _SQ},
                   description="row-pivoted elimination transform M with "
                               "M * A upper triangular"),
-        NamedExpr("plu_upper", MatMul(transform, Var("V")), b.schema(),
+        NamedExpr("plu_upper", MatMul(transform, Var("V")), {"V": _SQ},
                   description="upper-triangular image M * A of the pivoted "
                               "elimination"),
     ]
@@ -477,143 +396,86 @@ def build_plu_suite() -> list[NamedExpr]:
 
 
 def build_csanky_suite() -> list[NamedExpr]:
-    out = []
+    v, k = Var("V"), Var("v")
 
-    b = _Decls({"V": _SQ, "v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "matrix_power", _pow(b, Var("V"), Var("v"), eid), b.schema(),
-        description="A^k for v = b_k"))
+    def trace_vector():
+        r = Var("r")
+        return Sum("r", ScalarMul(_power_trace(v, r), r))
 
-    b = _Decls({"V": _SQ, "v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "power_trace", _power_trace(b, Var("V"), Var("v"), eid), b.schema(),
-        description="tr(A^k) for v = b_k"))
-
-    b = _Decls({"V": _SQ, "v": _COL})
-    eid = _identity(b)
-    u = b.bind("u", _COL)
-    out.append(NamedExpr(
-        "scaled_power_trace",
-        Apply("div", (_power_trace(b, Var("V"), Var("v"), eid),
-                      Sum("u", _le(u, Var("v"), eid)))),
-        b.schema(),
-        description="tr(A^k) / k for v = b_k"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "power_sum", _power_series(b, Var("V"), eid), b.schema(),
-        description="I + A + A^2 + ... + A^n"))
-
-    b = _Decls({"V": _SQ})
-    out.append(NamedExpr(
-        "diagonal_part", _get_diag(b, Var("V")), b.schema(),
-        description="diagonal of the input as a diagonal matrix"))
-
-    b = _Decls({"V": _SQ})
-    out.append(NamedExpr(
-        "diagonal_inverse", _diag_inverse(b, Var("V")), b.schema(),
-        description="diagonal matrix of reciprocal diagonal entries"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "upper_tri_inverse", _upper_inv(b, Var("V"), eid), b.schema(),
-        description="inverse of an invertible upper-triangular matrix"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "lower_tri_inverse", _lower_inv(b, Var("V"), eid), b.schema(),
-        description="inverse of an invertible lower-triangular matrix"))
-
-    b = _Decls({})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "index_diagonal", _index_diagonal(b, eid), b.schema(),
-        description="diagonal matrix with entries 1, 2, ..., n"))
-
-    def trace_vector(b, eid):
-        r = b.bind("r", _COL)
-        return Sum("r", ScalarMul(_power_trace(b, Var("V"), r, eid), r))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "trace_vector", trace_vector(b, eid), b.schema(),
-        description="column of power traces (tr(A^1), ..., tr(A^n))"))
-
-    def newton_matrix(b, eid):
+    def newton_matrix():
         # trace_vector's iterator: S^k shares its power stages' selectors
-        counts, r = _index_diagonal(b, eid), b.bind("r", _COL)
-        shifted = _shift(b, trace_vector(b, eid), r, eid)
-        return Add(counts, Sum("r", MatMul(shifted, Transpose(r))))
+        r = Var("r")
+        shifted = _shift(trace_vector(), r)
+        return Add(_index_diagonal(), Sum("r", MatMul(shifted, Transpose(r))))
 
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "newton_matrix", newton_matrix(b, eid), b.schema(),
-        description="lower-triangular Newton-identity system matrix "
-                    "diag(1..n) + shifted power traces"))
+    def charpoly():
+        return MatMul(_lower_inv(newton_matrix()), _neg(trace_vector()))
 
-    def charpoly(b, eid):
-        traces = trace_vector(b, eid)
-        return MatMul(_lower_inv(b, newton_matrix(b, eid), eid), _neg(traces))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "charpoly_coeffs", charpoly(b, eid), b.schema(),
-        description="coefficients (c_1, ..., c_n) of the characteristic "
-                    "polynomial x^n + c_1 x^(n-1) + ... + c_n"))
-
-    def inv_power(b, base, idx, eid):
-        g = b.bind("g", _COL)
-        inner = Add(ScalarMul(_lt(idx, g), base),
-                    ScalarMul(_le(g, idx, eid), eid))
+    def inv_power(base, idx):
+        g = Var("g")
+        inner = Add(ScalarMul(_lt(idx, g), base), ScalarMul(_le(g, idx), _EID))
         return Prod("g", Add(ScalarMul(_lt(g, _emax()), inner),
-                             ScalarMul(_mm(Transpose(_emax()), g), eid)))
+                             ScalarMul(_mm(Transpose(_emax()), g), _EID)))
 
-    b = _Decls({"V": _SQ, "v": _COL})
-    eid = _identity(b)
-    out.append(NamedExpr(
-        "inverse_power", inv_power(b, Var("V"), Var("v"), eid), b.schema(),
-        description="A^(n-1-k) for v = b_k (identity for k >= n-1)"))
-
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    m = b.bind("m", _COL)
-    i2 = b.bind("i", _COL)
-    s2 = b.bind("S", _COL)
-    ones = For("i", "S", Add(s2, i2))
+    ones = For("i", "S", Add(Var("S"), Var("i")))
     sign = _mm(Transpose(ScalarMul(Prod("m", Const(-1)), ones)), _emax())
-    out.append(NamedExpr(
-        "determinant",
-        _mm(Transpose(ScalarMul(sign, charpoly(b, eid))), _emax()),
-        b.schema(),
-        description="determinant via (-1)^n times the last characteristic "
-                    "coefficient"))
+    determinant = _mm(Transpose(ScalarMul(sign, charpoly())), _emax())
 
-    b = _Decls({"V": _SQ})
-    eid = _identity(b)
-    coeffs = charpoly(b, eid)
+    coeffs = charpoly()
     shift = OrderPrim(OrderKind.NSHIFT, ALPHA)
     weights = Add(MatMul(shift, coeffs), OrderPrim(OrderKind.EMIN, ALPHA))
-    r = b.bind("r", _COL)
+    r = Var("r")
     powers = Sum("r", ScalarMul(
-        _mm(Transpose(_emax()), _pow(b, shift, r, eid), weights),
-        _pow(b, Var("V"), r, eid)))
-    tail = Add(ScalarMul(_mm(Transpose(_emax()), weights), eid), powers)
+        _mm(Transpose(_emax()), _pow(shift, r), weights), _pow(v, r)))
+    tail = Add(ScalarMul(_mm(Transpose(_emax()), weights), _EID), powers)
     last_coeff = _mm(Transpose(coeffs), _emax())
-    out.append(NamedExpr(
-        "inverse", ScalarMul(_neg(Apply("div", (Const(1), last_coeff))), tail),
-        b.schema(),
-        description="matrix inverse via Cayley-Hamilton and the "
-                    "characteristic coefficients"))
+    inverse = ScalarMul(_neg(Apply("div", (Const(1), last_coeff))), tail)
 
-    return out
+    square, indexed = {"V": _SQ}, {"V": _SQ, "v": _COL}
+    return [
+        NamedExpr("matrix_power", _pow(v, k), indexed,
+                  description="A^k for v = b_k"),
+        NamedExpr("power_trace", _power_trace(v, k), indexed,
+                  description="tr(A^k) for v = b_k"),
+        NamedExpr("scaled_power_trace",
+                  Apply("div", (_power_trace(v, k),
+                                Sum("u", _le(Var("u"), k)))),
+                  indexed, description="tr(A^k) / k for v = b_k"),
+        NamedExpr("power_sum", _power_series(v), square,
+                  description="I + A + A^2 + ... + A^n"),
+        NamedExpr("diagonal_part", _get_diag(v), square,
+                  description="diagonal of the input as a diagonal matrix"),
+        NamedExpr("diagonal_inverse", _diag_inverse(v), square,
+                  description="diagonal matrix of reciprocal diagonal "
+                              "entries"),
+        NamedExpr("upper_tri_inverse", _upper_inv(v), square,
+                  description="inverse of an invertible upper-triangular "
+                              "matrix"),
+        NamedExpr("lower_tri_inverse", _lower_inv(v), square,
+                  description="inverse of an invertible lower-triangular "
+                              "matrix"),
+        NamedExpr("index_diagonal", _index_diagonal(), {},
+                  description="diagonal matrix with entries 1, 2, ..., n"),
+        NamedExpr("trace_vector", trace_vector(), square,
+                  description="column of power traces (tr(A^1), ..., "
+                              "tr(A^n))"),
+        NamedExpr("newton_matrix", newton_matrix(), square,
+                  description="lower-triangular Newton-identity system "
+                              "matrix diag(1..n) + shifted power traces"),
+        NamedExpr("charpoly_coeffs", charpoly(), square,
+                  description="coefficients (c_1, ..., c_n) of the "
+                              "characteristic polynomial x^n + c_1 x^(n-1) "
+                              "+ ... + c_n"),
+        NamedExpr("inverse_power", inv_power(v, k), indexed,
+                  description="A^(n-1-k) for v = b_k (identity for "
+                              "k >= n-1)"),
+        NamedExpr("determinant", determinant, square,
+                  description="determinant via (-1)^n times the last "
+                              "characteristic coefficient"),
+        NamedExpr("inverse", inverse, square,
+                  description="matrix inverse via Cayley-Hamilton and the "
+                              "characteristic coefficients"),
+    ]
 
 
 def all_named() -> dict[str, NamedExpr]:
