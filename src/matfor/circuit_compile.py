@@ -54,7 +54,7 @@ from .circuits import (Circuit, DIV, Gate, INPUT, ONE, PROD, SUM, ZERO,
 from .errors import (FormatError, FunctionUnavailableForSemiring,
                      MissingDimension, UnassignedSymbol, UnknownFunction,
                      UnsupportedConstant, UnsupportedFunction, _echo)
-from .evaluator import evaluate
+from .evaluator import _in_fresh_chunk, evaluate
 from .instance import Instance
 from .matrix import KMatrix
 from .semiring import RATIONAL, Semiring
@@ -140,6 +140,7 @@ def _input_matrix(name, schema, dims):
                                      for j in range(cols)))
 
 
+@_in_fresh_chunk
 def compile_expr(e: ast.Expr, schema: ast.Schema,
                  dims: dict[str, int]) -> Circuit:
     """Unroll `e` into a circuit for the given dimension assignment.

@@ -68,6 +68,9 @@ class Circuit:
                 raise FormatError(f"gate g{i}: div needs exactly 2 children")
             if g.kind in (SUM, PROD) and not g.children:
                 raise FormatError(f"gate g{i}: {g.kind} needs a child")
+            if g.kind == INPUT and min(g.ref[1:]) < 1:
+                raise FormatError(f"gate g{i}: input position "
+                                  f"[{g.ref[1]},{g.ref[2]}] is not 1-based")
         for (r, col), idx in self.outputs:
             if not 0 <= idx < len(self.gates):
                 raise FormatError(

@@ -397,7 +397,8 @@ class _Ctx:
     def indices(self, n):
         if self.order is None:
             return range(1, n + 1)
-        seq = list(self.order(n))
+        seq = self.order(n)
+        seq = list(seq) if hasattr(seq, "__iter__") else ()
         if (not all(isinstance(i, int) for i in seq)
                 or sorted(seq) != list(range(1, n + 1))):
             raise EvalError(

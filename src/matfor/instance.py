@@ -43,6 +43,10 @@ class Instance:
                 raise ShapeError(
                     f"size symbol {_echo(sym)} has dimension "
                     f"{_echo(n, str)}; dimensions must be integers >= 1")
+        for name, m in self.mats.items():
+            if not isinstance(m, KMatrix):
+                raise ShapeError(f"matrix {_echo(name)} is a "
+                                 f"{type(m).__name__}, not a KMatrix")
 
 
 @dataclass

@@ -12,7 +12,8 @@ The provided instances:
 * ``nat``      - arbitrary-precision non-negative integers (exact).
 * ``bool``     - {0, 1} with or/and.
 * ``tropical`` - min-plus over the reals extended with +infinity
-                 (zero = inf, one = 0.0).
+                 (zero = inf, one = 0.0).  A sum past the float range
+                 reaches -inf, which it prints as the reals do.
 * ``rational`` - exact fractions (`fractions.Fraction`).  Text is read as
                  an exact value: ``0.1`` is 1/10, not the nearest float, and
                  ``1/3`` is a third.
@@ -139,10 +140,6 @@ def _parse_tropical(text):
     return v
 
 
-def _fmt_tropical(v):
-    return "inf" if math.isinf(v) else "%.17g" % v
-
-
 def _div(x, y):
     try:
         return x / y
@@ -197,7 +194,7 @@ BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_,
                 _parse_bool, str)
 
 TROPICAL = Semiring("tropical", math.inf, 0.0, min, operator.add,
-                    _parse_tropical, _fmt_tropical)
+                    _parse_tropical, _fmt_real)
 
 RATIONAL = Semiring("rational", Fraction(0), Fraction(1), operator.add,
                     operator.mul, _parse_rational, _fmt_rational, _div,

@@ -130,6 +130,23 @@ def test_validate_checks_topological_order():
         c.validate()
 
 
+@pytest.mark.parametrize("gates, outputs, message", [
+    ([Gate(ONE)], [((0, 1), 0)], "output position [0,1] is not 1-based"),
+    ([Gate(INPUT, ref=("V", 0, 1))], [((1, 1), 0)],
+     "gate g0: input position [0,1] is not 1-based"),
+    ([Gate(INPUT, ref=("V", 1, 0))], [((1, 1), 0)],
+     "gate g0: input position [1,0] is not 1-based"),
+], ids=["output", "input row", "input column"])
+def test_validate_rejects_a_position_below_one(gates, outputs, message):
+    c = Circuit(gates, outputs)
+    with pytest.raises(FormatError) as exc:
+        c.validate()
+    assert str(exc.value) == message
+    # the loader rejects the dump for the same reason
+    with pytest.raises(FormatError, match="not 1-based"):
+        load_circuit(dump_circuit(c))
+
+
 def test_gates_compare_and_hash_by_value():
     a = Gate(SUM, (0, 1))
     b = Gate(SUM, (0, 1))

@@ -561,3 +561,20 @@ def test_check_a_pointwise_name_past_the_int_string_limit(files, capsys):
     code, out, err = run(capsys, "check", "-e", f"hsum{'1' * 5000}(V, V)",
                          "--schema", schema)
     assert (code, out, err) == (0, "alpha x alpha\n", "")
+
+
+def test_tropical_eval_prints_an_overflow_to_minus_infinity(files, capsys):
+    # (1,1) is min(-1e308 + -1e308, 0 + 0) = -inf, not the semiring's zero
+    inst = files("t.inst", "semiring tropical\nsize alpha 2\n"
+                           "matrix V alpha alpha\n-1e308 0\n0 -1e308\n")
+    assert run(capsys, "eval", "-e", "V * V", "--instance", inst) == \
+        (0, "2 x 2\n-inf -1e+308\n-1e+308 -inf\n", "")
+
+
+def test_circuit_eval_prints_the_entries_of_a_partial_output(files, capsys):
+    circ = files("c.circuit", "g0 = input V[1,1]\ng1 = const1\n"
+                              "output[2,1] = g1\noutput[1,2] = g0\n")
+    inst = files("v.inst", "semiring nat\nsize alpha 1\n"
+                           "matrix V alpha alpha\n7\n")
+    assert run(capsys, "circuit-eval", "--circuit", circ, "--inputs", inst) \
+        == (0, "[1,2] = 7\n[2,1] = 1\n", "")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -21,7 +22,8 @@ from matfor.instance import Instance
 from matfor.matrix import KMatrix
 from matfor.parser import parse_expr, parse_schema
 from matfor.semiring import BOOL, NAT, RATIONAL, REAL, TROPICAL
-from test_evaluator import _record_selections, shared_loop_under_two_sizes
+from test_evaluator import (_at_depth, _record_selections,
+                            shared_loop_under_two_sizes)
 
 
 def test_inner_product_circuit():
@@ -407,6 +409,8 @@ def test_shared_loop_compiles_under_each_enclosing_binders_size():
 
 
 COMPILE_ERRORS = [
+    # undeclared input
+    ("V", "var W : alpha x alpha", {"alpha": 2}, UnassignedSymbol),
     # undeclared iterator
     ("sum v . v", "var V : alpha x alpha", {"alpha": 2}, UnassignedSymbol),
     # iterator whose size symbol has no dimension
@@ -458,6 +462,7 @@ def test_division_by_a_folded_zero_compiles_to_a_gate():
     ("([0.25] .* [4]) .* x", "g0 = input x[1,1]\noutput[1,1] = g0"),
     ("((div([1], [10]) + div([2], [10])) .* [10] + [-3]) .* x",
      "g0 = const0\noutput[1,1] = g0"),
+    ("div(x, [1])", "g0 = input x[1,1]\noutput[1,1] = g0"),
     # a non-integral constant is a division of const1 by a sum of ones
     ("[0.5] .* x",
      "g0 = input x[1,1]\ng1 = const1\ng2 = sum g1 g1\ng3 = div g1 g2\n"
@@ -526,3 +531,26 @@ if __name__ == "__main__":
     # circuits of two versions of the compiler can be diffed without their
     # gate numbers before `CIRCUIT_DIGESTS` is re-pinned
     print("\n".join(_stats_lines()))
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11)
+    or not sys.platform.startswith("linux"),
+    reason="frame chunks are CPython 3.11+; page-fault counts are Linux's")
+def test_the_callers_stack_depth_does_not_make_compilation_map_memory(lib):
+    # as for `evaluate`: one depth faulted in 388 pages before
+    # `compile_expr` opened a frame chunk of its own
+    import resource
+    item = lib["trace_vector"]
+
+    def run():
+        return compile_expr(item.expr, item.schema, {stdlib.ALPHA: 3})
+
+    want = run()
+    faults = []
+    for depth in range(200):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert _at_depth(depth, run) == want
+        faults.append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) <= 100, faults

@@ -913,6 +913,21 @@ def test_an_iteration_order_of_floats_is_not_a_permutation(text):
     assert str(err.value) == "iteration_order(2) is not a permutation of 1..2"
 
 
+@pytest.mark.parametrize("got", [5, None])
+def test_an_iteration_order_that_is_not_iterable_is_not_a_permutation(got):
+    with pytest.raises(EvalError) as err:
+        ev("sum x . x", _LIFT_SCHEMA, {"alpha": 2}, order=lambda n: got)
+    assert str(err.value) == "iteration_order(2) is not a permutation of 1..2"
+
+
+def test_a_function_given_the_wrong_number_of_arguments_is_an_eval_error():
+    # `typecheck` would reject it first; `evaluate` does not rely on that
+    with pytest.raises(EvalError) as err:
+        ev("div(V)", "var V : alpha x alpha", {"alpha": 2},
+           V=from_rows([[1.0, 2.0], [3.0, 4.0]]))
+    assert str(err.value) == "function 'div' expects 2 arguments, got 1"
+
+
 def _is_basis(m, n):
     return m.shape == (n, 1) and sorted(m.entries) == [0] * (n - 1) + [1]
 

@@ -109,6 +109,8 @@ def test_a_one_of_any_number_type_is_a_template(one):
     ("sum v . v", "var v : alpha x 1"),
     ("prod v . V", "var v : alpha x 1\nvar V : alpha x alpha"),
     ("hprod v . V", "var v : alpha x 1\nvar V : alpha x alpha"),
+    # a row body: the all-ones initialiser is a transposed ones column
+    ("hprod v . R", "var v : alpha x 1\nvar R : 1 x alpha"),
     ("sum v . prod w . V", "var v : alpha x 1\nvar w : alpha x 1\n"
                            "var V : alpha x alpha"),
     ("V + W", "var V : alpha x alpha\nvar W : alpha x alpha"),

@@ -226,3 +226,24 @@ def test_instance_rejects_a_dimension_below_one():
 def test_instance_rejects_a_dimension_that_is_not_an_int():
     with pytest.raises(ShapeError, match="'alpha' has dimension 2.0"):
         Instance({"alpha": 2.0})
+
+
+def test_instance_rejects_a_matrix_that_is_not_a_kmatrix():
+    with pytest.raises(ShapeError, match="^matrix 'V' is a list, not a "
+                                         "KMatrix$"):
+        Instance({"alpha": 2}, {"V": [[1, 2], [3, 4]]})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("semiring nat\nsize a\n", "line 2: expected: size SYM N"),
+    ("semiring nat\nsize a 2 3\n", "line 2: expected: size SYM N"),
+    ("semiring nat\nsize a 1\nmatrix V a\n1\n",
+     "line 3: expected: matrix NAME SYM SYM"),
+    ("size a 1\nmatrix V a a\n1\nsemiring nat\n",
+     "line 2: a 'semiring' line must precede matrix blocks"),
+], ids=["size too short", "size too long", "matrix too short",
+        "matrix before semiring"])
+def test_a_malformed_line_names_its_line(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message

@@ -350,6 +350,16 @@ def test_relation_file_errors():
         parse_relations("# annotations\nsemiring naturals\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("relation\n", "line 1: expected: relation NAME attr..."),
+    ("relation R a b a\n", "line 1: duplicate attribute names"),
+])
+def test_a_malformed_relation_header_names_its_line(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_relations(text)
+    assert str(err.value) == message
+
+
 def test_a_long_relation_name_is_echoed_cut_short():
     name = "R" * 5000
     with pytest.raises(FormatError, match="^line 2: relation 'RRR") as err:

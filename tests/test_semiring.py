@@ -72,6 +72,8 @@ def test_parsing_and_printing():
     assert NAT.parse("12") == 12
     assert TROPICAL.parse("inf") == math.inf
     assert TROPICAL.fmt(math.inf) == "inf"
+    # -inf is no carrier value, but an overflowing sum reaches it
+    assert TROPICAL.fmt(TROPICAL.times(-1e308, -1e308)) == "-inf"
     assert BOOL.parse("1") == 1
 
 
@@ -191,6 +193,10 @@ def test_real_equality_uses_tolerance():
     assert not REAL.eq(1.0, 1.1, tol=1e-9)
     assert NAT.eq(3, 3, tol=100.0)
     assert not NAT.eq(3, 4, tol=100.0)
+    # an infinity equals only itself, whatever the tolerance
+    assert REAL.eq(math.inf, math.inf, tol=1e-9)
+    assert not REAL.eq(math.inf, 1e308, tol=1e300)
+    assert not REAL.eq(-math.inf, math.inf, tol=1e-9)
 
 
 def test_by_name():
