@@ -230,8 +230,8 @@ def build_basics() -> list[NamedExpr]:
                   description="all-ones column vector, accumulated one "
                               "basis vector at a time"),
         NamedExpr("diag_embed",
-                  For("k", "G", Add(Var("G"), ScalarMul(_mm(Transpose(k), a),
-                                                 _mm(k, Transpose(k))))),
+                  For("k", "G", Add(Var("G"), ScalarMul(
+                      _mm(Transpose(k), a), _mm(k, Transpose(k))))),
                   {"a": _COL},
                   description="square matrix with the input vector on the "
                               "diagonal"),
@@ -282,8 +282,8 @@ def _clique_body(edge):
     u, v, w, x = Var("u"), Var("v"), Var("w"), Var("x")
     vv = Var("V")
 
-    def pair(a, bb):
-        return _mm(Transpose(a), vv, bb)
+    def pair(a, b):
+        return _mm(Transpose(a), vv, b)
 
     body = _mm(pair(u, v), edge(u, v),
                pair(u, w), pair(v, w), edge(u, w), edge(v, w),

@@ -526,13 +526,6 @@ def _stats_lines():
                    f"structure={_structure_digest(c)[:16]}")
 
 
-if __name__ == "__main__":
-    # ``python tests/test_compile.py`` prints `_stats_lines()`, so the
-    # circuits of two versions of the compiler can be diffed without their
-    # gate numbers before `CIRCUIT_DIGESTS` is re-pinned
-    print("\n".join(_stats_lines()))
-
-
 @pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info < (3, 11)
     or not sys.platform.startswith("linux"),
@@ -554,3 +547,11 @@ def test_the_callers_stack_depth_does_not_make_compilation_map_memory(lib):
         faults.append(
             resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert max(faults) <= 100, faults
+
+
+if __name__ == "__main__":
+    # ``python tests/test_compile.py`` prints `_stats_lines()`, so the
+    # circuits of two versions of the compiler can be diffed without their
+    # gate numbers before `CIRCUIT_DIGESTS` is re-pinned
+    print("\n".join(_stats_lines()))
+
