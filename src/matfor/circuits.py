@@ -29,8 +29,13 @@ Dump format, one gate per line, then one line per output::
     output[1,1] = g4
 
 Coordinates are 1-based.  `load_circuit` reads its lines by
-`semiring.records`, and `load_circuit(dump_circuit(c))` reproduces the
-circuit bit-exactly.
+`semiring.records`, and it is the one rule for a well-formed circuit: each
+line fits the grammar above, children precede their gate, a division has
+two children, a sum or product at least one, and each output names a gate.
+`Circuit.validate` is the loader's round trip: a circuit is well formed
+exactly when `load_circuit(dump_circuit(c))` gives back its gates and
+outputs, in order.  `eval_circuit` and `stats` reject a gate of a kind they
+do not know.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import (DivisionByZero, FormatError,
@@ -59,25 +65,31 @@ class Circuit:
     outputs: list[tuple[tuple[int, int], int]] = field(default_factory=list)
 
     def validate(self):
-        for i, g in enumerate(self.gates):
-            for c in g.children:
-                if not 0 <= c < i:
-                    raise FormatError(f"gate g{i} references {_echo(f'g{c}')}"
-                                      f", which does not precede it")
-            if g.kind == DIV and len(g.children) != 2:
-                raise FormatError(f"gate g{i}: div needs exactly 2 children")
-            if g.kind in (SUM, PROD) and not g.children:
-                raise FormatError(f"gate g{i}: {g.kind} needs a child")
-            if g.kind == INPUT and min(g.ref[1:]) < 1:
-                raise FormatError(f"gate g{i}: input position "
-                                  f"[{g.ref[1]},{g.ref[2]}] is not 1-based")
-        for (r, col), idx in self.outputs:
-            if not 0 <= idx < len(self.gates):
+        """The loader's round trip: a `FormatError` naming the gate or output
+        at fault unless `load_circuit(dump_circuit(self))` gives back these
+        gates and outputs, in order."""
+        text = dump_circuit(self)
+        try:
+            back = load_circuit(text)
+        except FormatError as exc:
+            if exc.line is None:
+                raise
+            n, msg = exc.line - 1, str(exc).partition(": ")[2]
+            if msg == _NO_LINE:
+                msg = f"{_entry(self, n)} cannot be written as a dump line"
+            elif n < len(self.gates):
+                msg = f"gate g{n}: {msg}"
+            raise FormatError(msg) from None
+        for n, (mine, theirs) in enumerate(zip_longest(
+                [*self.gates, *self.outputs], [*back.gates, *back.outputs])):
+            if mine != theirs:
                 raise FormatError(
-                    f"output references missing gate {_echo(f'g{idx}')}")
-            if r < 1 or col < 1:
-                raise FormatError(
-                    f"output position [{r},{col}] is not 1-based")
+                    f"{_entry(self, n)} does not load back from its dump line")
+
+
+def _entry(c: Circuit, n: int) -> str:
+    """The gate or output that line n + 1 of `c`'s dump writes."""
+    return f"gate g{n}" if n < len(c.gates) else f"outputs[{n - len(c.gates)}]"
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,8 @@ def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object],
             vals.append(inputs[g.ref])
         elif g.kind in (ZERO, ONE):
             vals.append(sr.one if g.kind == ONE else sr.zero)
+        elif g.kind != DIV:
+            raise FormatError(f"gate g{i}: unknown kind {_echo(g.kind)}")
         elif sr.div is None:
             raise FunctionUnavailableForSemiring(
                 f"div at gate g{i} is not available over the {sr.name} "
@@ -131,6 +145,8 @@ def stats(c: Circuit) -> CircuitStats:
         if g.kind in (INPUT, ZERO, ONE):
             degree[i] = 1
             continue
+        if g.kind not in (SUM, PROD, DIV):
+            raise FormatError(f"gate g{i}: unknown kind {_echo(g.kind)}")
         wires += len(g.children)
         depth[i] = 1 + max(depth[ch] for ch in g.children)
         degree[i] = (sum if g.kind == PROD else max)(
@@ -172,16 +188,21 @@ def prune(c: Circuit) -> Circuit:
 
 
 def dump_circuit(c: Circuit) -> str:
+    """`c` as text; an entry it cannot write is a `FormatError` naming it."""
     lines = []
-    for i, g in enumerate(c.gates):
-        if g.kind == INPUT:
-            name, r, col = g.ref
-            lines.append(f"g{i} = input {name}[{r},{col}]")
-        else:
-            refs = " ".join(f"g{ch}" for ch in g.children)
-            lines.append(f"g{i} = {g.kind} {refs}".rstrip())
-    for (r, col), idx in c.outputs:
-        lines.append(f"output[{r},{col}] = g{idx}")
+    try:
+        for i, g in enumerate(c.gates):
+            if g.kind == INPUT:
+                name, r, col = g.ref
+                lines.append(f"g{i} = input {name}[{r},{col}]")
+            else:
+                refs = " ".join(f"g{ch}" for ch in g.children)
+                lines.append(f"g{i} = {g.kind} {refs}".rstrip())
+        for (r, col), idx in c.outputs:
+            lines.append(f"output[{r},{col}] = g{idx}")
+    except (AttributeError, TypeError, ValueError):
+        raise FormatError(f"{_entry(c, len(lines))} cannot be written as a "
+                          f"dump line") from None
     return "\n".join(lines)
 
 
@@ -189,6 +210,7 @@ def dump_circuit(c: Circuit) -> str:
 _LINE_RE = re.compile(r"output\[(\d+),(\d+)\] = g(\d+)"
                       r"|g(\d+) = (?:input (\S+)\[(\d+),(\d+)\]|(const[01])"
                       r"|(sum|prod|div)((?:\s+g\d+)*))")
+_NO_LINE = "expected a gate or output line"
 
 
 def load_circuit(text: str) -> Circuit:
@@ -197,13 +219,17 @@ def load_circuit(text: str) -> Circuit:
     for lineno, line in records(text):
         m = _LINE_RE.fullmatch(line)
         if m is None:
-            raise FormatError("expected a gate or output line", lineno)
+            raise FormatError(_NO_LINE, lineno)
         r, col, out, idx, name, i, j, const, kind, refs = m.groups()
         r, col, out, idx, i, j, *children = (
             x and _count(x, "number", lineno) for x in
             (r, col, out, idx, i, j, *re.findall(r"\d+", refs or "")))
-        if 0 in (r, col, i, j):
-            raise FormatError("position is not 1-based", lineno)
+        if 0 in (r, col):
+            raise FormatError(f"output position {_echo(f'[{r},{col}]', str)} "
+                              f"is not 1-based", lineno)
+        if 0 in (i, j):
+            raise FormatError(f"input position {_echo(f'[{i},{j}]', str)} "
+                              f"is not 1-based", lineno)
         if out is not None:
             if (r, col) in outputs:
                 raise FormatError(
@@ -217,6 +243,17 @@ def load_circuit(text: str) -> Circuit:
             gates.append(Gate(INPUT, ref=(name, i, j)))
         else:
             gates.append(Gate(const or kind, tuple(children)))
-    c = Circuit(gates, list(outputs.items()))
-    c.validate()
-    return c
+    for i, g in enumerate(gates):
+        for ch in g.children:
+            if ch >= i:
+                raise FormatError(f"gate g{i} references {_echo(f'g{ch}')}"
+                                  f", which does not precede it")
+        if g.kind == DIV and len(g.children) != 2:
+            raise FormatError(f"gate g{i}: div needs exactly 2 children")
+        if g.kind in (SUM, PROD) and not g.children:
+            raise FormatError(f"gate g{i}: {g.kind} needs a child")
+    for idx in outputs.values():
+        if idx >= len(gates):
+            raise FormatError(
+                f"output references missing gate {_echo(f'g{idx}')}")
+    return Circuit(gates, list(outputs.items()))
