@@ -34,8 +34,11 @@ line fits the grammar above, children precede their gate, a division has
 two children, a sum or product at least one, and each output names a gate.
 `Circuit.validate` is the loader's round trip: a circuit is well formed
 exactly when `load_circuit(dump_circuit(c))` gives back its gates and
-outputs, in order.  `eval_circuit` and `stats` reject a gate of a kind they
-do not know.
+outputs, in order.  `stats` applies the loader's checks on how gates
+connect before it reads a circuit, and `eval_circuit`, on the compiler's
+path, once its walk has failed; only a child or output index below zero
+still evaluates there, read from the end of the gate list.  An input name
+is written only if the loader reads it back.
 """
 
 from __future__ import annotations
@@ -76,20 +79,46 @@ class Circuit:
                 raise
             n, msg = exc.line - 1, str(exc).partition(": ")[2]
             if msg == _NO_LINE:
-                msg = f"{_entry(self, n)} cannot be written as a dump line"
+                msg = (f"{_entry(n, len(self.gates))} cannot be written as "
+                       f"a dump line")
             elif n < len(self.gates):
                 msg = f"gate g{n}: {msg}"
             raise FormatError(msg) from None
         for n, (mine, theirs) in enumerate(zip_longest(
                 [*self.gates, *self.outputs], [*back.gates, *back.outputs])):
             if mine != theirs:
-                raise FormatError(
-                    f"{_entry(self, n)} does not load back from its dump line")
+                raise FormatError(f"{_entry(n, len(self.gates))} does not "
+                                  f"load back from its dump line")
 
 
-def _entry(c: Circuit, n: int) -> str:
-    """The gate or output that line n + 1 of `c`'s dump writes."""
-    return f"gate g{n}" if n < len(c.gates) else f"outputs[{n - len(c.gates)}]"
+def _entry(n: int, n_gates: int | None) -> str:
+    """The gate or output that line n + 1 of a dump of `n_gates` gates
+    writes; `None` while the gates are still being written."""
+    if n_gates is None or n < n_gates:
+        return f"gate g{n}"
+    return f"outputs[{n - n_gates}]"
+
+
+def _check_structure(c: Circuit) -> None:
+    """The loader's rule for how gates connect: a `FormatError` unless each
+    gate has a known kind and children that precede it, a division has two
+    children, a sum or product at least one, and each output names a
+    gate."""
+    for i, g in enumerate(c.gates):
+        if g.kind not in (INPUT, ZERO, ONE, SUM, PROD, DIV):
+            raise FormatError(f"gate g{i}: unknown kind {_echo(g.kind)}")
+        for ch in g.children:
+            if not 0 <= ch < i:
+                raise FormatError(f"gate g{i} references {_echo(f'g{ch}')}"
+                                  f", which does not precede it")
+        if g.kind == DIV and len(g.children) != 2:
+            raise FormatError(f"gate g{i}: div needs exactly 2 children")
+        if g.kind in (SUM, PROD) and not g.children:
+            raise FormatError(f"gate g{i}: {g.kind} needs a child")
+    for _, idx in c.outputs:
+        if not 0 <= idx < len(c.gates):
+            raise FormatError(
+                f"output references missing gate {_echo(f'g{idx}')}")
 
 
 @dataclass(frozen=True)
@@ -106,38 +135,44 @@ class CircuitStats:
 def eval_circuit(c: Circuit, inputs: dict[tuple[str, int, int], object],
                  sr: Semiring = REAL):
     """Bottom-up evaluation over `sr`; `inputs` maps (name, row, col) to
-    carrier values."""
+    carrier values.  A circuit that evaluation cannot walk gets the
+    loader's `FormatError`, found only once the walk has failed."""
     vals = []
-    for i, g in enumerate(c.gates):
-        args = map(vals.__getitem__, g.children)
-        if g.kind == SUM:
-            vals.append(reduce(sr.plus, args, sr.zero))
-        elif g.kind == PROD:
-            vals.append(reduce(sr.times, args, sr.one))
-        elif g.kind == INPUT:
-            if g.ref not in inputs:
-                name, r, col = g.ref
-                raise MissingInput(
-                    f"no value for input {_echo(f'{name}[{r},{col}]')}")
-            vals.append(inputs[g.ref])
-        elif g.kind in (ZERO, ONE):
-            vals.append(sr.one if g.kind == ONE else sr.zero)
-        elif g.kind != DIV:
-            raise FormatError(f"gate g{i}: unknown kind {_echo(g.kind)}")
-        elif sr.div is None:
-            raise FunctionUnavailableForSemiring(
-                f"div at gate g{i} is not available over the {sr.name} "
-                f"semiring")
-        else:
-            try:
-                vals.append(sr.div(*args))
-            except DivisionByZero:
-                raise DivisionByZero(
-                    f"division by zero at gate g{i}") from None
-    return {pos: vals[idx] for pos, idx in c.outputs}
+    try:
+        for i, (kind, children, ref) in enumerate(c.gates):
+            args = map(vals.__getitem__, children)
+            if kind == SUM and children:
+                vals.append(reduce(sr.plus, args, sr.zero))
+            elif kind == PROD and children:
+                vals.append(reduce(sr.times, args, sr.one))
+            elif kind == INPUT:
+                if ref not in inputs:
+                    name, r, col = ref
+                    raise MissingInput(
+                        f"no value for input {_echo(f'{name}[{r},{col}]')}")
+                vals.append(inputs[ref])
+            elif kind in (ZERO, ONE):
+                vals.append(sr.one if kind == ONE else sr.zero)
+            elif kind != DIV:  # an empty sum or product, or an unknown kind
+                raise TypeError(kind)
+            elif sr.div is None:
+                raise FunctionUnavailableForSemiring(
+                    f"div at gate g{i} is not available over the {sr.name} "
+                    f"semiring")
+            else:
+                try:
+                    vals.append(sr.div(*args))
+                except DivisionByZero:
+                    raise DivisionByZero(
+                        f"division by zero at gate g{i}") from None
+        return {pos: vals[idx] for pos, idx in c.outputs}
+    except (IndexError, TypeError):
+        _check_structure(c)
+        raise
 
 
 def stats(c: Circuit) -> CircuitStats:
+    _check_structure(c)
     degree = [0] * len(c.gates)
     depth = [0] * len(c.gates)
     wires = 0
@@ -145,8 +180,6 @@ def stats(c: Circuit) -> CircuitStats:
         if g.kind in (INPUT, ZERO, ONE):
             degree[i] = 1
             continue
-        if g.kind not in (SUM, PROD, DIV):
-            raise FormatError(f"gate g{i}: unknown kind {_echo(g.kind)}")
         wires += len(g.children)
         depth[i] = 1 + max(depth[ch] for ch in g.children)
         degree[i] = (sum if g.kind == PROD else max)(
@@ -189,27 +222,32 @@ def prune(c: Circuit) -> Circuit:
 
 def dump_circuit(c: Circuit) -> str:
     """`c` as text; an entry it cannot write is a `FormatError` naming it."""
-    lines = []
+    lines, n_gates = [], None
     try:
         for i, g in enumerate(c.gates):
             if g.kind == INPUT:
                 name, r, col = g.ref
+                if not re.fullmatch(_NAME, name):
+                    raise ValueError(name)
                 lines.append(f"g{i} = input {name}[{r},{col}]")
             else:
                 refs = " ".join(f"g{ch}" for ch in g.children)
                 lines.append(f"g{i} = {g.kind} {refs}".rstrip())
+        n_gates = len(lines)
         for (r, col), idx in c.outputs:
             lines.append(f"output[{r},{col}] = g{idx}")
     except (AttributeError, TypeError, ValueError):
-        raise FormatError(f"{_entry(c, len(lines))} cannot be written as a "
-                          f"dump line") from None
+        raise FormatError(f"{_entry(len(lines), n_gates)} cannot be written "
+                          f"as a dump line") from None
     return "\n".join(lines)
 
 
+# an input's matrix name, as read and as written: no blank, line break or `#`
+_NAME = r"[^\s#]+"
 # one line of a dump: an output, an input gate, a constant, or an operation
 _LINE_RE = re.compile(r"output\[(\d+),(\d+)\] = g(\d+)"
-                      r"|g(\d+) = (?:input (\S+)\[(\d+),(\d+)\]|(const[01])"
-                      r"|(sum|prod|div)((?:\s+g\d+)*))")
+                      rf"|g(\d+) = (?:input ({_NAME})\[(\d+),(\d+)\]"
+                      r"|(const[01])|(sum|prod|div)((?:\s+g\d+)*))")
 _NO_LINE = "expected a gate or output line"
 
 
@@ -243,17 +281,6 @@ def load_circuit(text: str) -> Circuit:
             gates.append(Gate(INPUT, ref=(name, i, j)))
         else:
             gates.append(Gate(const or kind, tuple(children)))
-    for i, g in enumerate(gates):
-        for ch in g.children:
-            if ch >= i:
-                raise FormatError(f"gate g{i} references {_echo(f'g{ch}')}"
-                                  f", which does not precede it")
-        if g.kind == DIV and len(g.children) != 2:
-            raise FormatError(f"gate g{i}: div needs exactly 2 children")
-        if g.kind in (SUM, PROD) and not g.children:
-            raise FormatError(f"gate g{i}: {g.kind} needs a child")
-    for idx in outputs.values():
-        if idx >= len(gates):
-            raise FormatError(
-                f"output references missing gate {_echo(f'g{idx}')}")
-    return Circuit(gates, list(outputs.items()))
+    c = Circuit(gates, list(outputs.items()))
+    _check_structure(c)
+    return c

@@ -44,7 +44,7 @@ shares A^k and S^k with the trace vector and the Newton system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .ast import (Add, Apply, Const, Expr, For, MatMul, MatrixType, Ones,
                   OrderKind, OrderPrim, Prod, Schema, ScalarMul, Sum,
@@ -87,17 +87,11 @@ class NamedExpr:
 
 
 def _mm(*es):
-    out = es[0]
-    for e in es[1:]:
-        out = MatMul(out, e)
-    return out
+    return reduce(MatMul, es)
 
 
 def _add(*es):
-    out = es[0]
-    for e in es[1:]:
-        out = Add(out, e)
-    return out
+    return reduce(Add, es)
 
 
 def _neg(e):
@@ -108,13 +102,10 @@ def _one_minus(e):
     return Add(Const(1), _neg(e))
 
 
-def _sless():
-    return OrderPrim(OrderKind.SLESS, ALPHA)
-
-
-def _emax():
-    return OrderPrim(OrderKind.EMAX, ALPHA)
-
+_SLESS = OrderPrim(OrderKind.SLESS, ALPHA)
+_EMIN = OrderPrim(OrderKind.EMIN, ALPHA)
+_EMAX = OrderPrim(OrderKind.EMAX, ALPHA)
+_NSHIFT = OrderPrim(OrderKind.NSHIFT, ALPHA)
 
 # e_Id as a sum of outer products of canonical vectors
 _J = Var("j")
@@ -123,12 +114,12 @@ _EID = Sum("j", _mm(_J, Transpose(_J)))
 
 def _le(x, y):
     """Index comparison: one iff index(x) <= index(y)."""
-    return _mm(Transpose(x), Add(_EID, _sless()), y)
+    return _mm(Transpose(x), Add(_EID, _SLESS), y)
 
 
 def _lt(x, y):
     """Strict index comparison: one iff index(x) < index(y)."""
-    return _mm(Transpose(x), _sless(), y)
+    return _mm(Transpose(x), _SLESS, y)
 
 
 def _pow(base, idx):
@@ -153,7 +144,7 @@ def _power_trace(m, idx):
 def _shift(vec, idx):
     """Shift a column vector down by k positions (idx = b_k)."""
     w = Var("w")
-    step = _pow(OrderPrim(OrderKind.NSHIFT, ALPHA), idx)
+    step = _pow(_NSHIFT, idx)
     return Sum("w", ScalarMul(_mm(Transpose(w), vec), _mm(step, w)))
 
 
@@ -243,18 +234,15 @@ def build_basics() -> list[NamedExpr]:
         NamedExpr("index_lt", _lt(Var("y"), v), {"y": _COL, "v": _COL},
                   description="one iff index(y) < index(v) on canonical "
                               "vectors"),
-        NamedExpr("is_first",
-                  _mm(Transpose(OrderPrim(OrderKind.EMIN, ALPHA)), v),
-                  {"v": _COL},
+        NamedExpr("is_first", _mm(Transpose(_EMIN), v), {"v": _COL},
                   description="one iff the input is the first canonical "
                               "vector"),
-        NamedExpr("is_last", _mm(Transpose(_emax()), v), {"v": _COL},
+        NamedExpr("is_last", _mm(Transpose(_EMAX), v), {"v": _COL},
                   description="one iff the input is the last canonical "
                               "vector"),
-        NamedExpr("last_basis", _emax(), {},
+        NamedExpr("last_basis", _EMAX, {},
                   description="the last canonical vector"),
-        NamedExpr("shift_by_index",
-                  _pow(OrderPrim(OrderKind.NSHIFT, ALPHA), v), {"v": _COL},
+        NamedExpr("shift_by_index", _pow(_NSHIFT, v), {"v": _COL},
                   description="k-step shift matrix when the input is b_k"),
         NamedExpr("shift_vector", _shift(a, v), {"a": _COL, "v": _COL},
                   description="shift the entries of `a` down by k positions "
@@ -296,7 +284,7 @@ def _clique_body(edge):
 
 
 def build_graph_queries() -> list[NamedExpr]:
-    mask = Add(_sless(), Transpose(_sless()))
+    mask = Add(_SLESS, Transpose(_SLESS))
     return [
         NamedExpr("four_clique",
                   _clique_body(lambda a, b: _one_minus(_mm(Transpose(a), b))),
@@ -414,21 +402,20 @@ def build_csanky_suite() -> list[NamedExpr]:
     def inv_power(base, idx):
         g = Var("g")
         inner = Add(ScalarMul(_lt(idx, g), base), ScalarMul(_le(g, idx), _EID))
-        return Prod("g", Add(ScalarMul(_lt(g, _emax()), inner),
-                             ScalarMul(_mm(Transpose(_emax()), g), _EID)))
+        return Prod("g", Add(ScalarMul(_lt(g, _EMAX), inner),
+                             ScalarMul(_mm(Transpose(_EMAX), g), _EID)))
 
     ones = For("i", "S", Add(Var("S"), Var("i")))
-    sign = _mm(Transpose(ScalarMul(Prod("m", Const(-1)), ones)), _emax())
-    determinant = _mm(Transpose(ScalarMul(sign, charpoly())), _emax())
+    sign = _mm(Transpose(ScalarMul(Prod("m", Const(-1)), ones)), _EMAX)
+    determinant = _mm(Transpose(ScalarMul(sign, charpoly())), _EMAX)
 
     coeffs = charpoly()
-    shift = OrderPrim(OrderKind.NSHIFT, ALPHA)
-    weights = Add(MatMul(shift, coeffs), OrderPrim(OrderKind.EMIN, ALPHA))
+    weights = Add(MatMul(_NSHIFT, coeffs), _EMIN)
     r = Var("r")
     powers = Sum("r", ScalarMul(
-        _mm(Transpose(_emax()), _pow(shift, r), weights), _pow(v, r)))
-    tail = Add(ScalarMul(_mm(Transpose(_emax()), weights), _EID), powers)
-    last_coeff = _mm(Transpose(coeffs), _emax())
+        _mm(Transpose(_EMAX), _pow(_NSHIFT, r), weights), _pow(v, r)))
+    tail = Add(ScalarMul(_mm(Transpose(_EMAX), weights), _EID), powers)
+    last_coeff = _mm(Transpose(coeffs), _EMAX)
     inverse = ScalarMul(_neg(Apply("div", (Const(1), last_coeff))), tail)
 
     square, indexed = {"V": _SQ}, {"V": _SQ, "v": _COL}

@@ -38,7 +38,7 @@ from __future__ import annotations
 from . import ast
 from .ast import (Add, Apply, Const, Diag, For, Hadamard, MatMul, MatrixType,
                   Ones, Prod, ScalarMul, Sum, Transpose, UNIT, Var)
-from .errors import ArityMismatch, TypeCheckError, _echo
+from .errors import TypeCheckError
 from .typecheck import _check, binder_types, type_in_env
 
 
@@ -141,14 +141,12 @@ def reduce_apply_to_scalars(e: ast.Expr, schema: ast.Schema) -> ast.Expr:
 
 def _reduce(e, env, fresh):
     """The rewrite of `e` and its outcome in `env`.  An application whose
-    first argument does not type raises that error."""
-    if isinstance(e, Apply) and not e.args:
-        raise ArityMismatch(
-            f"function {_echo(e.func)} applied to no arguments")
+    first argument does not type raises that error; one with no arguments
+    raises its own outcome, an `ArityMismatch`."""
     out, outcome, outcomes = yield from _typed(e, env)
     if not isinstance(e, Apply):
         return out, outcome
-    t = _type_or_raise(outcomes[0])
+    t = _type_or_raise(outcomes[0] if e.args else outcome)
     if t.is_scalar:
         return out, outcome
     return _scalarised_apply(e.func, out.args, t, fresh), outcome

@@ -131,7 +131,8 @@ def _check(e, env):
         return acc_t
 
     if isinstance(e, (Sum, Prod, Hadamard)):
-        bt = yield e.body, {**env, e.var: _vector_iterator_type(e, env)}
+        _vector_iterator_type(e, env)
+        bt = yield e.body, binder_types(e, env)
         if isinstance(e, Prod) and bt.rows != bt.cols:
             raise TypeMismatch(
                 f"prod quantifier needs a square or scalar body, got {bt}")

@@ -324,6 +324,65 @@ def test_an_unknown_gate_kind_is_an_error(run):
     assert str(exc.value) == "gate g1: unknown kind 'neg'"
 
 
+# circuits the loader rejects, with its message; each made a reader raise a
+# bare `IndexError`, `TypeError` or `ValueError`, or return a value
+_MALFORMED = [
+    ([Gate(SUM, (5,))], [((1, 1), 0)],
+     "gate g0 references 'g5', which does not precede it"),
+    ([Gate(ONE)], [((1, 1), 3)], "output references missing gate 'g3'"),
+    ([Gate(SUM)], [((1, 1), 0)], "gate g0: sum needs a child"),
+    ([Gate(ONE), Gate(PROD)], [((1, 1), 1)], "gate g1: prod needs a child"),
+    ([Gate(ONE), Gate(DIV, (0,))], [((1, 1), 1)],
+     "gate g1: div needs exactly 2 children"),
+]
+
+
+@pytest.mark.parametrize("gates, outputs, message", _MALFORMED, ids=[
+    "child after its gate", "missing output gate", "empty sum",
+    "empty product", "div with one child"])
+@pytest.mark.parametrize("run", [lambda c: eval_circuit(c, {}), stats],
+                         ids=["eval_circuit", "stats"])
+def test_the_circuit_readers_apply_the_loaders_rule(run, gates, outputs,
+                                                    message):
+    with pytest.raises(FormatError) as exc:
+        run(Circuit(gates, outputs))
+    assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        load_circuit(dump_circuit(Circuit(gates, outputs)))
+    assert str(exc.value) == message
+
+
+def test_stats_rejects_a_child_index_below_zero():
+    c = Circuit([Gate(ONE), Gate(PROD, (-1, 0))], [((1, 1), 1)])
+    with pytest.raises(FormatError) as exc:
+        stats(c)
+    assert str(exc.value) == "gate g1 references 'g-1', which does not " \
+                             "precede it"
+
+
+# written as it is, the first name would split g0's dump line, and the
+# third line would read as an output at position [0,1]
+@pytest.mark.parametrize("name", ["V[1,1]\noutput[0,1] = g0\n#", "a\rb",
+                                  "a\x85b", "a\u2028b", "a\tb", "#"])
+@pytest.mark.parametrize("run", [dump_circuit, Circuit.validate],
+                         ids=["dump_circuit", "validate"])
+def test_the_dump_writes_only_names_the_loader_reads(run, name):
+    c = Circuit([Gate(INPUT, ref=(name, 1, 1)), Gate(ONE)], [((1, 1), 1)])
+    with pytest.raises(FormatError) as exc:
+        run(c)
+    assert str(exc.value) == "gate g0 cannot be written as a dump line"
+
+
+def test_a_circuit_without_gate_or_output_lists_is_a_format_error():
+    for run in (dump_circuit, Circuit.validate):
+        with pytest.raises(FormatError) as exc:
+            run(Circuit(None, None))
+        assert str(exc.value) == "gate g0 cannot be written as a dump line"
+        with pytest.raises(FormatError) as exc:
+            run(Circuit([Gate(ONE)], None))
+        assert str(exc.value) == "outputs[0] cannot be written as a dump line"
+
+
 _KIND_ARITY = {INPUT: 0, ZERO: 0, ONE: 0, SUM: 2, PROD: 2, DIV: 2}
 
 
